@@ -22,11 +22,11 @@
 //!
 //! Connection threads are **I/O only** — they frame lines and move
 //! buffers; every request runs as a job on the runtime's fixed pool of
-//! compute lanes, fed by a bounded FIFO queue (full queue = backpressure
-//! to the client's TCP window, never unbounded buffering). Heavy compute
-//! inside a job (the finder, the sharded placer, congestion) still fans
-//! out through `gtl_core::exec` and is byte-identical for any worker
-//! count. Deterministic responses are additionally served from an LRU
+//! compute lanes, fed by a bounded fair-share queue (full queue =
+//! backpressure to the client's TCP window, never unbounded buffering).
+//! Heavy compute inside a job (the finder, the sharded placer,
+//! congestion) still fans out through `gtl_core::exec` and is
+//! byte-identical for any worker count. Deterministic responses are additionally served from an LRU
 //! **response cache** keyed by the canonical request-line bytes; a hit
 //! returns exactly the bytes a fresh compute would (property-tested), so
 //! the wire contract is unchanged for any lane count, cache size
@@ -48,8 +48,8 @@
 //! also records per-stage and per-request-kind latency histograms,
 //! exported through the `Metrics` pair, the v5 `MetricsText` pair
 //! (Prometheus text — see [`crate::prom`]) and, when
-//! [`serve_with_metrics`] is given a side listener, a plain-HTTP
-//! `GET /metrics` scrape endpoint.
+//! [`serve()`] is given a side listener, a plain-HTTP `GET /metrics`
+//! scrape endpoint.
 
 use std::borrow::Cow;
 use std::net::TcpListener;
@@ -92,7 +92,7 @@ const DEFAULT_PIPELINE_DEPTH: usize = 8;
 ///     .cache_bytes(1 << 20)
 ///     .pipeline_depth(16)
 ///     .timeout(Some(Duration::from_secs(30)))
-///     .max_concurrent(Some(64))
+///     .max_concurrent(64)
 ///     .max_connections(Some(100));
 /// assert_eq!(options.lanes, 4);
 /// ```
@@ -111,9 +111,9 @@ pub struct ServeOptions {
     /// waiting on a slow compute is not idle; only a connection with no
     /// request in flight and nothing arriving is closed.
     pub timeout: Option<Duration>,
-    /// Max concurrently open connections (`None` = unbounded); excess
+    /// Max concurrently open connections (`0` = unbounded); excess
     /// clients wait in the listen backlog.
-    pub max_concurrent: Option<usize>,
+    pub max_concurrent: usize,
     /// Stop accepting after this many connections (`None` = run forever;
     /// `Some(0)` returns immediately). Scripted callers (CI golden
     /// tests) use this to get a clean exit.
@@ -151,7 +151,7 @@ impl Default for ServeOptions {
             cache_bytes: DEFAULT_CACHE_BYTES,
             pipeline_depth: DEFAULT_PIPELINE_DEPTH,
             timeout: None,
-            max_concurrent: None,
+            max_concurrent: 0,
             max_connections: None,
             deadline: None,
             max_netlists: 0,
@@ -199,8 +199,8 @@ impl ServeOptions {
         self
     }
 
-    /// Sets the max-concurrent-connections gate.
-    pub fn max_concurrent(mut self, max_concurrent: Option<usize>) -> Self {
+    /// Sets the max-concurrent-connections gate (`0` = unbounded).
+    pub fn max_concurrent(mut self, max_concurrent: usize) -> Self {
         self.max_concurrent = max_concurrent;
         self
     }
@@ -274,32 +274,19 @@ pub fn bind(addr: &str) -> Result<TcpListener, ApiError> {
 /// bounded runtime until the connection budget is exhausted (or forever
 /// without one).
 ///
+/// With a `metrics_listener`, a Prometheus scrape side port runs
+/// alongside: it answers plain-HTTP `GET /metrics` with the same
+/// registry-overlaid counters as the v5 `MetricsText` pair, rendered by
+/// [`crate::prom::render_prometheus`]. The side listener accepts one
+/// scrape at a time (observation plane, not data plane) and shuts down
+/// with the server.
+///
 /// # Errors
 ///
 /// [`ApiError::Io`] when accepting fails persistently; per-connection
 /// I/O errors terminate only that connection and are reported in the
 /// returned [`ServeSummary`].
 pub fn serve(
-    session: &Session,
-    listener: &TcpListener,
-    options: &ServeOptions,
-) -> Result<ServeSummary, ApiError> {
-    serve_with_metrics(session, listener, options, None)
-}
-
-/// [`serve()`] with an optional Prometheus scrape side listener: while
-/// the JSON-lines server runs, `metrics_listener` answers plain-HTTP
-/// `GET /metrics` with the same registry-overlaid counters as the v5
-/// `MetricsText` pair, rendered by [`crate::prom::render_prometheus`].
-/// The side listener accepts one scrape at a time (observation plane,
-/// not data plane) and shuts down with the server.
-///
-/// # Errors
-///
-/// [`ApiError::Io`] when accepting fails persistently; per-connection
-/// I/O errors terminate only that connection and are reported in the
-/// returned [`ServeSummary`].
-pub fn serve_with_metrics(
     session: &Session,
     listener: &TcpListener,
     options: &ServeOptions,
@@ -331,7 +318,7 @@ pub fn serve_with_metrics(
         crate::prom::render_prometheus(&dispatcher.runtime_metrics(snapshot.clone()))
     };
     let exporter = metrics_listener.map(|listener| MetricsExporter { listener, render: &render });
-    let report = gtl_runtime::serve_lines_with_metrics(listener, &config, &handler, exporter)
+    let report = gtl_runtime::serve_lines(listener, &config, &handler, exporter)
         .map_err(|e| ApiError::io(e.to_string()))?;
     Ok(ServeSummary {
         connections: report.connections,
@@ -555,7 +542,7 @@ mod tests {
         let session = session();
         let listener = bind("127.0.0.1:0").unwrap();
         let options = ServeOptions::new().max_connections(Some(0));
-        let summary = serve(&session, &listener, &options).unwrap();
+        let summary = serve(&session, &listener, &options, None).unwrap();
         assert_eq!(summary.connections, 0);
     }
 
@@ -566,7 +553,7 @@ mod tests {
         let addr = listener.local_addr().unwrap();
         let options = ServeOptions::new().max_connections(Some(1));
         std::thread::scope(|scope| {
-            let handle = scope.spawn(|| serve(&session, &listener, &options).unwrap());
+            let handle = scope.spawn(|| serve(&session, &listener, &options, None).unwrap());
             let mut conn = TcpStream::connect(addr).unwrap();
             // Stream more than the cap without a newline; the server must
             // answer bad_request and close rather than buffer forever.
@@ -593,7 +580,7 @@ mod tests {
         let addr = listener.local_addr().unwrap();
         let options = ServeOptions::new().lanes(2).max_connections(Some(2));
         std::thread::scope(|scope| {
-            let handle = scope.spawn(|| serve(&session, &listener, &options).unwrap());
+            let handle = scope.spawn(|| serve(&session, &listener, &options, None).unwrap());
 
             let mut expected = None;
             for _ in 0..2 {
@@ -637,7 +624,7 @@ mod tests {
         let addr = listener.local_addr().unwrap();
         let options = ServeOptions::new().lanes(1).max_connections(Some(1));
         std::thread::scope(|scope| {
-            let handle = scope.spawn(|| serve(&session, &listener, &options).unwrap());
+            let handle = scope.spawn(|| serve(&session, &listener, &options, None).unwrap());
             let mut conn = TcpStream::connect(addr).unwrap();
             // Unique malformed and invalid requests must not evict real
             // compute: none of them may take a cache slot.
@@ -667,7 +654,7 @@ mod tests {
         let addr = listener.local_addr().unwrap();
         let options = ServeOptions::new().lanes(1).max_connections(Some(1));
         std::thread::scope(|scope| {
-            let handle = scope.spawn(|| serve(&session, &listener, &options).unwrap());
+            let handle = scope.spawn(|| serve(&session, &listener, &options, None).unwrap());
             let mut conn = TcpStream::connect(addr).unwrap();
             // An already-expired per-request deadline: answered with a
             // structured error, without running the finder.
@@ -711,7 +698,7 @@ mod tests {
         let addr = listener.local_addr().unwrap();
         let options = ServeOptions::new().lanes(1).max_connections(Some(1));
         std::thread::scope(|scope| {
-            let handle = scope.spawn(|| serve(&session, &listener, &options).unwrap());
+            let handle = scope.spawn(|| serve(&session, &listener, &options, None).unwrap());
             let mut conn = TcpStream::connect(addr).unwrap();
             let line = serde::json::to_string(&Request::Metrics(MetricsRequest::new()));
             writeln!(conn, "{line}").unwrap();
@@ -744,7 +731,7 @@ mod tests {
         let addr = listener.local_addr().unwrap();
         let options = ServeOptions::new().lanes(1).max_connections(Some(1));
         std::thread::scope(|scope| {
-            let handle = scope.spawn(|| serve(&session, &listener, &options).unwrap());
+            let handle = scope.spawn(|| serve(&session, &listener, &options, None).unwrap());
             let mut conn = TcpStream::connect(addr).unwrap();
             writeln!(conn, "{}", request_line()).unwrap();
             // The same request pinned to v4: frozen bytes, no trace.
@@ -767,7 +754,7 @@ mod tests {
         let addr = listener.local_addr().unwrap();
         let options = ServeOptions::new().lanes(1).max_connections(Some(1));
         std::thread::scope(|scope| {
-            let handle = scope.spawn(|| serve(&session, &listener, &options).unwrap());
+            let handle = scope.spawn(|| serve(&session, &listener, &options, None).unwrap());
             let mut conn = TcpStream::connect(addr).unwrap();
             let line = serde::json::to_string(&Request::MetricsText(MetricsTextRequest::new()));
             writeln!(conn, "{line}").unwrap();
@@ -794,9 +781,8 @@ mod tests {
         let metrics_addr = metrics_listener.local_addr().unwrap();
         let options = ServeOptions::new().lanes(1).max_connections(Some(1));
         std::thread::scope(|scope| {
-            let handle = scope.spawn(|| {
-                serve_with_metrics(&session, &listener, &options, Some(&metrics_listener)).unwrap()
-            });
+            let handle = scope
+                .spawn(|| serve(&session, &listener, &options, Some(&metrics_listener)).unwrap());
             let mut conn = TcpStream::connect(addr).unwrap();
             writeln!(conn, "{}", request_line()).unwrap();
             let mut reader = BufReader::new(conn.try_clone().unwrap());

@@ -3,11 +3,17 @@
 //! A session is the unit of request dispatch: it owns the [`Netlist`],
 //! validates each request (version, then arguments) before any compute
 //! starts, and reuses allocation-heavy scratch across requests — today
-//! the finder's pruning bitset ([`gtl_tangled::PruneScratch`]), behind a
-//! mutex so concurrent `serve` connections share it safely. All heavy
-//! compute inside a request fans out through `gtl_core::exec` (via the
-//! finder and the sharded placer), so a response is byte-identical for
-//! any worker count.
+//! the placer's Laplacian-build buffers ([`gtl_place::PlaceScratch`]),
+//! behind a mutex so concurrent `serve` connections share them safely.
+//! All heavy compute inside a request fans out through `gtl_core::exec`
+//! (via the finder and the sharded placer), so a response is
+//! byte-identical for any worker count.
+//!
+//! One entry point per request kind ([`Session::find`],
+//! [`Session::place`], [`Session::stats`]), one envelope dispatcher
+//! ([`Session::handle`]) with its cancellable form
+//! ([`Session::handle_cancellable`], which the serve runtime calls with
+//! the job's token), and one wire round-trip ([`Session::handle_line`]).
 
 use std::path::Path;
 use std::sync::Mutex;
@@ -16,7 +22,7 @@ use std::time::{Duration, Instant};
 use gtl_core::cancel::{CancelToken, Deadline};
 use gtl_netlist::{bookshelf, hgr, verilog, Netlist, NetlistStats};
 use gtl_place::congestion;
-use gtl_tangled::{PruneScratch, TangledLogicFinder};
+use gtl_tangled::TangledLogicFinder;
 
 use crate::{
     ApiError, ErrorBody, FindRequest, FindResponse, MetricsRequest, MetricsResponse,
@@ -162,9 +168,8 @@ impl SessionBuilder {
         // The netlist is immutable for the session's lifetime, so the
         // full statistics are computed once here, not per Stats request.
         let stats = NetlistStats::compute(&netlist);
-        let scratch = Mutex::new(PruneScratch::new(netlist.num_cells()));
         let place_scratch = Mutex::new(gtl_place::PlaceScratch::new());
-        Ok(Session { netlist, summary, stats, scratch, place_scratch })
+        Ok(Session { netlist, summary, stats, place_scratch })
     }
 }
 
@@ -193,7 +198,6 @@ pub struct Session {
     netlist: Netlist,
     summary: NetlistSummary,
     stats: NetlistStats,
-    scratch: Mutex<PruneScratch>,
     place_scratch: Mutex<gtl_place::PlaceScratch>,
 }
 
@@ -238,17 +242,13 @@ impl Session {
     }
 
     /// [`Session::find`] under a caller-supplied cancellation `base`
-    /// token (the serve runtime passes the connection's token) and
-    /// deadline anchor. The request's `deadline_ms` (v3+) narrows the
-    /// token; an already-expired deadline is answered before any compute
-    /// starts, and a deadline firing mid-run aborts the finder at its
-    /// next checkpoint (one seed search).
-    ///
-    /// # Errors
-    ///
-    /// Everything [`Session::find`] reports, plus
-    /// [`ApiError::DeadlineExceeded`] / [`ApiError::Cancelled`].
-    pub fn find_cancellable(
+    /// token (the serve runtime passes the job's token) and deadline
+    /// anchor. The request's `deadline_ms` (v3+) narrows the token; an
+    /// already-expired deadline is answered before any compute starts,
+    /// and a deadline firing mid-run aborts the finder at its next
+    /// checkpoint (one seed search). Besides [`Session::find`]'s errors
+    /// it reports [`ApiError::DeadlineExceeded`] / [`ApiError::Cancelled`].
+    fn find_cancellable(
         &self,
         request: &FindRequest,
         base: &CancelToken,
@@ -277,21 +277,7 @@ impl Session {
             )));
         }
         check_threads(config.threads, "config.threads")?;
-        let finder = TangledLogicFinder::new(&self.netlist, config);
-        // Reuse the session scratch when it is free; under contention run
-        // with a fresh local one instead of serializing concurrent finds
-        // behind the mutex (the scratch is a pure allocation cache — the
-        // result is identical either way).
-        let result = match self.scratch.try_lock() {
-            Ok(mut scratch) => finder.run_with_scratch_cancellable(&mut scratch, &token),
-            Err(std::sync::TryLockError::Poisoned(poisoned)) => {
-                finder.run_with_scratch_cancellable(&mut poisoned.into_inner(), &token)
-            }
-            Err(std::sync::TryLockError::WouldBlock) => finder.run_with_scratch_cancellable(
-                &mut PruneScratch::new(self.netlist.num_cells()),
-                &token,
-            ),
-        }?;
+        let result = TangledLogicFinder::new(&self.netlist, config).run_cancellable(&token)?;
         Ok(FindResponse { v: request.v, netlist: self.summary.clone(), result, trace: None })
     }
 
@@ -305,15 +291,10 @@ impl Session {
     }
 
     /// [`Session::place`] under a caller-supplied cancellation `base`
-    /// token and deadline anchor (see [`Session::find_cancellable`]);
-    /// the placer checkpoints between solve/spread iterations and the
-    /// congestion estimator between tile stripes.
-    ///
-    /// # Errors
-    ///
-    /// Everything [`Session::place`] reports, plus
-    /// [`ApiError::DeadlineExceeded`] / [`ApiError::Cancelled`].
-    pub fn place_cancellable(
+    /// token and deadline anchor (see `find_cancellable`); the placer
+    /// checkpoints between solve/spread iterations and the congestion
+    /// estimator between tile stripes.
+    fn place_cancellable(
         &self,
         request: &PlaceRequest,
         base: &CancelToken,
@@ -537,33 +518,11 @@ impl Session {
     /// machine — requests fan out through `gtl_core::exec` and the JSON
     /// renderer is deterministic.
     pub fn handle_line(&self, line: &str) -> String {
-        let mut out = String::new();
-        self.handle_line_into(line, &mut out);
-        out
-    }
-
-    /// [`handle_line`](Self::handle_line) into a caller-owned buffer:
-    /// appends the response document onto `out` (cleared first), reusing
-    /// its allocation. The serve runtime calls this with a recycled
-    /// per-connection buffer so steady-state request handling allocates
-    /// no fresh response `String`; the bytes are identical to
-    /// [`handle_line`](Self::handle_line).
-    pub fn handle_line_into(&self, line: &str, out: &mut String) {
-        out.clear();
-        match serde::json::from_str::<Request>(line) {
-            Ok(request) => self.handle_into(&request, out),
-            Err(e) => serde::json::to_string_into(
-                &Response::Error(ErrorBody::from(&ApiError::bad_request(e.to_string()))),
-                out,
-            ),
-        }
-    }
-
-    /// Dispatches an envelope and appends the serialized response onto
-    /// `out` (same contract as [`handle`](Self::handle), without the
-    /// intermediate `String`).
-    pub fn handle_into(&self, request: &Request, out: &mut String) {
-        serde::json::to_string_into(&self.handle(request), out);
+        let response = match serde::json::from_str::<Request>(line) {
+            Ok(request) => self.handle(&request),
+            Err(e) => Response::Error(ErrorBody::from(&ApiError::bad_request(e.to_string()))),
+        };
+        serde::json::to_string(&response)
     }
 }
 
@@ -785,6 +744,10 @@ mod tests {
         let s = session();
         let first = format!("{:?}", s.find(&find_request()).unwrap().result);
         let second = format!("{:?}", s.find(&find_request()).unwrap().result);
+        assert_eq!(first, second);
+        // The second placement reuses the session's Laplacian scratch.
+        let first = serde::json::to_string(&s.place(&PlaceRequest::new()).unwrap());
+        let second = serde::json::to_string(&s.place(&PlaceRequest::new()).unwrap());
         assert_eq!(first, second);
     }
 

@@ -99,7 +99,7 @@ fn play_script(session: &Session, options: ServeOptions, lines: &[String]) -> Ve
     let addr = listener.local_addr().unwrap();
     let options = options.max_connections(Some(1));
     std::thread::scope(|scope| {
-        let server = scope.spawn(|| gtl_api::serve(session, &listener, &options).unwrap());
+        let server = scope.spawn(|| gtl_api::serve(session, &listener, &options, None).unwrap());
         let mut conn = TcpStream::connect(addr).unwrap();
         for line in lines {
             writeln!(conn, "{line}").unwrap();
@@ -283,10 +283,12 @@ fn flooding_tenant_cannot_perturb_a_trickler() {
             .netlist_dir(Some(dir.clone()))
     };
 
-    // Solo run: the trickler alone, after loading its session.
+    // Solo run: the trickler alone, after loading its session. Serial
+    // like the trickler itself (pipeline depth 1): pipelined, its first
+    // Finds could run on the second lane before the load completes.
     let mut solo_script = vec![load_line("light", "light.hgr")];
     solo_script.extend(trickle.iter().cloned());
-    let solo = play_script(&session, options(), &solo_script)[1..].to_vec();
+    let solo = play_script(&session, options().pipeline_depth(1), &solo_script)[1..].to_vec();
     assert_eq!(solo.len(), trickle.len());
     assert!(solo.iter().all(|l| l.starts_with("{\"Find\":")), "{solo:?}");
 
@@ -297,7 +299,8 @@ fn flooding_tenant_cannot_perturb_a_trickler() {
     let addr = listener.local_addr().unwrap();
     let serve_options = options().max_connections(Some(3));
     std::thread::scope(|scope| {
-        let server = scope.spawn(|| gtl_api::serve(&session, &listener, &serve_options).unwrap());
+        let server =
+            scope.spawn(|| gtl_api::serve(&session, &listener, &serve_options, None).unwrap());
         {
             let mut admin = TcpStream::connect(addr).unwrap();
             writeln!(admin, "{}", load_line("heavy", "heavy.hgr")).unwrap();

@@ -85,11 +85,11 @@ fn eight_pipelined_clients_match_serial_replay() {
         .lanes(4)
         .pipeline_depth(4)
         .cache_bytes(2048)
-        .max_concurrent(Some(5))
+        .max_concurrent(5)
         .max_connections(Some(clients));
 
     std::thread::scope(|scope| {
-        let server = scope.spawn(|| gtl_api::serve(&session, &listener, &options).unwrap());
+        let server = scope.spawn(|| gtl_api::serve(&session, &listener, &options, None).unwrap());
         let mut handles = Vec::new();
         for c in 0..clients {
             let pool = &pool;
@@ -149,7 +149,8 @@ proptest! {
             .cache_bytes(budget)
             .max_connections(Some(1));
         std::thread::scope(|scope| {
-            let server = scope.spawn(|| gtl_api::serve(&session, &listener, &options).unwrap());
+            let server =
+                scope.spawn(|| gtl_api::serve(&session, &listener, &options, None).unwrap());
             let mut conn = TcpStream::connect(addr).unwrap();
             for &p in &picks {
                 writeln!(conn, "{}", pool[p % pool.len()]).unwrap();

@@ -74,7 +74,8 @@ fn run_burst(
         .cache_bytes(cache_bytes)
         .max_connections(Some(1));
     std::thread::scope(|scope| {
-        let server = scope.spawn(|| gtl_api::serve(session, &listener, &options).expect("serve"));
+        let server =
+            scope.spawn(|| gtl_api::serve(session, &listener, &options, None).expect("serve"));
         let mut conn = TcpStream::connect(addr).expect("connect");
         let mut reader = BufReader::new(conn.try_clone().expect("clone"));
         let mut response = String::new();

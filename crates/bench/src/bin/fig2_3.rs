@@ -40,9 +40,10 @@ fn main() {
     // Both agglomerations are independent; run them through the shared
     // execution layer (per-worker grower scratch, seed-ordered results).
     let seeds = [inside_seed, outside_seed];
-    let mut orderings = gtl_core::parallel_map_with(
+    let mut orderings = gtl_core::parallel_map_chunked_with(
         args.threads,
         seeds.len(),
+        gtl_core::Granularity::Auto,
         |_| OrderingGrower::new(&graph.netlist, growth),
         |grower, i| grower.grow(seeds[i]),
     );

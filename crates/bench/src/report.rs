@@ -199,7 +199,8 @@ mod tests {
 
     #[test]
     fn csv_roundtrip() {
-        let dir = std::env::temp_dir().join("gtl_report_test");
+        let dir =
+            std::env::temp_dir().join(format!("gtl_report_csv_roundtrip_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("t.csv");
         write_csv(&path, &[("x", &[1.0, 2.0]), ("y", &[3.5, 4.5])]).unwrap();
@@ -210,13 +211,13 @@ mod tests {
     #[test]
     #[should_panic(expected = "column length mismatch")]
     fn csv_mismatched_columns_panic() {
-        let dir = std::env::temp_dir();
-        let _ = write_csv(dir.join("bad.csv"), &[("x", &[1.0]), ("y", &[1.0, 2.0])]);
+        let path = std::env::temp_dir().join(format!("gtl_report_bad_{}.csv", std::process::id()));
+        let _ = write_csv(path, &[("x", &[1.0]), ("y", &[1.0, 2.0])]);
     }
 
     #[test]
     fn pgm_header_and_size() {
-        let dir = std::env::temp_dir().join("gtl_report_test");
+        let dir = std::env::temp_dir().join(format!("gtl_report_pgm_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("t.pgm");
         write_pgm(&path, &[0.0, 0.5, 1.0, 0.25], 2, 2).unwrap();

@@ -552,7 +552,7 @@ fn cmd_serve(args: &[String]) -> Result<String, CliError> {
         .cache_bytes(cache_bytes)
         .pipeline_depth(pipeline)
         .timeout((timeout_ms > 0).then(|| std::time::Duration::from_millis(timeout_ms)))
-        .max_concurrent((max_concurrent > 0).then_some(max_concurrent))
+        .max_concurrent(max_concurrent)
         .max_connections((max_conns > 0).then_some(max_conns))
         .deadline((deadline_ms > 0).then(|| std::time::Duration::from_millis(deadline_ms)))
         .max_netlists(max_netlists)
@@ -562,8 +562,7 @@ fn cmd_serve(args: &[String]) -> Result<String, CliError> {
     // Readiness goes to stderr immediately (stdout is returned only when
     // the server finishes, which without --max-conns is never).
     eprintln!("gtl: serving {path} on {local} (JSON lines; Ctrl-C to stop)");
-    let summary =
-        gtl_api::serve_with_metrics(&session, &listener, &options, metrics_listener.as_ref())?;
+    let summary = gtl_api::serve(&session, &listener, &options, metrics_listener.as_ref())?;
     Ok(render_serve_summary(&summary))
 }
 
@@ -725,8 +724,16 @@ fn cmd_loadgen_replay(args: &[String]) -> Result<String, CliError> {
 mod tests {
     use super::*;
 
-    fn fixture_path() -> String {
-        // Two 5-cliques joined by one edge, as an .hgr in a temp file.
+    /// A directory of `test`'s own, named by test and process id:
+    /// tests run concurrently, so no two may share a file.
+    fn test_dir(test: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!("gtl_cli_{test}_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
+    fn fixture_path(test: &str) -> String {
+        // Two 5-cliques joined by one edge, as an .hgr in `test`'s directory.
         let mut text = String::from("21 10\n");
         for base in [0, 5] {
             for i in 0..5 {
@@ -736,9 +743,7 @@ mod tests {
             }
         }
         text.push_str("1 6\n");
-        let dir = std::env::temp_dir().join("gtl_cli_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("two_cliques.hgr");
+        let path = test_dir(test).join("two_cliques.hgr");
         std::fs::write(&path, text).unwrap();
         path.display().to_string()
     }
@@ -749,7 +754,7 @@ mod tests {
 
     #[test]
     fn stats_command() {
-        let out = run(&argv(&["stats", &fixture_path()])).unwrap();
+        let out = run(&argv(&["stats", &fixture_path("stats_command")])).unwrap();
         assert!(out.contains("|V|=10"), "{out}");
         assert!(out.contains("net degree histogram"));
     }
@@ -758,7 +763,7 @@ mod tests {
     fn find_command_locates_cliques() {
         let out = run(&argv(&[
             "find",
-            &fixture_path(),
+            &fixture_path("find_command_locates_cliques"),
             "--seeds",
             "10",
             "--min-size",
@@ -774,14 +779,16 @@ mod tests {
 
     #[test]
     fn score_command() {
-        let out = run(&argv(&["score", &fixture_path(), "--cells", "0,1,2,3,4"])).unwrap();
+        let out =
+            run(&argv(&["score", &fixture_path("score_command"), "--cells", "0,1,2,3,4"])).unwrap();
         assert!(out.contains("T(C)=1"), "{out}");
         assert!(out.contains("nGTL-S"));
     }
 
     #[test]
     fn curve_command_is_csv() {
-        let out = run(&argv(&["curve", &fixture_path(), "--seed", "0"])).unwrap();
+        let out =
+            run(&argv(&["curve", &fixture_path("curve_command_is_csv"), "--seed", "0"])).unwrap();
         let mut lines = out.lines();
         assert_eq!(lines.next(), Some("size,cut,ngtl_s,gtl_sd"));
         assert!(lines.next().unwrap().starts_with("1,"));
@@ -792,10 +799,11 @@ mod tests {
         assert!(run(&argv(&["--help"])).unwrap().contains("USAGE"));
         assert!(run(&argv(&["bogus"])).is_err());
         assert!(run(&argv(&[])).is_err());
-        let err = run(&argv(&["score", &fixture_path()])).unwrap_err();
+        let path = fixture_path("help_and_errors");
+        let err = run(&argv(&["score", &path])).unwrap_err();
         assert!(err.to_string().contains("--cells"));
         assert_eq!(err.exit_code(), 2);
-        let err = run(&argv(&["score", &fixture_path(), "--cells", "99"])).unwrap_err();
+        let err = run(&argv(&["score", &path, "--cells", "99"])).unwrap_err();
         assert!(err.to_string().contains("out of range"));
     }
 
@@ -803,7 +811,7 @@ mod tests {
     fn blocks_command_plans_regions() {
         let out = run(&argv(&[
             "blocks",
-            &fixture_path(),
+            &fixture_path("blocks_command_plans_regions"),
             "--seeds",
             "10",
             "--min-size",
@@ -818,11 +826,10 @@ mod tests {
 
     #[test]
     fn resynth_command_reports_and_writes() {
-        let dir = std::env::temp_dir().join("gtl_cli_test");
-        let out_v = dir.join("resynth.v");
+        let out_v = test_dir("resynth_command_reports_and_writes").join("resynth.v");
         let out = run(&argv(&[
             "resynth",
-            &fixture_path(),
+            &fixture_path("resynth_command_reports_and_writes"),
             "--seeds",
             "10",
             "--min-size",
@@ -842,9 +849,7 @@ mod tests {
 
     #[test]
     fn synth_command_streams_design_to_disk() {
-        let dir = std::env::temp_dir().join("gtl_cli_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("synth.hgr");
+        let path = test_dir("synth_command_streams_design_to_disk").join("synth.hgr");
         let path = path.display().to_string();
         let out = run(&argv(&["synth", "--cells", "500", "--out", &path])).unwrap();
         assert!(out.contains("500 cells"), "{out}");
@@ -863,7 +868,7 @@ mod tests {
 
     #[test]
     fn find_json_matches_session_dispatch() {
-        let path = fixture_path();
+        let path = fixture_path("find_json_matches_session_dispatch");
         let args =
             ["find", &path, "--seeds", "10", "--min-size", "3", "--max-order", "10", "--json"];
         let out = run(&argv(&args)).unwrap();
@@ -879,7 +884,8 @@ mod tests {
 
     #[test]
     fn serve_rejects_bad_flags() {
-        let err = run(&argv(&["serve", &fixture_path(), "--port", "notaport"])).unwrap_err();
+        let path = fixture_path("serve_rejects_bad_flags");
+        let err = run(&argv(&["serve", &path, "--port", "notaport"])).unwrap_err();
         assert_eq!(err.error.code(), "bad_request");
         for flag in [
             "--lanes",
@@ -894,7 +900,7 @@ mod tests {
             "--registry-bytes",
             "--tenant-quota",
         ] {
-            let err = run(&argv(&["serve", &fixture_path(), flag, "bogus"])).unwrap_err();
+            let err = run(&argv(&["serve", &path, flag, "bogus"])).unwrap_err();
             assert_eq!(err.error.code(), "bad_request", "{flag}");
         }
         let err = run(&argv(&["serve"])).unwrap_err();
@@ -907,11 +913,12 @@ mod tests {
         // 0-connection budget is represented as `None` (run forever), so
         // use port 0 + max-conns 1 … which would block. Instead check the
         // summary formatting via the api layer directly.
-        let netlist = load_netlist(&fixture_path()).unwrap();
+        let netlist =
+            load_netlist(&fixture_path("serve_with_zero_budget_reports_summary")).unwrap();
         let session = Session::builder().netlist(netlist).build().unwrap();
         let listener = gtl_api::bind("127.0.0.1:0").unwrap();
         let options = gtl_api::ServeOptions::new().max_connections(Some(0));
-        let summary = gtl_api::serve(&session, &listener, &options).unwrap();
+        let summary = gtl_api::serve(&session, &listener, &options, None).unwrap();
         assert_eq!(summary.connections, 0);
         assert!(summary.io_errors.is_empty());
         let rendered = render_serve_summary(&summary);
@@ -925,13 +932,16 @@ mod tests {
         // Drive one find request through a real server so the kind
         // histogram is populated, then check the rendered exit summary.
         use std::io::{BufRead as _, BufReader, Write as _};
-        let netlist = load_netlist(&fixture_path()).unwrap();
+        let netlist =
+            load_netlist(&fixture_path("serve_summary_prints_percentiles_per_request_kind"))
+                .unwrap();
         let session = Session::builder().netlist(netlist).build().unwrap();
         let listener = gtl_api::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let options = gtl_api::ServeOptions::new().lanes(1).max_connections(Some(1));
         let summary = std::thread::scope(|scope| {
-            let server = scope.spawn(|| gtl_api::serve(&session, &listener, &options).unwrap());
+            let server =
+                scope.spawn(|| gtl_api::serve(&session, &listener, &options, None).unwrap());
             let mut conn = std::net::TcpStream::connect(addr).unwrap();
             let line =
                 serde::json::to_string(&gtl_api::Request::Find(FindRequest::new(FinderConfig {
@@ -956,8 +966,7 @@ mod tests {
     #[test]
     fn loadgen_replay_round_trip_with_expect() {
         use std::io::Write as _;
-        let dir = std::env::temp_dir().join("gtl_cli_test").join("loadgen");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = test_dir("loadgen_replay_round_trip_with_expect");
         let requests_path = dir.join("requests.json");
         let log_path = dir.join("replay.log");
         let summary_path = dir.join("loadgen.json");
@@ -974,15 +983,15 @@ mod tests {
 
         // A fresh 1-connection server per replay: v5 trace stamps depend
         // on accept order, which restarts with the server.
-        let netlist = load_netlist(&fixture_path()).unwrap();
+        let netlist = load_netlist(&fixture_path("loadgen_replay_round_trip_with_expect")).unwrap();
         let serve_options = gtl_api::ServeOptions::new().lanes(1).max_connections(Some(1));
         let replay = |extra: &[&str]| -> Result<String, CliError> {
             let session = Session::builder().netlist(netlist.clone()).build().unwrap();
             let listener = gtl_api::bind("127.0.0.1:0").unwrap();
             let addr = listener.local_addr().unwrap().to_string();
             std::thread::scope(|scope| {
-                let server =
-                    scope.spawn(|| gtl_api::serve(&session, &listener, &serve_options).unwrap());
+                let server = scope
+                    .spawn(|| gtl_api::serve(&session, &listener, &serve_options, None).unwrap());
                 let mut args = argv(&[
                     "loadgen",
                     "replay",
@@ -1046,9 +1055,7 @@ mod tests {
         assert!(err.to_string().contains("--out"), "{err}");
         // Mode validation happens before the trace file is opened… after
         // parsing, so use a real (empty-ish) trace file.
-        let dir = std::env::temp_dir().join("gtl_cli_test").join("loadgen");
-        std::fs::create_dir_all(&dir).unwrap();
-        let requests = dir.join("one_request.json");
+        let requests = test_dir("loadgen_rejects_bad_arguments").join("one_request.json");
         std::fs::write(&requests, "{\"Stats\":{\"v\":1}}\n").unwrap();
         let err = run(&argv(&[
             "loadgen",

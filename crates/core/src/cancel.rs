@@ -6,14 +6,12 @@
 //! boundaries via [`CancelToken::checkpoint`] — nothing is ever
 //! interrupted preemptively, so a worker always finishes the item it is
 //! on and scratch state never ends up half-written. The execution layer
-//! polls between items in [`exec::parallel_map_cancellable`] and
-//! [`exec::parallel_map_with_cancellable`], and the finder / placer /
+//! polls between claims in [`exec::run_map`], and the finder / placer /
 //! congestion hot loops poll between iterations, so a cancelled request
 //! returns within one checkpoint interval (one seed search, one placer
-//! iteration, one congestion pass).
+//! iteration, one congestion stripe).
 //!
-//! [`exec::parallel_map_cancellable`]: crate::exec::parallel_map_cancellable
-//! [`exec::parallel_map_with_cancellable`]: crate::exec::parallel_map_with_cancellable
+//! [`exec::run_map`]: crate::exec::run_map
 //!
 //! Tokens form a tree: [`CancelToken::child_with_deadline`] derives a
 //! token that trips when its own deadline passes **or** when any
@@ -21,9 +19,9 @@
 //! root token (tripped on connection loss) and every request a child
 //! carrying that request's deadline.
 //!
-//! Determinism note: a token that never fires is invisible — the
-//! cancellable code paths produce byte-identical results to their
-//! non-cancellable twins (property-tested in `exec`). Cancellation
+//! Determinism note: a token that never fires is invisible — every layer
+//! runs one code path with or without a token, and `Some(live token)`
+//! produces byte-identical results to `None` (property-tested in `exec`). Cancellation
 //! outcomes themselves are inherently timing-dependent, which is why
 //! the service layer never caches a cancelled response.
 //!
@@ -120,9 +118,9 @@ impl Deadline {
 }
 
 /// [`CancelToken::checkpoint`] over an optional token: `Ok(())` when no
-/// token is attached. The helper code paths that are shared between
-/// cancellable and infallible variants (the execution layer, the placer
-/// loop) thread `Option<&CancelToken>` and probe through this.
+/// token is attached. Compute threads `Option<&CancelToken>` (the
+/// execution layer, the finder, the placer loop) and probes through
+/// this.
 ///
 /// # Errors
 ///

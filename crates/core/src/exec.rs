@@ -8,15 +8,20 @@
 //! can differ in cost by orders of magnitude) never idles a thread, and
 //! scheduling never leaks into the results.
 //!
+//! One scheduler sits behind three entry points: [`run_map`], the
+//! general map (per-worker scratch, explicit [`Granularity`], optional
+//! [`CancelToken`]); [`parallel_map_chunked_with`], the same without a
+//! token and therefore infallible; and [`parallel_map`], the
+//! scratch-free per-item shorthand.
+//!
 //! # Scheduling granularity
 //!
-//! Every map claims the index space in contiguous chunks. The classic
-//! entry points ([`parallel_map`], [`parallel_map_with`], …) claim one
-//! item at a time ([`Granularity::Items`]`(1)` — maximum load-balancing
-//! slack); the `*_chunked` variants take an explicit [`Granularity`] so
-//! large maps can amortize claim traffic, per-chunk cancellation polling
-//! and per-worker cache churn over many items. Two invariants make chunk
-//! size a pure tuning knob:
+//! Every map claims the index space in contiguous chunks.
+//! [`parallel_map`] claims one item at a time ([`Granularity::Items`]`(1)`
+//! — maximum load-balancing slack); the other two take an explicit
+//! [`Granularity`] so large maps can amortize claim traffic, per-chunk
+//! cancellation polling and per-worker cache churn over many items. Two
+//! invariants make chunk size a pure tuning knob:
 //!
 //! * chunk boundaries are a pure function of `(len, chunk_size)` — chunk
 //!   `k` always covers `[k·c, min(len, (k+1)·c))` — never of the worker
@@ -110,7 +115,7 @@ pub fn effective_threads(requested: usize, len: usize) -> usize {
 /// SplitMix64 stream derivation: maps `(master_seed, index)` to an
 /// independent, well-mixed 64-bit seed.
 ///
-/// All randomized item functions running under [`parallel_map_with`] must
+/// All randomized item functions running under [`run_map`] must
 /// derive their per-item RNG through this function so that the stream an
 /// index sees is a pure function of the master seed and the index — the
 /// third leg of the determinism contract.
@@ -133,20 +138,38 @@ pub fn derive_stream(master_seed: u64, index: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Deterministic parallel map with per-worker reusable scratch state.
+/// The general deterministic parallel map: per-worker scratch, an
+/// explicit scheduling [`Granularity`] and optional cooperative
+/// cancellation, in one entry point.
 ///
 /// Computes `f(&mut scratch, index)` for every `index in 0..len` across
-/// `threads` workers (`0` = all cores, capped at the machine) and returns
-/// the results in index order. `init(worker)` builds each worker's
-/// scratch exactly once; the worker id is provided for diagnostics only
-/// and must not influence results. Claims one item at a time — use
-/// [`parallel_map_chunked_with`] to pick a coarser grain.
+/// `threads` workers (`0` = all cores, capped at the machine — see
+/// [`effective_threads`]) and returns the results in index order.
+/// `init(worker)` builds each worker's scratch exactly once; the worker
+/// id is provided for diagnostics only and must not influence results.
+/// Workers claim contiguous chunks of the index space; the chunk
+/// decomposition is a pure function of `(len, chunk_size)` — never of
+/// the worker count — so the output is byte-identical for every
+/// `(threads, granularity)` pair.
+///
+/// `token` is polled **between claims**: workers finish the chunk they
+/// are on, then stop claiming, so the call returns within one claim's
+/// compute of the token firing. `None` and a token that never fires
+/// take the same code path and yield identical bytes (property-tested
+/// in this module).
 ///
 /// # Determinism
 ///
 /// The output is identical for every thread count provided `f` is a pure
 /// function of `(index, scratch-after-reset)` — see the
 /// [crate-level contract](crate).
+///
+/// # Errors
+///
+/// [`Cancelled`] (with the firing [`CancelReason`](crate::cancel::CancelReason))
+/// once the token fires — even when it fires after the last item
+/// completed, so the outcome never depends on a race between completion
+/// and cancellation observed elsewhere. Never fails without a token.
 ///
 /// # Panics
 ///
@@ -155,44 +178,57 @@ pub fn derive_stream(master_seed: u64, index: u64) -> u64 {
 /// # Example
 ///
 /// ```
-/// use gtl_core::exec::parallel_map_with;
+/// use gtl_core::cancel::CancelToken;
+/// use gtl_core::exec::{run_map, Granularity};
 ///
 /// // Each worker reuses one scratch buffer across the items it claims;
 /// // the item function re-initializes it, so reuse never leaks out.
-/// let out = parallel_map_with(
-///     4,
-///     6,
-///     |_worker| Vec::new(),
-///     |scratch: &mut Vec<usize>, i| {
-///         scratch.clear();
-///         scratch.extend(0..=i);
-///         scratch.iter().sum::<usize>()
-///     },
-/// );
-/// assert_eq!(out, vec![0, 1, 3, 6, 10, 15]);
+/// let init = |_worker: usize| Vec::new();
+/// let sum_to = |scratch: &mut Vec<usize>, i: usize| {
+///     scratch.clear();
+///     scratch.extend(0..=i);
+///     scratch.iter().sum::<usize>()
+/// };
+/// let plain = run_map(4, 6, Granularity::Auto, None, init, sum_to).unwrap();
+/// assert_eq!(plain, vec![0, 1, 3, 6, 10, 15]);
+///
+/// // A live token is invisible; a fired one stops the map.
+/// let live = CancelToken::new();
+/// let chunked = run_map(2, 6, Granularity::Items(4), Some(&live), init, sum_to);
+/// assert_eq!(chunked.unwrap(), plain);
+/// live.cancel();
+/// assert!(run_map(2, 6, Granularity::Auto, Some(&live), init, sum_to).is_err());
 /// ```
-pub fn parallel_map_with<S, T, I, F>(threads: usize, len: usize, init: I, f: F) -> Vec<T>
+pub fn run_map<S, T, I, F>(
+    threads: usize,
+    len: usize,
+    granularity: Granularity,
+    token: Option<&CancelToken>,
+    init: I,
+    f: F,
+) -> Result<Vec<T>, Cancelled>
 where
     T: Send,
     I: Fn(usize) -> S + Sync,
     F: Fn(&mut S, usize) -> T + Sync,
 {
-    parallel_map_chunked_with(threads, len, Granularity::Items(1), init, f)
+    let checkpoint = crate::cancel::checkpoint;
+    if len == 0 {
+        checkpoint(token)?;
+        return Ok(Vec::new());
+    }
+    let chunk = resolve_chunk(granularity, len);
+    let num_chunks = len.div_ceil(chunk);
+    let workers = effective_threads(threads, num_chunks);
+    map_impl(workers, len, chunk, token, init, f)
 }
 
-/// [`parallel_map_with`] with an explicit scheduling [`Granularity`].
-///
-/// Workers claim contiguous chunks of the index space instead of single
-/// items, amortizing the atomic claim, the per-chunk cancellation poll
-/// and per-worker scratch/cache churn over `chunk_size` items. The chunk
-/// decomposition is a pure function of `(len, chunk_size)` — never of
-/// the worker count — and per-item work is unchanged, so the output is
-/// byte-identical to [`parallel_map_with`] for every
-/// `(threads, granularity)` pair (property-tested in this module).
+/// [`run_map`] without a cancellation token, which therefore cannot
+/// fail.
 ///
 /// # Panics
 ///
-/// Propagates panics from `f`, like [`parallel_map_with`].
+/// Propagates panics from `f`, like [`run_map`].
 ///
 /// # Example
 ///
@@ -226,94 +262,26 @@ where
     }
 }
 
-/// [`parallel_map_with`] with cooperative cancellation.
+/// Deterministic parallel map without scratch state or token, claiming
+/// one item at a time ([`Granularity::Items`]`(1)` — maximum
+/// load-balancing slack); same determinism contract and panic behavior
+/// as [`run_map`].
 ///
-/// `token` is polled **between claims**: workers finish the chunk they
-/// are on (one item, for the per-item entry points), then stop claiming;
-/// the call returns within one claim's compute of the token firing. When
-/// the token never fires, the result is byte-identical to
-/// [`parallel_map_with`] for any thread count (the two share one
-/// implementation; property-tested in this module).
+/// # Example
 ///
-/// # Errors
+/// ```
+/// use gtl_core::exec::parallel_map;
 ///
-/// [`Cancelled`] (with the firing [`CancelReason`](crate::cancel::CancelReason))
-/// once the token fires — even when it fires after the last item
-/// completed, so the outcome never depends on a race between completion
-/// and cancellation observed elsewhere.
-///
-/// # Panics
-///
-/// Propagates panics from `f`, like [`parallel_map_with`].
-pub fn parallel_map_with_cancellable<S, T, I, F>(
-    threads: usize,
-    len: usize,
-    token: &CancelToken,
-    init: I,
-    f: F,
-) -> Result<Vec<T>, Cancelled>
+/// // Results come back in index order for any worker count.
+/// assert_eq!(parallel_map(8, 5, |i| i * i), vec![0, 1, 4, 9, 16]);
+/// assert_eq!(parallel_map(1, 5, |i| i * i), parallel_map(3, 5, |i| i * i));
+/// ```
+pub fn parallel_map<T, F>(threads: usize, len: usize, f: F) -> Vec<T>
 where
     T: Send,
-    I: Fn(usize) -> S + Sync,
-    F: Fn(&mut S, usize) -> T + Sync,
+    F: Fn(usize) -> T + Sync,
 {
-    run_map(threads, len, Granularity::Items(1), Some(token), init, f)
-}
-
-/// [`parallel_map_chunked_with`] with cooperative cancellation: the
-/// token is polled between chunk claims (workers always finish the chunk
-/// they are on), and a never-firing token is byte-invisible for every
-/// `(threads, granularity)` pair.
-///
-/// # Errors
-///
-/// [`Cancelled`] once the token fires.
-///
-/// # Panics
-///
-/// Propagates panics from `f`, like [`parallel_map_with`].
-pub fn parallel_map_chunked_with_cancellable<S, T, I, F>(
-    threads: usize,
-    len: usize,
-    granularity: Granularity,
-    token: &CancelToken,
-    init: I,
-    f: F,
-) -> Result<Vec<T>, Cancelled>
-where
-    T: Send,
-    I: Fn(usize) -> S + Sync,
-    F: Fn(&mut S, usize) -> T + Sync,
-{
-    run_map(threads, len, granularity, Some(token), init, f)
-}
-
-/// Resolves the chunk size and worker count, then runs the shared
-/// scheduler — one code path behind every public map, so "token never
-/// fires" and "chunk size changed" are *structurally* byte-identical to
-/// the plain per-item map.
-fn run_map<S, T, I, F>(
-    threads: usize,
-    len: usize,
-    granularity: Granularity,
-    token: Option<&CancelToken>,
-    init: I,
-    f: F,
-) -> Result<Vec<T>, Cancelled>
-where
-    T: Send,
-    I: Fn(usize) -> S + Sync,
-    F: Fn(&mut S, usize) -> T + Sync,
-{
-    let checkpoint = crate::cancel::checkpoint;
-    if len == 0 {
-        checkpoint(token)?;
-        return Ok(Vec::new());
-    }
-    let chunk = resolve_chunk(granularity, len);
-    let num_chunks = len.div_ceil(chunk);
-    let workers = effective_threads(threads, num_chunks);
-    map_impl(workers, len, chunk, token, init, f)
+    parallel_map_chunked_with(threads, len, Granularity::Items(1), |_| (), |(), i| f(i))
 }
 
 /// The scheduler core. `workers` is the already-resolved worker count
@@ -404,110 +372,6 @@ where
     Ok(slots.into_iter().map(|slot| slot.expect("every index is claimed exactly once")).collect())
 }
 
-/// Deterministic parallel map without scratch state.
-///
-/// Shorthand for [`parallel_map_with`] with unit scratch; same determinism
-/// contract and panic behavior.
-///
-/// # Example
-///
-/// ```
-/// use gtl_core::exec::parallel_map;
-///
-/// // Results come back in index order for any worker count.
-/// assert_eq!(parallel_map(8, 5, |i| i * i), vec![0, 1, 4, 9, 16]);
-/// assert_eq!(parallel_map(1, 5, |i| i * i), parallel_map(3, 5, |i| i * i));
-/// ```
-pub fn parallel_map<T, F>(threads: usize, len: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    parallel_map_with(threads, len, |_| (), |(), i| f(i))
-}
-
-/// [`parallel_map`] with an explicit scheduling [`Granularity`];
-/// shorthand for [`parallel_map_chunked_with`] with unit scratch (same
-/// determinism contract — the output never depends on the granularity).
-///
-/// # Example
-///
-/// ```
-/// use gtl_core::exec::{parallel_map, parallel_map_chunked, Granularity};
-///
-/// let auto = parallel_map_chunked(4, 300, Granularity::Auto, |i| i + 1);
-/// let fixed = parallel_map_chunked(2, 300, Granularity::Items(7), |i| i + 1);
-/// assert_eq!(auto, parallel_map(1, 300, |i| i + 1));
-/// assert_eq!(auto, fixed);
-/// ```
-pub fn parallel_map_chunked<T, F>(
-    threads: usize,
-    len: usize,
-    granularity: Granularity,
-    f: F,
-) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    parallel_map_chunked_with(threads, len, granularity, |_| (), |(), i| f(i))
-}
-
-/// [`parallel_map`] with cooperative cancellation; shorthand for
-/// [`parallel_map_with_cancellable`] with unit scratch (same polling,
-/// determinism and error contract).
-///
-/// # Errors
-///
-/// [`Cancelled`] once the token fires.
-///
-/// # Example
-///
-/// ```
-/// use gtl_core::cancel::CancelToken;
-/// use gtl_core::exec::{parallel_map, parallel_map_cancellable};
-///
-/// let live = CancelToken::new();
-/// let out = parallel_map_cancellable(4, 5, &live, |i| i * i).unwrap();
-/// assert_eq!(out, parallel_map(4, 5, |i| i * i));
-///
-/// let tripped = CancelToken::new();
-/// tripped.cancel();
-/// assert!(parallel_map_cancellable(4, 5, &tripped, |i| i * i).is_err());
-/// ```
-pub fn parallel_map_cancellable<T, F>(
-    threads: usize,
-    len: usize,
-    token: &CancelToken,
-    f: F,
-) -> Result<Vec<T>, Cancelled>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    parallel_map_with_cancellable(threads, len, token, |_| (), |(), i| f(i))
-}
-
-/// [`parallel_map_chunked`] with cooperative cancellation; shorthand for
-/// [`parallel_map_chunked_with_cancellable`] with unit scratch.
-///
-/// # Errors
-///
-/// [`Cancelled`] once the token fires.
-pub fn parallel_map_chunked_cancellable<T, F>(
-    threads: usize,
-    len: usize,
-    granularity: Granularity,
-    token: &CancelToken,
-    f: F,
-) -> Result<Vec<T>, Cancelled>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    parallel_map_chunked_with_cancellable(threads, len, granularity, token, |_| (), |(), i| f(i))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -573,10 +437,11 @@ mod tests {
         let work = uneven(3);
         let baseline = parallel_map(2, 90, work);
         for granularity in [Granularity::Auto, Granularity::Items(4), Granularity::Items(0)] {
-            assert_eq!(parallel_map_chunked(2, 90, granularity, work), baseline, "{granularity:?}");
+            let chunked = parallel_map_chunked_with(2, 90, granularity, |_| (), |(), i| work(i));
+            assert_eq!(chunked, baseline, "{granularity:?}");
             let token = CancelToken::new();
             let cancellable =
-                parallel_map_chunked_cancellable(2, 90, granularity, &token, work).unwrap();
+                run_map(2, 90, granularity, Some(&token), |_| (), |(), i| work(i)).unwrap();
             assert_eq!(cancellable, baseline, "{granularity:?} cancellable");
         }
     }
@@ -610,9 +475,10 @@ mod tests {
     #[test]
     fn scratch_is_built_once_per_worker() {
         let builds = AtomicUsize::new(0);
-        let out = parallel_map_with(
+        let out = parallel_map_chunked_with(
             3,
             50,
+            Granularity::Items(1),
             |_worker| {
                 builds.fetch_add(1, Ordering::Relaxed);
                 0u64
@@ -688,10 +554,17 @@ mod tests {
         token.cancel();
         let ran = AtomicUsize::new(0);
         for threads in [1, 4] {
-            let result = parallel_map_cancellable(threads, 100, &token, |i| {
-                ran.fetch_add(1, Ordering::Relaxed);
-                i
-            });
+            let result = run_map(
+                threads,
+                100,
+                Granularity::Items(1),
+                Some(&token),
+                |_| (),
+                |(), i| {
+                    ran.fetch_add(1, Ordering::Relaxed);
+                    i
+                },
+            );
             assert_eq!(
                 result.unwrap_err().reason,
                 crate::cancel::CancelReason::Cancelled,
@@ -758,17 +631,16 @@ mod tests {
     fn cancelled_empty_map_still_reports_cancellation() {
         let token = CancelToken::new();
         token.cancel();
-        let result: Vec<u32> = Vec::new();
-        let err: Result<Vec<u32>, _> = parallel_map_cancellable(4, 0, &token, |_| unreachable!());
+        let err: Result<Vec<u32>, _> =
+            run_map(4, 0, Granularity::Auto, Some(&token), |_| (), |(), _| unreachable!());
         assert!(err.is_err());
-        drop(result);
     }
 
     #[test]
     fn deadline_token_trips_the_map() {
         let token =
             CancelToken::with_deadline(crate::cancel::Deadline::at(std::time::Instant::now()));
-        let err = parallel_map_cancellable(3, 50, &token, |i| i).unwrap_err();
+        let err = run_map(3, 50, Granularity::Auto, Some(&token), |_| (), |(), i| i).unwrap_err();
         assert_eq!(err.reason, crate::cancel::CancelReason::DeadlineExceeded);
     }
 
@@ -781,8 +653,8 @@ mod tests {
             scratch.extend(0..=i);
             scratch.iter().sum::<usize>()
         };
-        let plain = parallel_map_with(4, 64, init, item);
-        let cancellable = parallel_map_with_cancellable(4, 64, &token, init, item).unwrap();
+        let plain = run_map(4, 64, Granularity::Items(1), None, init, item).unwrap();
+        let cancellable = run_map(4, 64, Granularity::Items(1), Some(&token), init, item).unwrap();
         assert_eq!(plain, cancellable);
         let chunked = parallel_map_chunked_with(4, 64, Granularity::Items(5), init, item);
         assert_eq!(plain, chunked);
@@ -794,35 +666,52 @@ mod cancellable_props {
     use super::*;
     use proptest::prelude::*;
 
+    /// Uneven per-item cost so schedules actually differ.
+    fn work(seed: u64) -> impl Fn(usize) -> u64 + Sync + Copy {
+        move |i: usize| {
+            let mut acc = derive_stream(seed, i as u64);
+            for _ in 0..(acc % 512) {
+                acc = acc.wrapping_mul(6364136223846793005).wrapping_add(1);
+            }
+            acc
+        }
+    }
+
+    /// `0` stands for [`Granularity::Auto`], anything else for that many
+    /// items per claim.
+    fn granularity(chunk: usize) -> Granularity {
+        if chunk == 0 {
+            Granularity::Auto
+        } else {
+            Granularity::Items(chunk)
+        }
+    }
+
     proptest! {
-        /// The tentpole determinism property: a token that never fires
-        /// leaves `parallel_map_cancellable` byte-identical to
-        /// `parallel_map`, for any worker count and input size.
+        /// The tentpole determinism property: through the general map, a
+        /// token that never fires is byte-identical to no token at all,
+        /// for any worker count, granularity and input size.
         #[test]
         fn never_firing_token_is_invisible(
             threads in 0usize..9,
+            chunk in 0usize..70,
             len in 0usize..80,
             seed in 0u64..=u64::MAX,
         ) {
-            let work = move |i: usize| {
-                // Uneven per-item cost so schedules actually differ.
-                let mut acc = derive_stream(seed, i as u64);
-                for _ in 0..(acc % 512) {
-                    acc = acc.wrapping_mul(6364136223846793005).wrapping_add(1);
-                }
-                acc
-            };
+            let work = work(seed);
+            let g = granularity(chunk);
             let token = CancelToken::new();
-            let plain = parallel_map(threads, len, work);
-            let cancellable = parallel_map_cancellable(threads, len, &token, work).unwrap();
-            prop_assert_eq!(plain, cancellable);
+            let plain = run_map(threads, len, g, None, |_| (), |(), i| work(i)).unwrap();
+            let live = run_map(threads, len, g, Some(&token), |_| (), |(), i| work(i)).unwrap();
+            prop_assert_eq!(plain, live);
         }
 
         /// The chunked-scheduling extension of the property above:
-        /// byte-identity across forced worker counts × chunk sizes ×
-        /// token presence. Drives `map_impl` directly so the
-        /// multi-worker path runs even on single-core machines (the
-        /// public entry points cap workers at the hardware).
+        /// byte-identity with the serial per-item map across worker
+        /// counts × chunk sizes × token presence, through the general
+        /// map and — because the general map caps workers at the
+        /// hardware — through `map_impl` with the worker count forced,
+        /// so the multi-worker path runs even on single-core machines.
         #[test]
         fn chunking_is_invisible_for_any_worker_count(
             workers in 1usize..5,
@@ -831,22 +720,17 @@ mod cancellable_props {
             with_token in 0u8..2,
             seed in 0u64..=u64::MAX,
         ) {
-            let work = move |i: usize| {
-                let mut acc = derive_stream(seed, i as u64);
-                for _ in 0..(acc % 512) {
-                    acc = acc.wrapping_mul(6364136223846793005).wrapping_add(1);
-                }
-                acc
-            };
+            let work = work(seed);
             let baseline = parallel_map(1, len, work);
             let token = CancelToken::new();
-            let out = if len == 0 {
-                Vec::new()
-            } else {
-                let tok = (with_token == 1).then_some(&token);
-                map_impl(workers, len, chunk, tok, |_| (), |(), i| work(i)).unwrap()
-            };
-            prop_assert_eq!(out, baseline);
+            let tok = (with_token == 1).then_some(&token);
+            let g = Granularity::Items(chunk);
+            let out = run_map(workers, len, g, tok, |_| (), |(), i| work(i)).unwrap();
+            prop_assert_eq!(&out, &baseline);
+            if len > 0 {
+                let forced = map_impl(workers, len, chunk, tok, |_| (), |(), i| work(i)).unwrap();
+                prop_assert_eq!(forced, baseline);
+            }
         }
     }
 }

@@ -9,7 +9,7 @@
 //! blocking admission primitives (bounded FIFO queue, counting semaphore)
 //! the `gtl-runtime` service layer schedules work with, and [`cancel`]
 //! the cooperative cancellation tokens (atomic flag + optional monotonic
-//! deadline) the `*_cancellable` map variants and the service runtime
+//! deadline) the general map [`exec::run_map`] and the service runtime
 //! poll between work items. [`obs`] supplies the deterministic latency
 //! histogram + injected-clock span primitives the serve path records
 //! timings with — compute code may carry and subtract instants but never
@@ -17,8 +17,9 @@
 //!
 //! # Determinism contract
 //!
-//! The execution layer guarantees, for [`exec::parallel_map`],
-//! [`exec::parallel_map_with`] and their `*_chunked` variants:
+//! The execution layer guarantees, for [`exec::run_map`] and its two
+//! shorthands [`exec::parallel_map_chunked_with`] and
+//! [`exec::parallel_map`]:
 //!
 //! 1. **Ordered results.** The output `Vec` has one slot per input index,
 //!    in input order, regardless of which worker computed which index and
@@ -39,7 +40,7 @@
 //!
 //! # Scratch-buffer reuse
 //!
-//! [`exec::parallel_map_with`] gives each worker one scratch value for its
+//! [`exec::run_map`] gives each worker one scratch value for its
 //! whole lifetime (e.g. an `OrderingGrower` holding `O(|V| + |E|)`
 //! buffers), so per-item allocation cost is paid once per worker instead
 //! of once per item. The contract above requires item functions to fully
@@ -57,9 +58,7 @@ pub mod sync;
 
 pub use cancel::{CancelReason, CancelToken, Cancelled, Deadline};
 pub use exec::{
-    auto_chunk, derive_stream, effective_threads, parallel_map, parallel_map_cancellable,
-    parallel_map_chunked, parallel_map_chunked_cancellable, parallel_map_chunked_with,
-    parallel_map_chunked_with_cancellable, parallel_map_with, parallel_map_with_cancellable,
+    auto_chunk, derive_stream, effective_threads, parallel_map, parallel_map_chunked_with, run_map,
     Granularity,
 };
 pub use obs::{LatencyHistogram, Span};

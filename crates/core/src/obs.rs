@@ -374,7 +374,7 @@ mod tests {
 #[cfg(test)]
 mod span_props {
     use super::*;
-    use crate::exec::{derive_stream, parallel_map, parallel_map_with};
+    use crate::exec::{derive_stream, parallel_map, run_map, Granularity};
     use proptest::prelude::*;
     use std::time::Duration;
 
@@ -406,9 +406,11 @@ mod span_props {
             // subtracts the instants it was handed and records the
             // difference into per-worker histograms.
             let epoch = Instant::now();
-            let observed = parallel_map_with(
+            let observed = run_map(
                 threads,
                 len,
+                Granularity::Items(1),
+                None,
                 |_worker| LatencyHistogram::new(),
                 move |histogram, i| {
                     let span = Span::starting_at(epoch);
@@ -417,7 +419,7 @@ mod span_props {
                     histogram.record_us(span.end_at(end));
                     out
                 },
-            );
+            ).unwrap();
             prop_assert_eq!(plain, observed);
         }
     }

@@ -14,7 +14,7 @@
 //!
 //! Both decompositions are pure functions of their inputs — never of the
 //! worker count — so they compose with the determinism contract of
-//! [`exec::parallel_map_with`](crate::exec::parallel_map_with): the same
+//! [`exec::run_map`](crate::exec::run_map): the same
 //! die and the same positions produce the same shards (and therefore the
 //! same results) for 1, 2 or 8 workers.
 

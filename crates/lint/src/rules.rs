@@ -21,6 +21,7 @@ pub const RULES: &[&str] = &[
     "no-panic-on-serve-path",
     "forbid-unsafe-attr",
     "wire-surface-freeze",
+    "no-shared-temp-path-in-tests",
 ];
 
 /// RNG constructors that must route through `derive_stream` in compute
@@ -265,6 +266,38 @@ pub fn check_file(rel_path: &Path, zone: Zone, lexed: &Lexed, in_test: &[bool]) 
                 message: "crate root of an unsafe-free crate is missing #![forbid(unsafe_code)]"
                     .into(),
             });
+        }
+    }
+
+    // ---- no-shared-temp-path-in-tests ---------------------------------
+    // Tests run concurrently — as threads of one test binary and as
+    // separate binaries — so a temp path spelled as one string literal
+    // is shared by every test that runs the code, and one test
+    // truncates another's input. Test code names its temp paths per
+    // test and process instead (`format!("…_{}", std::process::id())`).
+    if zone != Zone::Vendor {
+        for i in 0..tokens.len() {
+            if (zone == Zone::Test || !live(i))
+                && text(i) == "temp_dir"
+                && text(i + 1) == "("
+                && text(i + 2) == ")"
+                && text(i + 3) == "."
+                && text(i + 4) == "join"
+                && text(i + 5) == "("
+                && tokens.get(i + 6).is_some_and(|t| t.kind == TokenKind::Str)
+                && text(i + 7) == ")"
+            {
+                violations.push(Violation {
+                    line: tokens[i].line,
+                    rule: "no-shared-temp-path-in-tests",
+                    message: format!(
+                        "`temp_dir().join({})` in test code — every concurrently running test \
+                         shares that path; name it per test and process \
+                         (format!(\"…_{{}}\", std::process::id()))",
+                        text(i + 6)
+                    ),
+                });
+            }
         }
     }
 

@@ -31,6 +31,7 @@ fn each_rule_fires_on_its_fixture() {
         "no-panic-on-serve-path",
         "forbid-unsafe-attr",
         "wire-surface-freeze",
+        "no-shared-temp-path-in-tests",
     ] {
         let report = run_on(fixture_root(rule));
         assert!(!report.clean(), "fixture for `{rule}` should fail");
@@ -51,6 +52,16 @@ fn each_rule_fires_on_its_fixture() {
 fn panic_fixture_catches_both_unwrap_and_macro() {
     let report = run_on(fixture_root("no-panic-on-serve-path"));
     assert_eq!(report.violations.len(), 2, "{:?}", report.violations);
+}
+
+#[test]
+fn temp_path_fixture_catches_unit_and_integration_tests_only() {
+    // One literal path inside `#[cfg(test)]`, one in an integration
+    // test; the non-test use and the per-process paths stay clean.
+    let report = run_on(fixture_root("no-shared-temp-path-in-tests"));
+    let hits: Vec<String> =
+        report.violations.iter().map(|fv| fv.path.display().to_string()).collect();
+    assert_eq!(hits, ["crates/netlist/src/io.rs", "tests/io.rs"], "{:?}", report.violations);
 }
 
 #[test]

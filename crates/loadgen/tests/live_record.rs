@@ -44,7 +44,7 @@ fn stats_line() -> String {
 
 #[test]
 fn proxy_captures_traffic_that_replays_byte_identically() {
-    let dir = std::env::temp_dir().join("gtl_loadgen_live").join("record");
+    let dir = std::env::temp_dir().join(format!("gtl_loadgen_record_{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let trace_path = dir.join("captured.jsonl");
 
@@ -62,8 +62,8 @@ fn proxy_captures_traffic_that_replays_byte_identically() {
     record_options.max_conns = 1;
 
     let (client_lines, summary) = std::thread::scope(|scope| {
-        let server =
-            scope.spawn(|| serve(&upstream_session, &upstream_listener, &serve_options).unwrap());
+        let server = scope
+            .spawn(|| serve(&upstream_session, &upstream_listener, &serve_options, None).unwrap());
         let proxy = scope.spawn(|| record_with_listener(&proxy_listener, &record_options).unwrap());
 
         let mut conn = TcpStream::connect(&proxy_addr).unwrap();
@@ -100,7 +100,7 @@ fn proxy_captures_traffic_that_replays_byte_identically() {
     let replay_addr = replay_listener.local_addr().unwrap().to_string();
     let report = std::thread::scope(|scope| {
         let server =
-            scope.spawn(|| serve(&replay_session, &replay_listener, &serve_options).unwrap());
+            scope.spawn(|| serve(&replay_session, &replay_listener, &serve_options, None).unwrap());
         let report = replay::run(&records, &ReplayOptions::new(&replay_addr)).unwrap();
         server.join().unwrap();
         report

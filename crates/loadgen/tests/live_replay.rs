@@ -6,9 +6,7 @@
 
 use std::path::PathBuf;
 
-use gtl_api::{
-    bind, serve, serve_with_metrics, FindRequest, Request, ServeOptions, Session, StatsRequest,
-};
+use gtl_api::{bind, serve, FindRequest, Request, ServeOptions, Session, StatsRequest};
 use gtl_loadgen::replay::{self, ReplayMode, ReplayOptions, ReplayReport};
 use gtl_loadgen::trace::TraceRecord;
 use gtl_netlist::NetlistBuilder;
@@ -51,7 +49,7 @@ fn with_server<R: Send>(max_conns: usize, f: impl FnOnce(&str) -> R + Send) -> R
     let addr = listener.local_addr().unwrap().to_string();
     let options = ServeOptions::new().lanes(1).max_connections(Some(max_conns));
     std::thread::scope(|scope| {
-        let handle = scope.spawn(|| serve(&session, &listener, &options).unwrap());
+        let handle = scope.spawn(|| serve(&session, &listener, &options, None).unwrap());
         let result = f(&addr);
         handle.join().unwrap();
         result
@@ -59,7 +57,7 @@ fn with_server<R: Send>(max_conns: usize, f: impl FnOnce(&str) -> R + Send) -> R
 }
 
 fn unique_dir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join("gtl_loadgen_live").join(name);
+    let dir = std::env::temp_dir().join(format!("gtl_loadgen_{name}_{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     dir
 }
@@ -189,9 +187,8 @@ fn scrape_captures_metrics_while_connections_are_open() {
     let metrics_addr = metrics_listener.local_addr().unwrap().to_string();
     let options = ServeOptions::new().lanes(1).max_connections(Some(1));
     let report = std::thread::scope(|scope| {
-        let handle = scope.spawn(|| {
-            serve_with_metrics(&session, &listener, &options, Some(&metrics_listener)).unwrap()
-        });
+        let handle =
+            scope.spawn(|| serve(&session, &listener, &options, Some(&metrics_listener)).unwrap());
         let mut replay_options = ReplayOptions::new(&addr);
         replay_options.scrape_addr = Some(metrics_addr);
         replay_options.scrape_out = Some(scrape_out.clone());

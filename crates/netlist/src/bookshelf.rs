@@ -646,7 +646,8 @@ mod tests {
     #[test]
     fn write_and_read_roundtrip() {
         let d = parse_parts(NODES, NETS, Some(PL), Some(SCL)).unwrap();
-        let dir = std::env::temp_dir().join("gtl_bookshelf_test");
+        let dir =
+            std::env::temp_dir().join(format!("gtl_bookshelf_roundtrip_{}", std::process::id()));
         write_design(&d, &dir, "t").unwrap();
         let again = read_aux(dir.join("t.aux")).unwrap();
         assert_eq!(again.netlist.num_cells(), 3);

@@ -296,7 +296,8 @@ mod tests {
 
     #[test]
     fn file_roundtrip() {
-        let dir = std::env::temp_dir().join("gtl_hgr_test");
+        let dir =
+            std::env::temp_dir().join(format!("gtl_hgr_file_roundtrip_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("t.hgr");
         let nl = parse_str("1 2\n1 2\n").unwrap();

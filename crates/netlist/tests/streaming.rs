@@ -85,7 +85,7 @@ fn chunked_bookshelf_matches_in_memory_parse() {
     let whole = bookshelf::parse_parts(&nodes, &nets, None, None).unwrap();
 
     // Round-trip through real files so the `read_aux` streaming path runs.
-    let dir = std::env::temp_dir().join("gtl_stream_bookshelf_test");
+    let dir = std::env::temp_dir().join(format!("gtl_stream_bookshelf_{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     std::fs::write(dir.join("d.nodes"), &nodes).unwrap();
     std::fs::write(dir.join("d.nets"), &nets).unwrap();

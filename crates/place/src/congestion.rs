@@ -22,7 +22,7 @@
 //! [`estimate`] does not deposit each net into a shared global grid.
 //! Instead the tile rows are split into horizontal *stripes*
 //! ([`gtl_core::shard::stripes`]), nets are binned to the stripes their
-//! bounding box crosses, and one [`gtl_core::exec::parallel_map`] pass
+//! bounding box crosses, and one [`gtl_core::exec::run_map`] pass
 //! computes every stripe's demand slab — each stripe owning its own
 //! accumulator, which doubles as the returned slab. Within a stripe, nets
 //! deposit in ascending id order, so every tile receives exactly the
@@ -31,7 +31,7 @@
 
 use std::ops::Range;
 
-use gtl_core::exec::{parallel_map_chunked, parallel_map_chunked_cancellable, Granularity};
+use gtl_core::exec::{run_map, Granularity};
 use gtl_core::shard::stripes;
 use gtl_netlist::{NetId, Netlist};
 
@@ -492,18 +492,14 @@ fn estimate_impl(
         }
         (h_acc, v_acc)
     };
-    let slabs: Vec<(Vec<f64>, Vec<f64>)> = match token {
-        None => {
-            parallel_map_chunked(config.threads, row_stripes.len(), Granularity::Auto, stripe_pass)
-        }
-        Some(token) => parallel_map_chunked_cancellable(
-            config.threads,
-            row_stripes.len(),
-            Granularity::Auto,
-            token,
-            stripe_pass,
-        )?,
-    };
+    let slabs: Vec<(Vec<f64>, Vec<f64>)> = run_map(
+        config.threads,
+        row_stripes.len(),
+        Granularity::Auto,
+        token,
+        |_| (),
+        |(), s| stripe_pass(s),
+    )?;
 
     // Stitch stripe slabs into the full grid (each tile row belongs to
     // exactly one stripe).
@@ -835,5 +831,14 @@ mod cancel_tests {
         token.cancel();
         let err = estimate_cancellable(&nl, &p, &die, &cfg, &token).unwrap_err();
         assert_eq!(err.reason, CancelReason::Cancelled);
+    }
+
+    #[test]
+    fn expired_deadline_stops_the_estimate() {
+        let (nl, p, die, cfg) = fixture();
+        let token =
+            CancelToken::with_deadline(gtl_core::cancel::Deadline::at(std::time::Instant::now()));
+        let err = estimate_cancellable(&nl, &p, &die, &cfg, &token).unwrap_err();
+        assert_eq!(err.reason, CancelReason::DeadlineExceeded);
     }
 }

@@ -58,9 +58,7 @@ pub mod wirelength;
 
 mod placer;
 
-pub use placer::{
-    place, place_cancellable, place_cancellable_with_scratch, PlaceScratch, Placement, PlacerConfig,
-};
+pub use placer::{place, place_cancellable_with_scratch, PlaceScratch, Placement, PlacerConfig};
 
 use gtl_netlist::Netlist;
 

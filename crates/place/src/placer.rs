@@ -4,7 +4,8 @@
 //! Each solve/spread iteration decomposes the die into a deterministic
 //! [`ShardGrid`] of regions (cells are binned by their spread-target
 //! position), solves every shard's anchored system concurrently through
-//! [`parallel_map_with`] — one reusable [`ShardSolver`] per worker — and
+//! [`parallel_map_chunked_with`] — one reusable [`ShardSolver`] per
+//! worker — and
 //! stitches the shards back together with a fixed-order boundary anchor
 //! pass. The decomposition depends only on the netlist, die and config
 //! (never on the worker count), so placements are byte-identical for any
@@ -203,28 +204,6 @@ pub fn place(netlist: &Netlist, die: &Die, config: &PlacerConfig) -> Placement {
     }
 }
 
-/// [`place`] polling `token` between solve/spread iterations: a fired
-/// token makes the run return [`Cancelled`] at the next iteration
-/// boundary (the checkpoint interval is one anchored solve + spread). A
-/// token that never fires yields a placement identical to [`place`]
-/// (same code path).
-///
-/// # Errors
-///
-/// [`Cancelled`] once the token fires.
-///
-/// # Panics
-///
-/// Panics if the netlist has no cells, like [`place`].
-pub fn place_cancellable(
-    netlist: &Netlist,
-    die: &Die,
-    config: &PlacerConfig,
-    token: &CancelToken,
-) -> Result<Placement, Cancelled> {
-    place_impl(netlist, die, config, Some(token), &mut PlaceScratch::default())
-}
-
 /// Reusable cross-request scratch for [`place_cancellable_with_scratch`]:
 /// today the Laplacian build's triplet buffers. A long-lived caller (the
 /// serving session) holds one per session so repeated placements of the
@@ -241,9 +220,12 @@ impl PlaceScratch {
     }
 }
 
-/// [`place_cancellable`] reusing caller-owned [`PlaceScratch`]. The
-/// placement is identical to [`place_cancellable`] — scratch contents on
-/// entry are ignored.
+/// [`place`] polling `token` between solve/spread iterations and reusing
+/// caller-owned [`PlaceScratch`]: a fired token makes the run return
+/// [`Cancelled`] at the next iteration boundary (the checkpoint interval
+/// is one anchored solve + spread). A token that never fires yields a
+/// placement identical to [`place`] (same code path), and scratch
+/// contents on entry are ignored.
 ///
 /// # Errors
 ///
@@ -262,7 +244,8 @@ pub fn place_cancellable_with_scratch(
     place_impl(netlist, die, config, Some(token), scratch)
 }
 
-/// The shared placer loop behind [`place`] and [`place_cancellable`].
+/// The shared placer loop behind [`place`] and
+/// [`place_cancellable_with_scratch`].
 fn place_impl(
     netlist: &Netlist,
     die: &Die,
@@ -519,7 +502,14 @@ mod tests {
         let die = Die::for_netlist(&nl, 0.5);
         let plain = place(&nl, &die, &PlacerConfig::default());
         let token = CancelToken::new();
-        let cancellable = place_cancellable(&nl, &die, &PlacerConfig::default(), &token).unwrap();
+        let cancellable = place_cancellable_with_scratch(
+            &nl,
+            &die,
+            &PlacerConfig::default(),
+            &token,
+            &mut PlaceScratch::new(),
+        )
+        .unwrap();
         assert_eq!(plain, cancellable);
     }
 
@@ -543,7 +533,14 @@ mod tests {
         let die = Die::for_netlist(&nl, 0.5);
         let token = CancelToken::new();
         token.cancel();
-        let err = place_cancellable(&nl, &die, &PlacerConfig::default(), &token).unwrap_err();
+        let err = place_cancellable_with_scratch(
+            &nl,
+            &die,
+            &PlacerConfig::default(),
+            &token,
+            &mut PlaceScratch::new(),
+        )
+        .unwrap_err();
         assert_eq!(err.reason, gtl_core::cancel::CancelReason::Cancelled);
     }
 
@@ -553,7 +550,14 @@ mod tests {
         let die = Die::for_netlist(&nl, 0.5);
         let token =
             CancelToken::with_deadline(gtl_core::cancel::Deadline::at(std::time::Instant::now()));
-        let err = place_cancellable(&nl, &die, &PlacerConfig::default(), &token).unwrap_err();
+        let err = place_cancellable_with_scratch(
+            &nl,
+            &die,
+            &PlacerConfig::default(),
+            &token,
+            &mut PlaceScratch::new(),
+        )
+        .unwrap_err();
         assert_eq!(err.reason, gtl_core::cancel::CancelReason::DeadlineExceeded);
     }
 

@@ -395,10 +395,10 @@ impl Laplacian {
 /// neighbors outside the shard as fixed (Dirichlet coupling: their current
 /// positions move to the right-hand side, their edge weights stay on the
 /// diagonal, so the local matrix remains SPD). One `ShardSolver` is built
-/// per *worker* of [`gtl_core::exec::parallel_map_with`] and reused across
-/// every shard that worker claims — the local CSR and all CG vectors are
-/// allocated once and recycled, per the execution layer's scratch
-/// contract.
+/// per *worker* of [`gtl_core::exec::parallel_map_chunked_with`] and
+/// reused across every shard that worker claims — the local CSR and all
+/// CG vectors are allocated once and recycled, per the execution layer's
+/// scratch contract.
 ///
 /// The result of [`ShardSolver::solve_shard`] is a pure function of its
 /// arguments; nothing about buffer reuse or worker identity leaks into the

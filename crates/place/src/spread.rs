@@ -96,11 +96,12 @@ impl DensityMap {
             stripe_cells[by / STRIPE_ROWS].push(cell.index() as u32);
         }
 
-        let slabs: Vec<Vec<f64>> = gtl_core::parallel_map_chunked(
+        let slabs: Vec<Vec<f64>> = gtl_core::parallel_map_chunked_with(
             threads,
             row_stripes.len(),
             gtl_core::Granularity::Auto,
-            |s| {
+            |_| (),
+            |(), s| {
                 let rows = &row_stripes[s];
                 let mut slab = vec![0.0; rows.len() * bins];
                 for &raw in &stripe_cells[s] {

@@ -61,7 +61,7 @@
 //!     Cacheability::Cacheable
 //! };
 //! std::thread::scope(|scope| {
-//!     let server = scope.spawn(|| serve_lines(&listener, &config, &handler).unwrap());
+//!     let server = scope.spawn(|| serve_lines(&listener, &config, &handler, None).unwrap());
 //!     let mut conn = std::net::TcpStream::connect(addr).unwrap();
 //!     writeln!(conn, "hello\nhello").unwrap(); // pipelined: write both first
 //!     conn.shutdown(std::net::Shutdown::Write).unwrap();
@@ -89,6 +89,6 @@ pub use cache::{CacheStats, ResponseCache};
 pub use metrics::{LatencySummary, MetricsSnapshot, Stage};
 pub use registry::{InsertOutcome, Registry, RegistryEntry, RegistryError, RegistryStats};
 pub use server::{
-    serve_lines, serve_lines_with_metrics, Cacheability, LineHandler, MetricsExporter,
-    RequestContext, RuntimeConfig, ServeReport, TraceId, TransportError,
+    serve_lines, Cacheability, LineHandler, MetricsExporter, RequestContext, RuntimeConfig,
+    ServeReport, TraceId, TransportError,
 };

@@ -276,9 +276,9 @@ pub struct RuntimeConfig {
     /// on a slow compute never trips it. On expiry the connection stops
     /// reading, flushes anything in flight and closes.
     pub read_timeout: Option<Duration>,
-    /// Max concurrently open connections (`None`/`Some(0)` = unbounded);
-    /// excess clients wait in the listen backlog.
-    pub max_concurrent: Option<usize>,
+    /// Max concurrently open connections (`0` = unbounded); excess
+    /// clients wait in the listen backlog.
+    pub max_concurrent: usize,
     /// Total accept budget (`None` = run forever; `Some(0)` = return
     /// immediately). Scripted callers use this for a clean exit.
     pub max_connections: Option<usize>,
@@ -304,7 +304,7 @@ impl Default for RuntimeConfig {
             pipeline_depth: 1,
             max_request_bytes: 1 << 20,
             read_timeout: None,
-            max_concurrent: None,
+            max_concurrent: 0,
             max_connections: None,
             default_deadline: None,
             tenant_quota: 0,
@@ -497,34 +497,8 @@ impl<T> FairQueue<T> {
     }
 }
 
-/// Serves line-delimited requests from `listener` until the accept
-/// budget is exhausted (or forever without one).
-///
-/// # Errors
-///
-/// An [`std::io::Error`] when accepting fails persistently (100 times
-/// in a row — transient failures are tolerated). Per-connection
-/// I/O errors never fail the server; they are counted and reported in
-/// the [`ServeReport`].
-///
-/// # Panics
-///
-/// A panic inside [`LineHandler::handle`] is caught on the lane: it
-/// costs the connection whose request panicked (earlier pipelined
-/// responses still flush, then the connection closes; counted in
-/// [`MetricsSnapshot::handler_panics`] and reported in the
-/// [`ServeReport`]), never a lane or the server. Panics from runtime
-/// internals still propagate.
-pub fn serve_lines<H: LineHandler>(
-    listener: &TcpListener,
-    config: &RuntimeConfig,
-    handler: &H,
-) -> std::io::Result<ServeReport> {
-    serve_lines_with_metrics(listener, config, handler, None)
-}
-
-/// A side-port metrics scrape endpoint for
-/// [`serve_lines_with_metrics`]: a second listener answered by a
+/// A side-port metrics scrape endpoint for [`serve_lines`]: a second
+/// listener answered by a
 /// dedicated I/O thread with `render`'s text for minimal HTTP/1.0
 /// `GET /metrics` requests (anything else gets a 404). `render`
 /// receives a fresh [`MetricsSnapshot`] per scrape; scraping is
@@ -538,14 +512,30 @@ pub struct MetricsExporter<'a> {
     pub render: &'a (dyn Fn(&MetricsSnapshot) -> String + Sync),
 }
 
-/// [`serve_lines`] plus an optional side-port scrape endpoint (see
-/// [`MetricsExporter`]). The scrape thread lives exactly as long as the
-/// serve loop: it is woken and joined before this returns.
+/// Serves line-delimited requests from `listener` until the accept
+/// budget is exhausted (or forever without one).
+///
+/// With an `exporter`, a side-port scrape endpoint runs alongside (see
+/// [`MetricsExporter`]); its thread lives exactly as long as the serve
+/// loop: it is woken and joined before this returns.
 ///
 /// # Errors
 ///
-/// As [`serve_lines`]; scrape-side I/O errors never fail the server.
-pub fn serve_lines_with_metrics<H: LineHandler>(
+/// An [`std::io::Error`] when accepting fails persistently (100 times
+/// in a row — transient failures are tolerated). Per-connection
+/// I/O errors never fail the server; they are counted and reported in
+/// the [`ServeReport`]. Scrape-side I/O errors never fail the server
+/// either.
+///
+/// # Panics
+///
+/// A panic inside [`LineHandler::handle`] is caught on the lane: it
+/// costs the connection whose request panicked (earlier pipelined
+/// responses still flush, then the connection closes; counted in
+/// [`MetricsSnapshot::handler_panics`] and reported in the
+/// [`ServeReport`]), never a lane or the server. Panics from runtime
+/// internals still propagate.
+pub fn serve_lines<H: LineHandler>(
     listener: &TcpListener,
     config: &RuntimeConfig,
     handler: &H,
@@ -559,7 +549,7 @@ pub fn serve_lines_with_metrics<H: LineHandler>(
     let cache = ResponseCache::new(config.cache_bytes);
     let hub = MetricsHub::new(lanes, queue_depth, pipeline, tenant_quota);
     let sink = Mutex::new(ErrorSink::default());
-    let gate = config.max_concurrent.filter(|&max| max > 0).map(Semaphore::new);
+    let gate = (config.max_concurrent > 0).then(|| Semaphore::new(config.max_concurrent));
     if config.max_connections == Some(0) {
         return Ok(ServeReport {
             connections: 0,
@@ -1366,7 +1356,7 @@ mod tests {
     fn zero_connection_budget_returns_immediately() {
         let listener = bind();
         let config = RuntimeConfig { max_connections: Some(0), ..RuntimeConfig::default() };
-        let report = serve_lines(&listener, &config, &TestHandler).unwrap();
+        let report = serve_lines(&listener, &config, &TestHandler, None).unwrap();
         assert_eq!(report.connections, 0);
     }
 
@@ -1381,7 +1371,8 @@ mod tests {
             ..RuntimeConfig::default()
         };
         std::thread::scope(|scope| {
-            let server = scope.spawn(|| serve_lines(&listener, &config, &TestHandler).unwrap());
+            let server =
+                scope.spawn(|| serve_lines(&listener, &config, &TestHandler, None).unwrap());
             let mut conn = TcpStream::connect(addr).unwrap();
             // Burst of uneven-latency requests, written before any read.
             let n = 40;
@@ -1412,7 +1403,8 @@ mod tests {
             ..RuntimeConfig::default()
         };
         std::thread::scope(|scope| {
-            let server = scope.spawn(|| serve_lines(&listener, &config, &TestHandler).unwrap());
+            let server =
+                scope.spawn(|| serve_lines(&listener, &config, &TestHandler, None).unwrap());
             let mut conn = TcpStream::connect(addr).unwrap();
             let mut reader = BufReader::new(conn.try_clone().unwrap());
             let read_line = |reader: &mut BufReader<TcpStream>| {
@@ -1454,7 +1446,8 @@ mod tests {
             ..RuntimeConfig::default()
         };
         std::thread::scope(|scope| {
-            let server = scope.spawn(|| serve_lines(&listener, &config, &TestHandler).unwrap());
+            let server =
+                scope.spawn(|| serve_lines(&listener, &config, &TestHandler, None).unwrap());
             let mut conn = TcpStream::connect(addr).unwrap();
             writeln!(conn, "ok").unwrap();
             writeln!(conn, "{}", "x".repeat(100)).unwrap();
@@ -1476,7 +1469,8 @@ mod tests {
             ..RuntimeConfig::default()
         };
         std::thread::scope(|scope| {
-            let server = scope.spawn(|| serve_lines(&listener, &config, &TestHandler).unwrap());
+            let server =
+                scope.spawn(|| serve_lines(&listener, &config, &TestHandler, None).unwrap());
             let mut conn = TcpStream::connect(addr).unwrap();
             writeln!(conn, "before-idle").unwrap();
             // Then go idle: the server must answer what it got and close.
@@ -1500,7 +1494,8 @@ mod tests {
             ..RuntimeConfig::default()
         };
         std::thread::scope(|scope| {
-            let server = scope.spawn(|| serve_lines(&listener, &config, &TestHandler).unwrap());
+            let server =
+                scope.spawn(|| serve_lines(&listener, &config, &TestHandler, None).unwrap());
             let mut conn = TcpStream::connect(addr).unwrap();
             writeln!(conn, "sleep-long").unwrap();
             // Keep the write half open (a serial client waiting for its
@@ -1526,7 +1521,8 @@ mod tests {
             ..RuntimeConfig::default()
         };
         std::thread::scope(|scope| {
-            let server = scope.spawn(|| serve_lines(&listener, &config, &TestHandler).unwrap());
+            let server =
+                scope.spawn(|| serve_lines(&listener, &config, &TestHandler, None).unwrap());
             // Connection 1: a good request, then a panicking one. The
             // server must flush the first response, then close without
             // answering the panicked request — even though this client
@@ -1569,7 +1565,8 @@ mod tests {
             ..RuntimeConfig::default()
         };
         std::thread::scope(|scope| {
-            let server = scope.spawn(|| serve_lines(&listener, &config, &TestHandler).unwrap());
+            let server =
+                scope.spawn(|| serve_lines(&listener, &config, &TestHandler, None).unwrap());
             let mut conn = TcpStream::connect(addr).unwrap();
             writeln!(conn, "check-token").unwrap();
             conn.shutdown(std::net::Shutdown::Write).unwrap();
@@ -1591,7 +1588,8 @@ mod tests {
             ..RuntimeConfig::default()
         };
         std::thread::scope(|scope| {
-            let server = scope.spawn(|| serve_lines(&listener, &config, &TestHandler).unwrap());
+            let server =
+                scope.spawn(|| serve_lines(&listener, &config, &TestHandler, None).unwrap());
             let mut conn = TcpStream::connect(addr).unwrap();
             writeln!(conn, "check-token").unwrap();
             conn.shutdown(std::net::Shutdown::Write).unwrap();
@@ -1637,7 +1635,7 @@ mod tests {
             ..RuntimeConfig::default()
         };
         std::thread::scope(|scope| {
-            let server = scope.spawn(|| serve_lines(&listener, &config, &handler).unwrap());
+            let server = scope.spawn(|| serve_lines(&listener, &config, &handler, None).unwrap());
             let conn = TcpStream::connect(addr).unwrap();
             let mut writer = conn.try_clone().unwrap();
             writeln!(writer, "before\npanic\ndoomed-0\ndoomed-1\ndoomed-2\ndoomed-3").unwrap();
@@ -1666,7 +1664,7 @@ mod tests {
             ..RuntimeConfig::default()
         };
         std::thread::scope(|scope| {
-            let server = scope.spawn(|| serve_lines(&listener, &config, &handler).unwrap());
+            let server = scope.spawn(|| serve_lines(&listener, &config, &handler, None).unwrap());
             // Connection 1: pipeline a slow burst, then drop the socket
             // without reading anything. The unread response triggers an
             // RST, the reader/writer fail, the connection token trips,
@@ -1711,12 +1709,13 @@ mod tests {
             lanes: 2,
             pipeline_depth: 3,
             cache_bytes: 1 << 14,
-            max_concurrent: Some(2),
+            max_concurrent: 2,
             max_connections: Some(clients),
             ..RuntimeConfig::default()
         };
         std::thread::scope(|scope| {
-            let server = scope.spawn(|| serve_lines(&listener, &config, &TestHandler).unwrap());
+            let server =
+                scope.spawn(|| serve_lines(&listener, &config, &TestHandler, None).unwrap());
             let mut client_handles = Vec::new();
             for c in 0..clients {
                 client_handles.push(scope.spawn(move || {
@@ -1850,7 +1849,8 @@ mod tests {
             ..RuntimeConfig::default()
         };
         let solo = std::thread::scope(|scope| {
-            let server = scope.spawn(|| serve_lines(&listener, &config, &TenantHandler).unwrap());
+            let server =
+                scope.spawn(|| serve_lines(&listener, &config, &TenantHandler, None).unwrap());
             let got = exchange_serially(addr, &trickle_lines);
             server.join().unwrap();
             got
@@ -1861,7 +1861,8 @@ mod tests {
         let addr = listener.local_addr().unwrap();
         let config = RuntimeConfig { max_connections: Some(2), ..config };
         let (contended, report) = std::thread::scope(|scope| {
-            let server = scope.spawn(|| serve_lines(&listener, &config, &TenantHandler).unwrap());
+            let server =
+                scope.spawn(|| serve_lines(&listener, &config, &TenantHandler, None).unwrap());
             let flooder = scope.spawn(move || {
                 let mut conn = TcpStream::connect(addr).unwrap();
                 for i in 0..48 {
@@ -1928,7 +1929,8 @@ mod tests {
             ..RuntimeConfig::default()
         };
         std::thread::scope(|scope| {
-            let server = scope.spawn(|| serve_lines(&listener, &config, &StampHandler).unwrap());
+            let server =
+                scope.spawn(|| serve_lines(&listener, &config, &StampHandler, None).unwrap());
             // Connection 1 fills the cache; connection 2 repeats the
             // same line, hits the cache, and must still get its *own*
             // trace — the stamp is applied after the lookup.
@@ -1981,9 +1983,8 @@ mod tests {
             response
         };
         std::thread::scope(|scope| {
-            let server = scope.spawn(|| {
-                serve_lines_with_metrics(&listener, &config, &TestHandler, Some(exporter)).unwrap()
-            });
+            let server = scope
+                .spawn(|| serve_lines(&listener, &config, &TestHandler, Some(exporter)).unwrap());
             // Scrape while the server is live (before its one allowed
             // connection shuts it down).
             let ok = scrape("GET /metrics HTTP/1.0\r\nHost: x\r\n\r\n");

@@ -177,60 +177,34 @@ impl<'a> TangledLogicFinder<'a> {
 
     /// Runs all three phases with randomly drawn seed cells.
     pub fn run(&self) -> FinderResult {
-        self.run_with_scratch(&mut crate::prune::PruneScratch::new(self.netlist.num_cells()))
-    }
-
-    /// [`TangledLogicFinder::run`] polling `token` between seed searches:
-    /// workers finish the search they are on, then the run returns
-    /// [`Cancelled`]. A token that never fires yields a result identical
-    /// to [`TangledLogicFinder::run`] (same code path through
-    /// `gtl_core::exec`).
-    ///
-    /// # Errors
-    ///
-    /// [`Cancelled`] once the token fires.
-    pub fn run_cancellable(&self, token: &CancelToken) -> Result<FinderResult, Cancelled> {
-        self.run_with_scratch_cancellable(
-            &mut crate::prune::PruneScratch::new(self.netlist.num_cells()),
-            token,
-        )
-    }
-
-    /// [`TangledLogicFinder::run`] with caller-owned pruning scratch, for
-    /// services running many finds over one netlist (the bitset of the
-    /// final pruning pass is reused instead of reallocated per request).
-    pub fn run_with_scratch(&self, scratch: &mut crate::prune::PruneScratch) -> FinderResult {
-        match self.run_scratch_impl(scratch, None) {
+        match self.run_random_seeds(None) {
             Ok(result) => result,
             Err(_) => unreachable!("a run without a token cannot be cancelled"),
         }
     }
 
-    /// [`TangledLogicFinder::run_with_scratch`] with cooperative
-    /// cancellation (see [`TangledLogicFinder::run_cancellable`]).
+    /// [`TangledLogicFinder::run`] polling `token` between seed searches
+    /// and before pruning: workers finish the search they are on, then
+    /// the run returns [`Cancelled`]. A token that never fires yields a
+    /// result identical to [`TangledLogicFinder::run`] (same code path
+    /// through `gtl_core::exec`).
     ///
     /// # Errors
     ///
     /// [`Cancelled`] once the token fires.
-    pub fn run_with_scratch_cancellable(
-        &self,
-        scratch: &mut crate::prune::PruneScratch,
-        token: &CancelToken,
-    ) -> Result<FinderResult, Cancelled> {
-        self.run_scratch_impl(scratch, Some(token))
+    pub fn run_cancellable(&self, token: &CancelToken) -> Result<FinderResult, Cancelled> {
+        self.run_random_seeds(Some(token))
     }
 
-    fn run_scratch_impl(
-        &self,
-        scratch: &mut crate::prune::PruneScratch,
-        token: Option<&CancelToken>,
-    ) -> Result<FinderResult, Cancelled> {
+    /// Draws the `m` seed cells from the master stream, then runs the
+    /// pipeline.
+    fn run_random_seeds(&self, token: Option<&CancelToken>) -> Result<FinderResult, Cancelled> {
         // gtl-lint: allow(no-rng-outside-derive-stream, reason = "this is the master stream itself; per-seed streams derive from it")
         let mut master = SmallRng::seed_from_u64(self.config.rng_seed);
         let seeds: Vec<CellId> = (0..self.config.num_seeds)
             .map(|_| CellId::new(master.gen_range(0..self.netlist.num_cells())))
             .collect();
-        self.run_core(&seeds, scratch, token)
+        self.run_core(&seeds, token)
     }
 
     /// Runs all three phases from caller-supplied seed cells.
@@ -242,24 +216,7 @@ impl<'a> TangledLogicFinder<'a> {
     ///
     /// Panics if any seed is out of bounds.
     pub fn run_from_seeds(&self, seeds: &[CellId]) -> FinderResult {
-        self.run_from_seeds_with(
-            seeds,
-            &mut crate::prune::PruneScratch::new(self.netlist.num_cells()),
-        )
-    }
-
-    /// [`TangledLogicFinder::run_from_seeds`] with caller-owned pruning
-    /// scratch (see [`TangledLogicFinder::run_with_scratch`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if any seed is out of bounds.
-    pub fn run_from_seeds_with(
-        &self,
-        seeds: &[CellId],
-        scratch: &mut crate::prune::PruneScratch,
-    ) -> FinderResult {
-        match self.run_core(seeds, scratch, None) {
+        match self.run_core(seeds, None) {
             Ok(result) => result,
             Err(_) => unreachable!("a run without a token cannot be cancelled"),
         }
@@ -271,7 +228,6 @@ impl<'a> TangledLogicFinder<'a> {
     fn run_core(
         &self,
         seeds: &[CellId],
-        scratch: &mut crate::prune::PruneScratch,
         token: Option<&CancelToken>,
     ) -> Result<FinderResult, Cancelled> {
         for &s in seeds {
@@ -323,23 +279,14 @@ impl<'a> TangledLogicFinder<'a> {
         // The searches poll the token between items; the tail (pruning,
         // scoring) is cheap but still guarded so a cancelled run never
         // pays for it.
-        let results: Vec<Option<Candidate>> = match token {
-            None => gtl_core::parallel_map_chunked_with(
-                self.config.threads,
-                seeds.len(),
-                gtl_core::Granularity::Auto,
-                init,
-                search,
-            ),
-            Some(token) => gtl_core::parallel_map_chunked_with_cancellable(
-                self.config.threads,
-                seeds.len(),
-                gtl_core::Granularity::Auto,
-                token,
-                init,
-                search,
-            )?,
-        };
+        let results: Vec<Option<Candidate>> = gtl_core::run_map(
+            self.config.threads,
+            seeds.len(),
+            gtl_core::Granularity::Auto,
+            token,
+            init,
+            search,
+        )?;
         gtl_core::cancel::checkpoint(token)?;
 
         let num_empty = results.iter().filter(|r| r.is_none()).count();
@@ -351,8 +298,7 @@ impl<'a> TangledLogicFinder<'a> {
             candidates.iter().map(|c| c.rent_exponent).sum::<f64>() / candidates.len() as f64
         };
 
-        let kept =
-            crate::prune::prune_overlapping_with(candidates, self.netlist.num_cells(), scratch);
+        let kept = crate::prune::prune_overlapping(candidates, self.netlist.num_cells());
         let a_g = self.netlist.avg_pins_per_cell();
         let gtls = kept
             .into_iter()

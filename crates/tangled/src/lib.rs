@@ -70,7 +70,6 @@ pub use eval::{match_gtls, GtlMatch, MatchReport};
 pub use finder::{FinderConfig, FinderResult, Gtl, TangledLogicFinder};
 pub use metrics::{DesignContext, MetricKind};
 pub use ordering::{GrowthConfig, GrowthCriterion, LinearOrdering, OrderingGrower};
-pub use prune::PruneScratch;
 
 #[cfg(test)]
 pub(crate) mod testutil {

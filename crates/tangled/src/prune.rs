@@ -19,9 +19,9 @@ use crate::candidate::Candidate;
 /// Reusable state for [`prune_overlapping_with`]: the bitset of cells
 /// covered by already-kept candidates.
 ///
-/// Pruning runs once per finder invocation; a service handling repeated
-/// requests over one netlist (`gtl_api::Session`) reuses the allocation
-/// across calls instead of paying `O(universe/64)` words each time. The
+/// Pruning runs once per finder invocation (which allocates its own, one
+/// `O(universe/64)`-word bitset per run); a caller pruning repeatedly
+/// over one netlist can reuse the allocation across calls instead. The
 /// scratch transparently regrows when a larger universe shows up.
 #[derive(Debug, Clone)]
 pub struct PruneScratch {

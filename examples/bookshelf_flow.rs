@@ -35,8 +35,9 @@ fn main() -> Result<(), Box<dyn Error>> {
         netlist: circuit.netlist,
     };
 
-    // Write <tmp>/adaptec2_like.aux + .nodes + .nets + .scl, then read back.
-    let dir = std::env::temp_dir().join("gtl_bookshelf_flow");
+    // Write <tmp>/adaptec2_like.aux + .nodes + .nets + .scl, then read back
+    // (one directory per process, so concurrent runs never share files).
+    let dir = std::env::temp_dir().join(format!("gtl_bookshelf_flow_{}", std::process::id()));
     bookshelf::write_design(&design, &dir, "adaptec2_like")?;
     println!("wrote Bookshelf design to {}", dir.display());
     let loaded = bookshelf::read_aux(dir.join("adaptec2_like.aux"))?;

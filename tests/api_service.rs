@@ -49,7 +49,7 @@ fn serve_round_trip(session: &Session, line: &str) -> String {
     let addr = listener.local_addr().unwrap();
     std::thread::scope(|scope| {
         scope.spawn(|| {
-            gtl_api::serve(session, &listener, &ServeOptions::new().max_connections(Some(1)))
+            gtl_api::serve(session, &listener, &ServeOptions::new().max_connections(Some(1)), None)
         });
         let mut conn = TcpStream::connect(addr).unwrap();
         writeln!(conn, "{line}").unwrap();
@@ -117,7 +117,7 @@ fn replay_script(session: &Session, options: ServeOptions, lines: &[String]) -> 
     let addr = listener.local_addr().unwrap();
     let options = options.pipeline_depth(1).max_connections(Some(1));
     std::thread::scope(|scope| {
-        let server = scope.spawn(|| gtl_api::serve(session, &listener, &options).unwrap());
+        let server = scope.spawn(|| gtl_api::serve(session, &listener, &options, None).unwrap());
         let mut conn = TcpStream::connect(addr).unwrap();
         for line in lines {
             writeln!(conn, "{line}").unwrap();
