@@ -84,7 +84,7 @@ mod types;
 
 pub use error::ApiError;
 pub use registry::{netlist_cost, SessionDispatcher, DEFAULT_SESSION};
-pub use serve::{bind, serve, ServeOptions, ServeSummary};
+pub use serve::{bind, request_kind, serve, ServeOptions, ServeSummary, REQUEST_KINDS};
 pub use session::{load_netlist, Session, SessionBuilder};
 pub use types::{
     ErrorBody, FindRequest, FindResponse, LatencyStats, ListSessionsRequest, ListSessionsResponse,

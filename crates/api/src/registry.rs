@@ -36,8 +36,9 @@ use std::time::Instant;
 
 use gtl_core::cancel::CancelToken;
 use gtl_netlist::Netlist;
-use gtl_runtime::{MetricsSnapshot, Registry, RegistryStats};
+use gtl_runtime::{Classified, MetricsSnapshot, Registry, RegistryStats};
 
+use crate::serve::{request_kind, REQUEST_KINDS};
 use crate::{
     load_netlist, ApiError, ErrorBody, ListSessionsRequest, ListSessionsResponse,
     LoadNetlistRequest, LoadNetlistResponse, MetricsRequest, MetricsResponse, MetricsTextRequest,
@@ -356,37 +357,19 @@ impl<'s> SessionDispatcher<'s> {
                 .list(req)
                 .map(Response::ListSessions)
                 .unwrap_or_else(|err| error_response(&err, req.v)),
-            Request::Find(_)
-            | Request::Place(_)
-            | Request::Stats(_)
-            | Request::Metrics(_)
-            | Request::MetricsText(_) => {
-                let v = match request {
-                    Request::Find(req) => req.v,
-                    Request::Place(req) => req.v,
-                    Request::Stats(req) => req.v,
-                    Request::Metrics(req) => req.v,
-                    Request::MetricsText(req) => req.v,
-                    // gtl-lint: allow(no-panic-on-serve-path, reason = "outer match arm admits exactly these five variants")
-                    _ => unreachable!("admin variants handled above"),
-                };
-                match request.session() {
-                    Some(name)
-                        if (SESSION_SINCE_VERSION..=API_VERSION).contains(&v)
-                            && name != DEFAULT_SESSION =>
-                    {
-                        match self.registry.get(name) {
-                            Some((session, _generation)) => {
-                                session.handle_cancellable(request, base, anchor)
-                            }
-                            None => error_response(&ApiError::unknown_session(name), v),
-                        }
+            // Compute (and Metrics) requests go to the session they
+            // address: absent, "default", or a version the field doesn't
+            // exist in reach the default session (which rejects the
+            // latter).
+            _ => match addressed_session(request) {
+                Some(name) if name != DEFAULT_SESSION => match self.registry.get(name) {
+                    Some((session, _generation)) => {
+                        session.handle_cancellable(request, base, anchor)
                     }
-                    // Absent, "default", or a version the field doesn't
-                    // exist in (the session rejects the latter).
-                    _ => self.default.handle_cancellable(request, base, anchor),
-                }
-            }
+                    None => error_response(&ApiError::unknown_session(name), request.v()),
+                },
+                _ => self.default.handle_cancellable(request, base, anchor),
+            },
         }
     }
 
@@ -397,45 +380,32 @@ impl<'s> SessionDispatcher<'s> {
     }
 
     /// The response-cache key for a request line: the raw line bytes,
-    /// except for a line addressing a *resolvable* named session (v4+),
-    /// whose key is prefixed with `s<generation>:`. Generations are
-    /// monotonic and never reused, so a reload under the same name keys
-    /// differently and can never serve the previous load's bytes —
-    /// cache transparency holds per session, never across sessions. A
-    /// line addressing an unknown session keeps the raw key; it answers
-    /// an error, which is never cached.
+    /// except for a request addressing a *resolvable* named session
+    /// (v4+), whose key is prefixed with `s<generation>:`. Generations
+    /// are monotonic and never reused, so a reload under the same name
+    /// keys differently and can never serve the previous load's bytes —
+    /// cache transparency holds per session, never across sessions. The
+    /// session name comes from the line's parse, so every spelling of the
+    /// `session` key that the parser accepts keys alike. A line
+    /// addressing an unknown session keeps the raw key; it answers an
+    /// error, which is never cached.
     pub fn cache_key<'a>(&self, line: &'a str) -> Cow<'a, [u8]> {
-        // A session-addressed line necessarily contains the key token
-        // verbatim; everything else takes this zero-cost path.
-        if !line.contains("\"session\"") {
-            return Cow::Borrowed(line.as_bytes());
-        }
-        let Ok(request) = serde::json::from_str::<Request>(line) else {
-            return Cow::Borrowed(line.as_bytes());
+        self.parsed_cache_key(line, &classify(line).parsed)
+    }
+
+    /// [`SessionDispatcher::cache_key`] for `line` already parsed as
+    /// `parsed`: what the serve lane computes before the lookup and again
+    /// after a cacheable compute. Both resolve the session through the
+    /// registry, promoting it exactly as a dispatch does.
+    pub(crate) fn parsed_cache_key<'a>(&self, line: &'a str, parsed: &ParsedLine) -> Cow<'a, [u8]> {
+        let generation = match parsed.as_ref().ok().and_then(addressed_session) {
+            Some(DEFAULT_SESSION) => Some(0),
+            Some(name) => self.registry.get(name).map(|(_, generation)| generation),
+            None => None,
         };
-        let v = match &request {
-            Request::Find(req) => req.v,
-            Request::Place(req) => req.v,
-            Request::Stats(req) => req.v,
-            Request::Metrics(_)
-            | Request::MetricsText(_)
-            | Request::LoadNetlist(_)
-            | Request::UnloadNetlist(_)
-            | Request::ListSessions(_) => return Cow::Borrowed(line.as_bytes()),
-        };
-        match request.session() {
-            Some(name) if (SESSION_SINCE_VERSION..=API_VERSION).contains(&v) => {
-                let generation = if name == DEFAULT_SESSION {
-                    Some(0)
-                } else {
-                    self.registry.get(name).map(|(_, generation)| generation)
-                };
-                match generation {
-                    Some(generation) => Cow::Owned(format!("s{generation}:{line}").into_bytes()),
-                    None => Cow::Borrowed(line.as_bytes()),
-                }
-            }
-            _ => Cow::Borrowed(line.as_bytes()),
+        match generation {
+            Some(generation) => Cow::Owned(format!("s{generation}:{line}").into_bytes()),
+            None => Cow::Borrowed(line.as_bytes()),
         }
     }
 
@@ -443,18 +413,38 @@ impl<'s> SessionDispatcher<'s> {
     /// addresses (compute requests via their `session` field, load and
     /// unload via their target name). Default-session traffic,
     /// ListSessions, Metrics and unparseable lines share the anonymous
-    /// `""` tenant.
+    /// `""` tenant. A thin wrapper over the serve path's one
+    /// classification of the line.
     pub fn tenant(&self, line: &str) -> String {
-        if !line.contains("\"session\"") && !line.contains("\"name\"") {
-            return String::new();
-        }
-        match serde::json::from_str::<Request>(line) {
-            Ok(Request::LoadNetlist(req)) => req.name,
-            Ok(Request::UnloadNetlist(req)) => req.name,
-            Ok(request) => request.session().unwrap_or_default().to_string(),
-            Err(_) => String::new(),
-        }
+        classify(line).tenant
     }
+}
+
+/// The session name a request addresses: its `session` field on a
+/// protocol version that has one (v4+). The dispatch and the cache key
+/// both resolve through here, so they always agree on the session.
+fn addressed_session(request: &Request) -> Option<&str> {
+    request.session().filter(|_| (SESSION_SINCE_VERSION..=API_VERSION).contains(&request.v()))
+}
+
+/// A request line's one parse on the serve path: the request, or the
+/// `bad_request` error its reply carries.
+pub(crate) type ParsedLine = Result<Request, ApiError>;
+
+/// Classifies one request line with its one parse — the only
+/// [`Request`] parse on the serve path: its tenant (see
+/// [`SessionDispatcher::tenant`]), its [`REQUEST_KINDS`] label and the
+/// parse itself.
+pub(crate) fn classify(line: &str) -> Classified<ParsedLine> {
+    let parsed =
+        serde::json::from_str::<Request>(line).map_err(|e| ApiError::bad_request(e.to_string()));
+    let tenant = match &parsed {
+        Ok(Request::LoadNetlist(req)) => req.name.clone(),
+        Ok(Request::UnloadNetlist(req)) => req.name.clone(),
+        Ok(request) => request.session().unwrap_or_default().to_string(),
+        Err(_) => String::new(),
+    };
+    Classified { tenant, kind: REQUEST_KINDS[request_kind(line)].1, parsed }
 }
 
 #[cfg(test)]
@@ -688,6 +678,11 @@ mod tests {
         let addressed = serde::json::to_string(&Request::Stats(req));
         let first = d.cache_key(&addressed).into_owned();
         assert_eq!(first, format!("s1:{addressed}").into_bytes());
+        // The key reads the parse, not the raw bytes: an escaped spelling
+        // of the `session` key addresses — and keys by — the same session.
+        let escaped = addressed.replace("\"session\"", "\"sess\\u0069on\"");
+        assert_ne!(escaped, addressed);
+        assert_eq!(d.cache_key(&escaped).into_owned(), format!("s1:{escaped}").into_bytes());
 
         // A reload under the same name gets a fresh generation: the same
         // line bytes key differently, so the old load's cached responses
@@ -713,10 +708,15 @@ mod tests {
         let d = SessionDispatcher::new(&default, 0, 0, None);
         let mut req = StatsRequest::new();
         req.session = Some("a".into());
-        assert_eq!(d.tenant(&serde::json::to_string(&Request::Stats(req))), "a");
+        let addressed = serde::json::to_string(&Request::Stats(req));
+        assert_eq!(d.tenant(&addressed), "a");
+        // Escaped key spellings parse alike, so they classify alike.
+        assert_eq!(d.tenant(&addressed.replace("\"session\"", "\"sess\\u0069on\"")), "a");
         assert_eq!(d.tenant(&serde::json::to_string(&Request::Stats(StatsRequest::new()))), "");
-        let load = Request::LoadNetlist(LoadNetlistRequest::new("b", "b.hgr"));
-        assert_eq!(d.tenant(&serde::json::to_string(&load)), "b");
+        let load =
+            serde::json::to_string(&Request::LoadNetlist(LoadNetlistRequest::new("b", "b.hgr")));
+        assert_eq!(d.tenant(&load), "b");
+        assert_eq!(d.tenant(&load.replace("\"name\"", "\"n\\u0061me\"")), "b");
         let unload = Request::UnloadNetlist(UnloadNetlistRequest::new("c"));
         assert_eq!(d.tenant(&serde::json::to_string(&unload)), "c");
         assert_eq!(d.tenant("not json"), "");

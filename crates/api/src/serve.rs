@@ -58,10 +58,11 @@ use std::time::{Duration, Instant};
 
 use gtl_core::Span;
 use gtl_runtime::{
-    Cacheability, LineHandler, MetricsExporter, RequestContext, RuntimeConfig, TraceId,
+    Cacheability, Classified, LineHandler, MetricsExporter, RequestContext, RuntimeConfig, TraceId,
     TransportError,
 };
 
+use crate::registry::{classify, ParsedLine};
 use crate::{
     ApiError, ErrorBody, Request, Response, RuntimeMetrics, Session, SessionDispatcher,
     TRACE_SINCE_VERSION,
@@ -80,6 +81,36 @@ const DEFAULT_CACHE_BYTES: usize = 64 << 20;
 
 /// Default per-connection pipeline depth.
 const DEFAULT_PIPELINE_DEPTH: usize = 8;
+
+/// Request kinds: the label set of the per-kind latency summaries (the
+/// Prometheus `kind` label, the `gtl serve` exit summary and the
+/// `gtl loadgen` report), as `(envelope tag, label)` rows in [`Request`]
+/// variant order. The last row (`other`, empty tag) catches malformed and
+/// unknown envelopes.
+pub const REQUEST_KINDS: [(&str, &str); 9] = [
+    ("Find", "find"),
+    ("Place", "place"),
+    ("Stats", "stats"),
+    ("Metrics", "metrics"),
+    ("MetricsText", "metrics_text"),
+    ("LoadNetlist", "load_netlist"),
+    ("UnloadNetlist", "unload_netlist"),
+    ("ListSessions", "list_sessions"),
+    ("", "other"),
+];
+
+/// The [`REQUEST_KINDS`] row of a raw request line, by its envelope tag
+/// (the first JSON key: `{"Find":…}` → `find`). It reads the tag without
+/// parsing, so the server and `gtl loadgen` label every line alike; a
+/// non-canonical spelling of the tag falls into `other` — a label, never
+/// a behavior change.
+pub fn request_kind(line: &str) -> usize {
+    let tag = line.trim_start().strip_prefix("{\"").and_then(|rest| rest.split('"').next());
+    REQUEST_KINDS
+        .iter()
+        .position(|&(known, _)| Some(known) == tag)
+        .unwrap_or(REQUEST_KINDS.len() - 1)
+}
 
 /// Options for [`serve()`], built with builder-style setters.
 ///
@@ -329,9 +360,9 @@ pub fn serve(
 }
 
 /// The [`LineHandler`] gluing the runtime to a [`SessionDispatcher`]:
-/// parse once, dispatch to the addressed session, serialize into the
-/// runtime's recycled buffer. Tenant classification and session-aware
-/// cache keys delegate to the dispatcher.
+/// classify (parse) each line once on the reader thread, then — on the
+/// lane — key it by its addressed session's generation, dispatch it and
+/// serialize into the runtime's recycled buffer.
 struct SessionHandler<'d, 's> {
     dispatcher: &'d SessionDispatcher<'s>,
 }
@@ -347,119 +378,80 @@ fn serialize_response(ctx: &RequestContext<'_>, response: &Response, out: &mut S
 }
 
 impl LineHandler for SessionHandler<'_, '_> {
-    fn handle(&self, ctx: &RequestContext<'_>, line: &str, out: &mut String) -> Cacheability {
-        match serde::json::from_str::<Request>(line) {
-            // Metrics report live runtime state: the responses that are
-            // not pure functions of the request bytes, so they must never
-            // be cached.
-            Ok(Request::Metrics(req)) => {
-                let response = match self.dispatcher.metrics(&req, ctx.metrics()) {
-                    Ok(resp) => Response::Metrics(resp),
-                    Err(err) => Response::Error(ErrorBody::from(&err)),
-                };
-                serialize_response(ctx, &response, out);
-                Cacheability::Uncacheable
-            }
-            Ok(Request::MetricsText(req)) => {
-                let response = match self.dispatcher.metrics_text(&req, ctx.metrics()) {
-                    Ok(resp) => Response::MetricsText(resp),
-                    Err(err) => Response::Error(ErrorBody::from(&err)),
-                };
-                serialize_response(ctx, &response, out);
-                Cacheability::Uncacheable
-            }
+    type Parsed = ParsedLine;
+
+    fn classify(&self, line: &str) -> Classified<ParsedLine> {
+        classify(line)
+    }
+
+    fn cache_key<'a>(&self, line: &'a str, parsed: &ParsedLine) -> Cow<'a, [u8]> {
+        self.dispatcher.parsed_cache_key(line, parsed)
+    }
+
+    fn handle(
+        &self,
+        ctx: &RequestContext<'_>,
+        _line: &str,
+        parsed: &ParsedLine,
+        out: &mut String,
+    ) -> Cacheability {
+        let error = |err: &ApiError| Response::Error(ErrorBody::from(err));
+        let response = match parsed {
+            // Metrics report live runtime state, which only the runtime
+            // (through `ctx`) can see.
+            Ok(Request::Metrics(req)) => self
+                .dispatcher
+                .metrics(req, ctx.metrics())
+                .map_or_else(|e| error(&e), Response::Metrics),
+            Ok(Request::MetricsText(req)) => self
+                .dispatcher
+                .metrics_text(req, ctx.metrics())
+                .map_or_else(|e| error(&e), Response::MetricsText),
+            // The job token (connection loss + server default deadline)
+            // reaches the compute through the session; `deadline_ms` in
+            // the request narrows it further, anchored at admission so
+            // queue wait counts.
             Ok(request) => {
-                // The job token (connection loss + server default
-                // deadline) reaches the compute through the session;
-                // `deadline_ms` in the request narrows it further,
-                // anchored at admission so queue wait counts.
-                let response = self.dispatcher.handle_cancellable(
-                    &request,
-                    ctx.cancel_token(),
-                    ctx.submitted_at(),
-                );
-                serialize_response(ctx, &response, out);
-                if let Response::Error(body) = &response {
-                    // The runtime owns the counters; the handler owns
-                    // the outcome classification.
-                    match body.code.as_str() {
-                        "deadline_exceeded" => ctx.record_deadline_exceeded(),
-                        "cancelled" => ctx.record_cancelled(),
-                        _ => {}
-                    }
-                    // Error responses (validation failures, deadline and
-                    // cancellation outcomes) are never cached: unique
-                    // invalid requests must not evict compute worth
-                    // seconds, and deadline/cancel outcomes are
-                    // timing-dependent, not pure functions of the line.
-                    return Cacheability::Uncacheable;
-                }
-                // Successful responses are deterministic — cached bytes
-                // are always exactly what a successful compute of the
-                // line produces. Deadlines only make the success-vs-error
-                // *outcome* timing-dependent, and a warm hit resolving
-                // that race in the client's favor is deliberate: a
-                // deadline bounds latency, and a hit (microseconds)
-                // always meets it. Requests carrying their own
-                // `deadline_ms` are still kept out of the cache: the
-                // deadline is part of the key bytes, so admitting them
-                // would let one client mint unbounded near-duplicate
-                // entries of the same response (one per deadline value)
-                // and evict everything else. Registry administration
-                // responses report (and mutate) live registry state —
-                // like Metrics, they are never pure functions of their
-                // request bytes.
-                let admin = matches!(
-                    request,
-                    Request::LoadNetlist(_) | Request::UnloadNetlist(_) | Request::ListSessions(_)
-                );
-                if admin || request.deadline_ms().is_some() {
-                    Cacheability::Uncacheable
-                } else {
-                    Cacheability::Cacheable
-                }
+                self.dispatcher.handle_cancellable(request, ctx.cancel_token(), ctx.submitted_at())
             }
-            Err(e) => {
-                serialize_response(
-                    ctx,
-                    &Response::Error(ErrorBody::from(&ApiError::bad_request(e.to_string()))),
-                    out,
-                );
-                // Same reasoning: a parse failure costs microseconds —
-                // never worth evicting real compute for.
-                Cacheability::Uncacheable
+            Err(err) => error(err),
+        };
+        serialize_response(ctx, &response, out);
+        if let Response::Error(body) = &response {
+            // The runtime owns the counters; the handler owns the outcome
+            // classification.
+            match body.code.as_str() {
+                "deadline_exceeded" => ctx.record_deadline_exceeded(),
+                "cancelled" => ctx.record_cancelled(),
+                _ => {}
             }
+            // Error responses (parse and validation failures, deadline
+            // and cancellation outcomes) are never cached: unique invalid
+            // requests must not evict compute worth seconds, and
+            // deadline/cancel outcomes are timing-dependent, not pure
+            // functions of the line.
+            return Cacheability::Uncacheable;
         }
-    }
-
-    fn cache_key<'a>(&self, line: &'a str) -> Cow<'a, [u8]> {
-        self.dispatcher.cache_key(line)
-    }
-
-    fn tenant(&self, line: &str) -> String {
-        self.dispatcher.tenant(line)
-    }
-
-    fn kind(&self, line: &str) -> &'static str {
-        // The envelope tag is the first JSON key of a canonical line;
-        // prefix inspection classifies without parsing (this runs per
-        // request on the metrics path). Non-canonical spellings fall
-        // into "other" — a label, never a behavior change.
-        const KINDS: &[(&str, &str)] = &[
-            ("{\"Find\":", "find"),
-            ("{\"Place\":", "place"),
-            ("{\"Stats\":", "stats"),
-            ("{\"MetricsText\":", "metrics"),
-            ("{\"Metrics\":", "metrics"),
-            ("{\"LoadNetlist\":", "admin"),
-            ("{\"UnloadNetlist\":", "admin"),
-            ("{\"ListSessions\":", "admin"),
-        ];
-        KINDS
-            .iter()
-            .find(|(tag, _)| line.starts_with(tag))
-            .map(|(_, kind)| *kind)
-            .unwrap_or("other")
+        // Successful compute responses are deterministic — cached bytes
+        // are always exactly what a successful compute of the line
+        // produces. Deadlines only make the success-vs-error *outcome*
+        // timing-dependent, and a warm hit resolving that race in the
+        // client's favor is deliberate: a deadline bounds latency, and a
+        // hit (microseconds) always meets it. Requests carrying their own
+        // `deadline_ms` are still kept out of the cache: the deadline is
+        // part of the key bytes, so admitting them would let one client
+        // mint unbounded near-duplicate entries of the same response (one
+        // per deadline value) and evict everything else. Metrics and
+        // registry administration responses report (and mutate) live
+        // state — never pure functions of their request bytes.
+        match parsed {
+            Ok(request @ (Request::Find(_) | Request::Place(_) | Request::Stats(_)))
+                if request.deadline_ms().is_none() =>
+            {
+                Cacheability::Cacheable
+            }
+            _ => Cacheability::Uncacheable,
+        }
     }
 
     fn stamp_trace(&self, trace: TraceId, out: &mut String) -> bool {
@@ -497,7 +489,10 @@ impl LineHandler for SessionHandler<'_, '_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{FindRequest, MetricsRequest, MetricsTextRequest, Request};
+    use crate::{
+        FindRequest, ListSessionsRequest, LoadNetlistRequest, MetricsRequest, MetricsTextRequest,
+        PlaceRequest, Request, StatsRequest, UnloadNetlistRequest,
+    };
     use gtl_netlist::NetlistBuilder;
     use gtl_tangled::FinderConfig;
     use std::io::{BufRead, BufReader, Write};
@@ -535,6 +530,31 @@ mod tests {
         let rest = &line[start + 10..];
         let end = rest.find('\"').unwrap();
         format!("{}{}", &line[..start], &rest[end + 1..])
+    }
+
+    #[test]
+    fn request_kind_rows_follow_the_envelope_variants() {
+        // Every envelope variant, serialized, lands on its own row.
+        let envelopes = [
+            Request::Find(FindRequest::new(FinderConfig::default())),
+            Request::Place(PlaceRequest::new()),
+            Request::Stats(StatsRequest::new()),
+            Request::Metrics(MetricsRequest::new()),
+            Request::MetricsText(MetricsTextRequest::new()),
+            Request::LoadNetlist(LoadNetlistRequest::new("a", "a.hgr")),
+            Request::UnloadNetlist(UnloadNetlistRequest::new("a")),
+            Request::ListSessions(ListSessionsRequest::new()),
+        ];
+        for (row, request) in envelopes.iter().enumerate() {
+            assert_eq!(request_kind(&serde::json::to_string(request)), row, "{request:?}");
+        }
+        let label = |line: &str| REQUEST_KINDS[request_kind(line)].1;
+        assert_eq!(label(r#"  {"MetricsText":{"v":5}}"#), "metrics_text");
+        assert_eq!(label(r#"{"ListSessions":{"v":4}}"#), "list_sessions");
+        assert_eq!(label("not json"), "other");
+        assert_eq!(label(r#"{"Future":{}}"#), "other");
+        assert_eq!(label(r#"{"":{}}"#), "other");
+        assert_eq!(label(""), "other");
     }
 
     #[test]

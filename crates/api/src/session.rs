@@ -469,16 +469,6 @@ impl Session {
         base: &CancelToken,
         anchor: Instant,
     ) -> Response {
-        let requested_v = match request {
-            Request::Find(req) => req.v,
-            Request::Place(req) => req.v,
-            Request::Stats(req) => req.v,
-            Request::Metrics(req) => req.v,
-            Request::MetricsText(req) => req.v,
-            Request::LoadNetlist(req) => req.v,
-            Request::UnloadNetlist(req) => req.v,
-            Request::ListSessions(req) => req.v,
-        };
         let outcome = match request {
             Request::Find(req) => self.find_cancellable(req, base, anchor).map(Response::Find),
             Request::Place(req) => self.place_cancellable(req, base, anchor).map(Response::Place),
@@ -502,7 +492,7 @@ impl Session {
             // so those errors (and parse failures, where no version is
             // known) stamp the build's own API_VERSION.
             if !matches!(err, ApiError::UnsupportedVersion { .. }) {
-                body.v = requested_v;
+                body.v = request.v();
             }
             Response::Error(body)
         })

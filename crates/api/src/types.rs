@@ -698,6 +698,21 @@ pub enum Request {
 }
 
 impl Request {
+    /// The protocol version `v` the request was sent at (every variant
+    /// carries one).
+    pub fn v(&self) -> u32 {
+        match self {
+            Self::Find(req) => req.v,
+            Self::Place(req) => req.v,
+            Self::Stats(req) => req.v,
+            Self::Metrics(req) => req.v,
+            Self::MetricsText(req) => req.v,
+            Self::LoadNetlist(req) => req.v,
+            Self::UnloadNetlist(req) => req.v,
+            Self::ListSessions(req) => req.v,
+        }
+    }
+
     /// The request's `deadline_ms`, for the variants that carry one
     /// (compute-heavy Find/Place; the other pairs answer in
     /// microseconds and have no deadline field).

@@ -202,9 +202,10 @@ proptest! {
     }
 
     /// End-to-end cache isolation over TCP: a warm cache, one request
-    /// line, and reloads that swap the netlist under the addressed name
-    /// — every response matches a fresh in-process dispatch against the
-    /// netlist resident *at that moment*, never a stale cache entry.
+    /// line in two spellings of its `session` key, and reloads that swap
+    /// the netlist under the addressed name — every response matches a
+    /// fresh in-process dispatch against the netlist resident *at that
+    /// moment*, never a stale cache entry.
     #[test]
     fn cross_session_cache_isolation_over_the_wire(
         ops in proptest::collection::vec(0u8..3, 1..12),
@@ -216,6 +217,9 @@ proptest! {
         // against each netlist (the session layer treats a v4 session
         // field as dispatcher-resolved, so the payload is the file's).
         let line = find_line(Some("x"), 11);
+        // The same request with its `session` key spelled through a JSON
+        // escape: it parses alike, so it must answer — and key — alike.
+        let escaped = line.replace("\"session\"", "\"sess\\u0069on\"");
         let oracle: HashMap<&str, String> = [("x_small", 5usize), ("x_large", 9)]
             .into_iter()
             .map(|(file, _)| {
@@ -228,8 +232,9 @@ proptest! {
             })
             .collect();
 
-        // Script: start on x_small; op 0 swaps the loaded file, other
-        // ops query twice (cold + warm for fresh generations).
+        // Script: start on x_small; op 0 swaps the loaded file, op 1
+        // queries twice with the plain spelling and op 2 with the escaped
+        // one (cold + warm for fresh generations).
         let mut script = vec![load_line("x", "x_small.hgr")];
         let mut expected = vec![None];
         let mut current = "x_small";
@@ -239,9 +244,10 @@ proptest! {
                 script.push(load_line("x", &format!("{current}.hgr")));
                 expected.push(None);
             } else {
-                script.push(line.clone());
+                let query = if op == 1 { &line } else { &escaped };
+                script.push(query.clone());
                 expected.push(Some(oracle[current].clone()));
-                script.push(line.clone());
+                script.push(query.clone());
                 expected.push(Some(oracle[current].clone()));
             }
         }

@@ -1,16 +1,15 @@
-//! Criterion bench for the shared execution layer: 1-thread versus
-//! N-thread wall time of the full three-phase finder on a synthetic
-//! 50k-cell netlist.
+//! Bench for the shared execution layer: 1-thread versus N-thread wall
+//! time of the full three-phase finder on a synthetic 50k-cell netlist.
 //!
-//! Besides the criterion timings, the bench writes a machine-readable
-//! `finder_parallel.json` summary (threads, wall seconds, speedup) into
-//! `results/` via the `gtl_bench::report` machinery, and asserts that the
-//! parallel run reproduces the serial result exactly — the execution
-//! layer's determinism contract, measured where it matters.
+//! A plain `harness = false` main (`cargo bench -p gtl-bench --bench
+//! finder_parallel`): it writes a machine-readable `finder_parallel.json`
+//! summary (threads, wall seconds, speedup) into `results/` via the
+//! `gtl_bench::report` machinery, and asserts that the parallel run
+//! reproduces the serial result exactly — the execution layer's
+//! determinism contract, measured where it matters.
 
 use std::time::Instant;
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use gtl_bench::report::{write_json, Json};
 use gtl_synth::planted::{self, PlantedConfig};
 use gtl_tangled::{FinderConfig, TangledLogicFinder};
@@ -44,20 +43,18 @@ fn thread_counts() -> Vec<usize> {
     counts
 }
 
-fn finder_parallel(c: &mut Criterion) {
+fn main() {
     let g = testbed();
-    let mut group = c.benchmark_group("finder_parallel_50k");
-    group.sample_size(10);
 
     // Untimed warmup so the first measured row does not also pay the
     // page-fault/allocator warmup of the whole process.
     let warmup = TangledLogicFinder::new(&g.netlist, config(1)).run();
     std::hint::black_box(warmup.gtls.len());
 
-    // Best-of-3 timed passes per thread count for the JSON summary
-    // (criterion's own samples follow below); also checks determinism
-    // across counts. The minimum is the standard low-noise wall
-    // estimator: every source of interference only ever adds time.
+    // Best-of-3 timed passes per thread count for the JSON summary; also
+    // checks determinism across counts. The minimum is the standard
+    // low-noise wall estimator: every source of interference only ever
+    // adds time.
     let mut rows = Vec::new();
     let mut serial_wall = 0.0f64;
     let mut baseline: Option<String> = None;
@@ -98,15 +95,4 @@ fn finder_parallel(c: &mut Criterion) {
     let path = gtl_bench::results_dir().join("finder_parallel.json");
     write_json(&path, &doc).expect("write finder_parallel.json");
     println!("wrote {}", path.display());
-
-    for &threads in &thread_counts() {
-        let finder = TangledLogicFinder::new(&g.netlist, config(threads));
-        group.bench_with_input(BenchmarkId::from_parameter(threads), &threads, |b, _| {
-            b.iter(|| std::hint::black_box(finder.run().gtls.len()));
-        });
-    }
-    group.finish();
 }
-
-criterion_group!(benches, finder_parallel);
-criterion_main!(benches);

@@ -1,8 +1,9 @@
-//! Criterion bench for the sharded quadratic placer: 1-thread versus
-//! N-thread wall time of a full `place()` run on an ISPD-like circuit
-//! large enough to decompose into a 3×3 shard grid.
+//! Bench for the sharded quadratic placer: 1-thread versus N-thread wall
+//! time of a full `place()` run on an ISPD-like circuit large enough to
+//! decompose into a 3×3 shard grid.
 //!
-//! Besides the criterion timings, the bench writes a machine-readable
+//! A plain `harness = false` main (`cargo bench -p gtl-bench --bench
+//! placement_parallel`): it writes a machine-readable
 //! `placement_parallel.json` summary (threads, wall seconds, speedup)
 //! into `results/` via the `gtl_bench::report` machinery, and asserts
 //! that every parallel run reproduces the single-worker placement exactly
@@ -12,7 +13,6 @@
 
 use std::time::Instant;
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use gtl_bench::report::{write_json, Json};
 use gtl_place::{hpwl, place, Die, PlacerConfig};
 use gtl_synth::ispd_like::{generate, IspdBenchmark, IspdLikeConfig};
@@ -34,20 +34,17 @@ fn thread_counts() -> Vec<usize> {
     counts
 }
 
-fn placement_parallel(c: &mut Criterion) {
+fn main() {
     let g = testbed();
     let die = Die::for_netlist(&g.netlist, 0.6);
-    let mut group = c.benchmark_group("placement_parallel");
-    group.sample_size(10);
 
     // Untimed warmup so the first measured row does not also pay the
     // page-fault/allocator warmup of the whole process.
     std::hint::black_box(place(&g.netlist, &die, &config(1)).len());
 
-    // Best-of-2 timed passes per thread count for the JSON summary
-    // (criterion's own samples follow below); also checks determinism
-    // across counts. The minimum is the standard low-noise wall
-    // estimator: interference only ever adds time.
+    // Best-of-2 timed passes per thread count for the JSON summary; also
+    // checks determinism across counts. The minimum is the standard
+    // low-noise wall estimator: interference only ever adds time.
     let mut rows = Vec::new();
     let mut serial_wall = 0.0f64;
     let mut baseline = None;
@@ -86,16 +83,4 @@ fn placement_parallel(c: &mut Criterion) {
     let path = gtl_bench::results_dir().join("placement_parallel.json");
     write_json(&path, &doc).expect("write placement_parallel.json");
     println!("wrote {}", path.display());
-
-    for &threads in &thread_counts() {
-        group.bench_with_input(BenchmarkId::from_parameter(threads), &threads, |b, _| {
-            b.iter(|| {
-                std::hint::black_box(place(&g.netlist, &die, &config(threads)).len());
-            });
-        });
-    }
-    group.finish();
 }
-
-criterion_group!(benches, placement_parallel);
-criterion_main!(benches);

@@ -1,8 +1,9 @@
-//! Criterion bench for the `gtl-runtime` serving path: pipelined TCP
-//! request throughput with the response cache cold (disabled) versus
-//! warm (enabled and pre-filled).
+//! Bench for the `gtl-runtime` serving path: pipelined TCP request
+//! throughput with the response cache cold (disabled) versus warm
+//! (enabled and pre-filled).
 //!
-//! Besides the criterion timings, the bench writes a machine-readable
+//! A plain `harness = false` main (`cargo bench -p gtl-bench --bench
+//! serve_throughput`): it writes a machine-readable
 //! `serve_throughput.json` summary (mode, wall seconds, req/s, cache
 //! counters) into `results/` via the `gtl_bench::report` machinery, and
 //! enforces the service determinism contract where it matters:
@@ -17,7 +18,6 @@ use std::net::TcpStream;
 use std::path::Path;
 use std::time::Instant;
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use gtl_api::{FindRequest, Request, ServeOptions, Session};
 use gtl_bench::report::{write_json, Json};
 use gtl_synth::planted::{self, PlantedConfig};
@@ -125,21 +125,20 @@ fn golden_round_trip() {
     println!("golden round-trip byte-identical through gtl-runtime");
 }
 
-fn serve_throughput(c: &mut Criterion) {
+fn main() {
     golden_round_trip();
 
     let session = testbed_session();
     let line = request_line();
     let expected = session.handle_line(&line);
 
-    // One timed pass per mode for the JSON summary (criterion's own
-    // samples follow below). Cold = cache disabled: every request
-    // recomputes. Warm = cache enabled and pre-filled: requests after
-    // the first are hits, byte-identical to the cold computes. The warm
-    // burst is far larger than the cold one — warm requests are bounded
-    // by memcpy, and 64 of them complete in a fraction of a millisecond,
-    // below timer noise; thousands keep the wall time measurable so the
-    // committed baseline carries signal.
+    // One timed pass per mode for the JSON summary. Cold = cache
+    // disabled: every request recomputes. Warm = cache enabled and
+    // pre-filled: requests after the first are hits, byte-identical to
+    // the cold computes. The warm burst is far larger than the cold one —
+    // warm requests are bounded by memcpy, and 64 of them complete in a
+    // fraction of a millisecond, below timer noise; thousands keep the
+    // wall time measurable so the committed baseline carries signal.
     let mut rows = Vec::new();
     for (mode, cache_bytes, warmup, n) in
         [("cold", 0usize, false, 64usize), ("warm", 16 << 20, true, 4096)]
@@ -185,20 +184,4 @@ fn serve_throughput(c: &mut Criterion) {
     let path = gtl_bench::results_dir().join("serve_throughput.json");
     write_json(&path, &doc).expect("write serve_throughput.json");
     println!("wrote {}", path.display());
-
-    // No explicit sample_size: the CRITERION_SAMPLE_SIZE env cap (CI
-    // sets 2 for a smoke run) must stay in effect.
-    let mut group = c.benchmark_group("serve_throughput_2k");
-    for (mode, cache_bytes, warmup) in [("cold", 0usize, false), ("warm", 16 << 20, true)] {
-        group.bench_with_input(BenchmarkId::from_parameter(mode), &cache_bytes, |b, &bytes| {
-            b.iter(|| {
-                let (wall, _) = run_burst(&session, &line, &expected, bytes, warmup, 16);
-                std::hint::black_box(wall)
-            });
-        });
-    }
-    group.finish();
 }
-
-criterion_group!(benches, serve_throughput);
-criterion_main!(benches);

@@ -1,19 +1,19 @@
-//! Criterion bench for the quadratic-solver kernels themselves — the
+//! Bench for the quadratic-solver kernels themselves — the
 //! fused Jacobi-CG of [`Laplacian::solve_anchored_into`] and the
 //! shard-restricted CG of [`ShardSolver::solve_shard_into`] — measured
 //! below the placer so kernel-level regressions are visible before they
 //! wash out in a full `place()` run.
 //!
-//! Besides the criterion timings, the bench writes a machine-readable
-//! `solver_kernels.json` summary (kernel, wall seconds, solves/s) into
-//! `results/` via the `gtl_bench::report` machinery, and asserts both
-//! kernels are run-to-run deterministic (two timed passes over the same
-//! inputs must agree bit-for-bit). Both passes run with caller-owned
+//! A plain `harness = false` main (`cargo bench -p gtl-bench --bench
+//! solver_kernels`): it writes a machine-readable `solver_kernels.json`
+//! summary (kernel, wall seconds, solves/s) into `results/` via the
+//! `gtl_bench::report` machinery, and asserts both kernels are
+//! run-to-run deterministic (two timed passes over the same inputs must
+//! agree bit-for-bit). Both passes run with caller-owned
 //! output buffers and reused scratch: the steady state allocates nothing.
 
 use std::time::Instant;
 
-use criterion::{criterion_group, criterion_main, Criterion};
 use gtl_bench::report::{write_json, Json};
 use gtl_core::shard::ShardGrid;
 use gtl_place::quadratic::{Laplacian, ShardSolver, SolveScratch};
@@ -122,7 +122,7 @@ fn shard_pass(tb: &Testbed, reps: usize) -> (f64, Vec<f64>) {
     (start.elapsed().as_secs_f64(), fingerprint)
 }
 
-fn solver_kernels(c: &mut Criterion) {
+fn main() {
     let tb = testbed();
     const REPS: usize = 8;
 
@@ -165,17 +165,4 @@ fn solver_kernels(c: &mut Criterion) {
     let path = gtl_bench::results_dir().join("solver_kernels.json");
     write_json(&path, &doc).expect("write solver_kernels.json");
     println!("wrote {}", path.display());
-
-    let mut group = c.benchmark_group("solver_kernels");
-    group.sample_size(10);
-    group.bench_function("anchored", |b| {
-        b.iter(|| std::hint::black_box(anchored_pass(&tb, 1).0));
-    });
-    group.bench_function("shard", |b| {
-        b.iter(|| std::hint::black_box(shard_pass(&tb, 1).0));
-    });
-    group.finish();
 }
-
-criterion_group!(benches, solver_kernels);
-criterion_main!(benches);

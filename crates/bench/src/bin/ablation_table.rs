@@ -4,7 +4,6 @@
 //! of (growth criterion × Phase III refinement × metric), quantifying the
 //! arguments the paper makes in prose: weight-first growth (§3.2.1),
 //! genetic refinement (§3.2.3), and the density-aware metric (§3.1).
-//! Criterion wall-time versions of these live in `benches/ablation.rs`.
 
 #![forbid(unsafe_code)]
 

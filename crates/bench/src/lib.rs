@@ -20,9 +20,9 @@ use std::path::{Path, PathBuf};
 pub const RESULTS_DIR_ENV: &str = "GTL_RESULTS_DIR";
 
 /// Where bench artifacts land, relative to the workspace root — **the**
-/// results location: the reproduction binaries, the criterion benches
-/// and CI all resolve through [`results_dir`], so there is exactly one
-/// place artifacts can end up regardless of the invoking directory
+/// results location: the reproduction binaries, the benches and CI all
+/// resolve through [`results_dir`], so there is exactly one place
+/// artifacts can end up regardless of the invoking directory
 /// (`cargo bench` runs with the crate as cwd, the binaries with the
 /// workspace root; both used to disagree).
 pub const RESULTS_DIR: &str = "results";

@@ -35,55 +35,3 @@
 pub mod record;
 pub mod replay;
 pub mod trace;
-
-/// Request kinds tracked in per-kind latency summaries, in the order of
-/// the serve protocol's request envelope variants; `other` catches
-/// malformed or future envelopes.
-pub const KINDS: [&str; 9] = [
-    "find",
-    "place",
-    "stats",
-    "metrics",
-    "metrics_text",
-    "load_netlist",
-    "unload_netlist",
-    "list_sessions",
-    "other",
-];
-
-/// Index into [`KINDS`] for one raw request line, by its envelope tag
-/// (the first JSON object key, e.g. `{"Find":…}` → `find`).
-pub fn kind_of(line: &str) -> usize {
-    let rest = match line.trim_start().strip_prefix("{\"") {
-        Some(r) => r,
-        None => return KINDS.len() - 1,
-    };
-    let tag = rest.split('"').next().unwrap_or("");
-    match tag {
-        "Find" => 0,
-        "Place" => 1,
-        "Stats" => 2,
-        "Metrics" => 3,
-        "MetricsText" => 4,
-        "LoadNetlist" => 5,
-        "UnloadNetlist" => 6,
-        "ListSessions" => 7,
-        _ => KINDS.len() - 1,
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn kind_of_maps_envelope_tags() {
-        assert_eq!(KINDS[kind_of(r#"{"Find":{"v":5}}"#)], "find");
-        assert_eq!(KINDS[kind_of(r#"  {"MetricsText":{"v":5}}"#)], "metrics_text");
-        assert_eq!(KINDS[kind_of(r#"{"LoadNetlist":{"v":4}}"#)], "load_netlist");
-        assert_eq!(KINDS[kind_of(r#"{"ListSessions":{"v":4}}"#)], "list_sessions");
-        assert_eq!(KINDS[kind_of("not json")], "other");
-        assert_eq!(KINDS[kind_of(r#"{"Future":{}}"#)], "other");
-        assert_eq!(KINDS[kind_of("")], "other");
-    }
-}

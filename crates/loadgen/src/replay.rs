@@ -29,14 +29,13 @@ use std::path::PathBuf;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use gtl_api::ApiError;
+use gtl_api::{request_kind, ApiError, REQUEST_KINDS};
 use gtl_core::exec::parallel_map;
 use gtl_core::obs::LatencyHistogram;
 use serde::Value;
 
 use crate::record::would_block;
 use crate::trace::TraceRecord;
-use crate::{kind_of, KINDS};
 
 /// How replayed requests are paced.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -113,7 +112,7 @@ impl ReplayOptions {
 /// Latency digest for one request kind.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct KindStats {
-    /// Kind name (one of [`KINDS`]).
+    /// Kind label (one of [`REQUEST_KINDS`]).
     pub kind: &'static str,
     /// Requests of this kind that completed.
     pub count: u64,
@@ -185,7 +184,7 @@ impl ReplayReport {
 struct PlanItem {
     /// Send time in microseconds from replay start (open loop only).
     target_us: u64,
-    /// Index into [`KINDS`].
+    /// Row of [`REQUEST_KINDS`].
     kind: usize,
     /// The raw request line.
     line: String,
@@ -273,7 +272,7 @@ pub fn replay(records: &[TraceRecord], options: &ReplayOptions) -> Result<Replay
         None => None,
     };
     let mut merged: Vec<LatencyHistogram> =
-        (0..KINDS.len()).map(|_| LatencyHistogram::new()).collect();
+        (0..REQUEST_KINDS.len()).map(|_| LatencyHistogram::new()).collect();
     let mut log = String::new();
     let mut responses = 0u64;
     for output in &outputs {
@@ -289,11 +288,11 @@ pub fn replay(records: &[TraceRecord], options: &ReplayOptions) -> Result<Replay
     drop(outputs); // now the replay connections close
 
     let requests: u64 = plans.iter().map(|(_, plan)| plan.len() as u64).sum();
-    let kinds = KINDS
+    let kinds = REQUEST_KINDS
         .iter()
         .zip(&merged)
         .filter(|(_, h)| !h.is_empty())
-        .map(|(kind, h)| KindStats {
+        .map(|(&(_, kind), h)| KindStats {
             kind,
             count: h.count(),
             p50_us: h.percentile_us(0.50),
@@ -352,7 +351,7 @@ fn build_plans(
             for record in &conn_records {
                 plan.push(PlanItem {
                     target_us: record.offset_us + rep as u64 * span_us,
-                    kind: kind_of(&record.line),
+                    kind: request_kind(&record.line),
                     line: record.line.clone(),
                 });
             }
@@ -387,7 +386,7 @@ fn run_conn(
     start: Instant,
 ) -> Result<ConnOutput, ApiError> {
     let mut hists: Vec<LatencyHistogram> =
-        (0..KINDS.len()).map(|_| LatencyHistogram::new()).collect();
+        (0..REQUEST_KINDS.len()).map(|_| LatencyHistogram::new()).collect();
     let responses = match mode {
         ReplayMode::Closed { inflight } => run_conn_closed(&stream, plan, inflight, &mut hists)?,
         ReplayMode::Open { .. } => run_conn_open(&stream, plan, start, &mut hists)?,

@@ -8,10 +8,10 @@
 //! request produces. It provides:
 //!
 //! * [`serve_lines`]: a pipelined line-protocol TCP server — a fixed
-//!   pool of compute lanes fed by a bounded FIFO queue (backpressure
-//!   instead of unbounded buffering), per-connection pipelining with a
-//!   reorder buffer that preserves request order on the wire,
-//!   read/idle timeouts, and a max-concurrent-connections gate;
+//!   pool of compute lanes fed by the bounded fair-share `FairQueue`
+//!   (backpressure instead of unbounded buffering), per-connection
+//!   pipelining with a reorder buffer that preserves request order on
+//!   the wire, read/idle timeouts, and a max-concurrent-connections gate;
 //! * [`ResponseCache`]: a deterministic LRU response cache under a byte
 //!   budget, keyed by the canonical request-line bytes (optionally
 //!   extended by the handler via [`LineHandler::cache_key`], e.g. with a
@@ -21,10 +21,12 @@
 //! * [`Registry`]: a byte-budgeted store of named shared values with
 //!   deterministic LRU eviction and monotonic generation stamps — the
 //!   substrate for multi-netlist session serving in `gtl-api`;
-//! * fair-share admission: [`LineHandler::tenant`] classifies request
-//!   lines into per-tenant lanes drained in deterministic round-robin
-//!   order under a per-tenant quota ([`RuntimeConfig::tenant_quota`]),
-//!   so one flooding tenant backpressures itself, never its neighbors;
+//! * one classification per line: [`LineHandler::classify`] runs once
+//!   on the reader thread and yields the line's fair-share tenant, its
+//!   kind label and the parse the lane reuses for the cache key and the
+//!   compute. Tenant lanes drain in deterministic round-robin order
+//!   under a per-tenant quota ([`RuntimeConfig::tenant_quota`]), so one
+//!   flooding tenant backpressures itself, never its neighbors;
 //! * [`MetricsSnapshot`]: observation-only counters for all of the
 //!   above, served through the handler's [`RequestContext`].
 //!
@@ -89,6 +91,6 @@ pub use cache::{CacheStats, ResponseCache};
 pub use metrics::{LatencySummary, MetricsSnapshot, Stage};
 pub use registry::{InsertOutcome, Registry, RegistryEntry, RegistryError, RegistryStats};
 pub use server::{
-    serve_lines, Cacheability, LineHandler, MetricsExporter, RequestContext, RuntimeConfig,
-    ServeReport, TraceId, TransportError,
+    serve_lines, Cacheability, Classified, LineHandler, MetricsExporter, RequestContext,
+    RuntimeConfig, ServeReport, TraceId, TransportError,
 };

@@ -94,11 +94,11 @@ pub(crate) struct MetricsHub {
     /// One histogram per [`Stage`], indexed by [`Stage::index`].
     stage_latency: [Mutex<LatencyHistogram>; 4],
     /// End-to-end latency per request kind (admission to response bytes
-    /// deposited). Keys come from [`LineHandler::kind`] and are a small
+    /// deposited). Keys come from [`Classified::kind`] and are a small
     /// closed set, so the map stays tiny and iteration order (BTreeMap)
     /// is deterministic.
     ///
-    /// [`LineHandler::kind`]: crate::LineHandler::kind
+    /// [`Classified::kind`]: crate::Classified::kind
     kind_latency: Mutex<BTreeMap<&'static str, LatencyHistogram>>,
 }
 

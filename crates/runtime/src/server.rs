@@ -14,8 +14,8 @@
 //!   client's TCP window instead of growing an unbounded buffer, and a
 //!   flooding tenant backpressures *itself* before it can crowd out
 //!   anyone else.
-//! * **Fair-share admission.** [`LineHandler::tenant`] classifies each
-//!   request line into an admission lane; lanes pop tenants in
+//! * **Fair-share admission.** [`LineHandler::classify`] assigns each
+//!   request line an admission tenant; lanes pop tenants in
 //!   deterministic round-robin order (ties by submission order), so the
 //!   interleaving served to a trickling tenant is independent of how
 //!   hard any other tenant floods (the starvation counter
@@ -30,13 +30,13 @@
 //!   accept budget (for scripted runs), and a per-connection read/idle
 //!   timeout.
 //!
-//! Connection threads are **I/O only**: they parse frames and move
-//! buffers; all request compute happens on the lanes, and whatever the
-//! handler fans out internally (e.g. `gtl_core::exec`) stays inside the
-//! job. Responses for a given request line are byte-identical no matter
-//! how many lanes, connections, or pipelined requests are in flight —
-//! provided the handler is deterministic, which the [`ResponseCache`]
-//! additionally exploits (see [`crate::cache`]).
+//! Connection threads are **I/O only**: they frame lines, classify each
+//! one once and move buffers; all request compute happens on the lanes,
+//! and whatever the handler fans out internally (e.g. `gtl_core::exec`)
+//! stays inside the job. Responses for a given request line are
+//! byte-identical no matter how many lanes, connections, or pipelined
+//! requests are in flight — provided the handler is deterministic, which
+//! the [`ResponseCache`] additionally exploits (see [`crate::cache`]).
 
 use std::borrow::Cow;
 use std::collections::{HashMap, VecDeque};
@@ -177,17 +177,58 @@ impl RequestContext<'_> {
     }
 }
 
-/// The request dispatcher a runtime serves.
+/// What [`LineHandler::classify`] makes of one request line.
+#[derive(Debug)]
+pub struct Classified<P> {
+    /// The admission tenant: requests with the same tenant share one
+    /// per-tenant quota and one fair-share lane; distinct tenants are
+    /// served round-robin.
+    pub tenant: String,
+    /// The per-request-kind latency histogram label (e.g. `"find"`).
+    /// The label set must be small and fixed.
+    pub kind: &'static str,
+    /// The handler's parse of the line, which the lane hands to
+    /// [`LineHandler::cache_key`] and [`LineHandler::handle`].
+    pub parsed: P,
+}
+
+impl<P: Default> Default for Classified<P> {
+    /// One shared tenant (fair-share admission degenerates to a plain
+    /// bounded FIFO) and one `"request"` kind.
+    fn default() -> Self {
+        Self { tenant: String::new(), kind: "request", parsed: P::default() }
+    }
+}
+
+/// The request dispatcher a runtime serves: each admitted line is
+/// classified once, then keyed and computed on a lane from that parse.
 ///
-/// `handle` receives one trimmed request line and must append exactly the
-/// response line's bytes (no trailing newline) onto `out`, which arrives
-/// cleared but with reused capacity. It must be **total** (every input
-/// produces a response, errors included) and **deterministic** for every
-/// response it declares [`Cacheability::Cacheable`] — the cache's
-/// transparency invariant builds on that.
+/// `handle` must append exactly the response line's bytes (no trailing
+/// newline) onto `out`, which arrives cleared but with reused capacity.
+/// It must be **total** (every input produces a response, errors
+/// included) and **deterministic** for every response it declares
+/// [`Cacheability::Cacheable`] — the cache's transparency invariant
+/// builds on that.
 pub trait LineHandler: Sync {
-    /// Computes the response for `line` into `out`.
-    fn handle(&self, ctx: &RequestContext<'_>, line: &str, out: &mut String) -> Cacheability;
+    /// The handler's parse of one request line (`()` for handlers that
+    /// read the raw line).
+    type Parsed: Send;
+
+    /// Classifies `line` into its admission tenant, its kind label and
+    /// the handler's parse. Runs once per admitted line, on the
+    /// connection's I/O thread before the line takes a queue slot, so
+    /// the fair-share queue can bound the tenant first; the lane never
+    /// parses the line again.
+    fn classify(&self, line: &str) -> Classified<Self::Parsed>;
+
+    /// Computes the response for `line` (parsed as `parsed`) into `out`.
+    fn handle(
+        &self,
+        ctx: &RequestContext<'_>,
+        line: &str,
+        parsed: &Self::Parsed,
+        out: &mut String,
+    ) -> Cacheability;
 
     /// The response line for a framing failure (`None` = close without
     /// answering). The connection is dropped after this response either
@@ -197,39 +238,19 @@ pub trait LineHandler: Sync {
         None
     }
 
-    /// The response-cache key for `line`. The default — the line bytes
-    /// themselves — is correct for handlers whose responses are pure
-    /// functions of the line. A handler that adds request-independent
-    /// state (e.g. a session registry, where the same line means
-    /// different things before and after a reload) must fold that state
-    /// into the key; the transparency invariant then holds per key. The
-    /// key must be a pure function of `line` and state that never
-    /// changes between this call and the corresponding
-    /// [`LineHandler::handle`] in a way that would alias two different
-    /// responses onto one key.
-    fn cache_key<'a>(&self, line: &'a str) -> Cow<'a, [u8]> {
+    /// The response-cache key for `line` (parsed as `parsed`). The
+    /// default — the line bytes themselves — is correct for handlers
+    /// whose responses are pure functions of the line. A handler that
+    /// adds request-independent state (e.g. a session registry, where
+    /// the same line means different things before and after a reload)
+    /// must fold that state into the key; the transparency invariant
+    /// then holds per key. The runtime computes the key on the lane
+    /// before the lookup and again after a cacheable compute, filling
+    /// the cache only if both agree — so state that moves in between
+    /// costs a recompute, never an aliased entry.
+    fn cache_key<'a>(&self, line: &'a str, parsed: &Self::Parsed) -> Cow<'a, [u8]> {
+        let _ = parsed;
         Cow::Borrowed(line.as_bytes())
-    }
-
-    /// The admission tenant for `line`: requests with the same tenant
-    /// share one per-tenant quota and one fair-share lane; distinct
-    /// tenants are served round-robin. The default puts every request in
-    /// one shared tenant, which degenerates to the plain bounded FIFO.
-    /// Must be cheap — it runs on the connection's I/O thread, before
-    /// the line is admitted.
-    fn tenant(&self, line: &str) -> String {
-        let _ = line;
-        String::new()
-    }
-
-    /// A cheap static classification of `line` for the per-request-kind
-    /// latency histograms (e.g. `"find"`, `"place"`, `"stats"`,
-    /// `"admin"`). Must be a pure function of the line; the label set
-    /// must be small and fixed. The default puts every request in one
-    /// `"request"` kind.
-    fn kind(&self, line: &str) -> &'static str {
-        let _ = line;
-        "request"
     }
 
     /// Stamps this request's [`TraceId`] into the finished response
@@ -249,7 +270,19 @@ impl<F> LineHandler for F
 where
     F: Fn(&RequestContext<'_>, &str, &mut String) -> Cacheability + Sync,
 {
-    fn handle(&self, ctx: &RequestContext<'_>, line: &str, out: &mut String) -> Cacheability {
+    type Parsed = ();
+
+    fn classify(&self, _line: &str) -> Classified<()> {
+        Classified::default()
+    }
+
+    fn handle(
+        &self,
+        ctx: &RequestContext<'_>,
+        line: &str,
+        _parsed: &(),
+        out: &mut String,
+    ) -> Cacheability {
         self(ctx, line, out)
     }
 }
@@ -288,7 +321,7 @@ pub struct RuntimeConfig {
     /// decide the response; cancelled work never blocks a lane beyond
     /// its current checkpoint interval.
     pub default_deadline: Option<Duration>,
-    /// Max queued jobs per tenant (see [`LineHandler::tenant`]); `0` =
+    /// Max queued jobs per tenant (see [`Classified::tenant`]); `0` =
     /// auto (the full queue depth, i.e. no sub-limit). A tenant at its
     /// quota backpressures only its own connections. Clamped to at
     /// least 1.
@@ -843,9 +876,9 @@ fn run_connection<'j, 'scope, 'env, H: LineHandler>(
     }
 }
 
-/// The I/O-only producer: frame request lines, classify their admission
-/// tenant, acquire a pipeline slot, submit a job per line. Never
-/// computes a response itself.
+/// The I/O-only producer: frame request lines, acquire a pipeline slot,
+/// classify each line once, submit a job per line. Never computes a
+/// response itself.
 fn read_side<'j, H: LineHandler>(
     rt: &'j RuntimeRefs<'j, H>,
     queue: &FairQueue<Job<'j>>,
@@ -925,15 +958,18 @@ fn read_side<'j, H: LineHandler>(
             break; // the writer died; stop producing
         };
         rt.hub.request_submitted();
-        // Classify the admission tenant on the I/O thread (it is a cheap
-        // prefix inspection by contract) so the fair-share queue can
-        // bound this tenant *before* the job occupies a queue slot.
-        let tenant = rt.handler.tenant(line);
+        // The line's one classification (for a JSON handler, its one
+        // parse), on the I/O thread: the fair-share queue bounds the
+        // tenant *before* the job occupies a queue slot, and the lane
+        // reads the same parse for the cache key and the compute.
+        let mut classified = rt.handler.classify(line);
+        let tenant = std::mem::take(&mut classified.tenant);
         let line = line.to_string();
+        let trace = TraceId { conn: conn_id as u64, seq };
         let submitted = Instant::now();
         let job: Job<'j> = Box::new({
             let conn = Arc::clone(conn);
-            move || run_job(rt, &conn, conn_id, seq, &line, out, submitted)
+            move || run_job(rt, &conn, trace, &line, &classified, out, submitted)
         });
         if queue.push(&tenant, job).is_err() {
             // Only possible if shutdown raced this connection; fail the
@@ -972,12 +1008,13 @@ fn respond_transport_error<H: LineHandler>(
 fn run_job<H: LineHandler>(
     rt: &RuntimeRefs<'_, H>,
     conn: &ConnShared,
-    conn_id: usize,
-    seq: u64,
+    trace: TraceId,
     line: &str,
+    classified: &Classified<H::Parsed>,
     mut out: String,
     submitted: Instant,
 ) {
+    let TraceId { conn: conn_id, seq } = trace;
     // The connection died (token tripped) or this sequence number was
     // truncated by an abort (an earlier job panicked) while the job sat
     // in the queue: nobody will ever read an answer, so skip the
@@ -994,12 +1031,11 @@ fn run_job<H: LineHandler>(
     // bytes — the obs byte-invisibility contract.
     let started = Instant::now();
     rt.hub.observe_stage_us(Stage::QueueWait, Span::starting_at(submitted).end_at(started));
-    let trace = TraceId { conn: conn_id as u64, seq };
     out.clear();
     // The handler may fold request-independent state (e.g. a session
     // generation) into the key; computed once, used for both the lookup
     // and the fill so they can never diverge.
-    let cache_key = rt.handler.cache_key(line);
+    let cache_key = rt.handler.cache_key(line, &classified.parsed);
     if let Some(hit) = rt.cache.get(&cache_key) {
         // Transparency invariant: these are exactly the bytes the
         // handler produced for this key (property-tested end to end).
@@ -1021,7 +1057,7 @@ fn run_job<H: LineHandler>(
             trace,
         };
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            rt.handler.handle(&ctx, line, &mut out)
+            rt.handler.handle(&ctx, line, &classified.parsed, &mut out)
         }));
         match outcome {
             Ok(Cacheability::Cacheable) => {
@@ -1031,14 +1067,17 @@ fn run_job<H: LineHandler>(
                 // with monotonic, never-reused state stamps in the key —
                 // proves the compute saw exactly the state the key
                 // names. A skipped fill only costs a recompute.
-                if rt.handler.cache_key(line) == cache_key {
+                if rt.handler.cache_key(line, &classified.parsed) == cache_key {
                     rt.cache.insert(&cache_key, &out);
                 }
             }
             Ok(Cacheability::Uncacheable) => {}
             Err(_panic) => {
                 rt.hub.handler_panic();
-                rt.record_error(conn_id, "handler panicked; connection dropped".to_string());
+                rt.record_error(
+                    conn_id as usize,
+                    "handler panicked; connection dropped".to_string(),
+                );
                 conn.abort_after(seq);
                 return;
             }
@@ -1053,7 +1092,7 @@ fn run_job<H: LineHandler>(
         rt.hub.response_traced();
     }
     rt.hub.observe_kind_latency_us(
-        rt.handler.kind(line),
+        classified.kind,
         Span::starting_at(submitted).end_at(Instant::now()),
     );
     conn.deposit(seq, out);
@@ -1307,7 +1346,19 @@ mod tests {
     struct TestHandler;
 
     impl LineHandler for TestHandler {
-        fn handle(&self, ctx: &RequestContext<'_>, line: &str, out: &mut String) -> Cacheability {
+        type Parsed = ();
+
+        fn classify(&self, _line: &str) -> Classified<()> {
+            Classified::default()
+        }
+
+        fn handle(
+            &self,
+            ctx: &RequestContext<'_>,
+            line: &str,
+            _: &(),
+            out: &mut String,
+        ) -> Cacheability {
             if line == "panic" {
                 panic!("handler blew up");
             }
@@ -1431,6 +1482,83 @@ mod tests {
             // The metrics line must not have been cached: exactly one
             // resident entry (the echoed request).
             assert_eq!(report.metrics.cache_entries, 1);
+        });
+    }
+
+    /// Counts classifications and hands each line's "parse" (its
+    /// uppercase form) through to the lane, so a test can prove every
+    /// admitted line is classified exactly once — hit, miss or
+    /// uncacheable alike — and that the lane reads that one parse.
+    struct ClassifyCounter {
+        classified: std::sync::atomic::AtomicUsize,
+    }
+
+    impl LineHandler for ClassifyCounter {
+        type Parsed = String;
+
+        fn classify(&self, line: &str) -> Classified<String> {
+            self.classified.fetch_add(1, Ordering::Relaxed);
+            Classified { parsed: line.to_uppercase(), ..Classified::default() }
+        }
+
+        fn handle(
+            &self,
+            _ctx: &RequestContext<'_>,
+            line: &str,
+            parsed: &String,
+            out: &mut String,
+        ) -> Cacheability {
+            out.push_str("parsed:");
+            out.push_str(parsed);
+            if line == "volatile" {
+                Cacheability::Uncacheable
+            } else {
+                Cacheability::Cacheable
+            }
+        }
+    }
+
+    #[test]
+    fn each_admitted_line_is_classified_exactly_once() {
+        let listener = bind();
+        let addr = listener.local_addr().unwrap();
+        let handler = ClassifyCounter { classified: std::sync::atomic::AtomicUsize::new(0) };
+        let config = RuntimeConfig {
+            lanes: 2,
+            pipeline_depth: 4,
+            cache_bytes: 1 << 14,
+            max_connections: Some(1),
+            ..RuntimeConfig::default()
+        };
+        std::thread::scope(|scope| {
+            let server = scope.spawn(|| serve_lines(&listener, &config, &handler, None).unwrap());
+            let mut conn = TcpStream::connect(addr).unwrap();
+            let mut reader = BufReader::new(conn.try_clone().unwrap());
+            // Fill the cache first, so the pipelined repeats are hits.
+            writeln!(conn, "hot").unwrap();
+            let mut first = String::new();
+            reader.read_line(&mut first).unwrap();
+            assert_eq!(first.trim_end(), "parsed:HOT");
+            // Hits, a miss, an uncacheable line twice, and blank lines.
+            write!(conn, "hot\n\nhot\ncold\nvolatile\nvolatile\n  \nhot\n").unwrap();
+            conn.shutdown(std::net::Shutdown::Write).unwrap();
+            let got: Vec<String> = reader.lines().map(|l| l.unwrap()).collect();
+            assert_eq!(
+                got,
+                [
+                    "parsed:HOT",
+                    "parsed:HOT",
+                    "parsed:COLD",
+                    "parsed:VOLATILE",
+                    "parsed:VOLATILE",
+                    "parsed:HOT"
+                ]
+            );
+            let report = server.join().unwrap();
+            assert_eq!(report.metrics.requests, 7, "{:?}", report.metrics);
+            assert_eq!(handler.classified.load(Ordering::Relaxed) as u64, report.metrics.requests);
+            assert_eq!(report.metrics.cache_hits, 3, "{:?}", report.metrics);
+            assert_eq!(report.metrics.cache_misses, 4, "{:?}", report.metrics);
         });
     }
 
@@ -1607,7 +1735,19 @@ mod tests {
     }
 
     impl LineHandler for CountingHandler {
-        fn handle(&self, _ctx: &RequestContext<'_>, line: &str, out: &mut String) -> Cacheability {
+        type Parsed = ();
+
+        fn classify(&self, _line: &str) -> Classified<()> {
+            Classified::default()
+        }
+
+        fn handle(
+            &self,
+            _ctx: &RequestContext<'_>,
+            line: &str,
+            _: &(),
+            out: &mut String,
+        ) -> Cacheability {
             self.computed.fetch_add(1, Ordering::Relaxed);
             if line == "panic" {
                 panic!("handler blew up");
@@ -1803,17 +1943,26 @@ mod tests {
     struct TenantHandler;
 
     impl LineHandler for TenantHandler {
-        fn handle(&self, _ctx: &RequestContext<'_>, line: &str, out: &mut String) -> Cacheability {
+        type Parsed = ();
+
+        fn classify(&self, line: &str) -> Classified<()> {
+            let tenant = line.split(':').next().unwrap_or("").to_string();
+            Classified { tenant, ..Classified::default() }
+        }
+
+        fn handle(
+            &self,
+            _ctx: &RequestContext<'_>,
+            line: &str,
+            _: &(),
+            out: &mut String,
+        ) -> Cacheability {
             if line.contains("slow") {
                 std::thread::sleep(Duration::from_millis(5));
             }
             out.push_str("echo:");
             out.push_str(line);
             Cacheability::Uncacheable // force every request to compute
-        }
-
-        fn tenant(&self, line: &str) -> String {
-            line.split(':').next().unwrap_or("").to_string()
         }
     }
 
@@ -1902,14 +2051,22 @@ mod tests {
     struct StampHandler;
 
     impl LineHandler for StampHandler {
-        fn handle(&self, _ctx: &RequestContext<'_>, line: &str, out: &mut String) -> Cacheability {
+        type Parsed = ();
+
+        fn classify(&self, _line: &str) -> Classified<()> {
+            Classified { kind: "find", ..Classified::default() }
+        }
+
+        fn handle(
+            &self,
+            _ctx: &RequestContext<'_>,
+            line: &str,
+            _: &(),
+            out: &mut String,
+        ) -> Cacheability {
             out.push_str("echo:");
             out.push_str(line);
             Cacheability::Cacheable
-        }
-
-        fn kind(&self, _line: &str) -> &'static str {
-            "find"
         }
 
         fn stamp_trace(&self, trace: TraceId, out: &mut String) -> bool {
