@@ -30,14 +30,18 @@
 //!   [`Netlist`](gtl_netlist::Netlist) that validates and serves repeated
 //!   requests with reused scratch;
 //! * [`SessionDispatcher`]: the default session plus a budgeted
-//!   registry of named sessions, resolving each request's optional
-//!   `session` field (v4+) to the session it addresses;
+//!   registry of named sessions — the one dispatch `gtl serve` runs. It
+//!   answers all eight request kinds, resolving each compute request's
+//!   optional `session` field (v4+) to the session it addresses;
 //! * [`serve`](mod@serve): the TCP JSON-lines server the `gtl serve`
-//!   subcommand runs — rewritten on the [`gtl_runtime`] bounded service
-//!   runtime: a fixed pool of compute lanes behind a bounded queue
-//!   (backpressure), per-connection pipelining with order-preserving
-//!   reorder buffers, a deterministic LRU response cache, read/idle
-//!   timeouts and a max-concurrent-connections gate.
+//!   subcommand runs, on the [`gtl_runtime`] bounded service runtime: a
+//!   fixed pool of compute lanes behind a bounded queue (backpressure),
+//!   per-connection pipelining with order-preserving reorder buffers, a
+//!   deterministic LRU response cache, read/idle timeouts and a
+//!   max-concurrent-connections gate. [`serve()`] takes the dispatcher
+//!   and a [`RuntimeConfig`] and returns a [`ServeReport`] (both
+//!   re-exported from `gtl_runtime`); [`RuntimeConfig::default()`] is
+//!   what `gtl serve` runs with no flags.
 //!
 //! # Determinism
 //!
@@ -83,8 +87,9 @@ mod session;
 mod types;
 
 pub use error::ApiError;
+pub use gtl_runtime::{RuntimeConfig, ServeReport};
 pub use registry::{netlist_cost, SessionDispatcher, DEFAULT_SESSION};
-pub use serve::{bind, request_kind, serve, ServeOptions, ServeSummary, REQUEST_KINDS};
+pub use serve::{bind, request_kind, serve, REQUEST_KINDS};
 pub use session::{load_netlist, Session, SessionBuilder};
 pub use types::{
     ErrorBody, FindRequest, FindResponse, LatencyStats, ListSessionsRequest, ListSessionsResponse,

@@ -39,11 +39,12 @@ use gtl_netlist::Netlist;
 use gtl_runtime::{Classified, MetricsSnapshot, Registry, RegistryStats};
 
 use crate::serve::{request_kind, REQUEST_KINDS};
+use crate::session::{check_since, error_response};
 use crate::{
-    load_netlist, ApiError, ErrorBody, ListSessionsRequest, ListSessionsResponse,
-    LoadNetlistRequest, LoadNetlistResponse, MetricsRequest, MetricsResponse, MetricsTextRequest,
-    MetricsTextResponse, Request, Response, Session, SessionInfo, UnloadNetlistRequest,
-    UnloadNetlistResponse, API_VERSION, MIN_API_VERSION, SESSION_SINCE_VERSION,
+    load_netlist, ApiError, ListSessionsRequest, ListSessionsResponse, LoadNetlistRequest,
+    LoadNetlistResponse, MetricsResponse, MetricsTextResponse, Request, Response, RuntimeMetrics,
+    Session, SessionInfo, UnloadNetlistRequest, UnloadNetlistResponse, API_VERSION,
+    METRICS_SINCE_VERSION, METRICS_TEXT_SINCE_VERSION, SESSION_SINCE_VERSION,
 };
 
 /// The reserved name of the netlist the server was started with. It is
@@ -60,38 +61,12 @@ pub fn netlist_cost(netlist: &Netlist) -> usize {
     1024 + 64 * netlist.num_cells() + 48 * netlist.num_nets() + 16 * netlist.num_pins()
 }
 
-/// Builds the error response for a failed request, echoing the
-/// requested version exactly like [`Session::handle_cancellable`] does.
-fn error_response(err: &ApiError, requested_v: u32) -> Response {
-    let mut body = ErrorBody::from(err);
-    if !matches!(err, ApiError::UnsupportedVersion { .. }) {
-        body.v = requested_v;
-    }
-    Response::Error(body)
-}
-
-/// Validates the version of a registry-administration request: the pair
-/// must be a supported version *and* at least [`SESSION_SINCE_VERSION`]
-/// (the same gate the Metrics pair applies with
-/// [`METRICS_SINCE_VERSION`](crate::METRICS_SINCE_VERSION)).
-fn check_admin_version(v: u32, what: &str) -> Result<(), ApiError> {
-    if !(MIN_API_VERSION..=API_VERSION).contains(&v) {
-        return Err(ApiError::UnsupportedVersion { requested: v, supported: API_VERSION });
-    }
-    if v < SESSION_SINCE_VERSION {
-        return Err(ApiError::invalid_argument(format!(
-            "{what} requires protocol version {SESSION_SINCE_VERSION} (requested {v})"
-        )));
-    }
-    Ok(())
-}
-
 /// A default [`Session`] plus a budgeted [`Registry`] of named sessions,
 /// dispatching [`Request`]s to whichever session they address.
 ///
 /// This is the layer `gtl serve` actually runs: it owns session
-/// *resolution* (names, generations, the registry), while each
-/// [`Session`] owns request *validation and compute*.
+/// *resolution* (names, generations, the registry) and the Metrics
+/// pair, while each [`Session`] owns request *validation and compute*.
 ///
 /// # Example
 ///
@@ -185,7 +160,7 @@ impl<'s> SessionDispatcher<'s> {
     /// `invalid_argument` when the netlist alone exceeds the registry's
     /// byte budget.
     pub fn load(&self, request: &LoadNetlistRequest) -> Result<LoadNetlistResponse, ApiError> {
-        check_admin_version(request.v, "LoadNetlist")?;
+        check_since(request.v, SESSION_SINCE_VERSION, "LoadNetlist")?;
         if request.name.is_empty() {
             return Err(ApiError::invalid_argument("session name must not be empty"));
         }
@@ -233,7 +208,7 @@ impl<'s> SessionDispatcher<'s> {
         &self,
         request: &UnloadNetlistRequest,
     ) -> Result<UnloadNetlistResponse, ApiError> {
-        check_admin_version(request.v, "UnloadNetlist")?;
+        check_since(request.v, SESSION_SINCE_VERSION, "UnloadNetlist")?;
         if request.name == DEFAULT_SESSION {
             return Err(ApiError::invalid_argument("the default session cannot be unloaded"));
         }
@@ -252,7 +227,7 @@ impl<'s> SessionDispatcher<'s> {
     ///
     /// Version gating.
     pub fn list(&self, request: &ListSessionsRequest) -> Result<ListSessionsResponse, ApiError> {
-        check_admin_version(request.v, "ListSessions")?;
+        check_since(request.v, SESSION_SINCE_VERSION, "ListSessions")?;
         let mut sessions = vec![SessionInfo {
             name: DEFAULT_SESSION.to_string(),
             generation: 0,
@@ -266,34 +241,14 @@ impl<'s> SessionDispatcher<'s> {
         Ok(ListSessionsResponse { v: request.v, sessions, trace: None })
     }
 
-    /// Builds a [`MetricsResponse`] from a runtime snapshot, overlaying
-    /// the registry counters the runtime cannot see (the registry lives
-    /// in this crate).
-    ///
-    /// # Errors
-    ///
-    /// Version validation (the pair is v2+).
-    pub fn metrics(
-        &self,
-        request: &MetricsRequest,
-        snapshot: MetricsSnapshot,
-    ) -> Result<MetricsResponse, ApiError> {
-        let mut response = self.default.metrics(request, snapshot)?;
-        response.metrics = self.overlay_registry(response.metrics);
-        Ok(response)
-    }
-
-    /// The complete [`RuntimeMetrics`](crate::RuntimeMetrics) view for a runtime snapshot:
-    /// the wire mirror of the snapshot plus the registry counters only
-    /// this crate can see. Every export path — the v2+ `Metrics` pair,
-    /// the v5+ `MetricsText` pair, the Prometheus side-port scrape and
-    /// the serve exit summary — goes through here, so they can never
+    /// The complete [`RuntimeMetrics`] view for a runtime snapshot: the
+    /// wire mirror of the snapshot plus the registry counters only this
+    /// crate can see. Every export path — the v2+ `Metrics` pair, the
+    /// v5+ `MetricsText` pair, the Prometheus side-port scrape and the
+    /// serve exit summary — goes through here, so they can never
     /// disagree on a counter.
-    pub fn runtime_metrics(&self, snapshot: MetricsSnapshot) -> crate::RuntimeMetrics {
-        self.overlay_registry(crate::RuntimeMetrics::from(snapshot))
-    }
-
-    fn overlay_registry(&self, mut metrics: crate::RuntimeMetrics) -> crate::RuntimeMetrics {
+    pub fn runtime_metrics(&self, snapshot: MetricsSnapshot) -> RuntimeMetrics {
+        let mut metrics = RuntimeMetrics::from(snapshot);
         let stats = self.registry.stats();
         metrics.sessions_active = stats.entries;
         metrics.sessions_loaded = stats.loads;
@@ -304,25 +259,16 @@ impl<'s> SessionDispatcher<'s> {
         metrics
     }
 
-    /// Builds a [`MetricsTextResponse`] — the registry-overlaid counters
-    /// rendered as Prometheus text ([`crate::prom::render_prometheus`]).
+    /// Dispatches an envelope, mapping failures onto [`Response::Error`]
+    /// (this never fails). The counterpart of
+    /// [`Session::handle_cancellable`], one level up, and the one
+    /// dispatch `gtl serve` runs:
     ///
-    /// # Errors
-    ///
-    /// Version validation (the pair is v5+).
-    pub fn metrics_text(
-        &self,
-        request: &MetricsTextRequest,
-        snapshot: MetricsSnapshot,
-    ) -> Result<MetricsTextResponse, ApiError> {
-        let metrics = self.runtime_metrics(snapshot);
-        self.default.metrics_text(request, &metrics)
-    }
-
-    /// Dispatches an envelope to the session it addresses, mapping
-    /// failures onto [`Response::Error`] (this never fails). The
-    /// counterpart of [`Session::handle_cancellable`], one level up:
-    ///
+    /// * the Metrics pair is answered from `metrics`, the serve
+    ///   runtime's snapshot, overlaid with the registry counters
+    ///   ([`SessionDispatcher::runtime_metrics`]). The snapshot is taken
+    ///   only for these two kinds. Without one (`None`, in-process
+    ///   dispatch) they are the default session's structured error;
     /// * registry administration requests are served here;
     /// * a compute request carrying a `session` name (v4+) resolves it
     ///   against the registry ([`unknown_session`](ApiError::UnknownSession)
@@ -333,50 +279,59 @@ impl<'s> SessionDispatcher<'s> {
     ///   `invalid_argument`, keeping frozen-version behavior
     ///   build-independent.
     ///
-    /// [`Request::Metrics`] and [`Request::MetricsText`] are still the
-    /// serve runtime's job (it owns the counters — see
-    /// [`SessionDispatcher::metrics`] and
-    /// [`SessionDispatcher::metrics_text`]); here they fall through to
-    /// the default session's structured error.
+    /// Every error echoes the request's version unless that version is
+    /// unsupported, exactly like [`Session::handle_cancellable`].
     pub fn handle_cancellable(
         &self,
         request: &Request,
         base: &CancelToken,
         anchor: Instant,
+        metrics: Option<&dyn Fn() -> MetricsSnapshot>,
     ) -> Response {
-        match request {
-            Request::LoadNetlist(req) => self
-                .load(req)
-                .map(Response::LoadNetlist)
-                .unwrap_or_else(|err| error_response(&err, req.v)),
-            Request::UnloadNetlist(req) => self
-                .unload(req)
-                .map(Response::UnloadNetlist)
-                .unwrap_or_else(|err| error_response(&err, req.v)),
-            Request::ListSessions(req) => self
-                .list(req)
-                .map(Response::ListSessions)
-                .unwrap_or_else(|err| error_response(&err, req.v)),
-            // Compute (and Metrics) requests go to the session they
-            // address: absent, "default", or a version the field doesn't
-            // exist in reach the default session (which rejects the
-            // latter).
-            _ => match addressed_session(request) {
-                Some(name) if name != DEFAULT_SESSION => match self.registry.get(name) {
-                    Some((session, _generation)) => {
-                        session.handle_cancellable(request, base, anchor)
-                    }
-                    None => error_response(&ApiError::unknown_session(name), request.v()),
-                },
-                _ => self.default.handle_cancellable(request, base, anchor),
-            },
+        self.dispatch(request, base, anchor, metrics)
+            .unwrap_or_else(|err| error_response(&err, request.v()))
+    }
+
+    /// [`SessionDispatcher::handle_cancellable`] before its errors
+    /// become responses.
+    fn dispatch(
+        &self,
+        request: &Request,
+        base: &CancelToken,
+        anchor: Instant,
+        metrics: Option<&dyn Fn() -> MetricsSnapshot>,
+    ) -> Result<Response, ApiError> {
+        match (request, metrics) {
+            (Request::Find(_) | Request::Place(_) | Request::Stats(_), _)
+            | (Request::Metrics(_) | Request::MetricsText(_), None) => {
+                match addressed_session(request) {
+                    Some(name) if name != DEFAULT_SESSION => match self.registry.get(name) {
+                        Some((session, _generation)) => session.dispatch(request, base, anchor),
+                        None => Err(ApiError::unknown_session(name)),
+                    },
+                    _ => self.default.dispatch(request, base, anchor),
+                }
+            }
+            (Request::Metrics(req), Some(snapshot)) => {
+                check_since(req.v, METRICS_SINCE_VERSION, "Metrics")?;
+                let metrics = self.runtime_metrics(snapshot());
+                Ok(Response::Metrics(MetricsResponse { v: req.v, metrics, trace: None }))
+            }
+            (Request::MetricsText(req), Some(snapshot)) => {
+                check_since(req.v, METRICS_TEXT_SINCE_VERSION, "MetricsText")?;
+                let text = crate::prom::render_prometheus(&self.runtime_metrics(snapshot()));
+                Ok(Response::MetricsText(MetricsTextResponse { v: req.v, text, trace: None }))
+            }
+            (Request::LoadNetlist(req), _) => self.load(req).map(Response::LoadNetlist),
+            (Request::UnloadNetlist(req), _) => self.unload(req).map(Response::UnloadNetlist),
+            (Request::ListSessions(req), _) => self.list(req).map(Response::ListSessions),
         }
     }
 
     /// [`SessionDispatcher::handle_cancellable`] without external
-    /// cancellation, for in-process dispatch.
+    /// cancellation or a runtime, for in-process dispatch.
     pub fn handle(&self, request: &Request) -> Response {
-        self.handle_cancellable(request, &CancelToken::new(), Instant::now())
+        self.handle_cancellable(request, &CancelToken::new(), Instant::now(), None)
     }
 
     /// The response-cache key for a request line: the raw line bytes,

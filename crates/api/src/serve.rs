@@ -1,5 +1,6 @@
-//! The `gtl serve` backend: a JSON-lines TCP server over a [`Session`],
-//! running on the [`gtl_runtime`] bounded service runtime.
+//! The `gtl serve` backend: a JSON-lines TCP server over a
+//! [`SessionDispatcher`], running on the [`gtl_runtime`] bounded service
+//! runtime configured by a [`RuntimeConfig`].
 //!
 //! Protocol: one [`Request`] envelope per line in, one
 //! [`Response`] envelope per line out, **in request
@@ -53,34 +54,16 @@
 
 use std::borrow::Cow;
 use std::net::TcpListener;
-use std::path::PathBuf;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use gtl_core::Span;
 use gtl_runtime::{
-    Cacheability, Classified, LineHandler, MetricsExporter, RequestContext, RuntimeConfig, TraceId,
-    TransportError,
+    Cacheability, Classified, LineHandler, MetricsExporter, MetricsSnapshot, RequestContext,
+    RuntimeConfig, ServeReport, TraceId, TransportError,
 };
 
 use crate::registry::{classify, ParsedLine};
-use crate::{
-    ApiError, ErrorBody, Request, Response, RuntimeMetrics, Session, SessionDispatcher,
-    TRACE_SINCE_VERSION,
-};
-
-/// Largest accepted request line. A line is buffered in memory before
-/// parsing; without a cap, one newline-free stream could grow the buffer
-/// until the allocator aborts the process (which no thread can catch).
-/// Far above any real request — a full `FinderConfig` envelope is < 1 KB.
-const MAX_REQUEST_BYTES: u64 = 1 << 20;
-
-/// Default response-cache budget: 64 MiB holds tens of thousands of
-/// typical responses while staying far below paper-scale netlist
-/// footprints.
-const DEFAULT_CACHE_BYTES: usize = 64 << 20;
-
-/// Default per-connection pipeline depth.
-const DEFAULT_PIPELINE_DEPTH: usize = 8;
+use crate::{ApiError, ErrorBody, Request, Response, SessionDispatcher, TRACE_SINCE_VERSION};
 
 /// Request kinds: the label set of the per-kind latency summaries (the
 /// Prometheus `kind` label, the `gtl serve` exit summary and the
@@ -112,185 +95,6 @@ pub fn request_kind(line: &str) -> usize {
         .unwrap_or(REQUEST_KINDS.len() - 1)
 }
 
-/// Options for [`serve()`], built with builder-style setters.
-///
-/// ```
-/// use gtl_api::ServeOptions;
-/// use std::time::Duration;
-///
-/// let options = ServeOptions::new()
-///     .lanes(4)
-///     .cache_bytes(1 << 20)
-///     .pipeline_depth(16)
-///     .timeout(Some(Duration::from_secs(30)))
-///     .max_concurrent(64)
-///     .max_connections(Some(100));
-/// assert_eq!(options.lanes, 4);
-/// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ServeOptions {
-    /// Compute lanes (`0` = all cores). Lanes execute request jobs; the
-    /// per-request `threads` knobs still control fan-out *inside* a job.
-    pub lanes: usize,
-    /// Bounded job-queue capacity (`0` = auto: `4 × lanes`).
-    pub queue_depth: usize,
-    /// Response-cache byte budget (`0` disables caching).
-    pub cache_bytes: usize,
-    /// Max pipelined jobs in flight per connection (min 1).
-    pub pipeline_depth: usize,
-    /// Per-connection idle timeout (`None` = wait forever). A client
-    /// waiting on a slow compute is not idle; only a connection with no
-    /// request in flight and nothing arriving is closed.
-    pub timeout: Option<Duration>,
-    /// Max concurrently open connections (`0` = unbounded); excess
-    /// clients wait in the listen backlog.
-    pub max_concurrent: usize,
-    /// Stop accepting after this many connections (`None` = run forever;
-    /// `Some(0)` returns immediately). Scripted callers (CI golden
-    /// tests) use this to get a clean exit.
-    pub max_connections: Option<usize>,
-    /// Server-side default deadline per request (`None` = unbounded).
-    /// Anchored at request admission; an expired deadline answers a
-    /// `deadline_exceeded` error without consuming compute, and a
-    /// deadline firing mid-compute aborts at the next checkpoint.
-    /// Request-supplied `deadline_ms` (protocol v3+) narrows this
-    /// further per request.
-    pub deadline: Option<Duration>,
-    /// Max *named* sessions resident in the registry (`0` = unlimited);
-    /// loading beyond the cap deterministically evicts the coldest
-    /// session. The default session is not counted.
-    pub max_netlists: usize,
-    /// Registry byte budget over the loaded netlists' estimated
-    /// footprints (`0` = unlimited); see
-    /// [`netlist_cost`](crate::netlist_cost).
-    pub registry_bytes: usize,
-    /// The only directory `LoadNetlist` paths may resolve into
-    /// (`None` = loading disabled).
-    pub netlist_dir: Option<PathBuf>,
-    /// Max queued jobs per fair-share tenant (`0` = auto: the full
-    /// queue depth, i.e. no per-tenant sub-limit). Tenants are the
-    /// sessions requests address; a flooding tenant saturating its
-    /// quota backpressures only itself.
-    pub tenant_quota: usize,
-}
-
-impl Default for ServeOptions {
-    fn default() -> Self {
-        Self {
-            lanes: 0,
-            queue_depth: 0,
-            cache_bytes: DEFAULT_CACHE_BYTES,
-            pipeline_depth: DEFAULT_PIPELINE_DEPTH,
-            timeout: None,
-            max_concurrent: 0,
-            max_connections: None,
-            deadline: None,
-            max_netlists: 0,
-            registry_bytes: 0,
-            netlist_dir: None,
-            tenant_quota: 0,
-        }
-    }
-}
-
-impl ServeOptions {
-    /// The defaults: all cores, 64 MiB cache, pipeline depth 8, no
-    /// timeout, unbounded connections.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Sets the compute-lane count (`0` = all cores).
-    pub fn lanes(mut self, lanes: usize) -> Self {
-        self.lanes = lanes;
-        self
-    }
-
-    /// Sets the job-queue capacity (`0` = auto).
-    pub fn queue_depth(mut self, queue_depth: usize) -> Self {
-        self.queue_depth = queue_depth;
-        self
-    }
-
-    /// Sets the response-cache byte budget (`0` disables caching).
-    pub fn cache_bytes(mut self, cache_bytes: usize) -> Self {
-        self.cache_bytes = cache_bytes;
-        self
-    }
-
-    /// Sets the per-connection pipeline depth (clamped to at least 1).
-    pub fn pipeline_depth(mut self, pipeline_depth: usize) -> Self {
-        self.pipeline_depth = pipeline_depth;
-        self
-    }
-
-    /// Sets the per-connection read/idle timeout.
-    pub fn timeout(mut self, timeout: Option<Duration>) -> Self {
-        self.timeout = timeout;
-        self
-    }
-
-    /// Sets the max-concurrent-connections gate (`0` = unbounded).
-    pub fn max_concurrent(mut self, max_concurrent: usize) -> Self {
-        self.max_concurrent = max_concurrent;
-        self
-    }
-
-    /// Sets the total accept budget.
-    pub fn max_connections(mut self, max_connections: Option<usize>) -> Self {
-        self.max_connections = max_connections;
-        self
-    }
-
-    /// Sets the server-side default per-request deadline.
-    pub fn deadline(mut self, deadline: Option<Duration>) -> Self {
-        self.deadline = deadline;
-        self
-    }
-
-    /// Sets the registry's named-session cap (`0` = unlimited).
-    pub fn max_netlists(mut self, max_netlists: usize) -> Self {
-        self.max_netlists = max_netlists;
-        self
-    }
-
-    /// Sets the registry's byte budget (`0` = unlimited).
-    pub fn registry_bytes(mut self, registry_bytes: usize) -> Self {
-        self.registry_bytes = registry_bytes;
-        self
-    }
-
-    /// Sets the directory `LoadNetlist` paths resolve into (`None`
-    /// disables loading).
-    pub fn netlist_dir(mut self, netlist_dir: Option<PathBuf>) -> Self {
-        self.netlist_dir = netlist_dir;
-        self
-    }
-
-    /// Sets the per-tenant fair-share quota (`0` = auto).
-    pub fn tenant_quota(mut self, tenant_quota: usize) -> Self {
-        self.tenant_quota = tenant_quota;
-        self
-    }
-}
-
-/// What a bounded [`serve()`] run did. Earlier versions returned only a
-/// connection count and silently dropped per-connection I/O errors;
-/// those are now reported here.
-#[derive(Debug)]
-pub struct ServeSummary {
-    /// Connections accepted.
-    pub connections: usize,
-    /// Per-connection I/O error descriptions (reader and writer sides;
-    /// capped — see `dropped_io_errors`).
-    pub io_errors: Vec<String>,
-    /// I/O errors beyond the reporting cap (counted, not stored).
-    pub dropped_io_errors: usize,
-    /// The runtime's final metrics snapshot (cache hit/miss/eviction
-    /// counters, queue high-water, timeouts, …).
-    pub metrics: RuntimeMetrics,
-}
-
 /// Binds a listener on `addr` (e.g. `"127.0.0.1:7878"`; port `0` asks the
 /// OS for a free port).
 ///
@@ -301,9 +105,9 @@ pub fn bind(addr: &str) -> Result<TcpListener, ApiError> {
     TcpListener::bind(addr).map_err(|e| ApiError::io(format!("bind {addr}: {e}")))
 }
 
-/// Serves JSON-lines requests from `listener` against `session` on the
-/// bounded runtime until the connection budget is exhausted (or forever
-/// without one).
+/// Serves JSON-lines requests from `listener` through `dispatcher` on
+/// the bounded runtime `config` describes, until the connection budget
+/// is exhausted (or forever without one).
 ///
 /// With a `metrics_listener`, a Prometheus scrape side port runs
 /// alongside: it answers plain-HTTP `GET /metrics` with the same
@@ -316,47 +120,24 @@ pub fn bind(addr: &str) -> Result<TcpListener, ApiError> {
 ///
 /// [`ApiError::Io`] when accepting fails persistently; per-connection
 /// I/O errors terminate only that connection and are reported in the
-/// returned [`ServeSummary`].
+/// returned [`ServeReport`]. Its runtime snapshot lacks the registry
+/// counters; [`SessionDispatcher::runtime_metrics`] adds them.
 pub fn serve(
-    session: &Session,
+    dispatcher: &SessionDispatcher<'_>,
     listener: &TcpListener,
-    options: &ServeOptions,
+    config: &RuntimeConfig,
     metrics_listener: Option<&TcpListener>,
-) -> Result<ServeSummary, ApiError> {
-    let config = RuntimeConfig {
-        lanes: options.lanes,
-        queue_depth: options.queue_depth,
-        cache_bytes: options.cache_bytes,
-        pipeline_depth: options.pipeline_depth,
-        max_request_bytes: MAX_REQUEST_BYTES,
-        read_timeout: options.timeout,
-        max_concurrent: options.max_concurrent,
-        max_connections: options.max_connections,
-        default_deadline: options.deadline,
-        tenant_quota: options.tenant_quota,
-    };
-    let dispatcher = SessionDispatcher::new(
-        session,
-        options.max_netlists,
-        options.registry_bytes,
-        options.netlist_dir.clone(),
-    );
-    let handler = SessionHandler { dispatcher: &dispatcher };
+) -> Result<ServeReport, ApiError> {
+    let handler = SessionHandler { dispatcher };
     // The scrape path and the wire mirrors share one rendering: the
     // runtime snapshot overlaid with the registry counters, through the
     // same `runtime_metrics` every other export uses.
-    let render = |snapshot: &gtl_runtime::MetricsSnapshot| {
+    let render = |snapshot: &MetricsSnapshot| {
         crate::prom::render_prometheus(&dispatcher.runtime_metrics(snapshot.clone()))
     };
     let exporter = metrics_listener.map(|listener| MetricsExporter { listener, render: &render });
-    let report = gtl_runtime::serve_lines(listener, &config, &handler, exporter)
-        .map_err(|e| ApiError::io(e.to_string()))?;
-    Ok(ServeSummary {
-        connections: report.connections,
-        io_errors: report.io_errors,
-        dropped_io_errors: report.dropped_io_errors,
-        metrics: dispatcher.runtime_metrics(report.metrics),
-    })
+    gtl_runtime::serve_lines(listener, config, &handler, exporter)
+        .map_err(|e| ApiError::io(e.to_string()))
 }
 
 /// The [`LineHandler`] gluing the runtime to a [`SessionDispatcher`]:
@@ -395,26 +176,21 @@ impl LineHandler for SessionHandler<'_, '_> {
         parsed: &ParsedLine,
         out: &mut String,
     ) -> Cacheability {
-        let error = |err: &ApiError| Response::Error(ErrorBody::from(err));
         let response = match parsed {
-            // Metrics report live runtime state, which only the runtime
-            // (through `ctx`) can see.
-            Ok(Request::Metrics(req)) => self
-                .dispatcher
-                .metrics(req, ctx.metrics())
-                .map_or_else(|e| error(&e), Response::Metrics),
-            Ok(Request::MetricsText(req)) => self
-                .dispatcher
-                .metrics_text(req, ctx.metrics())
-                .map_or_else(|e| error(&e), Response::MetricsText),
             // The job token (connection loss + server default deadline)
-            // reaches the compute through the session; `deadline_ms` in
-            // the request narrows it further, anchored at admission so
-            // queue wait counts.
-            Ok(request) => {
-                self.dispatcher.handle_cancellable(request, ctx.cancel_token(), ctx.submitted_at())
-            }
-            Err(err) => error(err),
+            // reaches the compute through the dispatcher; `deadline_ms`
+            // in the request narrows it further, anchored at admission so
+            // queue wait counts. Metrics report live runtime state, which
+            // only the runtime (through `ctx`) can see.
+            Ok(request) => self.dispatcher.handle_cancellable(
+                request,
+                ctx.cancel_token(),
+                ctx.submitted_at(),
+                Some(&|| ctx.metrics()),
+            ),
+            // No version is known for an unparseable line, so its error
+            // carries the build's own.
+            Err(err) => Response::Error(ErrorBody::from(err)),
         };
         serialize_response(ctx, &response, out);
         if let Response::Error(body) = &response {
@@ -491,7 +267,7 @@ mod tests {
     use super::*;
     use crate::{
         FindRequest, ListSessionsRequest, LoadNetlistRequest, MetricsRequest, MetricsTextRequest,
-        PlaceRequest, Request, StatsRequest, UnloadNetlistRequest,
+        PlaceRequest, Request, Session, StatsRequest, UnloadNetlistRequest,
     };
     use gtl_netlist::NetlistBuilder;
     use gtl_tangled::FinderConfig;
@@ -510,6 +286,12 @@ mod tests {
             b.add_anonymous_net([cells[i], cells[(i + 1) % 20]]);
         }
         Session::builder().netlist(b.finish()).build().unwrap()
+    }
+
+    /// A runtime on `lanes` lanes that exits after `connections`
+    /// connections, otherwise as `gtl serve` runs by default.
+    fn config(lanes: usize, connections: usize) -> RuntimeConfig {
+        RuntimeConfig { lanes, max_connections: Some(connections), ..RuntimeConfig::default() }
     }
 
     fn request_line() -> String {
@@ -560,26 +342,28 @@ mod tests {
     #[test]
     fn zero_connection_budget_returns_immediately() {
         let session = session();
+        let dispatcher = SessionDispatcher::new(&session, 0, 0, None);
         let listener = bind("127.0.0.1:0").unwrap();
-        let options = ServeOptions::new().max_connections(Some(0));
-        let summary = serve(&session, &listener, &options, None).unwrap();
-        assert_eq!(summary.connections, 0);
+        let config = RuntimeConfig { max_connections: Some(0), ..RuntimeConfig::default() };
+        let report = serve(&dispatcher, &listener, &config, None).unwrap();
+        assert_eq!(report.connections, 0);
     }
 
     #[test]
     fn oversized_line_answered_and_dropped() {
         let session = session();
+        let dispatcher = SessionDispatcher::new(&session, 0, 0, None);
         let listener = bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
-        let options = ServeOptions::new().max_connections(Some(1));
+        let config = config(0, 1);
         std::thread::scope(|scope| {
-            let handle = scope.spawn(|| serve(&session, &listener, &options, None).unwrap());
+            let handle = scope.spawn(|| serve(&dispatcher, &listener, &config, None).unwrap());
             let mut conn = TcpStream::connect(addr).unwrap();
             // Stream more than the cap without a newline; the server must
             // answer bad_request and close rather than buffer forever.
             let chunk = vec![b'x'; 1 << 16];
             let mut sent = 0u64;
-            while sent <= MAX_REQUEST_BYTES {
+            while sent <= config.max_request_bytes {
                 if conn.write_all(&chunk).is_err() {
                     break; // server already hung up — also acceptable
                 }
@@ -596,11 +380,12 @@ mod tests {
     #[test]
     fn tcp_round_trip_matches_in_process_dispatch() {
         let session = session();
+        let dispatcher = SessionDispatcher::new(&session, 0, 0, None);
         let listener = bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
-        let options = ServeOptions::new().lanes(2).max_connections(Some(2));
+        let config = config(2, 2);
         std::thread::scope(|scope| {
-            let handle = scope.spawn(|| serve(&session, &listener, &options, None).unwrap());
+            let handle = scope.spawn(|| serve(&dispatcher, &listener, &config, None).unwrap());
 
             let mut expected = None;
             for _ in 0..2 {
@@ -629,22 +414,23 @@ mod tests {
                     Some(prev) => assert_eq!(prev, &stripped),
                 }
             }
-            let summary = handle.join().unwrap();
-            assert_eq!(summary.connections, 2);
+            let report = handle.join().unwrap();
+            assert_eq!(report.connections, 2);
             // The second connection's identical requests were served from
             // the cache — with bytes identical to the fresh computes.
-            assert!(summary.metrics.cache_hits >= 1, "{:?}", summary.metrics);
+            assert!(report.metrics.cache_hits >= 1, "{:?}", report.metrics);
         });
     }
 
     #[test]
     fn error_responses_do_not_occupy_the_cache() {
         let session = session();
+        let dispatcher = SessionDispatcher::new(&session, 0, 0, None);
         let listener = bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
-        let options = ServeOptions::new().lanes(1).max_connections(Some(1));
+        let config = config(1, 1);
         std::thread::scope(|scope| {
-            let handle = scope.spawn(|| serve(&session, &listener, &options, None).unwrap());
+            let handle = scope.spawn(|| serve(&dispatcher, &listener, &config, None).unwrap());
             let mut conn = TcpStream::connect(addr).unwrap();
             // Unique malformed and invalid requests must not evict real
             // compute: none of them may take a cache slot.
@@ -658,11 +444,11 @@ mod tests {
             assert_eq!(lines.len(), 5, "{lines:?}");
             assert!(lines[..4].iter().all(|l| l.contains("\"Error\":")), "{lines:?}");
             assert!(lines[4].starts_with("{\"Find\":"), "{}", lines[4]);
-            let summary = handle.join().unwrap();
+            let report = handle.join().unwrap();
             assert_eq!(
-                summary.metrics.cache_entries, 1,
+                report.metrics.cache_entries, 1,
                 "only the successful Find may be cached: {:?}",
-                summary.metrics
+                report.metrics
             );
         });
     }
@@ -670,11 +456,12 @@ mod tests {
     #[test]
     fn deadline_ms_over_the_wire() {
         let session = session();
+        let dispatcher = SessionDispatcher::new(&session, 0, 0, None);
         let listener = bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
-        let options = ServeOptions::new().lanes(1).max_connections(Some(1));
+        let config = config(1, 1);
         std::thread::scope(|scope| {
-            let handle = scope.spawn(|| serve(&session, &listener, &options, None).unwrap());
+            let handle = scope.spawn(|| serve(&dispatcher, &listener, &config, None).unwrap());
             let mut conn = TcpStream::connect(addr).unwrap();
             // An already-expired per-request deadline: answered with a
             // structured error, without running the finder.
@@ -701,12 +488,12 @@ mod tests {
                 "same line must answer identically modulo its trace"
             );
             assert!(lines[3].contains("\"code\":\"invalid_argument\""), "{}", lines[3]);
-            let summary = handle.join().unwrap();
-            assert_eq!(summary.metrics.deadlines_exceeded, 1, "{:?}", summary.metrics);
+            let report = handle.join().unwrap();
+            assert_eq!(report.metrics.deadlines_exceeded, 1, "{:?}", report.metrics);
             assert_eq!(
-                summary.metrics.cache_entries, 0,
+                report.metrics.cache_entries, 0,
                 "deadline-carrying requests must never be cached: {:?}",
-                summary.metrics
+                report.metrics
             );
         });
     }
@@ -714,28 +501,42 @@ mod tests {
     #[test]
     fn metrics_request_served_by_runtime_not_cached() {
         let session = session();
+        let dispatcher = SessionDispatcher::new(&session, 0, 0, None);
         let listener = bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
-        let options = ServeOptions::new().lanes(1).max_connections(Some(1));
+        let config = config(1, 1);
         std::thread::scope(|scope| {
-            let handle = scope.spawn(|| serve(&session, &listener, &options, None).unwrap());
+            let handle = scope.spawn(|| serve(&dispatcher, &listener, &config, None).unwrap());
             let mut conn = TcpStream::connect(addr).unwrap();
             let line = serde::json::to_string(&Request::Metrics(MetricsRequest::new()));
             writeln!(conn, "{line}").unwrap();
             writeln!(conn, "{line}").unwrap();
-            // A v1 Metrics request must be rejected: the pair is v2+.
+            // A v1 Metrics request must be rejected: the pair is v2+. The
+            // error echoes the supported version it was asked in, so it
+            // carries no trace; an unsupported version can't be echoed,
+            // so that error speaks (and is stamped as) the build's own.
             writeln!(conn, "{{\"Metrics\":{{\"v\":1}}}}").unwrap();
+            writeln!(conn, "{{\"Metrics\":{{\"v\":9}}}}").unwrap();
             conn.shutdown(std::net::Shutdown::Write).unwrap();
             let lines: Vec<String> = BufReader::new(conn).lines().map(|l| l.unwrap()).collect();
-            assert_eq!(lines.len(), 3, "{lines:?}");
+            assert_eq!(lines.len(), 4, "{lines:?}");
             assert!(lines[0].starts_with("{\"Metrics\":{\"v\":5,\"metrics\":{"), "{}", lines[0]);
             assert!(lines[1].contains("\"requests\":"), "{}", lines[1]);
-            assert!(lines[2].contains("\"invalid_argument\""), "{}", lines[2]);
-            let summary = handle.join().unwrap();
+            assert_eq!(
+                lines[2],
+                "{\"Error\":{\"v\":1,\"code\":\"invalid_argument\",\"message\":\"Metrics requires \
+                 protocol version 2 (requested 1)\"}}"
+            );
+            assert_eq!(
+                lines[3],
+                "{\"Error\":{\"v\":5,\"code\":\"unsupported_version\",\"message\":\"request \
+                 version 9 unsupported (this build speaks 1..=5)\",\"trace\":\"00000001-00000003\"}}"
+            );
+            let report = handle.join().unwrap();
             // Every Metrics outcome (snapshot or version error) bypasses
             // the cache; the two snapshots differ (the counters moved
             // between them).
-            assert_eq!(summary.metrics.cache_entries, 0, "Metrics outcomes are never cached");
+            assert_eq!(report.metrics.cache_entries, 0, "Metrics outcomes are never cached");
             assert_ne!(
                 strip_trace(&lines[0]),
                 strip_trace(&lines[1]),
@@ -747,11 +548,12 @@ mod tests {
     #[test]
     fn traces_stamp_v5_responses_only() {
         let session = session();
+        let dispatcher = SessionDispatcher::new(&session, 0, 0, None);
         let listener = bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
-        let options = ServeOptions::new().lanes(1).max_connections(Some(1));
+        let config = config(1, 1);
         std::thread::scope(|scope| {
-            let handle = scope.spawn(|| serve(&session, &listener, &options, None).unwrap());
+            let handle = scope.spawn(|| serve(&dispatcher, &listener, &config, None).unwrap());
             let mut conn = TcpStream::connect(addr).unwrap();
             writeln!(conn, "{}", request_line()).unwrap();
             // The same request pinned to v4: frozen bytes, no trace.
@@ -762,19 +564,20 @@ mod tests {
             // Conn IDs are 1-based, sequence numbers 0-based.
             assert!(lines[0].ends_with(",\"trace\":\"00000001-00000000\"}}"), "{}", lines[0]);
             assert!(!lines[1].contains("\"trace\""), "{}", lines[1]);
-            let summary = handle.join().unwrap();
-            assert_eq!(summary.metrics.responses_traced, 1, "{:?}", summary.metrics);
+            let report = handle.join().unwrap();
+            assert_eq!(report.metrics.responses_traced, 1, "{:?}", report.metrics);
         });
     }
 
     #[test]
     fn metrics_text_serves_prometheus_rendering() {
         let session = session();
+        let dispatcher = SessionDispatcher::new(&session, 0, 0, None);
         let listener = bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
-        let options = ServeOptions::new().lanes(1).max_connections(Some(1));
+        let config = config(1, 1);
         std::thread::scope(|scope| {
-            let handle = scope.spawn(|| serve(&session, &listener, &options, None).unwrap());
+            let handle = scope.spawn(|| serve(&dispatcher, &listener, &config, None).unwrap());
             let mut conn = TcpStream::connect(addr).unwrap();
             let line = serde::json::to_string(&Request::MetricsText(MetricsTextRequest::new()));
             writeln!(conn, "{line}").unwrap();
@@ -786,9 +589,13 @@ mod tests {
             assert!(lines[0].starts_with("{\"MetricsText\":{\"v\":5,\"text\":\""), "{}", lines[0]);
             assert!(lines[0].contains("# TYPE gtl_requests counter"), "{}", lines[0]);
             assert!(lines[0].contains("\"trace\":\"00000001-00000000\""), "{}", lines[0]);
-            assert!(lines[1].contains("\"invalid_argument\""), "{}", lines[1]);
-            let summary = handle.join().unwrap();
-            assert_eq!(summary.metrics.cache_entries, 0, "MetricsText is never cached");
+            assert_eq!(
+                lines[1],
+                "{\"Error\":{\"v\":4,\"code\":\"invalid_argument\",\"message\":\"MetricsText \
+                 requires protocol version 5 (requested 4)\"}}"
+            );
+            let report = handle.join().unwrap();
+            assert_eq!(report.metrics.cache_entries, 0, "MetricsText is never cached");
         });
     }
 
@@ -799,10 +606,11 @@ mod tests {
         let metrics_listener = bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let metrics_addr = metrics_listener.local_addr().unwrap();
-        let options = ServeOptions::new().lanes(1).max_connections(Some(1));
+        let dispatcher = SessionDispatcher::new(&session, 0, 0, None);
+        let config = config(1, 1);
         std::thread::scope(|scope| {
             let handle = scope
-                .spawn(|| serve(&session, &listener, &options, Some(&metrics_listener)).unwrap());
+                .spawn(|| serve(&dispatcher, &listener, &config, Some(&metrics_listener)).unwrap());
             let mut conn = TcpStream::connect(addr).unwrap();
             writeln!(conn, "{}", request_line()).unwrap();
             let mut reader = BufReader::new(conn.try_clone().unwrap());
@@ -822,9 +630,9 @@ mod tests {
                 "{response}"
             );
             conn.shutdown(std::net::Shutdown::Write).unwrap();
-            let summary = handle.join().unwrap();
-            assert_eq!(summary.connections, 1);
-            assert_eq!(summary.metrics.responses_traced, 1, "{:?}", summary.metrics);
+            let report = handle.join().unwrap();
+            assert_eq!(report.connections, 1);
+            assert_eq!(report.metrics.responses_traced, 1, "{:?}", report.metrics);
         });
     }
 }

@@ -12,8 +12,13 @@
 //! One entry point per request kind ([`Session::find`],
 //! [`Session::place`], [`Session::stats`]), one envelope dispatcher
 //! ([`Session::handle`]) with its cancellable form
-//! ([`Session::handle_cancellable`], which the serve runtime calls with
-//! the job's token), and one wire round-trip ([`Session::handle_line`]).
+//! ([`Session::handle_cancellable`]), and one wire round-trip
+//! ([`Session::handle_line`]). A session serves the compute kinds only:
+//! `gtl serve` runs the [`SessionDispatcher`](crate::SessionDispatcher),
+//! which answers the Metrics pair and the registry kinds itself and
+//! hands Find/Place/Stats to the session they address. Both layers set
+//! an error's version with one function and gate a request kind's
+//! first protocol version with another.
 
 use std::path::Path;
 use std::sync::Mutex;
@@ -25,10 +30,9 @@ use gtl_place::congestion;
 use gtl_tangled::TangledLogicFinder;
 
 use crate::{
-    ApiError, ErrorBody, FindRequest, FindResponse, MetricsRequest, MetricsResponse,
-    MetricsTextRequest, MetricsTextResponse, NetlistSummary, PlaceRequest, PlaceResponse, Request,
-    Response, RuntimeMetrics, StatsRequest, StatsResponse, API_VERSION, DEADLINE_SINCE_VERSION,
-    METRICS_SINCE_VERSION, METRICS_TEXT_SINCE_VERSION, MIN_API_VERSION, SESSION_SINCE_VERSION,
+    ApiError, ErrorBody, FindRequest, FindResponse, NetlistSummary, PlaceRequest, PlaceResponse,
+    Request, Response, StatsRequest, StatsResponse, API_VERSION, DEADLINE_SINCE_VERSION,
+    MIN_API_VERSION, SESSION_SINCE_VERSION,
 };
 
 /// Loads a netlist, selecting the parser from the file extension
@@ -112,6 +116,45 @@ fn request_token(
             None => Ok(base.clone()),
         },
     }
+}
+
+/// Accepts any version in [`MIN_API_VERSION`]`..=`[`API_VERSION`];
+/// successful responses echo the request's version, so clients of an
+/// older protocol receive byte-identical answers from newer builds.
+fn check_version(v: u32) -> Result<(), ApiError> {
+    if (MIN_API_VERSION..=API_VERSION).contains(&v) {
+        Ok(())
+    } else {
+        Err(ApiError::UnsupportedVersion { requested: v, supported: API_VERSION })
+    }
+}
+
+/// Validates the version of a request kind that exists since protocol
+/// version `since` (`what` names the kind in the message): a supported
+/// version first, then at least `since`. The gate of the Metrics pair
+/// and the registry administration kinds.
+pub(crate) fn check_since(v: u32, since: u32, what: &str) -> Result<(), ApiError> {
+    check_version(v)?;
+    if v < since {
+        return Err(ApiError::invalid_argument(format!(
+            "{what} requires protocol version {since} (requested {v})"
+        )));
+    }
+    Ok(())
+}
+
+/// The error response for a request of version `v` that failed with
+/// `err`. Like success responses, errors echo the request's version — a
+/// v1 client sees exactly the bytes a v1 build produced. A version
+/// outside the supported range can't be spoken back, so those errors
+/// (and parse failures, where no version is known) carry the build's own
+/// [`API_VERSION`].
+pub(crate) fn error_response(err: &ApiError, v: u32) -> Response {
+    let mut body = ErrorBody::from(err);
+    if !matches!(err, ApiError::UnsupportedVersion { .. }) {
+        body.v = v;
+    }
+    Response::Error(body)
 }
 
 /// Validates a request's `session` field against its protocol version.
@@ -217,17 +260,6 @@ impl Session {
         &self.summary
     }
 
-    /// Accepts any version in [`MIN_API_VERSION`]`..=`[`API_VERSION`];
-    /// successful responses echo the request's version, so clients of an
-    /// older protocol receive byte-identical answers from newer builds.
-    fn check_version(&self, v: u32) -> Result<(), ApiError> {
-        if (MIN_API_VERSION..=API_VERSION).contains(&v) {
-            Ok(())
-        } else {
-            Err(ApiError::UnsupportedVersion { requested: v, supported: API_VERSION })
-        }
-    }
-
     /// Runs the three-phase finder.
     ///
     /// # Errors
@@ -254,7 +286,7 @@ impl Session {
         base: &CancelToken,
         anchor: Instant,
     ) -> Result<FindResponse, ApiError> {
-        self.check_version(request.v)?;
+        check_version(request.v)?;
         check_session_field(request.v, request.session.as_deref())?;
         let token = request_token(base, request.v, request.deadline_ms, anchor)?;
         // The cheap pre-compute probe: an expired deadline (or lost
@@ -300,7 +332,7 @@ impl Session {
         base: &CancelToken,
         anchor: Instant,
     ) -> Result<PlaceResponse, ApiError> {
-        self.check_version(request.v)?;
+        check_version(request.v)?;
         check_session_field(request.v, request.session.as_deref())?;
         let token = request_token(base, request.v, request.deadline_ms, anchor)?;
         token.checkpoint().map_err(ApiError::from)?;
@@ -393,68 +425,18 @@ impl Session {
     ///
     /// Version validation errors.
     pub fn stats(&self, request: &StatsRequest) -> Result<StatsResponse, ApiError> {
-        self.check_version(request.v)?;
+        check_version(request.v)?;
         check_session_field(request.v, request.session.as_deref())?;
         Ok(StatsResponse { v: request.v, stats: self.stats.clone(), trace: None })
-    }
-
-    /// Builds a [`MetricsResponse`] from a runtime snapshot — called by
-    /// the serve runtime, which owns the counters (see
-    /// [`serve`](crate::serve())). The pair exists since protocol v2;
-    /// older versions are rejected.
-    ///
-    /// # Errors
-    ///
-    /// Version validation errors.
-    pub fn metrics(
-        &self,
-        request: &MetricsRequest,
-        snapshot: gtl_runtime::MetricsSnapshot,
-    ) -> Result<MetricsResponse, ApiError> {
-        self.check_version(request.v)?;
-        if request.v < METRICS_SINCE_VERSION {
-            return Err(ApiError::invalid_argument(format!(
-                "Metrics requires protocol version {METRICS_SINCE_VERSION} (requested {})",
-                request.v
-            )));
-        }
-        Ok(MetricsResponse { v: request.v, metrics: RuntimeMetrics::from(snapshot), trace: None })
-    }
-
-    /// Builds a [`MetricsTextResponse`] — the Prometheus text rendering
-    /// of already-assembled (and, on the serve path, registry-overlaid)
-    /// counters. The pair exists since protocol v5; older versions are
-    /// rejected, like [`Session::metrics`] before v2.
-    ///
-    /// # Errors
-    ///
-    /// Version validation errors.
-    pub fn metrics_text(
-        &self,
-        request: &MetricsTextRequest,
-        metrics: &RuntimeMetrics,
-    ) -> Result<MetricsTextResponse, ApiError> {
-        self.check_version(request.v)?;
-        if request.v < METRICS_TEXT_SINCE_VERSION {
-            return Err(ApiError::invalid_argument(format!(
-                "MetricsText requires protocol version {METRICS_TEXT_SINCE_VERSION} (requested {})",
-                request.v
-            )));
-        }
-        Ok(MetricsTextResponse {
-            v: request.v,
-            text: crate::prom::render_prometheus(metrics),
-            trace: None,
-        })
     }
 
     /// Dispatches an envelope, mapping failures onto [`Response::Error`]
     /// (this never fails — every outcome is a response).
     ///
-    /// [`Request::Metrics`] is the one envelope a bare session cannot
-    /// serve: the counters belong to the `gtl serve` runtime, which
-    /// intercepts it before dispatch (see [`serve`](crate::serve())).
-    /// Here it is answered with a structured `invalid_argument` error.
+    /// A bare session serves Find, Place and Stats. The Metrics pair
+    /// reports the `gtl serve` runtime's counters and the registry kinds
+    /// administer the dispatcher's sessions, so here they are answered
+    /// with a structured `invalid_argument` error.
     pub fn handle(&self, request: &Request) -> Response {
         self.handle_cancellable(request, &CancelToken::new(), Instant::now())
     }
@@ -469,7 +451,19 @@ impl Session {
         base: &CancelToken,
         anchor: Instant,
     ) -> Response {
-        let outcome = match request {
+        self.dispatch(request, base, anchor).unwrap_or_else(|err| error_response(&err, request.v()))
+    }
+
+    /// [`Session::handle_cancellable`] before its errors become
+    /// responses: what the dispatcher runs for the requests it hands to
+    /// a session.
+    pub(crate) fn dispatch(
+        &self,
+        request: &Request,
+        base: &CancelToken,
+        anchor: Instant,
+    ) -> Result<Response, ApiError> {
+        match request {
             Request::Find(req) => self.find_cancellable(req, base, anchor).map(Response::Find),
             Request::Place(req) => self.place_cancellable(req, base, anchor).map(Response::Place),
             Request::Stats(req) => self.stats(req).map(Response::Stats),
@@ -483,19 +477,7 @@ impl Session {
                      session owns exactly one netlist)",
                 ))
             }
-        };
-        outcome.unwrap_or_else(|err| {
-            let mut body = ErrorBody::from(&err);
-            // Like success responses, errors echo the request's version —
-            // a v1 client sees exactly the bytes a v1 build produced. A
-            // version outside the supported range can't be spoken back,
-            // so those errors (and parse failures, where no version is
-            // known) stamp the build's own API_VERSION.
-            if !matches!(err, ApiError::UnsupportedVersion { .. }) {
-                body.v = request.v();
-            }
-            Response::Error(body)
-        })
+        }
     }
 
     /// The full wire round-trip for one JSON line: parse, dispatch,

@@ -21,7 +21,7 @@ use std::net::TcpStream;
 use std::path::PathBuf;
 
 use gtl_api::{
-    netlist_cost, FindRequest, ListSessionsRequest, LoadNetlistRequest, Request, ServeOptions,
+    netlist_cost, FindRequest, ListSessionsRequest, LoadNetlistRequest, Request, RuntimeConfig,
     Session, SessionDispatcher, StatsRequest, UnloadNetlistRequest,
 };
 use gtl_netlist::{Netlist, NetlistBuilder};
@@ -92,14 +92,19 @@ fn unload_line(name: &str) -> String {
     serde::json::to_string(&Request::UnloadNetlist(UnloadNetlistRequest::new(name)))
 }
 
-/// Boots a single-connection server with `options`, plays `lines` over
-/// one pipelined connection and returns every response line in order.
-fn play_script(session: &Session, options: ServeOptions, lines: &[String]) -> Vec<String> {
+/// Boots a single-connection server over `dispatcher` with `config`,
+/// plays `lines` over one pipelined connection and returns every
+/// response line in order.
+fn play_script(
+    dispatcher: &SessionDispatcher<'_>,
+    config: RuntimeConfig,
+    lines: &[String],
+) -> Vec<String> {
     let listener = gtl_api::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap();
-    let options = options.max_connections(Some(1));
+    let config = RuntimeConfig { max_connections: Some(1), ..config };
     std::thread::scope(|scope| {
-        let server = scope.spawn(|| gtl_api::serve(session, &listener, &options, None).unwrap());
+        let server = scope.spawn(|| gtl_api::serve(dispatcher, &listener, &config, None).unwrap());
         let mut conn = TcpStream::connect(addr).unwrap();
         for line in lines {
             writeln!(conn, "{line}").unwrap();
@@ -138,16 +143,15 @@ proptest! {
             .collect();
         let session = default_session();
         // Entry cap 2 with three names: loads routinely evict.
-        let shape = |lanes: usize, cache: usize| {
-            ServeOptions::new()
-                .lanes(lanes)
-                .pipeline_depth(1)
-                .cache_bytes(cache)
-                .max_netlists(2)
-                .netlist_dir(Some(dir.clone()))
+        let dispatcher = || SessionDispatcher::new(&session, 2, 0, Some(dir.clone()));
+        let shape = |lanes: usize, cache_bytes: usize| RuntimeConfig {
+            lanes,
+            pipeline_depth: 1,
+            cache_bytes,
+            ..RuntimeConfig::default()
         };
-        let serial = play_script(&session, shape(1, 0), &lines);
-        let parallel = play_script(&session, shape(8, 1 << 20), &lines);
+        let serial = play_script(&dispatcher(), shape(1, 0), &lines);
+        let parallel = play_script(&dispatcher(), shape(8, 1 << 20), &lines);
         prop_assert_eq!(serial.len(), lines.len());
         prop_assert_eq!(&serial, &parallel, "lane count changed registry behavior");
     }
@@ -251,12 +255,14 @@ proptest! {
                 expected.push(Some(oracle[current].clone()));
             }
         }
-        let options = ServeOptions::new()
-            .lanes(2)
-            .pipeline_depth(1)
-            .cache_bytes(1 << 20)
-            .netlist_dir(Some(dir.clone()));
-        let got = play_script(&session, options, &script);
+        let dispatcher = SessionDispatcher::new(&session, 0, 0, Some(dir.clone()));
+        let config = RuntimeConfig {
+            lanes: 2,
+            pipeline_depth: 1,
+            cache_bytes: 1 << 20,
+            ..RuntimeConfig::default()
+        };
+        let got = play_script(&dispatcher, config, &script);
         prop_assert_eq!(got.len(), script.len());
         for (i, (line, expect)) in got.iter().zip(&expected).enumerate() {
             if let Some(expect) = expect {
@@ -279,14 +285,14 @@ fn flooding_tenant_cannot_perturb_a_trickler() {
     let trickle: Vec<String> = (0..4).map(|i| find_line(Some("light"), 100 + i)).collect();
     let flood: Vec<String> = (0..16).map(|i| find_line(Some("heavy"), 200 + i % 3)).collect();
 
-    let options = || {
-        ServeOptions::new()
-            .lanes(2)
-            .queue_depth(4)
-            .tenant_quota(2)
-            .pipeline_depth(16)
-            .cache_bytes(0)
-            .netlist_dir(Some(dir.clone()))
+    let dispatcher = || SessionDispatcher::new(&session, 0, 0, Some(dir.clone()));
+    let config = RuntimeConfig {
+        lanes: 2,
+        queue_depth: 4,
+        tenant_quota: 2,
+        pipeline_depth: 16,
+        cache_bytes: 0,
+        ..RuntimeConfig::default()
     };
 
     // Solo run: the trickler alone, after loading its session. Serial
@@ -294,7 +300,8 @@ fn flooding_tenant_cannot_perturb_a_trickler() {
     // Finds could run on the second lane before the load completes.
     let mut solo_script = vec![load_line("light", "light.hgr")];
     solo_script.extend(trickle.iter().cloned());
-    let solo = play_script(&session, options().pipeline_depth(1), &solo_script)[1..].to_vec();
+    let solo_config = RuntimeConfig { pipeline_depth: 1, ..config.clone() };
+    let solo = play_script(&dispatcher(), solo_config, &solo_script)[1..].to_vec();
     assert_eq!(solo.len(), trickle.len());
     assert!(solo.iter().all(|l| l.starts_with("{\"Find\":")), "{solo:?}");
 
@@ -303,10 +310,10 @@ fn flooding_tenant_cannot_perturb_a_trickler() {
     // at a time, waiting for each response.
     let listener = gtl_api::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap();
-    let serve_options = options().max_connections(Some(3));
+    let dispatcher = dispatcher();
+    let config = RuntimeConfig { max_connections: Some(3), ..config };
     std::thread::scope(|scope| {
-        let server =
-            scope.spawn(|| gtl_api::serve(&session, &listener, &serve_options, None).unwrap());
+        let server = scope.spawn(|| gtl_api::serve(&dispatcher, &listener, &config, None).unwrap());
         {
             let mut admin = TcpStream::connect(addr).unwrap();
             writeln!(admin, "{}", load_line("heavy", "heavy.hgr")).unwrap();
@@ -347,11 +354,11 @@ fn flooding_tenant_cannot_perturb_a_trickler() {
             strip(&solo),
             "the flooding tenant changed the trickler's response bytes or order"
         );
-        let summary = server.join().unwrap();
+        let report = server.join().unwrap();
         assert_eq!(
-            summary.metrics.fair_share_violations, 0,
+            report.metrics.fair_share_violations, 0,
             "a waiting tenant was starved: {:?}",
-            summary.metrics
+            report.metrics
         );
     });
 }
@@ -380,12 +387,9 @@ fn negative_paths_over_the_wire() {
     // Budget: the small ring plus slack, far below the big ring's cost.
     let budget = netlist_cost(&ring(5)) + 256;
     assert!(budget < netlist_cost(&ring(300)), "fixture costs inverted");
-    let options = ServeOptions::new()
-        .lanes(1)
-        .pipeline_depth(1)
-        .registry_bytes(budget)
-        .netlist_dir(Some(dir));
-    let got = play_script(&session, options, &script);
+    let dispatcher = SessionDispatcher::new(&session, 0, budget, Some(dir));
+    let config = RuntimeConfig { lanes: 1, pipeline_depth: 1, ..RuntimeConfig::default() };
+    let got = play_script(&dispatcher, config, &script);
     assert_eq!(got.len(), script.len(), "{got:?}");
     assert!(got[0].contains("\"code\":\"unknown_session\""), "{}", got[0]);
     assert!(got[0].contains("\"v\":5"), "{}", got[0]);

@@ -12,7 +12,9 @@
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 
-use gtl_api::{FindRequest, PlaceRequest, Request, ServeOptions, Session, StatsRequest};
+use gtl_api::{
+    FindRequest, PlaceRequest, Request, RuntimeConfig, Session, SessionDispatcher, StatsRequest,
+};
 use gtl_netlist::NetlistBuilder;
 use gtl_tangled::FinderConfig;
 use proptest::prelude::*;
@@ -81,15 +83,18 @@ fn eight_pipelined_clients_match_serial_replay() {
     let clients = 8usize;
     let per_client = 12usize;
     // Small cache: plenty of evictions while the stress is running.
-    let options = ServeOptions::new()
-        .lanes(4)
-        .pipeline_depth(4)
-        .cache_bytes(2048)
-        .max_concurrent(5)
-        .max_connections(Some(clients));
+    let config = RuntimeConfig {
+        lanes: 4,
+        pipeline_depth: 4,
+        cache_bytes: 2048,
+        max_concurrent: 5,
+        max_connections: Some(clients),
+        ..RuntimeConfig::default()
+    };
+    let dispatcher = SessionDispatcher::new(&session, 0, 0, None);
 
     std::thread::scope(|scope| {
-        let server = scope.spawn(|| gtl_api::serve(&session, &listener, &options, None).unwrap());
+        let server = scope.spawn(|| gtl_api::serve(&dispatcher, &listener, &config, None).unwrap());
         let mut handles = Vec::new();
         for c in 0..clients {
             let pool = &pool;
@@ -116,12 +121,12 @@ fn eight_pipelined_clients_match_serial_replay() {
                 );
             }
         }
-        let summary = server.join().unwrap();
-        assert_eq!(summary.connections, clients);
-        assert_eq!(summary.metrics.responses, (clients * per_client) as u64);
-        assert!(summary.io_errors.is_empty(), "{:?}", summary.io_errors);
+        let report = server.join().unwrap();
+        assert_eq!(report.connections, clients);
+        assert_eq!(report.metrics.responses, (clients * per_client) as u64);
+        assert!(report.io_errors.is_empty(), "{:?}", report.io_errors);
         // The tiny budget must actually have exercised eviction.
-        assert!(summary.metrics.cache_evictions > 0, "{:?}", summary.metrics);
+        assert!(report.metrics.cache_evictions > 0, "{:?}", report.metrics);
     });
 }
 
@@ -143,14 +148,17 @@ proptest! {
 
         let listener = gtl_api::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
-        let options = ServeOptions::new()
-            .lanes(2)
-            .pipeline_depth(3)
-            .cache_bytes(budget)
-            .max_connections(Some(1));
+        let config = RuntimeConfig {
+            lanes: 2,
+            pipeline_depth: 3,
+            cache_bytes: budget,
+            max_connections: Some(1),
+            ..RuntimeConfig::default()
+        };
+        let dispatcher = SessionDispatcher::new(&session, 0, 0, None);
         std::thread::scope(|scope| {
             let server =
-                scope.spawn(|| gtl_api::serve(&session, &listener, &options, None).unwrap());
+                scope.spawn(|| gtl_api::serve(&dispatcher, &listener, &config, None).unwrap());
             let mut conn = TcpStream::connect(addr).unwrap();
             for &p in &picks {
                 writeln!(conn, "{}", pool[p % pool.len()]).unwrap();

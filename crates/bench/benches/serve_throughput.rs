@@ -18,7 +18,7 @@ use std::net::TcpStream;
 use std::path::Path;
 use std::time::Instant;
 
-use gtl_api::{FindRequest, Request, ServeOptions, Session};
+use gtl_api::{FindRequest, Request, RuntimeConfig, ServeReport, Session, SessionDispatcher};
 use gtl_bench::report::{write_json, Json};
 use gtl_synth::planted::{self, PlantedConfig};
 use gtl_tangled::FinderConfig;
@@ -56,7 +56,7 @@ fn strip_trace(line: &str) -> String {
 
 /// One pipelined burst of `n` identical requests against a fresh
 /// single-connection server; returns the wall time of the burst and the
-/// server's final summary. Every response is asserted byte-identical to
+/// server's final report. Every response is asserted byte-identical to
 /// the in-process oracle (modulo its trace stamp).
 fn run_burst(
     session: &Session,
@@ -65,17 +65,20 @@ fn run_burst(
     cache_bytes: usize,
     warmup: bool,
     n: usize,
-) -> (f64, gtl_api::ServeSummary) {
+) -> (f64, ServeReport) {
     let listener = gtl_api::bind("127.0.0.1:0").expect("bind");
     let addr = listener.local_addr().expect("local addr");
-    let options = ServeOptions::new()
-        .lanes(2)
-        .pipeline_depth(16)
-        .cache_bytes(cache_bytes)
-        .max_connections(Some(1));
+    let dispatcher = SessionDispatcher::new(session, 0, 0, None);
+    let config = RuntimeConfig {
+        lanes: 2,
+        pipeline_depth: 16,
+        cache_bytes,
+        max_connections: Some(1),
+        ..RuntimeConfig::default()
+    };
     std::thread::scope(|scope| {
         let server =
-            scope.spawn(|| gtl_api::serve(session, &listener, &options, None).expect("serve"));
+            scope.spawn(|| gtl_api::serve(&dispatcher, &listener, &config, None).expect("serve"));
         let mut conn = TcpStream::connect(addr).expect("connect");
         let mut reader = BufReader::new(conn.try_clone().expect("clone"));
         let mut response = String::new();
@@ -119,9 +122,9 @@ fn golden_round_trip() {
     let expected =
         std::fs::read_to_string(golden.join("serve_find_response.json")).expect("golden response");
     let session = Session::builder().netlist(netlist).build().expect("session");
-    let (_, summary) =
+    let (_, report) =
         run_burst(&session, request.trim_end(), expected.trim_end(), 1 << 20, false, 1);
-    assert_eq!(summary.connections, 1);
+    assert_eq!(report.connections, 1);
     println!("golden round-trip byte-identical through gtl-runtime");
 }
 
@@ -143,8 +146,8 @@ fn main() {
     for (mode, cache_bytes, warmup, n) in
         [("cold", 0usize, false, 64usize), ("warm", 16 << 20, true, 4096)]
     {
-        let (wall, summary) = run_burst(&session, &line, &expected, cache_bytes, warmup, n);
-        let m = &summary.metrics;
+        let (wall, report) = run_burst(&session, &line, &expected, cache_bytes, warmup, n);
+        let m = &report.metrics;
         if mode == "warm" {
             assert_eq!(m.cache_hits, n as u64, "warm burst should be all hits");
         }

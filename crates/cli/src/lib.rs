@@ -29,8 +29,11 @@
 #![warn(missing_docs)]
 
 use std::fmt::Write as _;
+use std::time::Duration;
 
-use gtl_api::{ApiError, FindRequest, Session};
+use gtl_api::{
+    load_netlist, ApiError, FindRequest, RuntimeConfig, ServeReport, Session, SessionDispatcher,
+};
 use gtl_netlist::{verilog, CellId, CellSet, Netlist, NetlistStats, SubsetStats};
 use gtl_tangled::candidate::{score_curve, CandidateConfig};
 use gtl_tangled::metrics::{self, baseline, DesignContext};
@@ -162,66 +165,16 @@ and MetricsText returns the Prometheus text rendering of the runtime
 counters and latency histograms.
 ";
 
-/// A structured API error plus the CLI context it surfaced in.
-///
-/// Thin wrapper over [`ApiError`] so the binary can exit with the
-/// error's conventional code (`err.exit_code()`) and print its stable
-/// code tag (`[bad_request]`, `[netlist]`, …).
-#[derive(Debug)]
-pub struct CliError {
-    /// The structured error.
-    pub error: ApiError,
-}
-
-impl CliError {
-    fn bad_request(message: impl Into<String>) -> Self {
-        Self { error: ApiError::bad_request(message) }
-    }
-
-    /// Process exit code (see `EXIT CODES` in [`USAGE`]).
-    pub fn exit_code(&self) -> i32 {
-        self.error.exit_code()
-    }
-}
-
-impl std::fmt::Display for CliError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        self.error.fmt(f)
-    }
-}
-
-impl std::error::Error for CliError {}
-
-impl From<ApiError> for CliError {
-    fn from(error: ApiError) -> Self {
-        Self { error }
-    }
-}
-
-impl From<gtl_netlist::NetlistError> for CliError {
-    fn from(e: gtl_netlist::NetlistError) -> Self {
-        Self { error: e.into() }
-    }
-}
-
-/// Loads a netlist, selecting the parser from the file extension
-/// (delegates to [`gtl_api::load_netlist`]).
-///
-/// # Errors
-///
-/// Returns a [`CliError`] for unknown extensions or parse failures.
-pub fn load_netlist(path: &str) -> Result<Netlist, CliError> {
-    Ok(gtl_api::load_netlist(path)?)
-}
-
 /// Runs the tool on pre-split arguments, returning the stdout text.
 ///
 /// # Errors
 ///
-/// Returns a [`CliError`] on bad arguments or parse failures.
-pub fn run(args: &[String]) -> Result<String, CliError> {
+/// Returns an [`ApiError`] on bad arguments or parse failures; its
+/// [`ApiError::exit_code`] is the process exit code (see `EXIT CODES` in
+/// [`USAGE`]).
+pub fn run(args: &[String]) -> Result<String, ApiError> {
     let Some(command) = args.first() else {
-        return Err(CliError::bad_request(USAGE));
+        return Err(ApiError::bad_request(USAGE));
     };
     match command.as_str() {
         "stats" => cmd_stats(&args[1..]),
@@ -234,14 +187,14 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
         "serve" => cmd_serve(&args[1..]),
         "loadgen" => cmd_loadgen(&args[1..]),
         "--help" | "-h" | "help" => Ok(USAGE.to_string()),
-        other => Err(CliError::bad_request(format!("unknown command `{other}`\n\n{USAGE}"))),
+        other => Err(ApiError::bad_request(format!("unknown command `{other}`\n\n{USAGE}"))),
     }
 }
 
-fn want_file(args: &[String]) -> Result<&str, CliError> {
+fn want_file(args: &[String]) -> Result<&str, ApiError> {
     args.first()
         .map(String::as_str)
-        .ok_or_else(|| CliError::bad_request(format!("missing input file\n\n{USAGE}")))
+        .ok_or_else(|| ApiError::bad_request(format!("missing input file\n\n{USAGE}")))
 }
 
 fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
@@ -252,16 +205,16 @@ fn parse_flag<T: std::str::FromStr>(
     args: &[String],
     flag: &str,
     default: T,
-) -> Result<T, CliError> {
+) -> Result<T, ApiError> {
     match flag_value(args, flag) {
         None => Ok(default),
         Some(v) => v
             .parse()
-            .map_err(|_| CliError::bad_request(format!("{flag} expects a valid value, got `{v}`"))),
+            .map_err(|_| ApiError::bad_request(format!("{flag} expects a valid value, got `{v}`"))),
     }
 }
 
-fn cmd_stats(args: &[String]) -> Result<String, CliError> {
+fn cmd_stats(args: &[String]) -> Result<String, ApiError> {
     let netlist = load_netlist(want_file(args)?)?;
     let stats = NetlistStats::compute(&netlist);
     let mut out = String::new();
@@ -273,7 +226,7 @@ fn cmd_stats(args: &[String]) -> Result<String, CliError> {
     Ok(out)
 }
 
-fn cmd_find(args: &[String]) -> Result<String, CliError> {
+fn cmd_find(args: &[String]) -> Result<String, ApiError> {
     let netlist = load_netlist(want_file(args)?)?;
     let config = finder_from_args(&netlist, args)?;
     if args.iter().any(|a| a == "--json") {
@@ -312,18 +265,18 @@ fn cmd_find(args: &[String]) -> Result<String, CliError> {
     Ok(out)
 }
 
-fn cmd_score(args: &[String]) -> Result<String, CliError> {
+fn cmd_score(args: &[String]) -> Result<String, ApiError> {
     let netlist = load_netlist(want_file(args)?)?;
     let cells_arg = flag_value(args, "--cells")
-        .ok_or_else(|| CliError::bad_request("score requires --cells id,id,..."))?;
+        .ok_or_else(|| ApiError::bad_request("score requires --cells id,id,..."))?;
     let mut cells = Vec::new();
     for token in cells_arg.split(',') {
         let id: usize = token
             .trim()
             .parse()
-            .map_err(|_| CliError::bad_request(format!("invalid cell id `{token}`")))?;
+            .map_err(|_| ApiError::bad_request(format!("invalid cell id `{token}`")))?;
         if id >= netlist.num_cells() {
-            return Err(CliError::bad_request(format!(
+            return Err(ApiError::bad_request(format!(
                 "cell {id} out of range (netlist has {} cells)",
                 netlist.num_cells()
             )));
@@ -356,11 +309,11 @@ fn cmd_score(args: &[String]) -> Result<String, CliError> {
     Ok(out)
 }
 
-fn cmd_curve(args: &[String]) -> Result<String, CliError> {
+fn cmd_curve(args: &[String]) -> Result<String, ApiError> {
     let netlist = load_netlist(want_file(args)?)?;
     let seed: usize = parse_flag(args, "--seed", 0usize)?;
     if seed >= netlist.num_cells() {
-        return Err(CliError::bad_request(format!("--seed {seed} out of range")));
+        return Err(ApiError::bad_request(format!("--seed {seed} out of range")));
     }
     let max_order = parse_flag(args, "--max-order", (netlist.num_cells() / 4).clamp(64, 100_000))?;
     let growth = GrowthConfig { max_len: max_order, ..GrowthConfig::default() };
@@ -385,12 +338,12 @@ fn cmd_curve(args: &[String]) -> Result<String, CliError> {
 }
 
 /// Shared finder setup for `find`, `blocks` and `resynth`.
-fn finder_from_args(netlist: &Netlist, args: &[String]) -> Result<FinderConfig, CliError> {
+fn finder_from_args(netlist: &Netlist, args: &[String]) -> Result<FinderConfig, ApiError> {
     let metric = match flag_value(args, "--metric") {
         None | Some("sd") => MetricKind::GtlSd,
         Some("ngtl") => MetricKind::NGtlScore,
         Some(other) => {
-            return Err(CliError::bad_request(format!("--metric expects ngtl|sd, got `{other}`")))
+            return Err(ApiError::bad_request(format!("--metric expects ngtl|sd, got `{other}`")))
         }
     };
     Ok(FinderConfig {
@@ -409,7 +362,7 @@ fn finder_from_args(netlist: &Netlist, args: &[String]) -> Result<FinderConfig, 
     })
 }
 
-fn cmd_blocks(args: &[String]) -> Result<String, CliError> {
+fn cmd_blocks(args: &[String]) -> Result<String, ApiError> {
     let netlist = load_netlist(want_file(args)?)?;
     let config = finder_from_args(&netlist, args)?;
     let whitespace: f64 = parse_flag(args, "--whitespace", 0.3f64)?;
@@ -458,7 +411,7 @@ fn cmd_blocks(args: &[String]) -> Result<String, CliError> {
     Ok(out)
 }
 
-fn cmd_resynth(args: &[String]) -> Result<String, CliError> {
+fn cmd_resynth(args: &[String]) -> Result<String, ApiError> {
     let netlist = load_netlist(want_file(args)?)?;
     let config = finder_from_args(&netlist, args)?;
     let max_fanout: usize = parse_flag(args, "--max-fanout", 3usize)?;
@@ -485,8 +438,7 @@ fn cmd_resynth(args: &[String]) -> Result<String, CliError> {
     );
     if let Some(path) = flag_value(args, "--out") {
         let text = verilog::to_module_string(&resynth, "resynthesized", None);
-        std::fs::write(path, text)
-            .map_err(|e| CliError::from(ApiError::io(format!("write {path}: {e}"))))?;
+        std::fs::write(path, text).map_err(|e| ApiError::io(format!("write {path}: {e}")))?;
         let _ = writeln!(out, "wrote {path}");
     }
     Ok(out)
@@ -495,13 +447,13 @@ fn cmd_resynth(args: &[String]) -> Result<String, CliError> {
 /// `gtl synth`: stream a multi-million-cell ISPD-like design to disk in
 /// bounded memory (see [`gtl_synth::stream`]). Output is `.hgr`, the
 /// format the streaming parser and `--netlist-dir` session loads consume.
-fn cmd_synth(args: &[String]) -> Result<String, CliError> {
+fn cmd_synth(args: &[String]) -> Result<String, ApiError> {
     let cells: usize = parse_flag(args, "--cells", 0usize)?;
     if cells < 64 {
-        return Err(CliError::bad_request("synth requires --cells N (at least 64)"));
+        return Err(ApiError::bad_request("synth requires --cells N (at least 64)"));
     }
     let out = flag_value(args, "--out")
-        .ok_or_else(|| CliError::bad_request("synth requires --out <file.hgr>"))?;
+        .ok_or_else(|| ApiError::bad_request("synth requires --out <file.hgr>"))?;
     let mut config = gtl_synth::stream::StreamDesignConfig::new(cells);
     config.seed = parse_flag(args, "--seed", config.seed)?;
     config.rent_exponent = parse_flag(args, "--rent", config.rent_exponent)?;
@@ -517,25 +469,18 @@ fn cmd_synth(args: &[String]) -> Result<String, CliError> {
 /// the loaded netlist on the bounded `gtl-runtime` (compute lanes,
 /// response cache, pipelining, timeouts) until the connection budget
 /// (`--max-conns`, `0` = unlimited) is exhausted.
-fn cmd_serve(args: &[String]) -> Result<String, CliError> {
+fn cmd_serve(args: &[String]) -> Result<String, ApiError> {
     let path = want_file(args)?;
     let netlist = load_netlist(path)?;
     let addr = flag_value(args, "--addr").unwrap_or("127.0.0.1");
     let port: u16 = parse_flag(args, "--port", 7878u16)?;
-    let max_conns: usize = parse_flag(args, "--max-conns", 0usize)?;
-    let lanes: usize = parse_flag(args, "--lanes", 0usize)?;
-    let queue_depth: usize = parse_flag(args, "--queue-depth", 0usize)?;
-    let cache_bytes: usize = parse_flag(args, "--cache-bytes", 64usize << 20)?;
-    let pipeline: usize = parse_flag(args, "--pipeline", 8usize)?;
-    let timeout_ms: u64 = parse_flag(args, "--timeout-ms", 30_000u64)?;
-    let max_concurrent: usize = parse_flag(args, "--max-concurrent", 0usize)?;
-    let deadline_ms: u64 = parse_flag(args, "--deadline-ms", 0u64)?;
+    let config = runtime_config(args)?;
     let max_netlists: usize = parse_flag(args, "--max-netlists", 0usize)?;
     let registry_bytes: usize = parse_flag(args, "--registry-bytes", 0usize)?;
-    let tenant_quota: usize = parse_flag(args, "--tenant-quota", 0usize)?;
     let metrics_port: u16 = parse_flag(args, "--metrics-port", 0u16)?;
     let netlist_dir = flag_value(args, "--netlist-dir").map(std::path::PathBuf::from);
     let session = Session::builder().netlist(netlist).build()?;
+    let dispatcher = SessionDispatcher::new(&session, max_netlists, registry_bytes, netlist_dir);
     let listener = gtl_api::bind(&format!("{addr}:{port}"))?;
     let local = listener.local_addr().map_err(ApiError::from)?;
     let metrics_listener = if metrics_port > 0 {
@@ -546,35 +491,51 @@ fn cmd_serve(args: &[String]) -> Result<String, CliError> {
     } else {
         None
     };
-    let options = gtl_api::ServeOptions::new()
-        .lanes(lanes)
-        .queue_depth(queue_depth)
-        .cache_bytes(cache_bytes)
-        .pipeline_depth(pipeline)
-        .timeout((timeout_ms > 0).then(|| std::time::Duration::from_millis(timeout_ms)))
-        .max_concurrent(max_concurrent)
-        .max_connections((max_conns > 0).then_some(max_conns))
-        .deadline((deadline_ms > 0).then(|| std::time::Duration::from_millis(deadline_ms)))
-        .max_netlists(max_netlists)
-        .registry_bytes(registry_bytes)
-        .netlist_dir(netlist_dir)
-        .tenant_quota(tenant_quota);
     // Readiness goes to stderr immediately (stdout is returned only when
     // the server finishes, which without --max-conns is never).
     eprintln!("gtl: serving {path} on {local} (JSON lines; Ctrl-C to stop)");
-    let summary = gtl_api::serve(&session, &listener, &options, metrics_listener.as_ref())?;
-    Ok(render_serve_summary(&summary))
+    let report = gtl_api::serve(&dispatcher, &listener, &config, metrics_listener.as_ref())?;
+    Ok(render_serve_summary(report, &dispatcher))
 }
 
-/// Renders the `gtl serve` exit summary: the counter one-liner,
-/// per-request-kind latency percentiles, and any connection I/O errors.
-fn render_serve_summary(summary: &gtl_api::ServeSummary) -> String {
-    let m = &summary.metrics;
+/// The serve runtime configuration `args` select. Each runtime flag sets
+/// its [`RuntimeConfig`] field and a flag left out keeps the field's
+/// default, so `gtl serve` with none of them runs
+/// [`RuntimeConfig::default()`]. `0` means none for `--timeout-ms`,
+/// `--max-conns` and `--deadline-ms`.
+fn runtime_config(args: &[String]) -> Result<RuntimeConfig, ApiError> {
+    let defaults = RuntimeConfig::default();
+    let millis = |flag: &str, default: Option<Duration>| -> Result<Option<Duration>, ApiError> {
+        let default = default.map_or(0, |d| u64::try_from(d.as_millis()).unwrap_or(u64::MAX));
+        let ms: u64 = parse_flag(args, flag, default)?;
+        Ok((ms > 0).then(|| Duration::from_millis(ms)))
+    };
+    let max_conns: usize = parse_flag(args, "--max-conns", defaults.max_connections.unwrap_or(0))?;
+    Ok(RuntimeConfig {
+        lanes: parse_flag(args, "--lanes", defaults.lanes)?,
+        queue_depth: parse_flag(args, "--queue-depth", defaults.queue_depth)?,
+        cache_bytes: parse_flag(args, "--cache-bytes", defaults.cache_bytes)?,
+        pipeline_depth: parse_flag(args, "--pipeline", defaults.pipeline_depth)?,
+        read_timeout: millis("--timeout-ms", defaults.read_timeout)?,
+        max_concurrent: parse_flag(args, "--max-concurrent", defaults.max_concurrent)?,
+        max_connections: (max_conns > 0).then_some(max_conns),
+        default_deadline: millis("--deadline-ms", defaults.default_deadline)?,
+        tenant_quota: parse_flag(args, "--tenant-quota", defaults.tenant_quota)?,
+        ..defaults
+    })
+}
+
+/// Renders the `gtl serve` exit summary — the counter one-liner,
+/// per-request-kind latency percentiles, and any connection I/O errors —
+/// from the run's report, completed with the dispatcher's registry
+/// counters.
+fn render_serve_summary(report: ServeReport, dispatcher: &SessionDispatcher<'_>) -> String {
+    let m = dispatcher.runtime_metrics(report.metrics);
     let mut out = format!(
         "served {} connection(s): {} requests, {} responses, cache {} hit(s) / {} miss(es) / {} \
          eviction(s), queue high-water {}, {} timeout(s), {} cancelled, {} deadline-exceeded, \
          sessions {} loaded / {} evicted / {} unloaded\n",
-        summary.connections,
+        report.connections,
         m.requests,
         m.responses,
         m.cache_hits,
@@ -600,15 +561,15 @@ fn render_serve_summary(summary: &gtl_api::ServeSummary) -> String {
             kind.label, kind.count, kind.p50_us, kind.p95_us, kind.p99_us, kind.max_us,
         );
     }
-    let dropped = summary.dropped_io_errors;
-    if !summary.io_errors.is_empty() || dropped > 0 {
+    let dropped = report.dropped_io_errors;
+    if !report.io_errors.is_empty() || dropped > 0 {
         let _ = writeln!(
             out,
             "{} connection I/O error(s){}:",
-            summary.io_errors.len() + dropped,
+            report.io_errors.len() + dropped,
             if dropped > 0 { format!(" ({dropped} not shown)") } else { String::new() }
         );
-        for error in &summary.io_errors {
+        for error in &report.io_errors {
             let _ = writeln!(out, "  {error}");
         }
     }
@@ -620,23 +581,23 @@ fn render_serve_summary(summary: &gtl_api::ServeSummary) -> String {
 /// transparent proxy/tee; `replay` drives a trace back open- or
 /// closed-loop with per-kind latency percentiles and optional golden
 /// comparison.
-fn cmd_loadgen(args: &[String]) -> Result<String, CliError> {
+fn cmd_loadgen(args: &[String]) -> Result<String, ApiError> {
     match args.first().map(String::as_str) {
         Some("record") => cmd_loadgen_record(&args[1..]),
         Some("replay") => cmd_loadgen_replay(&args[1..]),
-        _ => Err(CliError::bad_request(format!(
+        _ => Err(ApiError::bad_request(format!(
             "loadgen requires a `record` or `replay` subcommand\n\n{USAGE}"
         ))),
     }
 }
 
-fn cmd_loadgen_record(args: &[String]) -> Result<String, CliError> {
+fn cmd_loadgen_record(args: &[String]) -> Result<String, ApiError> {
     let listen = flag_value(args, "--listen")
-        .ok_or_else(|| CliError::bad_request("loadgen record requires --listen <addr:port>"))?;
+        .ok_or_else(|| ApiError::bad_request("loadgen record requires --listen <addr:port>"))?;
     let upstream = flag_value(args, "--upstream")
-        .ok_or_else(|| CliError::bad_request("loadgen record requires --upstream <addr:port>"))?;
+        .ok_or_else(|| ApiError::bad_request("loadgen record requires --upstream <addr:port>"))?;
     let out = flag_value(args, "--out")
-        .ok_or_else(|| CliError::bad_request("loadgen record requires --out <trace.jsonl>"))?;
+        .ok_or_else(|| ApiError::bad_request("loadgen record requires --out <trace.jsonl>"))?;
     let mut options = gtl_loadgen::record::RecordOptions::new(listen, upstream, out);
     options.max_conns = parse_flag(args, "--max-conns", 0usize)?;
     options.connect_timeout =
@@ -652,19 +613,19 @@ fn cmd_loadgen_record(args: &[String]) -> Result<String, CliError> {
     ))
 }
 
-fn cmd_loadgen_replay(args: &[String]) -> Result<String, CliError> {
+fn cmd_loadgen_replay(args: &[String]) -> Result<String, ApiError> {
     use gtl_loadgen::replay::{ReplayMode, ReplayOptions};
     let addr = flag_value(args, "--addr")
-        .ok_or_else(|| CliError::bad_request("loadgen replay requires --addr <addr:port>"))?;
+        .ok_or_else(|| ApiError::bad_request("loadgen replay requires --addr <addr:port>"))?;
     let records = match (flag_value(args, "--trace"), flag_value(args, "--requests")) {
         (Some(path), None) => gtl_loadgen::trace::read_trace(path)?,
         (None, Some(path)) => {
             let text = std::fs::read_to_string(path)
-                .map_err(|e| CliError::from(ApiError::io(format!("read {path}: {e}"))))?;
+                .map_err(|e| ApiError::io(format!("read {path}: {e}")))?;
             gtl_loadgen::trace::from_request_lines(&text)
         }
         _ => {
-            return Err(CliError::bad_request(
+            return Err(ApiError::bad_request(
                 "loadgen replay requires exactly one of --trace or --requests",
             ))
         }
@@ -675,7 +636,7 @@ fn cmd_loadgen_replay(args: &[String]) -> Result<String, CliError> {
         "closed" => ReplayMode::Closed { inflight: parse_flag(args, "--inflight", 1usize)? },
         "open" => ReplayMode::Open { rate: parse_flag(args, "--rate", 0.0f64)? },
         other => {
-            return Err(CliError::bad_request(format!(
+            return Err(ApiError::bad_request(format!(
                 "--mode expects `closed` or `open`, got `{other}`"
             )))
         }
@@ -886,7 +847,7 @@ mod tests {
     fn serve_rejects_bad_flags() {
         let path = fixture_path("serve_rejects_bad_flags");
         let err = run(&argv(&["serve", &path, "--port", "notaport"])).unwrap_err();
-        assert_eq!(err.error.code(), "bad_request");
+        assert_eq!(err.code(), "bad_request");
         for flag in [
             "--lanes",
             "--queue-depth",
@@ -901,10 +862,49 @@ mod tests {
             "--tenant-quota",
         ] {
             let err = run(&argv(&["serve", &path, flag, "bogus"])).unwrap_err();
-            assert_eq!(err.error.code(), "bad_request", "{flag}");
+            assert_eq!(err.code(), "bad_request", "{flag}");
         }
         let err = run(&argv(&["serve"])).unwrap_err();
         assert_eq!(err.exit_code(), 2);
+    }
+
+    #[test]
+    fn serve_flags_select_the_runtime_config() {
+        // No runtime flags: exactly the runtime's default.
+        let path = fixture_path("serve_flags_select_the_runtime_config");
+        let config = runtime_config(&argv(&[&path, "--port", "0", "--max-netlists", "3"])).unwrap();
+        assert_eq!(config, RuntimeConfig::default());
+        // Each runtime flag, set off its default, lands in its field.
+        let ms = |ms| Some(Duration::from_millis(ms));
+        let flags: [(&str, &str, RuntimeConfig); 9] = [
+            ("--lanes", "3", RuntimeConfig { lanes: 3, ..RuntimeConfig::default() }),
+            ("--queue-depth", "5", RuntimeConfig { queue_depth: 5, ..RuntimeConfig::default() }),
+            ("--cache-bytes", "0", RuntimeConfig { cache_bytes: 0, ..RuntimeConfig::default() }),
+            ("--pipeline", "2", RuntimeConfig { pipeline_depth: 2, ..RuntimeConfig::default() }),
+            ("--timeout-ms", "0", RuntimeConfig { read_timeout: None, ..RuntimeConfig::default() }),
+            (
+                "--max-concurrent",
+                "4",
+                RuntimeConfig { max_concurrent: 4, ..RuntimeConfig::default() },
+            ),
+            (
+                "--max-conns",
+                "7",
+                RuntimeConfig { max_connections: Some(7), ..RuntimeConfig::default() },
+            ),
+            (
+                "--deadline-ms",
+                "250",
+                RuntimeConfig { default_deadline: ms(250), ..RuntimeConfig::default() },
+            ),
+            ("--tenant-quota", "6", RuntimeConfig { tenant_quota: 6, ..RuntimeConfig::default() }),
+        ];
+        for (flag, value, expected) in flags {
+            assert_ne!(expected, RuntimeConfig::default(), "{flag} {value} is the default");
+            assert_eq!(runtime_config(&argv(&[&path, flag, value])).unwrap(), expected, "{flag}");
+        }
+        let timeout = runtime_config(&argv(&[&path, "--timeout-ms", "1500"])).unwrap();
+        assert_eq!(timeout.read_timeout, ms(1500));
     }
 
     #[test]
@@ -916,12 +916,13 @@ mod tests {
         let netlist =
             load_netlist(&fixture_path("serve_with_zero_budget_reports_summary")).unwrap();
         let session = Session::builder().netlist(netlist).build().unwrap();
+        let dispatcher = SessionDispatcher::new(&session, 0, 0, None);
         let listener = gtl_api::bind("127.0.0.1:0").unwrap();
-        let options = gtl_api::ServeOptions::new().max_connections(Some(0));
-        let summary = gtl_api::serve(&session, &listener, &options, None).unwrap();
-        assert_eq!(summary.connections, 0);
-        assert!(summary.io_errors.is_empty());
-        let rendered = render_serve_summary(&summary);
+        let config = RuntimeConfig { max_connections: Some(0), ..RuntimeConfig::default() };
+        let report = gtl_api::serve(&dispatcher, &listener, &config, None).unwrap();
+        assert_eq!(report.connections, 0);
+        assert!(report.io_errors.is_empty());
+        let rendered = render_serve_summary(report, &dispatcher);
         assert!(rendered.starts_with("served 0 connection(s):"), "{rendered}");
         // No requests were served, so no latency lines appear.
         assert!(!rendered.contains("latency["), "{rendered}");
@@ -936,12 +937,14 @@ mod tests {
             load_netlist(&fixture_path("serve_summary_prints_percentiles_per_request_kind"))
                 .unwrap();
         let session = Session::builder().netlist(netlist).build().unwrap();
+        let dispatcher = SessionDispatcher::new(&session, 0, 0, None);
         let listener = gtl_api::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
-        let options = gtl_api::ServeOptions::new().lanes(1).max_connections(Some(1));
-        let summary = std::thread::scope(|scope| {
+        let config =
+            RuntimeConfig { lanes: 1, max_connections: Some(1), ..RuntimeConfig::default() };
+        let report = std::thread::scope(|scope| {
             let server =
-                scope.spawn(|| gtl_api::serve(&session, &listener, &options, None).unwrap());
+                scope.spawn(|| gtl_api::serve(&dispatcher, &listener, &config, None).unwrap());
             let mut conn = std::net::TcpStream::connect(addr).unwrap();
             let line =
                 serde::json::to_string(&gtl_api::Request::Find(FindRequest::new(FinderConfig {
@@ -957,7 +960,7 @@ mod tests {
             assert!(response.starts_with("{\"Find\":"), "{response}");
             server.join().unwrap()
         });
-        let rendered = render_serve_summary(&summary);
+        let rendered = render_serve_summary(report, &dispatcher);
         assert!(rendered.contains("latency[find]: 1 request(s), p50 "), "{rendered}");
         assert!(rendered.contains("p95 "), "{rendered}");
         assert!(rendered.contains("p99 "), "{rendered}");
@@ -984,14 +987,16 @@ mod tests {
         // A fresh 1-connection server per replay: v5 trace stamps depend
         // on accept order, which restarts with the server.
         let netlist = load_netlist(&fixture_path("loadgen_replay_round_trip_with_expect")).unwrap();
-        let serve_options = gtl_api::ServeOptions::new().lanes(1).max_connections(Some(1));
-        let replay = |extra: &[&str]| -> Result<String, CliError> {
+        let config =
+            RuntimeConfig { lanes: 1, max_connections: Some(1), ..RuntimeConfig::default() };
+        let replay = |extra: &[&str]| -> Result<String, ApiError> {
             let session = Session::builder().netlist(netlist.clone()).build().unwrap();
+            let dispatcher = SessionDispatcher::new(&session, 0, 0, None);
             let listener = gtl_api::bind("127.0.0.1:0").unwrap();
             let addr = listener.local_addr().unwrap().to_string();
             std::thread::scope(|scope| {
-                let server = scope
-                    .spawn(|| gtl_api::serve(&session, &listener, &serve_options, None).unwrap());
+                let server =
+                    scope.spawn(|| gtl_api::serve(&dispatcher, &listener, &config, None).unwrap());
                 let mut args = argv(&[
                     "loadgen",
                     "replay",
@@ -1107,6 +1112,6 @@ mod tests {
     fn unknown_extension_rejected() {
         let err = load_netlist("/tmp/whatever.xyz").unwrap_err();
         assert!(err.to_string().contains("unsupported"));
-        assert_eq!(err.error.code(), "bad_request");
+        assert_eq!(err.code(), "bad_request");
     }
 }

@@ -6,8 +6,8 @@
 //! instead of hand-rolling `std::thread` chunking at each call site.
 //! [`shard`] supplies the matching deterministic *decompositions* (region
 //! shards and tile stripes) for the spatial clients, [`sync`] the
-//! blocking admission primitives (bounded FIFO queue, counting semaphore)
-//! the `gtl-runtime` service layer schedules work with, and [`cancel`]
+//! counting semaphore the `gtl-runtime` service layer gates connections
+//! with, and [`cancel`]
 //! the cooperative cancellation tokens (atomic flag + optional monotonic
 //! deadline) the general map [`exec::run_map`] and the service runtime
 //! poll between work items. [`obs`] supplies the deterministic latency
@@ -63,4 +63,4 @@ pub use exec::{
 };
 pub use obs::{LatencyHistogram, Span};
 pub use shard::{auto_grid, stripes, ShardGrid, DEFAULT_STRIPE_ROWS};
-pub use sync::{BoundedQueue, Semaphore};
+pub use sync::Semaphore;

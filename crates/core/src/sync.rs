@@ -1,139 +1,19 @@
-//! Small blocking synchronization primitives for bounded-admission
+//! A small blocking synchronization primitive for bounded-admission
 //! services.
 //!
 //! [`exec`](crate::exec) covers deterministic *compute* fan-out; this
 //! module covers the complementary need of a long-running service front:
-//! bounding how much work is admitted at once. [`BoundedQueue`] is a
-//! blocking FIFO with a hard capacity — producers stall when consumers
-//! fall behind (backpressure), instead of queueing unboundedly.
-//! [`Semaphore`] is a counting gate for limiting concurrent holders of a
-//! resource (e.g. live connections).
+//! bounding how much work is admitted at once. [`Semaphore`] is a
+//! counting gate for limiting concurrent holders of a resource (e.g. live
+//! connections).
 //!
-//! Both are deliberately simple `Mutex` + `Condvar` constructions: the
-//! workloads they guard (finder/placer requests) run for milliseconds to
-//! seconds, so lock-free cleverness would buy nothing. Neither primitive
-//! influences computation results — they only schedule *when* work runs,
+//! It is a deliberately simple `Mutex` + `Condvar` construction: the
+//! workloads it guards (finder/placer requests) run for milliseconds to
+//! seconds, so lock-free cleverness would buy nothing. It never
+//! influences computation results — it only schedules *when* work runs,
 //! never *what* it produces.
 
-use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex};
-
-/// A blocking multi-producer multi-consumer FIFO queue with a fixed
-/// capacity.
-///
-/// [`push`](BoundedQueue::push) blocks while the queue is full — that is
-/// the backpressure edge of a bounded service — and
-/// [`pop`](BoundedQueue::pop) blocks while it is empty. Closing the queue
-/// wakes everyone: pending and future pushes report failure, pops drain
-/// the remaining items and then return `None`.
-///
-/// # Example
-///
-/// ```
-/// use gtl_core::sync::BoundedQueue;
-///
-/// let q = BoundedQueue::new(2);
-/// q.push(1).unwrap();
-/// q.push(2).unwrap();
-/// q.close();
-/// assert_eq!(q.pop(), Some(1));
-/// assert_eq!(q.pop(), Some(2));
-/// assert_eq!(q.pop(), None); // closed and drained
-/// ```
-#[derive(Debug)]
-pub struct BoundedQueue<T> {
-    state: Mutex<QueueState<T>>,
-    /// Signaled when an item is popped or the queue closes (push waiters).
-    not_full: Condvar,
-    /// Signaled when an item is pushed or the queue closes (pop waiters).
-    not_empty: Condvar,
-    capacity: usize,
-}
-
-#[derive(Debug)]
-struct QueueState<T> {
-    items: VecDeque<T>,
-    closed: bool,
-}
-
-impl<T> BoundedQueue<T> {
-    /// Creates a queue holding at most `capacity` items.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero (a zero-capacity rendezvous is never
-    /// what the service layer wants).
-    pub fn new(capacity: usize) -> Self {
-        assert!(capacity > 0, "BoundedQueue capacity must be positive");
-        Self {
-            state: Mutex::new(QueueState { items: VecDeque::new(), closed: false }),
-            not_full: Condvar::new(),
-            not_empty: Condvar::new(),
-            capacity,
-        }
-    }
-
-    /// The fixed capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Current number of queued items (a racy snapshot, for metrics).
-    pub fn len(&self) -> usize {
-        self.state.lock().unwrap_or_else(|e| e.into_inner()).items.len()
-    }
-
-    /// Whether the queue is currently empty (racy snapshot).
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Enqueues `item`, blocking while the queue is full.
-    ///
-    /// # Errors
-    ///
-    /// Returns the item back as `Err` if the queue is (or becomes) closed
-    /// before space frees up.
-    pub fn push(&self, item: T) -> Result<(), T> {
-        let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        loop {
-            if state.closed {
-                return Err(item);
-            }
-            if state.items.len() < self.capacity {
-                state.items.push_back(item);
-                self.not_empty.notify_one();
-                return Ok(());
-            }
-            state = self.not_full.wait(state).unwrap_or_else(|e| e.into_inner());
-        }
-    }
-
-    /// Dequeues the oldest item, blocking while the queue is empty.
-    /// Returns `None` once the queue is closed **and** drained.
-    pub fn pop(&self) -> Option<T> {
-        let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        loop {
-            if let Some(item) = state.items.pop_front() {
-                self.not_full.notify_one();
-                return Some(item);
-            }
-            if state.closed {
-                return None;
-            }
-            state = self.not_empty.wait(state).unwrap_or_else(|e| e.into_inner());
-        }
-    }
-
-    /// Closes the queue: wakes all waiters; further pushes fail, pops
-    /// drain what is left then return `None`. Idempotent.
-    pub fn close(&self) {
-        let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        state.closed = true;
-        self.not_full.notify_all();
-        self.not_empty.notify_all();
-    }
-}
 
 /// A counting semaphore gating concurrent holders of a resource.
 ///
@@ -199,91 +79,6 @@ mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::time::Duration;
-
-    #[test]
-    fn queue_is_fifo() {
-        let q = BoundedQueue::new(4);
-        for i in 0..4 {
-            q.push(i).unwrap();
-        }
-        assert_eq!(q.len(), 4);
-        for i in 0..4 {
-            assert_eq!(q.pop(), Some(i));
-        }
-        assert!(q.is_empty());
-    }
-
-    #[test]
-    fn push_blocks_until_pop_frees_space() {
-        let q = BoundedQueue::new(1);
-        q.push(0u32).unwrap();
-        let pushed = AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            scope.spawn(|| {
-                q.push(1).unwrap(); // must block until the pop below
-                pushed.store(1, Ordering::SeqCst);
-            });
-            std::thread::sleep(Duration::from_millis(20));
-            assert_eq!(pushed.load(Ordering::SeqCst), 0, "push went through while full");
-            assert_eq!(q.pop(), Some(0));
-            assert_eq!(q.pop(), Some(1)); // blocks until the producer lands it
-        });
-    }
-
-    #[test]
-    fn close_unblocks_producers_and_consumers() {
-        let q = BoundedQueue::new(1);
-        q.push(7u32).unwrap();
-        std::thread::scope(|scope| {
-            let handle = scope.spawn(|| q.push(8)); // blocked: full
-            std::thread::sleep(Duration::from_millis(10));
-            q.close();
-            assert_eq!(handle.join().unwrap(), Err(8), "close must fail the pending push");
-        });
-        assert_eq!(q.pop(), Some(7), "closed queues still drain");
-        assert_eq!(q.pop(), None);
-        assert_eq!(q.push(9), Err(9));
-    }
-
-    #[test]
-    fn concurrent_producers_and_consumers_lose_nothing() {
-        let q = BoundedQueue::new(3);
-        let total = 200usize;
-        let sum = AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            for p in 0..4 {
-                let q = &q;
-                scope.spawn(move || {
-                    for i in 0..total / 4 {
-                        q.push(p * (total / 4) + i).unwrap();
-                    }
-                });
-            }
-            for _ in 0..2 {
-                let q = &q;
-                let sum = &sum;
-                scope.spawn(move || {
-                    while let Some(v) = q.pop() {
-                        sum.fetch_add(v, Ordering::Relaxed);
-                    }
-                });
-            }
-            // Give producers time to finish, then close to end consumers.
-            scope.spawn(|| {
-                while !q.is_empty() || sum.load(Ordering::Relaxed) < total * (total - 1) / 2 {
-                    std::thread::sleep(Duration::from_millis(1));
-                }
-                q.close();
-            });
-        });
-        assert_eq!(sum.load(Ordering::Relaxed), total * (total - 1) / 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "capacity must be positive")]
-    fn zero_capacity_rejected() {
-        let _ = BoundedQueue::<u32>::new(0);
-    }
 
     #[test]
     fn semaphore_bounds_concurrency() {

@@ -7,7 +7,9 @@
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
 
-use gtl_api::{bind, serve, FindRequest, Request, ServeOptions, Session, StatsRequest};
+use gtl_api::{
+    bind, serve, FindRequest, Request, RuntimeConfig, Session, SessionDispatcher, StatsRequest,
+};
 use gtl_loadgen::record::{record_with_listener, RecordOptions};
 use gtl_loadgen::replay::{self, ReplayOptions};
 use gtl_loadgen::trace::read_trace;
@@ -52,9 +54,10 @@ fn proxy_captures_traffic_that_replays_byte_identically() {
     // proxy; the proxy must be a transparent byte pipe while capturing
     // every request line.
     let upstream_session = session();
+    let upstream = SessionDispatcher::new(&upstream_session, 0, 0, None);
     let upstream_listener = bind("127.0.0.1:0").unwrap();
     let upstream_addr = upstream_listener.local_addr().unwrap().to_string();
-    let serve_options = ServeOptions::new().lanes(1).max_connections(Some(1));
+    let config = RuntimeConfig { lanes: 1, max_connections: Some(1), ..RuntimeConfig::default() };
 
     let proxy_listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let proxy_addr = proxy_listener.local_addr().unwrap().to_string();
@@ -62,8 +65,7 @@ fn proxy_captures_traffic_that_replays_byte_identically() {
     record_options.max_conns = 1;
 
     let (client_lines, summary) = std::thread::scope(|scope| {
-        let server = scope
-            .spawn(|| serve(&upstream_session, &upstream_listener, &serve_options, None).unwrap());
+        let server = scope.spawn(|| serve(&upstream, &upstream_listener, &config, None).unwrap());
         let proxy = scope.spawn(|| record_with_listener(&proxy_listener, &record_options).unwrap());
 
         let mut conn = TcpStream::connect(&proxy_addr).unwrap();
@@ -96,11 +98,11 @@ fn proxy_captures_traffic_that_replays_byte_identically() {
     // server assigns the same accept-order trace stamps, so the replayed
     // responses must match what the live client saw byte for byte.
     let replay_session = session();
+    let replayed = SessionDispatcher::new(&replay_session, 0, 0, None);
     let replay_listener = bind("127.0.0.1:0").unwrap();
     let replay_addr = replay_listener.local_addr().unwrap().to_string();
     let report = std::thread::scope(|scope| {
-        let server =
-            scope.spawn(|| serve(&replay_session, &replay_listener, &serve_options, None).unwrap());
+        let server = scope.spawn(|| serve(&replayed, &replay_listener, &config, None).unwrap());
         let report = replay::run(&records, &ReplayOptions::new(&replay_addr)).unwrap();
         server.join().unwrap();
         report

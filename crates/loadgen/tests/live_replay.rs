@@ -6,7 +6,9 @@
 
 use std::path::PathBuf;
 
-use gtl_api::{bind, serve, FindRequest, Request, ServeOptions, Session, StatsRequest};
+use gtl_api::{
+    bind, serve, FindRequest, Request, RuntimeConfig, Session, SessionDispatcher, StatsRequest,
+};
 use gtl_loadgen::replay::{self, ReplayMode, ReplayOptions, ReplayReport};
 use gtl_loadgen::trace::TraceRecord;
 use gtl_netlist::NetlistBuilder;
@@ -45,11 +47,13 @@ fn stats_line() -> String {
 /// against its address, and joins the server before returning.
 fn with_server<R: Send>(max_conns: usize, f: impl FnOnce(&str) -> R + Send) -> R {
     let session = session();
+    let dispatcher = SessionDispatcher::new(&session, 0, 0, None);
     let listener = bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap().to_string();
-    let options = ServeOptions::new().lanes(1).max_connections(Some(max_conns));
+    let config =
+        RuntimeConfig { lanes: 1, max_connections: Some(max_conns), ..RuntimeConfig::default() };
     std::thread::scope(|scope| {
-        let handle = scope.spawn(|| serve(&session, &listener, &options, None).unwrap());
+        let handle = scope.spawn(|| serve(&dispatcher, &listener, &config, None).unwrap());
         let result = f(&addr);
         handle.join().unwrap();
         result
@@ -181,14 +185,15 @@ fn scrape_captures_metrics_while_connections_are_open() {
     let records =
         vec![TraceRecord::new(0, 0, 0, find_line()), TraceRecord::new(0, 1, 0, stats_line())];
     let session = session();
+    let dispatcher = SessionDispatcher::new(&session, 0, 0, None);
     let listener = bind("127.0.0.1:0").unwrap();
     let metrics_listener = bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap().to_string();
     let metrics_addr = metrics_listener.local_addr().unwrap().to_string();
-    let options = ServeOptions::new().lanes(1).max_connections(Some(1));
+    let config = RuntimeConfig { lanes: 1, max_connections: Some(1), ..RuntimeConfig::default() };
     let report = std::thread::scope(|scope| {
-        let handle =
-            scope.spawn(|| serve(&session, &listener, &options, Some(&metrics_listener)).unwrap());
+        let handle = scope
+            .spawn(|| serve(&dispatcher, &listener, &config, Some(&metrics_listener)).unwrap());
         let mut replay_options = ReplayOptions::new(&addr);
         replay_options.scrape_addr = Some(metrics_addr);
         replay_options.scrape_out = Some(scrape_out.clone());

@@ -32,7 +32,10 @@
 //!
 //! The runtime is generic over a [`LineHandler`], so it knows nothing of
 //! JSON or the GTL domain; `gtl_api::serve` instantiates it with the
-//! session dispatcher.
+//! session dispatcher. [`RuntimeConfig`] is the one serve configuration:
+//! `gtl serve`'s runtime flags set its fields, and
+//! [`RuntimeConfig::default()`] is what `gtl serve` runs with none of
+//! them.
 //!
 //! # Determinism
 //!

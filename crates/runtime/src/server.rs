@@ -7,9 +7,8 @@
 //!
 //! * **Compute lanes.** A fixed pool of `lanes` worker threads executes
 //!   request jobs popped from one global bounded fair-share queue (a
-//!   per-tenant round-robin [`FairQueue`] with the blocking semantics of
-//!   [`gtl_core::sync::BoundedQueue`]). When every lane is busy and the
-//!   queue is full — or one tenant has hit its per-tenant quota —
+//!   blocking per-tenant round-robin [`FairQueue`]). When every lane is
+//!   busy and the queue is full — or one tenant has hit its per-tenant quota —
 //!   connection readers block in `push`: backpressure reaches the
 //!   client's TCP window instead of growing an unbounded buffer, and a
 //!   flooding tenant backpressures *itself* before it can crowd out
@@ -120,7 +119,6 @@ pub struct RequestContext<'a> {
     pub(crate) cache: &'a ResponseCache,
     pub(crate) token: &'a CancelToken,
     pub(crate) submitted_at: Instant,
-    pub(crate) trace: TraceId,
 }
 
 impl RequestContext<'_> {
@@ -158,14 +156,6 @@ impl RequestContext<'_> {
     /// with a cancellation error after its connection was lost.
     pub fn record_cancelled(&self) {
         self.hub.job_cancelled();
-    }
-
-    /// This request's trace identity (see [`TraceId`]). Handlers may log
-    /// it or fold it into diagnostics, but the response *bytes* are
-    /// stamped by the runtime via [`LineHandler::stamp_trace`] — after
-    /// the cache — so cached bytes stay pure functions of the line.
-    pub fn trace_id(&self) -> TraceId {
-        self.trace
     }
 
     /// Records how long serializing the response body took, in
@@ -287,44 +277,52 @@ where
     }
 }
 
-/// Sizing and limits for [`serve_lines`].
+/// Sizing and limits for [`serve_lines`]. [`RuntimeConfig::default()`]
+/// is what `gtl serve` runs with no flags; each field's default is
+/// stated on it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RuntimeConfig {
     /// Compute lanes (scheduler worker threads); `0` = all cores.
+    /// Default `0`.
     pub lanes: usize,
     /// Bounded job-queue capacity; `0` = auto (`4 × lanes`, at least the
-    /// pipeline depth).
+    /// pipeline depth). Default `0`.
     pub queue_depth: usize,
-    /// Response-cache byte budget; `0` disables caching.
+    /// Response-cache byte budget; `0` disables caching. Default 64 MiB,
+    /// which holds tens of thousands of typical responses while staying
+    /// far below paper-scale netlist footprints.
     pub cache_bytes: usize,
     /// Max jobs in flight per connection (reorder-ring size); clamped to
     /// at least 1. `1` degenerates to strict serial request/response.
+    /// Default `8`.
     pub pipeline_depth: usize,
     /// Largest accepted request line in bytes. A line is buffered before
     /// parsing; the cap keeps one hostile newline-free stream from
     /// growing the buffer until the allocator aborts the process.
+    /// Default 1 MiB, far above any real request.
     pub max_request_bytes: u64,
     /// Per-connection idle timeout (`None` = wait forever). Idle means
     /// no request in flight **and** nothing arriving: a client waiting
     /// on a slow compute never trips it. On expiry the connection stops
-    /// reading, flushes anything in flight and closes.
+    /// reading, flushes anything in flight and closes. Default 30 s.
     pub read_timeout: Option<Duration>,
     /// Max concurrently open connections (`0` = unbounded); excess
-    /// clients wait in the listen backlog.
+    /// clients wait in the listen backlog. Default `0`.
     pub max_concurrent: usize,
     /// Total accept budget (`None` = run forever; `Some(0)` = return
     /// immediately). Scripted callers use this for a clean exit.
+    /// Default `None`.
     pub max_connections: Option<usize>,
     /// Server-side default deadline per request (`None` = unbounded).
     /// Anchored at submission, so queue wait counts; the job's
     /// [`RequestContext::cancel_token`] trips once it passes. Handlers
     /// decide the response; cancelled work never blocks a lane beyond
-    /// its current checkpoint interval.
+    /// its current checkpoint interval. Default `None`.
     pub default_deadline: Option<Duration>,
     /// Max queued jobs per tenant (see [`Classified::tenant`]); `0` =
     /// auto (the full queue depth, i.e. no sub-limit). A tenant at its
     /// quota backpressures only its own connections. Clamped to at
-    /// least 1.
+    /// least 1. Default `0`.
     pub tenant_quota: usize,
 }
 
@@ -333,10 +331,10 @@ impl Default for RuntimeConfig {
         Self {
             lanes: 0,
             queue_depth: 0,
-            cache_bytes: 0,
-            pipeline_depth: 1,
+            cache_bytes: 64 << 20,
+            pipeline_depth: 8,
             max_request_bytes: 1 << 20,
-            read_timeout: None,
+            read_timeout: Some(Duration::from_secs(30)),
             max_concurrent: 0,
             max_connections: None,
             default_deadline: None,
@@ -396,9 +394,9 @@ type Job<'a> = Box<dyn FnOnce() + Send + 'a>;
 /// The bounded fair-share job queue: per-tenant FIFOs drained in
 /// deterministic round-robin order.
 ///
-/// Semantics mirror [`gtl_core::sync::BoundedQueue`] — `push` blocks on
-/// the limits and fails only once closed; `pop` drains everything
-/// admitted before returning `None` after close — with two additions:
+/// `push` blocks on the limits and fails only once closed; `pop` drains
+/// everything admitted before returning `None` after close. Beyond a
+/// plain bounded FIFO it adds:
 ///
 /// * **Per-tenant quota.** A tenant with `quota` jobs already queued
 ///   blocks its own producers, leaving the remaining capacity to other
@@ -1049,13 +1047,8 @@ fn run_job<H: LineHandler>(
             Some(deadline) => conn.token().child_with_deadline(deadline),
             None => conn.token().clone(),
         };
-        let ctx = RequestContext {
-            hub: rt.hub,
-            cache: rt.cache,
-            token: &token,
-            submitted_at: submitted,
-            trace,
-        };
+        let ctx =
+            RequestContext { hub: rt.hub, cache: rt.cache, token: &token, submitted_at: submitted };
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             rt.handler.handle(&ctx, line, &classified.parsed, &mut out)
         }));
@@ -1417,6 +1410,7 @@ mod tests {
         let addr = listener.local_addr().unwrap();
         let config = RuntimeConfig {
             lanes: 4,
+            cache_bytes: 0,
             pipeline_depth: 5,
             max_connections: Some(1),
             ..RuntimeConfig::default()
@@ -1568,6 +1562,7 @@ mod tests {
         let addr = listener.local_addr().unwrap();
         let config = RuntimeConfig {
             lanes: 1,
+            cache_bytes: 0,
             pipeline_depth: 2,
             max_request_bytes: 64,
             max_connections: Some(1),
@@ -1592,6 +1587,8 @@ mod tests {
         let addr = listener.local_addr().unwrap();
         let config = RuntimeConfig {
             lanes: 1,
+            cache_bytes: 0,
+            pipeline_depth: 1,
             read_timeout: Some(Duration::from_millis(30)),
             max_connections: Some(1),
             ..RuntimeConfig::default()
@@ -1615,6 +1612,8 @@ mod tests {
         let addr = listener.local_addr().unwrap();
         let config = RuntimeConfig {
             lanes: 1,
+            cache_bytes: 0,
+            pipeline_depth: 1,
             // Far shorter than the 150ms the request takes to compute:
             // the timeout must only measure idleness, not compute.
             read_timeout: Some(Duration::from_millis(40)),
@@ -1644,7 +1643,9 @@ mod tests {
         let addr = listener.local_addr().unwrap();
         let config = RuntimeConfig {
             lanes: 1, // serialize jobs so the pre-panic response is deposited first
+            cache_bytes: 0,
             pipeline_depth: 4,
+            read_timeout: None,
             max_connections: Some(2),
             ..RuntimeConfig::default()
         };
@@ -1688,6 +1689,8 @@ mod tests {
         let addr = listener.local_addr().unwrap();
         let config = RuntimeConfig {
             lanes: 1,
+            cache_bytes: 0,
+            pipeline_depth: 1,
             default_deadline: Some(Duration::from_millis(0)),
             max_connections: Some(1),
             ..RuntimeConfig::default()
@@ -1711,6 +1714,8 @@ mod tests {
         let addr = listener.local_addr().unwrap();
         let config = RuntimeConfig {
             lanes: 1,
+            cache_bytes: 0,
+            pipeline_depth: 1,
             default_deadline: Some(Duration::from_secs(3600)),
             max_connections: Some(1),
             ..RuntimeConfig::default()
@@ -1770,7 +1775,9 @@ mod tests {
         let handler = CountingHandler { computed: std::sync::atomic::AtomicUsize::new(0) };
         let config = RuntimeConfig {
             lanes: 1,
+            cache_bytes: 0,
             pipeline_depth: 8,
+            read_timeout: None,
             max_connections: Some(1),
             ..RuntimeConfig::default()
         };
@@ -1799,6 +1806,7 @@ mod tests {
         let handler = CountingHandler { computed: std::sync::atomic::AtomicUsize::new(0) };
         let config = RuntimeConfig {
             lanes: 1, // serialize jobs so most of the burst is still queued
+            cache_bytes: 0,
             pipeline_depth: burst,
             max_connections: Some(2),
             ..RuntimeConfig::default()
@@ -1993,6 +2001,7 @@ mod tests {
             lanes: 1,
             queue_depth: 4,
             tenant_quota: 2,
+            cache_bytes: 0,
             pipeline_depth: 16,
             max_connections: Some(1),
             ..RuntimeConfig::default()
@@ -2082,6 +2091,7 @@ mod tests {
         let config = RuntimeConfig {
             lanes: 1,
             cache_bytes: 1 << 14,
+            pipeline_depth: 1,
             max_connections: Some(2),
             ..RuntimeConfig::default()
         };
@@ -2129,8 +2139,13 @@ mod tests {
         let scrape_addr = scrape_listener.local_addr().unwrap();
         let render = |snap: &MetricsSnapshot| format!("gtl_requests_total {}\n", snap.requests);
         let exporter = MetricsExporter { listener: &scrape_listener, render: &render };
-        let config =
-            RuntimeConfig { lanes: 1, max_connections: Some(1), ..RuntimeConfig::default() };
+        let config = RuntimeConfig {
+            lanes: 1,
+            cache_bytes: 0,
+            pipeline_depth: 1,
+            max_connections: Some(1),
+            ..RuntimeConfig::default()
+        };
         let scrape = |request: &str| {
             let mut conn = TcpStream::connect(scrape_addr).unwrap();
             write!(conn, "{request}").unwrap();

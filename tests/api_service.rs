@@ -8,8 +8,8 @@ use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 
 use gtl_api::{
-    FindRequest, ListSessionsRequest, LoadNetlistRequest, Request, ServeOptions, Session,
-    UnloadNetlistRequest,
+    FindRequest, ListSessionsRequest, LoadNetlistRequest, Request, RuntimeConfig, Session,
+    SessionDispatcher, UnloadNetlistRequest,
 };
 use gtl_tangled::ordering::GrowthCriterion;
 use gtl_tangled::{FinderConfig, MetricKind};
@@ -45,12 +45,12 @@ fn strip_trace(line: &str) -> String {
 
 /// One TCP round-trip against a fresh single-connection server.
 fn serve_round_trip(session: &Session, line: &str) -> String {
+    let dispatcher = SessionDispatcher::new(session, 0, 0, None);
     let listener = gtl_api::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap();
+    let config = RuntimeConfig { max_connections: Some(1), ..RuntimeConfig::default() };
     std::thread::scope(|scope| {
-        scope.spawn(|| {
-            gtl_api::serve(session, &listener, &ServeOptions::new().max_connections(Some(1)), None)
-        });
+        scope.spawn(|| gtl_api::serve(&dispatcher, &listener, &config, None));
         let mut conn = TcpStream::connect(addr).unwrap();
         writeln!(conn, "{line}").unwrap();
         conn.shutdown(std::net::Shutdown::Write).unwrap();
@@ -109,15 +109,21 @@ fn golden_dir() -> std::path::PathBuf {
     std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden")
 }
 
-/// Plays `lines` over one connection against a fresh server and returns
-/// the response lines. `pipeline_depth(1)` keeps the replay serial, so
-/// registry administration ordering is part of the contract.
-fn replay_script(session: &Session, options: ServeOptions, lines: &[String]) -> Vec<String> {
+/// Plays `lines` over one connection against a fresh two-lane server
+/// over `dispatcher` and returns the response lines. A pipeline depth of
+/// 1 keeps the replay serial, so registry administration ordering is
+/// part of the contract.
+fn replay_script(dispatcher: &SessionDispatcher<'_>, lines: &[String]) -> Vec<String> {
     let listener = gtl_api::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap();
-    let options = options.pipeline_depth(1).max_connections(Some(1));
+    let config = RuntimeConfig {
+        lanes: 2,
+        pipeline_depth: 1,
+        max_connections: Some(1),
+        ..RuntimeConfig::default()
+    };
     std::thread::scope(|scope| {
-        let server = scope.spawn(|| gtl_api::serve(session, &listener, &options, None).unwrap());
+        let server = scope.spawn(|| gtl_api::serve(dispatcher, &listener, &config, None).unwrap());
         let mut conn = TcpStream::connect(addr).unwrap();
         for line in lines {
             writeln!(conn, "{line}").unwrap();
@@ -138,7 +144,8 @@ fn golden_v1_find_replay_is_frozen() {
     let request = std::fs::read_to_string(golden_dir().join("serve_find_request.json")).unwrap();
     let expected = std::fs::read_to_string(golden_dir().join("serve_find_response.json")).unwrap();
     let session = Session::builder().load(&fixture_path()).unwrap().build().unwrap();
-    let got = replay_script(&session, ServeOptions::new().lanes(2), &[request.trim().to_string()]);
+    let dispatcher = SessionDispatcher::new(&session, 0, 0, None);
+    let got = replay_script(&dispatcher, &[request.trim().to_string()]);
     assert_eq!(got, vec![expected.trim_end().to_string()], "v1 golden bytes changed");
 }
 
@@ -181,8 +188,8 @@ fn golden_v4_session_script_replay() {
         serde::json::to_string(&Request::UnloadNetlist(unload)),
     ];
     let session = Session::builder().load(&fixture_path()).unwrap().build().unwrap();
-    let options = ServeOptions::new().lanes(2).max_netlists(4).netlist_dir(Some(golden_dir()));
-    let got = replay_script(&session, options, &script);
+    let dispatcher = SessionDispatcher::new(&session, 4, 0, Some(golden_dir()));
+    let got = replay_script(&dispatcher, &script);
     assert_eq!(got.len(), script.len(), "{got:?}");
 
     let requests_path = golden_dir().join("serve_session_requests.json");
@@ -239,8 +246,8 @@ fn golden_v5_traced_script_replay() {
         serde::json::to_string(&Request::UnloadNetlist(UnloadNetlistRequest::new("alt"))),
     ];
     let session = Session::builder().load(&fixture_path()).unwrap().build().unwrap();
-    let options = ServeOptions::new().lanes(2).max_netlists(4).netlist_dir(Some(golden_dir()));
-    let got = replay_script(&session, options, &script);
+    let dispatcher = SessionDispatcher::new(&session, 4, 0, Some(golden_dir()));
+    let got = replay_script(&dispatcher, &script);
     assert_eq!(got.len(), script.len(), "{got:?}");
     // Trace IDs are a pure function of (connection, sequence): one
     // connection (id 1), requests numbered from 0 — so the stamps are
