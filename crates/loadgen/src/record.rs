@@ -124,6 +124,11 @@ fn proxy_connection(
     let upstream = connect_with_retry(&options.upstream, options.connect_timeout)?;
     client.set_read_timeout(Some(POLL)).map_err(ApiError::from)?;
     upstream.set_read_timeout(Some(POLL)).map_err(ApiError::from)?;
+    // The pump forwards each chunk as it reads it, so a reply longer than
+    // one chunk leaves in several writes; with Nagle's algorithm on, every
+    // write after the first would wait for the peer's delayed ACK.
+    client.set_nodelay(true).map_err(ApiError::from)?;
+    upstream.set_nodelay(true).map_err(ApiError::from)?;
     let mut client_r = client;
     let mut upstream_r = &upstream;
 

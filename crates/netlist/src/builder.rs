@@ -10,6 +10,11 @@ use crate::{CellId, NetId, Netlist};
 /// permitted — netlist formats that require unique names enforce that in
 /// their parsers.
 ///
+/// Names are stored only up to the last named cell (and net): unnamed
+/// elements past it cost nothing, so a netlist built entirely from
+/// anonymous cells and nets (the `.hgr` reader, the synthetic generators)
+/// holds no name storage at all.
+///
 /// # Example
 ///
 /// ```
@@ -38,12 +43,13 @@ impl NetlistBuilder {
     }
 
     /// Creates a builder with capacity reserved for `cells` cells and
-    /// `nets` nets.
+    /// `nets` nets. Names are not reserved: they grow only as named
+    /// elements arrive.
     pub fn with_capacity(cells: usize, nets: usize) -> Self {
         Self {
-            cell_names: Vec::with_capacity(cells),
+            cell_names: Vec::new(),
             cell_areas: Vec::with_capacity(cells),
-            net_names: Vec::with_capacity(nets),
+            net_names: Vec::new(),
             net_offsets: {
                 let mut v = Vec::with_capacity(nets + 1);
                 v.push(0);
@@ -71,7 +77,7 @@ impl NetlistBuilder {
     pub fn add_cell(&mut self, name: impl Into<String>, area: f64) -> CellId {
         assert!(area.is_finite() && area > 0.0, "cell area must be finite and positive");
         let id = CellId::new(self.cell_areas.len());
-        self.cell_names.push(name.into());
+        store_name(&mut self.cell_names, id.index(), name.into());
         self.cell_areas.push(area);
         id
     }
@@ -92,7 +98,6 @@ impl NetlistBuilder {
     /// which create hundreds of thousands of cells.
     pub fn add_anonymous_cells(&mut self, count: usize) -> CellId {
         let first = CellId::new(self.cell_areas.len());
-        self.cell_names.resize(self.cell_names.len() + count, String::new());
         self.cell_areas.resize(self.cell_areas.len() + count, 1.0);
         first
     }
@@ -124,7 +129,7 @@ impl NetlistBuilder {
             }
         }
         self.net_offsets.push(self.net_pins.len() as u32);
-        self.net_names.push(name.into());
+        store_name(&mut self.net_names, id.index(), name.into());
         id
     }
 
@@ -177,6 +182,17 @@ impl NetlistBuilder {
             cell_offsets,
             cell_pins,
         }
+    }
+}
+
+/// Stores `name` for element `index` of a name table that holds names
+/// only up to the last named element: an empty name is not stored, and a
+/// non-empty one first pads the unnamed elements before it with empty
+/// strings (which own no heap memory).
+fn store_name(names: &mut Vec<String>, index: usize, name: String) {
+    if !name.is_empty() {
+        names.resize(index, String::new());
+        names.push(name);
     }
 }
 
@@ -241,5 +257,100 @@ mod tests {
         let b = NetlistBuilder::with_capacity(100, 50);
         assert_eq!(b.num_cells(), 0);
         assert_eq!(b.num_nets(), 0);
+    }
+
+    #[test]
+    fn an_hgr_netlist_holds_no_name_storage() {
+        let nl = crate::hgr::parse_str("3 4\n1 2\n2 3 4\n4 1\n").unwrap();
+        assert_eq!((nl.num_cells(), nl.num_nets()), (4, 3));
+        assert_eq!((nl.cell_names.capacity(), nl.net_names.capacity()), (0, 0));
+        assert_eq!(nl.cell_name(CellId::new(3)), "");
+        assert_eq!(nl.net_name(NetId::new(2)), "");
+        assert_eq!(nl.find_cell(""), Some(CellId::new(0)));
+        nl.validate().unwrap();
+    }
+
+    use proptest::prelude::*;
+
+    /// One builder call of the name-storage property below.
+    #[derive(Debug, Clone)]
+    enum Op {
+        NamedCell(usize),
+        EmptyNamedCell,
+        AnonymousCell,
+        AnonymousCells(usize),
+        NamedNet(usize),
+        AnonymousNet,
+    }
+
+    fn op() -> impl Strategy<Value = Op> {
+        (0usize..6, 0usize..4).prop_map(|(kind, n)| match kind {
+            0 => Op::NamedCell(n),
+            1 => Op::EmptyNamedCell,
+            2 => Op::AnonymousCell,
+            3 => Op::AnonymousCells(n),
+            4 => Op::NamedNet(n),
+            _ => Op::AnonymousNet,
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// Whatever the interleaving of named, empty-named and anonymous
+        /// cells and nets, the stored names answer `cell_name`,
+        /// `net_name` and `find_cell` exactly like one `String` per
+        /// element would.
+        #[test]
+        fn names_match_a_one_string_per_element_model(
+            ops in proptest::collection::vec(op(), 0..40),
+        ) {
+            let mut b = NetlistBuilder::new();
+            let mut cells: Vec<String> = Vec::new();
+            let mut nets: Vec<String> = Vec::new();
+            for op in ops {
+                match op {
+                    Op::NamedCell(n) => {
+                        b.add_cell(format!("c{n}"), 1.0);
+                        cells.push(format!("c{n}"));
+                    }
+                    Op::EmptyNamedCell => {
+                        b.add_cell("", 1.0);
+                        cells.push(String::new());
+                    }
+                    Op::AnonymousCell => {
+                        b.add_anonymous_cell(1.0);
+                        cells.push(String::new());
+                    }
+                    Op::AnonymousCells(count) => {
+                        b.add_anonymous_cells(count);
+                        cells.resize(cells.len() + count, String::new());
+                    }
+                    Op::NamedNet(n) => {
+                        b.add_net(format!("n{n}"), []);
+                        nets.push(format!("n{n}"));
+                    }
+                    Op::AnonymousNet => {
+                        b.add_anonymous_net([]);
+                        nets.push(String::new());
+                    }
+                }
+            }
+            let nl = b.finish();
+            nl.validate().unwrap();
+            prop_assert_eq!(nl.num_cells(), cells.len());
+            prop_assert_eq!(nl.num_nets(), nets.len());
+            for (i, name) in cells.iter().enumerate() {
+                prop_assert_eq!(nl.cell_name(CellId::new(i)), name.as_str());
+            }
+            for (i, name) in nets.iter().enumerate() {
+                prop_assert_eq!(nl.net_name(NetId::new(i)), name.as_str());
+            }
+            let probes = ["", "c0", "c1", "c2", "c3", "n0", "absent"];
+            for probe in probes {
+                let model = cells.iter().position(|n| n == probe).map(CellId::new);
+                prop_assert_eq!(nl.find_cell(probe), model, "find_cell({:?})", probe);
+            }
+        }
     }
 }

@@ -17,6 +17,10 @@ use crate::{CellId, NetId, NetlistError};
 /// itself is immutable except for cell areas (which the cell-inflation flow
 /// of the paper's §5.1.3 mutates via [`Netlist::set_cell_area`]).
 ///
+/// Cell and net names are stored only up to the last named element; every
+/// element past that point is unnamed, and [`Netlist::cell_name`] /
+/// [`Netlist::net_name`] answer `""` for it without storing anything.
+///
 /// # Example
 ///
 /// ```
@@ -33,7 +37,9 @@ use crate::{CellId, NetId, NetlistError};
 #[derive(Debug, Clone)]
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Netlist {
+    /// Names of cells `0..cell_names.len()`; later cells are unnamed.
     pub(crate) cell_names: Vec<String>,
+    /// Names of nets `0..net_names.len()`; later nets are unnamed.
     pub(crate) net_names: Vec<String>,
     pub(crate) cell_areas: Vec<f64>,
     /// CSR offsets into `net_pins` (length `num_nets + 1`).
@@ -135,23 +141,38 @@ impl Netlist {
     }
 
     /// Name of `cell`; empty string if the cell was added unnamed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cell` is out of bounds.
     #[inline]
     pub fn cell_name(&self, cell: CellId) -> &str {
-        &self.cell_names[cell.index()]
+        stored_name(&self.cell_names, cell.index(), self.num_cells())
     }
 
     /// Name of `net`; empty string if the net was added unnamed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `net` is out of bounds.
     #[inline]
     pub fn net_name(&self, net: NetId) -> &str {
-        &self.net_names[net.index()]
+        stored_name(&self.net_names, net.index(), self.num_nets())
     }
 
-    /// Looks up a cell by name with a linear scan.
+    /// Looks up a cell by name with a linear scan; the first match wins,
+    /// so `""` finds the first unnamed cell.
     ///
     /// Intended for tests and small designs; build an external map for bulk
     /// lookups.
     pub fn find_cell(&self, name: &str) -> Option<CellId> {
-        self.cell_names.iter().position(|n| n == name).map(CellId::new)
+        let stored = self.cell_names.iter().position(|n| n == name);
+        // Every cell past the stored names is unnamed.
+        let unstored = || {
+            let first = self.cell_names.len();
+            (name.is_empty() && first < self.num_cells()).then_some(first)
+        };
+        stored.or_else(unstored).map(CellId::new)
     }
 
     /// Iterator over all cell ids, `0..num_cells`.
@@ -198,6 +219,9 @@ impl Netlist {
         if self.net_pins.len() != self.cell_pins.len() {
             return Err("pin count mismatch between directions".into());
         }
+        if self.cell_names.len() > self.num_cells() || self.net_names.len() > self.num_nets() {
+            return Err("more names than named elements".into());
+        }
         let mut seen = std::collections::HashSet::with_capacity(self.num_pins());
         for net in self.nets() {
             for &cell in self.net_cells(net) {
@@ -224,6 +248,14 @@ impl Netlist {
         }
         Ok(())
     }
+}
+
+/// Name `index` of `len` elements whose names are stored only up to the
+/// last named one.
+#[inline]
+fn stored_name(names: &[String], index: usize, len: usize) -> &str {
+    assert!(index < len, "index {index} out of bounds for {len} elements");
+    names.get(index).map_or("", String::as_str)
 }
 
 #[cfg(test)]

@@ -39,7 +39,7 @@
 
 use std::borrow::Cow;
 use std::collections::{HashMap, VecDeque};
-use std::io::{BufRead as _, BufReader, BufWriter, Write as _};
+use std::io::{BufRead as _, BufReader, BufWriter, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -1115,13 +1115,18 @@ fn write_side(
 }
 
 /// The write loop proper (see [`write_side`]).
-fn write_loop(
+///
+/// Each response goes to `writer` as one `write_all` of its bytes plus
+/// the `\n`, so a response longer than the buffer reaches the socket in
+/// one write: a lone trailing 1-byte `\n` segment would sit in Nagle's
+/// algorithm until the client's delayed ACK.
+fn write_loop<W: Write>(
     conn: &ConnShared,
-    writer: &mut BufWriter<TcpStream>,
+    writer: &mut BufWriter<W>,
     hub: &MetricsHub,
 ) -> Option<String> {
     loop {
-        let text = {
+        let mut text = {
             let mut state = conn.state.lock().unwrap_or_else(|e| e.into_inner());
             loop {
                 if state.dead {
@@ -1145,7 +1150,8 @@ fn write_loop(
                 state = conn.response_ready.wait(state).unwrap_or_else(|e| e.into_inner());
             }
         };
-        match writeln!(writer, "{text}") {
+        text.push('\n');
+        match writer.write_all(text.as_bytes()) {
             Ok(()) => {
                 hub.response_written();
                 let next_ready = {
@@ -1433,6 +1439,51 @@ mod tests {
             assert_eq!(report.connections, 1);
             assert_eq!(report.metrics.requests, n as u64);
             assert_eq!(report.metrics.responses, n as u64);
+        });
+    }
+
+    #[test]
+    fn pipelined_hits_and_misses_arrive_in_request_order() {
+        let listener = bind();
+        let addr = listener.local_addr().unwrap();
+        let config = RuntimeConfig {
+            lanes: 4,
+            cache_bytes: 1 << 16,
+            pipeline_depth: 5,
+            max_connections: Some(1),
+            ..RuntimeConfig::default()
+        };
+        std::thread::scope(|scope| {
+            let server =
+                scope.spawn(|| serve_lines(&listener, &config, &TestHandler, None).unwrap());
+            let mut conn = TcpStream::connect(addr).unwrap();
+            let mut reader = BufReader::new(conn.try_clone().unwrap());
+            // Prime the cache serially, so every repeat below is a hit
+            // that finishes ahead of the slow misses around it.
+            for hot in ["hot-a", "hot-b"] {
+                writeln!(conn, "{hot}").unwrap();
+                let mut line = String::new();
+                reader.read_line(&mut line).unwrap();
+                assert_eq!(line.trim_end(), format!("echo:{hot}"));
+            }
+            let n = 40;
+            let mut expected = Vec::new();
+            for i in 0..n {
+                let line = match i % 4 {
+                    0 => "hot-a".to_string(),
+                    2 => "hot-b".to_string(),
+                    _ => format!("slow-{i}"),
+                };
+                writeln!(conn, "{line}").unwrap();
+                expected.push(format!("echo:{line}"));
+            }
+            conn.shutdown(std::net::Shutdown::Write).unwrap();
+            let got: Vec<String> = reader.lines().map(|l| l.unwrap()).collect();
+            assert_eq!(got, expected, "responses reordered");
+            let report = server.join().unwrap();
+            assert_eq!(report.metrics.cache_hits, n / 2, "{:?}", report.metrics);
+            assert_eq!(report.metrics.cache_misses, 2 + n / 2, "{:?}", report.metrics);
+            assert_eq!(report.metrics.responses, 2 + n);
         });
     }
 
@@ -1886,6 +1937,45 @@ mod tests {
             assert_eq!(report.metrics.responses, (clients * 5) as u64);
             assert!(report.io_errors.is_empty(), "{:?}", report.io_errors);
         });
+    }
+
+    /// Records every `write` call it receives, accepting all bytes.
+    #[derive(Default)]
+    struct RecordingWriter {
+        calls: Vec<Vec<u8>>,
+    }
+
+    impl Write for RecordingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.calls.push(buf.to_vec());
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_reply_longer_than_the_buffer_reaches_the_socket_in_one_write() {
+        let replies = ["short-1".to_string(), "x".repeat(20 << 10), "short-2".to_string()];
+        let conn = ConnShared::new(replies.len());
+        for reply in &replies {
+            let (seq, mut out) = conn.acquire_slot().unwrap();
+            out.push_str(reply);
+            conn.deposit(seq, out);
+        }
+        conn.finish_input();
+        let mut writer = BufWriter::new(RecordingWriter::default());
+        assert_eq!(write_loop(&conn, &mut writer, &test_hub()), None);
+        let calls = &writer.get_ref().calls;
+        let long = format!("{}\n", replies[1]);
+        // Only the long reply contains an `x`.
+        let holding_long: Vec<&Vec<u8>> =
+            calls.iter().filter(|call| call.contains(&b'x')).collect();
+        assert_eq!(holding_long, vec![long.as_bytes()], "the long reply must be one write");
+        let wire: Vec<u8> = calls.concat();
+        assert_eq!(wire, format!("{}\n", replies.join("\n")).into_bytes());
     }
 
     fn test_hub() -> MetricsHub {
