@@ -8,8 +8,9 @@
 //! into `results/` via the `gtl_bench::report` machinery, and asserts
 //! that every parallel run reproduces the single-worker placement exactly
 //! — the execution layer's byte-identical contract, measured on the
-//! placer. Note the CI box may be single-core; interpret speedups there
-//! accordingly.
+//! placer. The summary records `available_parallelism`, so each row
+//! names the machine it came from; on a single-core box the 2-thread row
+//! measures the same serial work.
 
 use std::time::Instant;
 
@@ -25,16 +26,16 @@ fn config(threads: usize) -> PlacerConfig {
     PlacerConfig { shard_grid: 3, threads, ..PlacerConfig::default() }
 }
 
-/// Thread counts to measure: 1, 2, and all cores (deduplicated).
-fn thread_counts() -> Vec<usize> {
-    let all = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    let mut counts = vec![1, 2, all];
+/// Thread counts to measure: 1, 2, and all `cores` (deduplicated).
+fn thread_counts(cores: usize) -> Vec<usize> {
+    let mut counts = vec![1, 2, cores];
     counts.sort_unstable();
     counts.dedup();
     counts
 }
 
 fn main() {
+    let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
     let g = testbed();
     let die = Die::for_netlist(&g.netlist, 0.6);
 
@@ -48,7 +49,7 @@ fn main() {
     let mut rows = Vec::new();
     let mut serial_wall = 0.0f64;
     let mut baseline = None;
-    for &threads in &thread_counts() {
+    for &threads in &thread_counts(cores) {
         let mut wall = f64::INFINITY;
         let mut wirelength = 0.0f64;
         for _ in 0..2 {
@@ -78,6 +79,7 @@ fn main() {
         ("bench", Json::str("placement_parallel")),
         ("num_cells", Json::num(g.netlist.num_cells() as f64)),
         ("shard_grid", Json::num(config(1).shard_grid as f64)),
+        ("available_parallelism", Json::num(cores as f64)),
         ("runs", Json::arr(rows)),
     ]);
     let path = gtl_bench::results_dir().join("placement_parallel.json");

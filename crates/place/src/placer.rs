@@ -19,7 +19,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use crate::quadratic::{Laplacian, LaplacianScratch, ShardSolver, SolveScratch};
-use crate::spread::{spread, SpreadConfig};
+use crate::spread::{spread_coords, SpreadConfig};
 use crate::Die;
 
 /// Auto-sharding aims at roughly this many cells per shard; below it the
@@ -122,8 +122,8 @@ pub struct PlacerConfig {
     /// Seed for the initial random placement (and, via
     /// [`derive_stream`], for every per-shard stream).
     pub seed: u64,
-    /// Worker threads for the sharded solves; `0` means all cores. The
-    /// placement is byte-identical for every value.
+    /// Worker threads for the sharded solves and the spreader; `0` means
+    /// all cores. The placement is byte-identical for every value.
     pub threads: usize,
     /// Region-decomposition grid side `g` (the die splits into `g × g`
     /// shards). `0` auto-sizes toward ~10k cells per shard; `1` forces the
@@ -270,8 +270,7 @@ fn place_impl(
     for _ in 0..config.iterations {
         checkpoint(token)?;
         // Spread current positions to produce anchor targets.
-        let spread_p =
-            spread(netlist, &Placement::from_coords(xs.clone(), ys.clone()), die, &config.spread);
+        let spread_p = spread_coords(netlist, &xs, &ys, die, &config.spread, config.threads);
         solve_pass(&lap, die, config, grid_side, alpha, &spread_p, &mut xs, &mut ys);
         alpha *= config.anchor_growth;
     }
@@ -282,8 +281,7 @@ fn place_impl(
     // them instead of re-collapsing onto the die center), while connected
     // groups remain locally tight — the clustering-versus-congestion
     // trade-off the tangled-logic experiments study.
-    let spread_p =
-        spread(netlist, &Placement::from_coords(xs.clone(), ys.clone()), die, &config.spread);
+    let spread_p = spread_coords(netlist, &xs, &ys, die, &config.spread, config.threads);
     let alpha_final = alpha * config.anchor_final_boost;
     solve_pass(&lap, die, config, grid_side, alpha_final, &spread_p, &mut xs, &mut ys);
     Ok(Placement::from_coords(xs, ys))
