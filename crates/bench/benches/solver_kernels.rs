@@ -1,8 +1,10 @@
 //! Bench for the quadratic-solver kernels themselves — the
 //! fused Jacobi-CG of [`Laplacian::solve_anchored_into`] and the
-//! shard-restricted CG of [`ShardSolver::solve_shard_into`] — measured
-//! below the placer so kernel-level regressions are visible before they
-//! wash out in a full `place()` run.
+//! two-lane shard-restricted CG of [`ShardSolver::solve_shard_into`] —
+//! measured below the placer so kernel-level regressions are visible
+//! before they wash out in a full `place()` run. The shard kernel gets
+//! different x and y targets and starting guesses, so its two lanes stop
+//! at different iterations and the one-lane tail is timed too.
 //!
 //! A plain `harness = false` main (`cargo bench -p gtl-bench --bench
 //! solver_kernels`): it writes a machine-readable `solver_kernels.json`
@@ -32,7 +34,9 @@ struct Testbed {
     anchor: Vec<f64>,
     rhs: Vec<f64>,
     x0: Vec<f64>,
+    ys: Vec<f64>,
     targets: Vec<f64>,
+    targets_y: Vec<f64>,
     shards: Vec<Vec<u32>>,
 }
 
@@ -48,10 +52,11 @@ fn testbed() -> Testbed {
     let targets: Vec<f64> = (0..n).map(|i| coord(5, i, die.width)).collect();
     let x0: Vec<f64> = (0..n).map(|i| coord(7, i, die.width)).collect();
     let ys: Vec<f64> = (0..n).map(|i| coord(9, i, die.height)).collect();
+    let targets_y: Vec<f64> = (0..n).map(|i| coord(11, i, die.height)).collect();
     let rhs: Vec<f64> = targets.iter().map(|t| ALPHA * t).collect();
     let grid = ShardGrid::square(GRID, die.width, die.height);
     let shards = grid.partition(&x0, &ys);
-    Testbed { lap, anchor: vec![ALPHA; n], rhs, x0, targets, shards }
+    Testbed { lap, anchor: vec![ALPHA; n], rhs, x0, ys, targets, targets_y, shards }
 }
 
 /// Runs `reps` anchored solves into reused buffers; returns the wall
@@ -97,7 +102,7 @@ fn shard_pass(tb: &Testbed, reps: usize) -> (f64, Vec<f64>) {
             ty.clear();
             for &c in cells {
                 tx.push(tb.targets[c as usize]);
-                ty.push(tb.targets[c as usize]);
+                ty.push(tb.targets_y[c as usize]);
             }
             solver.solve_shard_into(
                 &tb.lap,
@@ -106,7 +111,7 @@ fn shard_pass(tb: &Testbed, reps: usize) -> (f64, Vec<f64>) {
                 &tx,
                 &ty,
                 &tb.x0,
-                &tb.x0,
+                &tb.ys,
                 TOLERANCE,
                 MAX_CG_ITERATIONS,
                 &mut out_x,

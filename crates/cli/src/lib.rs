@@ -81,8 +81,9 @@ SERVE RUNTIME (gtl-runtime; see ARCHITECTURE.md):
   --timeout-ms N      per-connection idle timeout (default 30000;
                       0 = wait forever); waiting on a slow response
                       does not count as idle
-  --max-concurrent N  concurrently open connections (0 = unbounded);
-                      excess clients wait in the listen backlog
+  --max-concurrent N  concurrently open connections, two threads each
+                      (default 256; 0 = unbounded); excess clients
+                      wait in the listen backlog
   --max-conns N       total connections before a clean exit (0 = forever)
   --deadline-ms N     server-side default deadline per request
                       (0 = unbounded); measured from request admission,

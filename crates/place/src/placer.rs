@@ -340,7 +340,9 @@ fn solve_pass(
         let jitter = TARGET_JITTER * die.width.max(die.height);
         let (xs_now, ys_now): (&[f64], &[f64]) = (xs, ys);
 
-        let solved: Vec<(Vec<f64>, Vec<f64>)> = parallel_map_chunked_with(
+        // Each shard solve returns its cells' new coordinates and the
+        // cells it found with a neighbor outside the shard.
+        let solved: Vec<(Vec<f64>, Vec<f64>, Vec<u32>)> = parallel_map_chunked_with(
             config.threads,
             shards.len(),
             Granularity::Auto,
@@ -348,7 +350,7 @@ fn solve_pass(
             |(solver, tx, ty), s| {
                 let cells = &shards[s];
                 if cells.is_empty() {
-                    return (Vec::new(), Vec::new());
+                    return (Vec::new(), Vec::new(), Vec::new());
                 }
                 // Per-shard RNG stream: decorrelates exactly coincident
                 // targets (the gridded spreader emits many) so each
@@ -361,7 +363,7 @@ fn solve_pass(
                     tx.push(targets.xs()[c as usize] + jitter * rng.gen_range(-0.5..0.5));
                     ty.push(targets.ys()[c as usize] + jitter * rng.gen_range(-0.5..0.5));
                 }
-                solver.solve_shard(
+                let (sx, sy) = solver.solve_shard(
                     lap,
                     cells,
                     alpha,
@@ -371,21 +373,21 @@ fn solve_pass(
                     ys_now,
                     config.tolerance,
                     config.max_cg_iterations,
-                )
+                );
+                (sx, sy, solver.boundary().to_vec())
             },
         );
 
-        // Stitch shard results back in fixed shard-then-cell order.
-        let mut shard_of = vec![0u32; n];
-        for (s, cells) in shards.iter().enumerate() {
-            for &c in cells {
-                shard_of[c as usize] = s as u32;
-            }
-        }
-        for (s, (sx, sy)) in solved.iter().enumerate() {
-            for (k, &c) in shards[s].iter().enumerate() {
+        // Stitch shard results back in fixed shard-then-cell order,
+        // marking the boundary cells each shard reported.
+        let mut on_boundary = vec![false; n];
+        for (cells, (sx, sy, boundary)) in shards.iter().zip(&solved) {
+            for (k, &c) in cells.iter().enumerate() {
                 xs[c as usize] = sx[k];
                 ys[c as usize] = sy[k];
+            }
+            for &c in boundary {
+                on_boundary[c as usize] = true;
             }
         }
 
@@ -394,10 +396,8 @@ fn solve_pass(
         // relax them (ascending cell id, serial, deterministic) against
         // the freshly stitched coordinates. Each update is the exact
         // stationarity condition of the global system at that cell.
-        let boundary: Vec<usize> =
-            (0..n).filter(|&i| lap.row(i).any(|(j, _)| shard_of[j] != shard_of[i])).collect();
         for _ in 0..BOUNDARY_SWEEPS {
-            for &i in &boundary {
+            for i in (0..n).filter(|&i| on_boundary[i]) {
                 let (mut acc_x, mut acc_y) = (0.0, 0.0);
                 for (j, w) in lap.row(i) {
                     acc_x += w * xs[j];
@@ -422,6 +422,174 @@ mod tests {
     use super::*;
     use crate::hpwl;
     use gtl_netlist::NetlistBuilder;
+    use proptest::prelude::*;
+
+    /// The sharded `solve_pass` from before the shard solves reported
+    /// their boundary cells (each axis solved on its own, the boundary
+    /// found by a serial scan over a `shard_of` array), kept verbatim with
+    /// the reference shard solver as the placer's bit-exactness oracle.
+    mod reference {
+        use gtl_core::exec::{derive_stream, parallel_map_chunked_with, Granularity};
+        use gtl_core::shard::ShardGrid;
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+
+        use super::super::{Placement, PlacerConfig, BOUNDARY_SWEEPS, TARGET_JITTER};
+        use crate::quadratic::tests::reference::ShardSolver;
+        use crate::quadratic::Laplacian;
+        use crate::Die;
+
+        /// One sharded anchored solve toward `targets` (`grid_side > 1`),
+        /// followed by the in-die clamp. Updates `xs`/`ys` in place.
+        #[allow(clippy::too_many_arguments)]
+        pub(super) fn solve_pass(
+            lap: &Laplacian,
+            die: &Die,
+            config: &PlacerConfig,
+            grid_side: usize,
+            alpha: f64,
+            targets: &Placement,
+            xs: &mut [f64],
+            ys: &mut [f64],
+        ) {
+            let n = lap.dim();
+            assert!(grid_side > 1, "the oracle covers the sharded branch");
+            // Region decomposition: bin cells by their spread-target position
+            // (targets are density-balanced, so shards are too). The partition
+            // is a pure function of the targets — never of the thread count.
+            let grid = ShardGrid::square(grid_side, die.width, die.height);
+            let shards = grid.partition(targets.xs(), targets.ys());
+            let jitter = TARGET_JITTER * die.width.max(die.height);
+            let (xs_now, ys_now): (&[f64], &[f64]) = (xs, ys);
+
+            let solved: Vec<(Vec<f64>, Vec<f64>)> = parallel_map_chunked_with(
+                config.threads,
+                shards.len(),
+                Granularity::Auto,
+                |_worker| (ShardSolver::new(n), Vec::new(), Vec::new()),
+                |(solver, tx, ty), s| {
+                    let cells = &shards[s];
+                    if cells.is_empty() {
+                        return (Vec::new(), Vec::new());
+                    }
+                    // Per-shard RNG stream: decorrelates exactly coincident
+                    // targets (the gridded spreader emits many) so each
+                    // shard's system is canonically perturbed, independent of
+                    // scheduling.
+                    let mut rng = SmallRng::seed_from_u64(derive_stream(config.seed, s as u64));
+                    tx.clear();
+                    ty.clear();
+                    for &c in cells {
+                        tx.push(targets.xs()[c as usize] + jitter * rng.gen_range(-0.5..0.5));
+                        ty.push(targets.ys()[c as usize] + jitter * rng.gen_range(-0.5..0.5));
+                    }
+                    solver.solve_shard(
+                        lap,
+                        cells,
+                        alpha,
+                        tx,
+                        ty,
+                        xs_now,
+                        ys_now,
+                        config.tolerance,
+                        config.max_cg_iterations,
+                    )
+                },
+            );
+
+            // Stitch shard results back in fixed shard-then-cell order.
+            let mut shard_of = vec![0u32; n];
+            for (s, cells) in shards.iter().enumerate() {
+                for &c in cells {
+                    shard_of[c as usize] = s as u32;
+                }
+            }
+            for (s, (sx, sy)) in solved.iter().enumerate() {
+                for (k, &c) in shards[s].iter().enumerate() {
+                    xs[c as usize] = sx[k];
+                    ys[c as usize] = sy[k];
+                }
+            }
+
+            // Fixed-order boundary anchor pass: cells with a neighbor in
+            // another shard were solved against stale neighbor positions;
+            // relax them (ascending cell id, serial, deterministic) against
+            // the freshly stitched coordinates. Each update is the exact
+            // stationarity condition of the global system at that cell.
+            let boundary: Vec<usize> =
+                (0..n).filter(|&i| lap.row(i).any(|(j, _)| shard_of[j] != shard_of[i])).collect();
+            for _ in 0..BOUNDARY_SWEEPS {
+                for &i in &boundary {
+                    let (mut acc_x, mut acc_y) = (0.0, 0.0);
+                    for (j, w) in lap.row(i) {
+                        acc_x += w * xs[j];
+                        acc_y += w * ys[j];
+                    }
+                    let denom = lap.degree(i) + alpha;
+                    xs[i] = (alpha * targets.xs()[i] + acc_x) / denom;
+                    ys[i] = (alpha * targets.ys()[i] + acc_y) / denom;
+                }
+            }
+
+            for i in 0..n {
+                let (cx, cy) = die.clamp(xs[i], ys[i]);
+                xs[i] = cx;
+                ys[i] = cy;
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(12))]
+
+        /// A sharded solve pass reproduces the oracle bit for bit at grid
+        /// sides 2–5 and 1, 2 and 8 workers: the two-lane shard solves,
+        /// the stitch, the reported boundary cells and their sweeps in
+        /// ascending id. Targets are scattered, or stacked on a coarse
+        /// lattice as the gridded spreader stacks them.
+        #[test]
+        fn solve_pass_matches_oracle_bit_for_bit(
+            n in 1usize..1200,
+            net_density in 1usize..4,
+            stacked in 0u8..2,
+            anchor in 0usize..4,
+            seed in 0u64..u64::MAX,
+        ) {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let nl = crate::quadratic::tests::random_netlist(n, n * net_density / 2, &mut rng);
+            let lap = Laplacian::build(&nl);
+            let die = Die::for_netlist(&nl, 0.6);
+            let mut coord = |side: f64| {
+                if stacked == 1 {
+                    rng.gen_range(0..5usize) as f64 * side / 4.0
+                } else {
+                    rng.gen_range(0.0..side)
+                }
+            };
+            let (tx, ty): (Vec<f64>, Vec<f64>) =
+                (0..n).map(|_| (coord(die.width), coord(die.height))).unzip();
+            let targets = Placement::from_coords(tx, ty);
+            let xs0: Vec<f64> = (0..n).map(|_| rng.gen_range(-1.0..die.width + 1.0)).collect();
+            let ys0: Vec<f64> = (0..n).map(|_| rng.gen_range(-1.0..die.height + 1.0)).collect();
+            let alpha = [0.02, 0.5, 3.0, 600.0][anchor];
+            for grid_side in 2..=5 {
+                let config = PlacerConfig { seed, threads: 1, ..PlacerConfig::default() };
+                let (mut want_x, mut want_y) = (xs0.clone(), ys0.clone());
+                reference::solve_pass(
+                    &lap, &die, &config, grid_side, alpha, &targets, &mut want_x, &mut want_y,
+                );
+                for threads in [1, 2, 8] {
+                    let config = PlacerConfig { threads, ..config };
+                    let (mut xs, mut ys) = (xs0.clone(), ys0.clone());
+                    solve_pass(&lap, &die, &config, grid_side, alpha, &targets, &mut xs, &mut ys);
+                    let what = format!("n={n} grid {grid_side} at {threads} workers, seed {seed}");
+                    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(bits(&xs), bits(&want_x), "x: {what}");
+                    assert_eq!(bits(&ys), bits(&want_y), "y: {what}");
+                }
+            }
+        }
+    }
 
     /// Two 12-cell cliques plus sparse filler.
     fn clustered_netlist() -> Netlist {

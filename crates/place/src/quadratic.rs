@@ -17,11 +17,24 @@
 //! the exact per-element operation order and the sequential index-order
 //! reductions of the original four-pass kernels, so results are
 //! **bit-identical** to the unfused form (pinned by the `reference` tests
-//! in this module). Steady-state solves allocate nothing: callers own the
-//! output buffers ([`Laplacian::solve_anchored_into`],
-//! [`ShardSolver::solve_shard_into`]) and the CG work vectors live in
-//! reusable scratch ([`SolveScratch`], [`ShardSolver`]), as does the
-//! triplet pass of the CSR build ([`LaplacianScratch`]).
+//! in this module).
+//!
+//! The shard solve ([`ShardSolver`]) advances the x and y systems as two
+//! lanes of one CG: every vector holds an `[x, y]` pair per cell, so one
+//! pass over a local row serves both axes (packed multiplies and
+//! subtracts), and `pᵀAp` is summed inside the matrix-vector row loop.
+//! Each lane keeps its own index-order reductions and its own stopping
+//! rules, and a lane that stops is never written again while the other
+//! finishes alone, so each axis is bit-identical to solving it by itself
+//! (the one-axis solver is kept verbatim as the `reference` oracle). The
+//! shard's extraction also reports its cells with a neighbor outside the
+//! shard, which the placer's boundary sweeps take as their list.
+//!
+//! Steady-state solves allocate nothing: callers own the output buffers
+//! ([`Laplacian::solve_anchored_into`], [`ShardSolver::solve_shard_into`])
+//! and the CG work vectors live in reusable scratch ([`SolveScratch`],
+//! [`ShardSolver`]), as does the triplet pass of the CSR build
+//! ([`LaplacianScratch`]).
 
 use gtl_netlist::Netlist;
 
@@ -400,6 +413,14 @@ impl Laplacian {
 /// CG vectors are allocated once and recycled, per the execution layer's
 /// scratch contract.
 ///
+/// Both axes share the local matrix, so they are solved together: every
+/// CG vector holds an `[x, y]` pair per cell and each local row is read
+/// once for both lanes. Each lane keeps its own reductions and stopping
+/// rules, so its result is bit-identical to solving that axis alone;
+/// once one lane stops, the other finishes on its own. The extraction
+/// also records the shard's cells with a neighbor outside it, which the
+/// placer's boundary sweeps take as their list.
+///
 /// The result of [`ShardSolver::solve_shard`] is a pure function of its
 /// arguments; nothing about buffer reuse or worker identity leaks into the
 /// output.
@@ -435,20 +456,13 @@ pub struct ShardSolver {
     /// Local index of each global cell (valid only where `mark` matches).
     local_of: Vec<u32>,
     epoch: u32,
-    // Shard-local CSR (columns hold *local* indices).
-    offsets: Vec<usize>,
-    columns: Vec<u32>,
-    values: Vec<f64>,
-    diagonal: Vec<f64>,
-    // Fixed-neighbor (Dirichlet) right-hand-side contributions per axis.
-    ext_x: Vec<f64>,
-    ext_y: Vec<f64>,
-    // CG work vectors.
-    rhs: Vec<f64>,
-    r: Vec<f64>,
-    z: Vec<f64>,
-    p: Vec<f64>,
-    ap: Vec<f64>,
+    /// The shard-local matrix.
+    local: LocalCsr,
+    /// Global ids of the last shard's cells with a neighbor outside it,
+    /// in `cells` order.
+    boundary: Vec<u32>,
+    /// Right-hand side and CG state, both axes.
+    lanes: Lanes,
 }
 
 impl ShardSolver {
@@ -458,17 +472,9 @@ impl ShardSolver {
             mark: vec![0; num_cells],
             local_of: vec![0; num_cells],
             epoch: 0,
-            offsets: Vec::new(),
-            columns: Vec::new(),
-            values: Vec::new(),
-            diagonal: Vec::new(),
-            ext_x: Vec::new(),
-            ext_y: Vec::new(),
-            rhs: Vec::new(),
-            r: Vec::new(),
-            z: Vec::new(),
-            p: Vec::new(),
-            ap: Vec::new(),
+            local: LocalCsr::default(),
+            boundary: Vec::new(),
+            lanes: Lanes::default(),
         }
     }
 
@@ -518,12 +524,9 @@ impl ShardSolver {
     /// `targets_x`/`targets_y` are the anchor targets of the shard cells
     /// (indexed like `cells`); `xs`/`ys` are the full current coordinate
     /// vectors, used both as the CG starting guess and as the fixed
-    /// positions of out-of-shard neighbors. `out_x`/`out_y` are resized to
-    /// the shard and double as the CG solution vectors — loaded with the
-    /// starting guess, iterated in place, left holding the new shard
-    /// coordinates in `cells` order. With buffers reused across calls the
-    /// steady state allocates nothing (there is no `to_vec` tail — the
-    /// solve never owns the solution).
+    /// positions of out-of-shard neighbors. `out_x`/`out_y` are
+    /// overwritten with the new shard coordinates in `cells` order. With
+    /// buffers reused across calls the steady state allocates nothing.
     ///
     /// # Panics
     ///
@@ -556,118 +559,244 @@ impl ShardSolver {
             self.local_of[c as usize] = k as u32;
         }
 
-        // Extract the shard-local CSR; edges leaving the shard keep their
-        // weight on the diagonal and push `w · neighbor_position` onto the
-        // per-axis right-hand side.
-        self.offsets.clear();
-        self.offsets.push(0);
-        self.columns.clear();
-        self.values.clear();
-        self.diagonal.clear();
-        self.ext_x.clear();
-        self.ext_y.clear();
-        for &c in cells {
+        // One pass per row extracts the shard-local CSR and both
+        // right-hand-side lanes: an edge leaving the shard keeps its
+        // weight on the diagonal, adds `w · neighbor_position` to each
+        // lane, and makes its cell a boundary cell.
+        let LocalCsr { offsets, columns, values, diagonal } = &mut self.local;
+        let Lanes { x, r, .. } = &mut self.lanes;
+        offsets.clear();
+        offsets.push(0);
+        columns.clear();
+        values.clear();
+        diagonal.clear();
+        self.boundary.clear();
+        r.clear();
+        x.clear();
+        for (k, &c) in cells.iter().enumerate() {
             let g = c as usize;
             let (mut ex, mut ey) = (0.0, 0.0);
+            let mut leaves = false;
             for (j, w) in lap.row(g) {
                 if self.mark[j] == self.epoch {
-                    self.columns.push(self.local_of[j]);
-                    self.values.push(w);
+                    columns.push(self.local_of[j]);
+                    values.push(w);
                 } else {
                     ex += w * xs[j];
                     ey += w * ys[j];
+                    leaves = true;
                 }
             }
-            self.offsets.push(self.columns.len());
-            self.diagonal.push(lap.degree(g) + anchor_weight);
-            self.ext_x.push(ex);
-            self.ext_y.push(ey);
+            if leaves {
+                self.boundary.push(c);
+            }
+            offsets.push(columns.len());
+            diagonal.push(lap.degree(g) + anchor_weight);
+            r.push([anchor_weight * targets_x[k] + ex, anchor_weight * targets_y[k] + ey]);
+            x.push([xs[g], ys[g]]);
         }
 
-        self.rhs.resize(m, 0.0);
-        out_x.resize(m, 0.0);
-        for k in 0..m {
-            self.rhs[k] = anchor_weight * targets_x[k] + self.ext_x[k];
-            out_x[k] = xs[cells[k] as usize];
-        }
-        self.cg(out_x, tolerance, max_iterations);
-        out_y.resize(m, 0.0);
-        for k in 0..m {
-            self.rhs[k] = anchor_weight * targets_y[k] + self.ext_y[k];
-            out_y[k] = ys[cells[k] as usize];
-        }
-        self.cg(out_y, tolerance, max_iterations);
+        self.lanes.cg(&self.local, tolerance, max_iterations);
+        out_x.clear();
+        out_x.extend(self.lanes.x.iter().map(|v| v[0]));
+        out_y.clear();
+        out_y.extend(self.lanes.x.iter().map(|v| v[1]));
     }
 
-    /// Jacobi-preconditioned CG on the current local system (`self.rhs`),
-    /// iterating `x` in place from starting guess to solution, mirroring
-    /// [`Laplacian::solve_anchored_into`]'s fused loop structure — except
-    /// that the Jacobi solve stays in its original division form
-    /// (`r / diag.max(1e-12)`), which is not bit-equal to multiplying by
-    /// a precomputed reciprocal.
-    fn cg(&mut self, x: &mut [f64], tolerance: f64, max_iterations: usize) {
-        let m = self.diagonal.len();
-        self.r.resize(m, 0.0);
-        self.z.resize(m, 0.0);
-        self.p.resize(m, 0.0);
-        self.ap.resize(m, 0.0);
+    /// The cells of the last solved shard that have a neighbor outside
+    /// it, in `cells` order (ascending when `cells` is, as
+    /// [`ShardGrid::partition`](gtl_core::shard::ShardGrid::partition)
+    /// makes it).
+    pub(crate) fn boundary(&self) -> &[u32] {
+        &self.boundary
+    }
+}
 
-        csr_apply_into(&self.offsets, &self.columns, &self.values, &self.diagonal, x, &mut self.ap);
-        let mut rz = 0.0f64;
-        let mut rr = 0.0f64;
-        for i in 0..m {
-            let ri = self.rhs[i] - self.ap[i];
-            self.r[i] = ri;
-            let zi = ri / self.diagonal[i].max(1e-12);
-            self.z[i] = zi;
-            self.p[i] = zi;
-            rz += ri * zi;
-            rr += ri * ri;
+/// A shard-local matrix in CSR form (columns hold local indices), with
+/// the anchor weight on its diagonal.
+#[derive(Debug, Clone, Default)]
+struct LocalCsr {
+    offsets: Vec<usize>,
+    columns: Vec<u32>,
+    values: Vec<f64>,
+    diagonal: Vec<f64>,
+}
+
+impl LocalCsr {
+    /// Two-lane [`csr_apply_into`] of `v` into `out` on the lanes `X`/`Y`
+    /// select, fused with each selected lane's `vᵀ·out` reduction in
+    /// index order; returns those reductions. A lane that is not selected
+    /// is neither read from the neighbors nor reduced, and holds scratch
+    /// in `out`.
+    fn apply<const X: bool, const Y: bool>(
+        &self,
+        v: &[[f64; 2]],
+        out: &mut [[f64; 2]],
+    ) -> [f64; 2] {
+        let lane = [X, Y];
+        // Started where `Iterator::sum` starts.
+        let mut vav = [-0.0f64; 2];
+        for i in 0..self.diagonal.len() {
+            let (start, end) = (self.offsets[i], self.offsets[i + 1]);
+            let vi = v[i];
+            let mut acc = [self.diagonal[i] * vi[0], self.diagonal[i] * vi[1]];
+            for (&c, &w) in self.columns[start..end].iter().zip(&self.values[start..end]) {
+                let vc = v[c as usize];
+                for l in 0..2 {
+                    if lane[l] {
+                        acc[l] -= w * vc[l];
+                    }
+                }
+            }
+            out[i] = acc;
+            for l in 0..2 {
+                if lane[l] {
+                    vav[l] += vi[l] * acc[l];
+                }
+            }
         }
-        let target = tolerance * tolerance * self.rhs.iter().map(|v| v * v).sum::<f64>().max(1e-30);
+        vav
+    }
+}
 
-        for _ in 0..max_iterations {
-            if rr <= target {
-                break;
+/// The CG state of a shard's two systems, lane 0 the x axis and lane 1
+/// the y axis: an `[x, y]` pair per shard cell in each vector, and the
+/// per-lane reductions.
+#[derive(Debug, Clone, Default)]
+struct Lanes {
+    /// The starting guess on entry to [`Lanes::cg`], the solution after.
+    x: Vec<[f64; 2]>,
+    /// The right-hand side on entry to [`Lanes::cg`], which the initial
+    /// residual replaces.
+    r: Vec<[f64; 2]>,
+    p: Vec<[f64; 2]>,
+    /// `A·p` from each matrix-vector product; once the update has read
+    /// an entry it stores the preconditioned residual `z` there for the
+    /// `p` update.
+    ap: Vec<[f64; 2]>,
+    rz: [f64; 2],
+    rr: [f64; 2],
+}
+
+impl Lanes {
+    /// Two-lane Jacobi-preconditioned CG on `a` and the right-hand side
+    /// in `self.r`, iterating `self.x` in place from starting guess to
+    /// solution. Per lane it runs [`Laplacian::solve_anchored_into`]'s
+    /// fused loop structure with that lane's own reductions, in index
+    /// order, and its own stopping rules: the residual test at the top of
+    /// each iteration, the `pᵀAp <= 0` breakdown stop before any update,
+    /// and its own count toward `max_iterations`. The Jacobi solve stays
+    /// in division form (`r / diag.max(1e-12)`), which is not bit-equal
+    /// to multiplying by a precomputed reciprocal.
+    fn cg(&mut self, a: &LocalCsr, tolerance: f64, max_iterations: usize) {
+        let m = a.diagonal.len();
+        self.p.resize(m, [0.0; 2]);
+        self.ap.resize(m, [0.0; 2]);
+
+        a.apply::<true, true>(&self.x, &mut self.ap);
+        self.rz = [0.0; 2];
+        self.rr = [0.0; 2];
+        // Σ rhs², started where `Iterator::sum` starts.
+        let mut bb = [-0.0f64; 2];
+        for i in 0..m {
+            let d = a.diagonal[i].max(1e-12);
+            let (mut ri, ax) = (self.r[i], self.ap[i]);
+            let mut zi = [0.0; 2];
+            for l in 0..2 {
+                bb[l] += ri[l] * ri[l];
+                ri[l] -= ax[l];
+                zi[l] = ri[l] / d;
+                self.rz[l] += ri[l] * zi[l];
+                self.rr[l] += ri[l] * ri[l];
             }
-            csr_apply_into(
-                &self.offsets,
-                &self.columns,
-                &self.values,
-                &self.diagonal,
-                &self.p,
-                &mut self.ap,
-            );
-            let pap: f64 = self.p.iter().zip(&self.ap).map(|(a, b)| a * b).sum();
-            if pap <= 0.0 {
-                break; // numerical breakdown; current x is best effort
+            (self.r[i], self.p[i]) = (ri, zi);
+        }
+        let target = bb.map(|b| tolerance * tolerance * b.max(1e-30));
+
+        let mut live = [true; 2];
+        let mut steps = [0usize; 2];
+        loop {
+            for l in 0..2 {
+                if steps[l] == max_iterations || self.rr[l] <= target[l] {
+                    live[l] = false;
+                }
             }
-            let alpha = rz / pap;
-            let mut rz_new = 0.0f64;
-            let mut rr_new = 0.0f64;
-            for (i, xi) in x.iter_mut().enumerate().take(m) {
-                *xi += alpha * self.p[i];
-                let ri = self.r[i] - alpha * self.ap[i];
-                self.r[i] = ri;
-                let zi = ri / self.diagonal[i].max(1e-12);
-                self.z[i] = zi;
-                rz_new += ri * zi;
-                rr_new += ri * ri;
+            let pap = match live {
+                [true, true] => a.apply::<true, true>(&self.p, &mut self.ap),
+                [true, false] => a.apply::<true, false>(&self.p, &mut self.ap),
+                [false, true] => a.apply::<false, true>(&self.p, &mut self.ap),
+                [false, false] => break,
+            };
+            for l in 0..2 {
+                if pap[l] <= 0.0 {
+                    // Numerical breakdown: the lane stops before it
+                    // updates anything, and its x is best effort.
+                    live[l] = false;
+                }
+                steps[l] += usize::from(live[l]);
             }
-            let beta = rz_new / rz.max(1e-30);
-            rz = rz_new;
-            rr = rr_new;
-            for i in 0..m {
-                self.p[i] = self.z[i] + beta * self.p[i];
+            match live {
+                [true, true] => self.step::<true, true>(&a.diagonal, pap),
+                [true, false] => self.step::<true, false>(&a.diagonal, pap),
+                [false, true] => self.step::<false, true>(&a.diagonal, pap),
+                [false, false] => break,
+            }
+        }
+    }
+
+    /// The rest of one CG step on the lanes `X`/`Y` select, given their
+    /// `pᵀAp`: the fused x/r update, Jacobi `z` solve (into `ap`) and
+    /// `rz`/`rr` reductions, then `p = z + β·p`. A lane that is not
+    /// selected keeps every value it had.
+    fn step<const X: bool, const Y: bool>(&mut self, diagonal: &[f64], pap: [f64; 2]) {
+        let lane = [X, Y];
+        let alpha = [self.rz[0] / pap[0], self.rz[1] / pap[1]];
+        let mut rz = [0.0f64; 2];
+        let mut rr = [0.0f64; 2];
+        let m = diagonal.len();
+        let (x, r, p, ap) =
+            (&mut self.x[..m], &mut self.r[..m], &mut self.p[..m], &mut self.ap[..m]);
+        for i in 0..m {
+            let d = diagonal[i].max(1e-12);
+            // Whole pairs in and out, so both lanes pack into one vector;
+            // `q` comes in as A·p and goes out as z.
+            let (mut xi, mut ri, pi, mut q) = (x[i], r[i], p[i], ap[i]);
+            for l in 0..2 {
+                if lane[l] {
+                    xi[l] += alpha[l] * pi[l];
+                    ri[l] -= alpha[l] * q[l];
+                    q[l] = ri[l] / d;
+                    rz[l] += ri[l] * q[l];
+                    rr[l] += ri[l] * ri[l];
+                }
+            }
+            (x[i], r[i], ap[i]) = (xi, ri, q);
+        }
+        let mut beta = [0.0f64; 2];
+        for l in 0..2 {
+            if lane[l] {
+                beta[l] = rz[l] / self.rz[l].max(1e-30);
+                self.rz[l] = rz[l];
+                self.rr[l] = rr[l];
+            }
+        }
+        for (pi, zi) in p.iter_mut().zip(ap.iter()) {
+            for l in 0..2 {
+                if lane[l] {
+                    pi[l] = zi[l] + beta[l] * pi[l];
+                }
             }
         }
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use gtl_netlist::NetlistBuilder;
+    use gtl_netlist::{CellId, NetlistBuilder};
+    use proptest::prelude::*;
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
 
     fn chain(n: usize) -> Netlist {
         let mut b = NetlistBuilder::new();
@@ -680,9 +809,231 @@ mod tests {
     }
 
     /// The pre-fusion kernels, kept verbatim as bit-exactness oracles for
-    /// the fused loops above.
-    mod reference {
-        use super::super::Laplacian;
+    /// the fused loops above, and the one-axis-at-a-time shard solver the
+    /// two-lane one replaced (also the placer's oracle).
+    pub(crate) mod reference {
+        use super::super::{csr_apply_into, Laplacian};
+
+        /// The shard solver that solved the x system and then the y system
+        /// over the same local matrix, kept verbatim.
+        #[derive(Debug, Clone)]
+        pub(crate) struct ShardSolver {
+            /// Epoch stamp per global cell; `mark[g] == epoch` ⇔ `g` is in the
+            /// current shard.
+            mark: Vec<u32>,
+            /// Local index of each global cell (valid only where `mark` matches).
+            local_of: Vec<u32>,
+            epoch: u32,
+            // Shard-local CSR (columns hold *local* indices).
+            offsets: Vec<usize>,
+            columns: Vec<u32>,
+            values: Vec<f64>,
+            diagonal: Vec<f64>,
+            // Fixed-neighbor (Dirichlet) right-hand-side contributions per axis.
+            ext_x: Vec<f64>,
+            ext_y: Vec<f64>,
+            // CG work vectors.
+            rhs: Vec<f64>,
+            r: Vec<f64>,
+            z: Vec<f64>,
+            p: Vec<f64>,
+            ap: Vec<f64>,
+        }
+
+        impl ShardSolver {
+            /// Creates a solver for shards of a `num_cells`-cell design.
+            pub(crate) fn new(num_cells: usize) -> Self {
+                Self {
+                    mark: vec![0; num_cells],
+                    local_of: vec![0; num_cells],
+                    epoch: 0,
+                    offsets: Vec::new(),
+                    columns: Vec::new(),
+                    values: Vec::new(),
+                    diagonal: Vec::new(),
+                    ext_x: Vec::new(),
+                    ext_y: Vec::new(),
+                    rhs: Vec::new(),
+                    r: Vec::new(),
+                    z: Vec::new(),
+                    p: Vec::new(),
+                    ap: Vec::new(),
+                }
+            }
+
+            #[allow(clippy::too_many_arguments)]
+            pub(crate) fn solve_shard(
+                &mut self,
+                lap: &Laplacian,
+                cells: &[u32],
+                anchor_weight: f64,
+                targets_x: &[f64],
+                targets_y: &[f64],
+                xs: &[f64],
+                ys: &[f64],
+                tolerance: f64,
+                max_iterations: usize,
+            ) -> (Vec<f64>, Vec<f64>) {
+                let mut out_x = Vec::new();
+                let mut out_y = Vec::new();
+                self.solve_shard_into(
+                    lap,
+                    cells,
+                    anchor_weight,
+                    targets_x,
+                    targets_y,
+                    xs,
+                    ys,
+                    tolerance,
+                    max_iterations,
+                    &mut out_x,
+                    &mut out_y,
+                );
+                (out_x, out_y)
+            }
+
+            #[allow(clippy::too_many_arguments)]
+            pub(crate) fn solve_shard_into(
+                &mut self,
+                lap: &Laplacian,
+                cells: &[u32],
+                anchor_weight: f64,
+                targets_x: &[f64],
+                targets_y: &[f64],
+                xs: &[f64],
+                ys: &[f64],
+                tolerance: f64,
+                max_iterations: usize,
+                out_x: &mut Vec<f64>,
+                out_y: &mut Vec<f64>,
+            ) {
+                let m = cells.len();
+                assert!(anchor_weight > 0.0, "anchor weight must be positive");
+                assert_eq!(targets_x.len(), m, "targets_x must match cells");
+                assert_eq!(targets_y.len(), m, "targets_y must match cells");
+
+                // Stamp shard membership (O(shard), no clearing of the full map).
+                self.epoch += 1;
+                for (k, &c) in cells.iter().enumerate() {
+                    self.mark[c as usize] = self.epoch;
+                    self.local_of[c as usize] = k as u32;
+                }
+
+                // Extract the shard-local CSR; edges leaving the shard keep their
+                // weight on the diagonal and push `w · neighbor_position` onto the
+                // per-axis right-hand side.
+                self.offsets.clear();
+                self.offsets.push(0);
+                self.columns.clear();
+                self.values.clear();
+                self.diagonal.clear();
+                self.ext_x.clear();
+                self.ext_y.clear();
+                for &c in cells {
+                    let g = c as usize;
+                    let (mut ex, mut ey) = (0.0, 0.0);
+                    for (j, w) in lap.row(g) {
+                        if self.mark[j] == self.epoch {
+                            self.columns.push(self.local_of[j]);
+                            self.values.push(w);
+                        } else {
+                            ex += w * xs[j];
+                            ey += w * ys[j];
+                        }
+                    }
+                    self.offsets.push(self.columns.len());
+                    self.diagonal.push(lap.degree(g) + anchor_weight);
+                    self.ext_x.push(ex);
+                    self.ext_y.push(ey);
+                }
+
+                self.rhs.resize(m, 0.0);
+                out_x.resize(m, 0.0);
+                for k in 0..m {
+                    self.rhs[k] = anchor_weight * targets_x[k] + self.ext_x[k];
+                    out_x[k] = xs[cells[k] as usize];
+                }
+                self.cg(out_x, tolerance, max_iterations);
+                out_y.resize(m, 0.0);
+                for k in 0..m {
+                    self.rhs[k] = anchor_weight * targets_y[k] + self.ext_y[k];
+                    out_y[k] = ys[cells[k] as usize];
+                }
+                self.cg(out_y, tolerance, max_iterations);
+            }
+
+            /// Jacobi-preconditioned CG on the current local system (`self.rhs`),
+            /// iterating `x` in place from starting guess to solution, mirroring
+            /// [`Laplacian::solve_anchored_into`]'s fused loop structure — except
+            /// that the Jacobi solve stays in its original division form
+            /// (`r / diag.max(1e-12)`), which is not bit-equal to multiplying by
+            /// a precomputed reciprocal.
+            fn cg(&mut self, x: &mut [f64], tolerance: f64, max_iterations: usize) {
+                let m = self.diagonal.len();
+                self.r.resize(m, 0.0);
+                self.z.resize(m, 0.0);
+                self.p.resize(m, 0.0);
+                self.ap.resize(m, 0.0);
+
+                csr_apply_into(
+                    &self.offsets,
+                    &self.columns,
+                    &self.values,
+                    &self.diagonal,
+                    x,
+                    &mut self.ap,
+                );
+                let mut rz = 0.0f64;
+                let mut rr = 0.0f64;
+                for i in 0..m {
+                    let ri = self.rhs[i] - self.ap[i];
+                    self.r[i] = ri;
+                    let zi = ri / self.diagonal[i].max(1e-12);
+                    self.z[i] = zi;
+                    self.p[i] = zi;
+                    rz += ri * zi;
+                    rr += ri * ri;
+                }
+                let target =
+                    tolerance * tolerance * self.rhs.iter().map(|v| v * v).sum::<f64>().max(1e-30);
+
+                for _ in 0..max_iterations {
+                    if rr <= target {
+                        break;
+                    }
+                    csr_apply_into(
+                        &self.offsets,
+                        &self.columns,
+                        &self.values,
+                        &self.diagonal,
+                        &self.p,
+                        &mut self.ap,
+                    );
+                    let pap: f64 = self.p.iter().zip(&self.ap).map(|(a, b)| a * b).sum();
+                    if pap <= 0.0 {
+                        break; // numerical breakdown; current x is best effort
+                    }
+                    let alpha = rz / pap;
+                    let mut rz_new = 0.0f64;
+                    let mut rr_new = 0.0f64;
+                    for (i, xi) in x.iter_mut().enumerate().take(m) {
+                        *xi += alpha * self.p[i];
+                        let ri = self.r[i] - alpha * self.ap[i];
+                        self.r[i] = ri;
+                        let zi = ri / self.diagonal[i].max(1e-12);
+                        self.z[i] = zi;
+                        rz_new += ri * zi;
+                        rr_new += ri * ri;
+                    }
+                    let beta = rz_new / rz.max(1e-30);
+                    rz = rz_new;
+                    rr = rr_new;
+                    for i in 0..m {
+                        self.p[i] = self.z[i] + beta * self.p[i];
+                    }
+                }
+            }
+        }
 
         pub fn multiply_into(lap: &Laplacian, x: &[f64], y: &mut [f64]) {
             for i in 0..lap.dim() {
@@ -946,6 +1297,219 @@ mod tests {
                     solver.solve_shard(&lap, &cells, aw, &targets, &targets, &xs, &ys, tol, iters);
                 assert_eq!(sx, expect_x, "x tol={tol} iters={iters}");
                 assert_eq!(sy, expect_y, "y tol={tol} iters={iters}");
+            }
+        }
+    }
+
+    /// A random design for the shard oracles: cliques, stars of more than
+    /// [`CLIQUE_LIMIT`] pins, single-pin nets, nets listing a pin twice
+    /// and repeated nets (duplicate matrix entries).
+    pub(crate) fn random_netlist(n: usize, nets: usize, rng: &mut SmallRng) -> Netlist {
+        let mut b = NetlistBuilder::new();
+        b.add_anonymous_cells(n);
+        let mut last: Vec<CellId> = Vec::new();
+        let pin = |rng: &mut SmallRng| CellId::new(rng.gen_range(0..n));
+        for _ in 0..nets {
+            let pins: Vec<CellId> = match rng.gen_range(0..5u8) {
+                0 => (0..rng.gen_range(2..=CLIQUE_LIMIT)).map(|_| pin(rng)).collect(),
+                1 => (0..rng.gen_range(CLIQUE_LIMIT + 1..=24)).map(|_| pin(rng)).collect(),
+                2 => vec![pin(rng)],
+                3 => {
+                    let twice = pin(rng);
+                    vec![twice, pin(rng), twice]
+                }
+                _ => last.clone(),
+            };
+            b.add_anonymous_net(pins.iter().copied());
+            last = pins;
+        }
+        b.finish()
+    }
+
+    /// One shard solve's inputs.
+    struct ShardCase {
+        lap: Laplacian,
+        cells: Vec<u32>,
+        anchor_weight: f64,
+        tx: Vec<f64>,
+        ty: Vec<f64>,
+        xs: Vec<f64>,
+        ys: Vec<f64>,
+        tolerance: f64,
+        max_iterations: usize,
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Solves `case` with the reference solver and with a two-lane solver
+    /// left dirty by the rest of the design, as the placer's workers
+    /// reuse theirs: both lanes must match bit for bit, and the reported
+    /// boundary must be the shard's cells with a neighbor outside it.
+    fn assert_matches_oracle(case: &ShardCase, what: &str) {
+        let ShardCase {
+            lap, cells, anchor_weight: aw, tolerance: tol, max_iterations: cap, ..
+        } = case;
+        let n = lap.dim();
+        let (want_x, want_y) = reference::ShardSolver::new(n)
+            .solve_shard(lap, cells, *aw, &case.tx, &case.ty, &case.xs, &case.ys, *tol, *cap);
+
+        let mut in_shard = vec![false; n];
+        for &c in cells {
+            in_shard[c as usize] = true;
+        }
+        let rest: Vec<u32> = (0..n as u32).filter(|&c| !in_shard[c as usize]).collect();
+        let rest_targets = vec![1.0; rest.len()];
+        let mut solver = ShardSolver::new(n);
+        if !rest.is_empty() {
+            let _ = solver.solve_shard(
+                lap,
+                &rest,
+                *aw,
+                &rest_targets,
+                &rest_targets,
+                &case.ys,
+                &case.xs,
+                *tol,
+                *cap,
+            );
+        }
+        let (got_x, got_y) =
+            solver.solve_shard(lap, cells, *aw, &case.tx, &case.ty, &case.xs, &case.ys, *tol, *cap);
+        assert_eq!(bits(&got_x), bits(&want_x), "x lane: {what}");
+        assert_eq!(bits(&got_y), bits(&want_y), "y lane: {what}");
+
+        let boundary: Vec<u32> = cells
+            .iter()
+            .copied()
+            .filter(|&c| lap.row(c as usize).any(|(j, _)| !in_shard[j]))
+            .collect();
+        assert_eq!(solver.boundary(), &boundary[..], "boundary: {what}");
+    }
+
+    /// Values with signed zeros, subnormals, small integers and a huge
+    /// magnitude mixed in (`special`), or plain coordinates.
+    fn lane_value(rng: &mut SmallRng, special: bool) -> f64 {
+        const SPECIALS: [f64; 8] = [0.0, -0.0, 5e-324, -4e-320, 1.0, -2.0, 3.5, 1e200];
+        if special && rng.gen_bool(0.5) {
+            SPECIALS[rng.gen_range(0..SPECIALS.len())]
+        } else {
+            rng.gen_range(-20.0..120.0)
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// The two-lane shard solve reproduces the one-axis-at-a-time
+        /// oracle bit for bit: on random designs and shards (empty, one
+        /// cell, the whole design, random subsets), with independent x
+        /// and y data so the lanes stop at different iterations, and with
+        /// one lane poisoned by a NaN or an infinity so that it runs to
+        /// the cap while the other one stops.
+        #[test]
+        fn two_lane_shard_solve_matches_oracle_bit_for_bit(
+            n in 1usize..160,
+            net_density in 0usize..4,
+            shard_kind in 0u8..5,
+            value_kind in 0u8..3,
+            tolerance in 0usize..6,
+            cap in 0usize..4,
+            anchor in 0usize..5,
+            seed in 0u64..u64::MAX,
+        ) {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let nl = random_netlist(n, n * net_density / 2 + 1, &mut rng);
+            let lap = Laplacian::build(&nl);
+            let cells: Vec<u32> = match shard_kind {
+                0 => Vec::new(),
+                1 => vec![rng.gen_range(0..n as u32)],
+                2 => (0..n as u32).collect(),
+                _ => (0..n as u32).filter(|_| rng.gen_bool(0.5)).collect(),
+            };
+            let m = cells.len();
+            let special = value_kind == 1;
+            let xs: Vec<f64> = (0..n).map(|_| lane_value(&mut rng, special)).collect();
+            let ys: Vec<f64> = (0..n).map(|_| lane_value(&mut rng, special)).collect();
+            let tx: Vec<f64> = (0..m).map(|_| lane_value(&mut rng, special)).collect();
+            let ty: Vec<f64> = (0..m).map(|_| lane_value(&mut rng, special)).collect();
+            let mut case = ShardCase {
+                lap,
+                cells,
+                anchor_weight: [1e-3, 0.02, 0.75, 30.0, 1e300][anchor],
+                tx,
+                ty,
+                xs,
+                ys,
+                tolerance: [1e-12, 1e-9, 1e-6, 1e-3, 0.1, 0.5][tolerance],
+                max_iterations: [0, 1, 2, 300][cap],
+            };
+            if value_kind == 2 {
+                let poison = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY][rng.gen_range(0..3usize)];
+                let lane = if rng.gen_bool(0.5) { &mut case.xs } else { &mut case.ys };
+                lane[rng.gen_range(0..n)] = poison;
+            }
+            assert_matches_oracle(&case, &format!("n={n} m={m} seed={seed}"));
+        }
+    }
+
+    /// Hand-built cases at each stopping rule, in either lane while the
+    /// other lane goes on: a residual exactly at the tolerance target
+    /// (`rr <= target` stops, `<` would step), a `pᵀAp` that underflows
+    /// to zero (the breakdown stop), a NaN lane that runs to the cap,
+    /// and a zero iteration cap.
+    #[test]
+    fn two_lane_shard_solve_matches_oracle_at_the_stopping_edges() {
+        // Cell 0 isolated, cells 1..30 a chain; the shard is every cell.
+        let n = 30;
+        let mut b = NetlistBuilder::new();
+        b.add_anonymous_cells(n);
+        for i in 1..n - 1 {
+            b.add_anonymous_net([CellId::new(i), CellId::new(i + 1)]);
+        }
+        let lap = Laplacian::build(&b.finish());
+        let cells: Vec<u32> = (0..n as u32).collect();
+        let zeros = vec![0.0; n];
+        let ramp: Vec<f64> = (0..n).map(|i| (i * 7 % 11) as f64).collect();
+        // With α = 1 and tolerance 0.5, cell 0 at 1 toward 2 has
+        // r = 1 and rr = 1 = 0.25 · rhs²; every other cell sits at its
+        // target 0, so it adds nothing to either sum.
+        let mut at_target = zeros.clone();
+        at_target[0] = 2.0;
+        let mut one = zeros.clone();
+        one[0] = 1.0;
+        // With α = 1e300, target 0 and a subnormal start, rr = 1e-40 is
+        // above the target while pᵀAp ≈ 1e-340 underflows to 0.
+        let mut subnormal = zeros.clone();
+        subnormal[0] = 1e-320;
+        let mut nan = ramp.clone();
+        nan[5] = f64::NAN;
+        let edges = [
+            ("exact tolerance", 1.0, 0.5, 300, at_target, one, ramp.clone(), zeros.clone()),
+            ("breakdown", 1e300, 1e-6, 300, zeros.clone(), subnormal, ramp.clone(), zeros.clone()),
+            ("NaN to the cap", 0.02, 1e-9, 300, ramp.clone(), nan, ramp.clone(), zeros.clone()),
+            ("zero cap", 0.5, 1e-9, 0, ramp.clone(), zeros.clone(), zeros.clone(), ramp.clone()),
+        ];
+        for (what, aw, tol, cap, t_edge, s_edge, t_other, s_other) in edges {
+            for edge_on_x in [true, false] {
+                let (tx, xs, ty, ys) = if edge_on_x {
+                    (t_edge.clone(), s_edge.clone(), t_other.clone(), s_other.clone())
+                } else {
+                    (t_other.clone(), s_other.clone(), t_edge.clone(), s_edge.clone())
+                };
+                let case = ShardCase {
+                    lap: lap.clone(),
+                    cells: cells.clone(),
+                    anchor_weight: aw,
+                    tx,
+                    ty,
+                    xs,
+                    ys,
+                    tolerance: tol,
+                    max_iterations: cap,
+                };
+                assert_matches_oracle(&case, &format!("{what}, edge on x: {edge_on_x}"));
             }
         }
     }

@@ -24,10 +24,10 @@
 //!   connection run concurrently on the lanes, and a per-connection
 //!   reorder ring emits responses strictly in request order, so the wire
 //!   contract is exactly that of a serial server.
-//! * **Connection bounds.** An optional max-concurrent-connections gate
-//!   (excess clients wait in the listen backlog), an optional total
-//!   accept budget (for scripted runs), and a per-connection read/idle
-//!   timeout.
+//! * **Connection bounds.** A max-concurrent-connections gate, 256 by
+//!   default (excess clients wait in the listen backlog), an optional
+//!   total accept budget (for scripted runs), and a per-connection
+//!   read/idle timeout.
 //!
 //! Connection threads are **I/O only**: they frame lines, classify each
 //! one once and move buffers; all request compute happens on the lanes,
@@ -306,8 +306,11 @@ pub struct RuntimeConfig {
     /// on a slow compute never trips it. On expiry the connection stops
     /// reading, flushes anything in flight and closes. Default 30 s.
     pub read_timeout: Option<Duration>,
-    /// Max concurrently open connections (`0` = unbounded); excess
-    /// clients wait in the listen backlog. Default `0`.
+    /// Max concurrently open connections; excess clients wait in the
+    /// listen backlog. Each open connection holds two OS threads (its
+    /// reader and its writer), so this also bounds the serve path's
+    /// thread count. `0` is an explicit opt-out (unbounded). Default
+    /// `256`, i.e. at most 512 connection threads.
     pub max_concurrent: usize,
     /// Total accept budget (`None` = run forever; `Some(0)` = return
     /// immediately). Scripted callers use this for a clean exit.
@@ -335,7 +338,7 @@ impl Default for RuntimeConfig {
             pipeline_depth: 8,
             max_request_bytes: 1 << 20,
             read_timeout: Some(Duration::from_secs(30)),
-            max_concurrent: 0,
+            max_concurrent: 256,
             max_connections: None,
             default_deadline: None,
             tenant_quota: 0,
@@ -1400,6 +1403,28 @@ mod tests {
 
     fn bind() -> TcpListener {
         TcpListener::bind("127.0.0.1:0").expect("bind loopback")
+    }
+
+    /// `RuntimeConfig::default()`, which `gtl serve` runs with no flags,
+    /// bounds every serve-path resource: lanes, queued jobs, cache bytes,
+    /// jobs in flight per connection, line length, a tenant's queued
+    /// jobs, idle time, and open connections (two threads each). Only the
+    /// accept budget and the request deadline, which bound no resource,
+    /// stay open. The test inspects the config alone and starts nothing.
+    #[test]
+    fn default_config_bounds_every_serve_path_resource() {
+        let config = RuntimeConfig::default();
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        assert_eq!(config.resolved_lanes(), cores);
+        assert_eq!(config.resolved_queue_depth(), (4 * cores).max(8));
+        assert_eq!(config.cache_bytes, 64 << 20);
+        assert_eq!(config.resolved_pipeline(), 8);
+        assert_eq!(config.max_request_bytes, 1 << 20);
+        assert_eq!(config.resolved_tenant_quota(), config.resolved_queue_depth());
+        assert_eq!(config.read_timeout, Some(Duration::from_secs(30)));
+        assert_eq!(config.max_concurrent, 256, "0 would leave connection threads unbounded");
+        assert_eq!(config.max_connections, None);
+        assert_eq!(config.default_deadline, None);
     }
 
     #[test]
