@@ -2,7 +2,8 @@
 //! benchmarks (Bigblue1–3, Adaptec1–3).
 //!
 //! By default each benchmark is an ISPD-like synthetic circuit at the
-//! requested scale (see `DESIGN.md` §4 for the substitution rationale).
+//! requested scale ([`gtl_synth::ispd_like`]'s module doc gives the
+//! substitution rationale).
 //! Pass `--bookshelf <dir>` holding `<name>.aux` files to run on the real
 //! benchmarks instead.
 

@@ -1,10 +1,9 @@
 //! Shared infrastructure for the table/figure reproduction binaries.
 //!
 //! Each binary in `src/bin/` regenerates one table or figure of the DAC
-//! 2010 paper (see `DESIGN.md` §3 for the experiment index and
-//! `EXPERIMENTS.md` for paper-versus-measured results). This library holds
-//! the pieces they share: ASCII table rendering, CSV series output, PGM
-//! heatmaps, and a tiny argument parser.
+//! 2010 paper (the README's "Build, test, bench" section lists them).
+//! This library holds the pieces they share: ASCII table rendering, CSV
+//! series output, PGM heatmaps, and a tiny argument parser.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,13 +1,14 @@
 //! The driver: walks a workspace tree, runs every rule over every `.rs`
-//! file, applies waivers, checks the wire-surface freeze, and builds a
-//! deterministic [`Report`].
+//! file (and the cross-file `pub-mod-reached` over all of them), applies
+//! waivers, checks the wire-surface freeze, and builds a deterministic
+//! [`Report`].
 
 use std::collections::BTreeMap;
 use std::fs;
 use std::path::{Path, PathBuf};
 
 use crate::lexer::{lex, test_token_map};
-use crate::rules::check_file;
+use crate::rules::{check_file, check_pub_mods_reached, LexedFile};
 use crate::surface;
 use crate::waiver::{extract_waivers, Waiver};
 use crate::zones;
@@ -84,10 +85,21 @@ pub fn run(options: &Options) -> Result<Report, String> {
         .map_err(|e| format!("walking {}: {e}", options.root.display()))?;
     files.sort();
 
+    let mut lexed_files = Vec::with_capacity(files.len());
     for path in &files {
         let rel = path.strip_prefix(&options.root).unwrap_or(path).to_path_buf();
         let source = fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
-        check_one(&rel, &source, &mut report);
+        let lexed = lex(&source);
+        let in_test = test_token_map(&lexed.tokens);
+        let zone = zones::classify(&rel);
+        lexed_files.push(LexedFile { rel, zone, lexed, in_test });
+    }
+    let mut cross_file: BTreeMap<PathBuf, Vec<Violation>> = BTreeMap::new();
+    for (path, violation) in check_pub_mods_reached(&lexed_files) {
+        cross_file.entry(path).or_default().push(violation);
+    }
+    for file in &lexed_files {
+        check_one(file, cross_file.remove(&file.rel).unwrap_or_default(), &mut report);
         report.files_checked += 1;
     }
 
@@ -106,14 +118,13 @@ pub fn run(options: &Options) -> Result<Report, String> {
     Ok(report)
 }
 
-/// Lints one file's source, folding results into the report.
-fn check_one(rel: &Path, source: &str, report: &mut Report) {
-    let lexed = lex(source);
-    let in_test = test_token_map(&lexed.tokens);
-    let zone = zones::classify(rel);
-
-    let (waivers, waiver_errors) = extract_waivers(&lexed);
-    let mut raw = check_file(rel, zone, &lexed, &in_test);
+/// Lints one file, plus the cross-file violations reported against it,
+/// folding results into the report.
+fn check_one(file: &LexedFile, cross_file: Vec<Violation>, report: &mut Report) {
+    let rel = file.rel.as_path();
+    let (waivers, waiver_errors) = extract_waivers(&file.lexed);
+    let mut raw = check_file(rel, file.zone, &file.lexed, &file.in_test);
+    raw.extend(cross_file);
     raw.extend(waiver_errors);
 
     // A waiver suppresses violations of its rule on its target line.

@@ -28,6 +28,8 @@
 //!   `crates/api/src/types.rs` matches the committed fingerprint at
 //!   `tests/golden/api_surface.fp`; drift requires an `API_VERSION`
 //!   bump and a `GTL_BLESS=1` re-bless.
+//! * `pub-mod-reached` — every `pub mod` of a library crate is named by
+//!   live code outside its own file, so unreached modules cannot pile up.
 //!
 //! Exceptions are **inline waivers** with a mandatory reason —
 //! `// gtl-lint: allow(<rule>, reason = "...")` — counted, reported,

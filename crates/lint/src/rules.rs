@@ -3,7 +3,7 @@
 //! rule ↔ invariant mapping and the waiver policy.
 
 use std::collections::BTreeSet;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 use crate::lexer::{Lexed, Token, TokenKind};
 use crate::zones::{self, Zone};
@@ -22,6 +22,7 @@ pub const RULES: &[&str] = &[
     "forbid-unsafe-attr",
     "wire-surface-freeze",
     "no-shared-temp-path-in-tests",
+    "pub-mod-reached",
 ];
 
 /// RNG constructors that must route through `derive_stream` in compute
@@ -303,6 +304,106 @@ pub fn check_file(rel_path: &Path, zone: Zone, lexed: &Lexed, in_test: &[bool]) 
 
     violations.sort_by_key(|v| (v.line, v.rule));
     violations
+}
+
+/// One lexed file of the tree, as the cross-file rule reads it.
+pub struct LexedFile {
+    /// Workspace-relative path.
+    pub rel: PathBuf,
+    /// The file's rule zone.
+    pub zone: Zone,
+    /// The file's tokens and comments.
+    pub lexed: Lexed,
+    /// Per-token test flags (see [`test_token_map`](crate::lexer::test_token_map)).
+    pub in_test: Vec<bool>,
+}
+
+/// `pub-mod-reached`, the one rule that reads across files: every `pub
+/// mod m;` in a `crates/*/src/lib.rs` must be named by live code in some
+/// file other than `m`'s own (`m.rs`, or anything under `m/`, beside that
+/// `lib.rs`). A name is an `m ::` or `:: m` path segment, or an identifier
+/// inside a `use` statement. Test code (`#[cfg(test)]` items and the test
+/// zone) does not count, so a module that only its own tests reach is
+/// reported. Each violation comes back with the `lib.rs` that declares
+/// the module.
+pub fn check_pub_mods_reached(files: &[LexedFile]) -> Vec<(PathBuf, Violation)> {
+    let named: Vec<BTreeSet<&str>> = files
+        .iter()
+        .map(|f| match f.zone {
+            Zone::Compute | Zone::Io => live_path_names(&f.lexed.tokens, &f.in_test),
+            Zone::Test | Zone::Vendor => BTreeSet::new(),
+        })
+        .collect();
+    let mut violations = Vec::new();
+    for file in files {
+        let Some(src_dir) = lib_rs_src_dir(&file.rel) else {
+            continue;
+        };
+        let tokens = &file.lexed.tokens;
+        let text = |i: usize| tokens.get(i).map(|t| t.text.as_str()).unwrap_or("");
+        for i in 0..tokens.len() {
+            let declares = !file.in_test[i]
+                && text(i) == "pub"
+                && text(i + 1) == "mod"
+                && tokens.get(i + 2).is_some_and(|t| t.kind == TokenKind::Ident)
+                && text(i + 3) == ";";
+            if !declares {
+                continue;
+            }
+            let name = text(i + 2);
+            let own_file = src_dir.join(format!("{name}.rs"));
+            let own_dir = src_dir.join(name);
+            let reached = files.iter().zip(&named).any(|(other, names)| {
+                other.rel != own_file && !other.rel.starts_with(&own_dir) && names.contains(name)
+            });
+            if !reached {
+                violations.push((
+                    file.rel.clone(),
+                    Violation {
+                        line: tokens[i].line,
+                        rule: "pub-mod-reached",
+                        message: format!(
+                            "`pub mod {name}` is named by no live code outside its own file \
+                             (tests do not count) — nothing reaches it; delete it rather than \
+                             keep it compiling"
+                        ),
+                    },
+                ));
+            }
+        }
+    }
+    violations
+}
+
+/// `crates/<c>/src` when `rel` is `crates/<c>/src/lib.rs`.
+fn lib_rs_src_dir(rel: &Path) -> Option<&Path> {
+    let parts: Vec<&str> = rel.iter().filter_map(|c| c.to_str()).collect();
+    let is_lib = matches!(parts.as_slice(), ["crates", _, "src", "lib.rs"]);
+    is_lib.then(|| rel.parent()).flatten()
+}
+
+/// The identifiers live tokens use as a path segment (`m ::`, `:: m`) or
+/// import (anywhere inside `use … ;`).
+fn live_path_names<'a>(tokens: &'a [Token], in_test: &[bool]) -> BTreeSet<&'a str> {
+    let text = |i: usize| tokens.get(i).map(|t| t.text.as_str()).unwrap_or("");
+    let mut names = BTreeSet::new();
+    let mut in_use = false;
+    for (i, tok) in tokens.iter().enumerate() {
+        if in_test.get(i).copied().unwrap_or(false) {
+            continue;
+        }
+        if tok.kind != TokenKind::Ident {
+            in_use &= tok.text != ";";
+            continue;
+        }
+        in_use |= tok.text == "use";
+        let segment = (text(i + 1) == ":" && text(i + 2) == ":")
+            || (i >= 2 && text(i - 1) == ":" && text(i - 2) == ":");
+        if in_use || segment {
+            names.insert(tok.text.as_str());
+        }
+    }
+    names
 }
 
 /// Collects identifiers bound to `HashMap`/`HashSet` in this file: via

@@ -32,6 +32,7 @@ fn each_rule_fires_on_its_fixture() {
         "forbid-unsafe-attr",
         "wire-surface-freeze",
         "no-shared-temp-path-in-tests",
+        "pub-mod-reached",
     ] {
         let report = run_on(fixture_root(rule));
         assert!(!report.clean(), "fixture for `{rule}` should fail");
@@ -62,6 +63,20 @@ fn temp_path_fixture_catches_unit_and_integration_tests_only() {
     let hits: Vec<String> =
         report.violations.iter().map(|fv| fv.path.display().to_string()).collect();
     assert_eq!(hits, ["crates/netlist/src/io.rs", "tests/io.rs"], "{:?}", report.violations);
+}
+
+#[test]
+fn pub_mod_fixture_names_only_the_orphan() {
+    // `reached` is imported by a sibling; `orphan` is named only by its
+    // own file, a `#[cfg(test)]` module and an integration test.
+    let report = run_on(fixture_root("pub-mod-reached"));
+    let hits: Vec<(String, u32)> = report
+        .violations
+        .iter()
+        .map(|fv| (fv.path.display().to_string(), fv.violation.line))
+        .collect();
+    assert_eq!(hits, [("crates/demo/src/lib.rs".to_string(), 7)], "{:?}", report.violations);
+    assert!(report.violations[0].violation.message.contains("`pub mod orphan`"));
 }
 
 #[test]

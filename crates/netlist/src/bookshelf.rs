@@ -318,7 +318,8 @@ fn parse_nets<R: Read>(
             let mut toks = rest.split_whitespace();
             let degree: usize = parse_num(toks.next(), &label, i, "net degree")?;
             let name = toks.next().map(str::to_string).unwrap_or_else(|| format!("net{nets_read}"));
-            current = Some((name, degree, Vec::with_capacity(degree)));
+            // The degree is only a claim until the pin lines back it.
+            current = Some((name, degree, Vec::new()));
             nets_read += 1;
             continue;
         }

@@ -50,7 +50,6 @@ mod subset;
 pub mod bookshelf;
 pub mod hgr;
 pub mod stream;
-pub mod traversal;
 pub mod verilog;
 
 pub use builder::NetlistBuilder;

@@ -127,3 +127,30 @@ fn oversized_hgr_line_is_capped() {
         .unwrap_err();
     assert!(err.to_string().contains("maximum length of 64 bytes"), "{err}");
 }
+
+/// Header counts that no body backs must come back as errors: sizing an
+/// allocation from them would abort the process before `Err` could be
+/// returned.
+#[test]
+fn hgr_header_counts_are_not_trusted_for_allocation() {
+    for text in ["99999999999 1\n1\n", "1 99999999999\n1\n", "1 4294967297\n1\n"] {
+        let err = hgr::parse_str(text).unwrap_err();
+        assert!(matches!(err, NetlistError::Syntax { .. }), "{text:?}: {err}");
+        assert!(err.to_string().contains("exceeds the u32 id space"), "{text:?}: {err}");
+    }
+    // Within the id space the net count is still only a claim: one net read
+    // against four billion declared is a mismatch, not a 16 GB reservation.
+    let err = hgr::parse_str("4000000000 1\n1\n").unwrap_err();
+    assert!(
+        matches!(err, NetlistError::CountMismatch { declared: 4_000_000_000, found: 1, .. }),
+        "{err}"
+    );
+}
+
+#[test]
+fn bookshelf_net_degree_is_not_trusted_for_allocation() {
+    let nodes = "NumNodes : 1\n n0 1 1\n";
+    let nets = "NumNets : 1\nNetDegree : 99999999999 n0\n";
+    let err = bookshelf::parse_parts(nodes, nets, None, None).unwrap_err();
+    assert!(err.to_string().contains("declared degree 99999999999 but has 0"), "{err}");
+}

@@ -16,9 +16,6 @@
 //!   its subtrees fanned out onto `gtl_core::exec` (byte-identical for any
 //!   worker count);
 //! * [`legal`] — a Tetris row legalizer;
-//! * [`detailed`] — greedy equal-width swap refinement;
-//! * [`wirelength`] — HPWL / star / rectilinear-MST models and per-net
-//!   reports;
 //! * [`congestion`] — probabilistic routing-demand estimation (RUDY and
 //!   L-shape models), stripe-batched over tile rows, with the paper's
 //!   congestion statistics;
@@ -50,13 +47,11 @@
 #![warn(missing_docs)]
 
 pub mod congestion;
-pub mod detailed;
 pub mod inflate;
 pub mod legal;
 pub mod quadratic;
 pub mod softblock;
 pub mod spread;
-pub mod wirelength;
 
 mod placer;
 

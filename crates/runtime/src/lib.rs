@@ -85,15 +85,18 @@
 #![warn(missing_docs)]
 
 mod cache;
+mod fair_queue;
 mod lru;
 mod metrics;
 mod registry;
+mod scrape;
 mod server;
 
 pub use cache::{CacheStats, ResponseCache};
 pub use metrics::{LatencySummary, MetricsSnapshot, Stage};
 pub use registry::{InsertOutcome, Registry, RegistryEntry, RegistryError, RegistryStats};
+pub use scrape::MetricsExporter;
 pub use server::{
-    serve_lines, Cacheability, Classified, LineHandler, MetricsExporter, RequestContext,
-    RuntimeConfig, ServeReport, TraceId, TransportError,
+    serve_lines, Cacheability, Classified, LineHandler, RequestContext, RuntimeConfig, ServeReport,
+    TraceId, TransportError,
 };

@@ -38,7 +38,6 @@
 //! the [`ResponseCache`] additionally exploits (see [`crate::cache`]).
 
 use std::borrow::Cow;
-use std::collections::{HashMap, VecDeque};
 use std::io::{BufRead as _, BufReader, BufWriter, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -50,12 +49,14 @@ use gtl_core::obs::Span;
 use gtl_core::sync::Semaphore;
 
 use crate::cache::ResponseCache;
+use crate::fair_queue::FairQueue;
 use crate::metrics::{MetricsHub, MetricsSnapshot, Stage};
+use crate::scrape::{scrape_loop, MetricsExporter};
 
 /// Give up on the listener after this many `accept()` failures in a row
 /// (transient `ECONNABORTED`-style failures are tolerated and reset on
 /// every successful accept).
-const MAX_CONSECUTIVE_ACCEPT_ERRORS: usize = 100;
+pub(crate) const MAX_CONSECUTIVE_ACCEPT_ERRORS: usize = 100;
 
 /// At most this many per-connection I/O error strings are kept verbatim
 /// in the [`ServeReport`]; further ones only bump a drop counter (a
@@ -394,158 +395,6 @@ pub struct ServeReport {
 /// boxed with everything it needs to deliver its response.
 type Job<'a> = Box<dyn FnOnce() + Send + 'a>;
 
-/// The bounded fair-share job queue: per-tenant FIFOs drained in
-/// deterministic round-robin order.
-///
-/// `push` blocks on the limits and fails only once closed; `pop` drains
-/// everything admitted before returning `None` after close. Beyond a
-/// plain bounded FIFO it adds:
-///
-/// * **Per-tenant quota.** A tenant with `quota` jobs already queued
-///   blocks its own producers, leaving the remaining capacity to other
-///   tenants (self-backpressure instead of crowding).
-/// * **Round-robin service.** Tenants with queued work form a rotation
-///   in first-submission order; each pop serves the front tenant's
-///   oldest job and moves that tenant to the back if it still has work.
-///   Within a tenant, order is strict FIFO — so the service order seen
-///   by any one tenant is independent of how much the others submit.
-struct FairQueue<T> {
-    state: Mutex<FairState<T>>,
-    /// Signaled when a job is admitted or the queue closes (poppers).
-    ready: Condvar,
-    /// Signaled when a pop frees capacity or the queue closes (pushers;
-    /// `notify_all`, because waiters block on different predicates —
-    /// global capacity vs. their own tenant's quota).
-    vacancy: Condvar,
-}
-
-struct FairState<T> {
-    capacity: usize,
-    quota: usize,
-    len: usize,
-    closed: bool,
-    queues: HashMap<String, VecDeque<T>>,
-    /// Tenants with at least one queued job, in service order.
-    rotation: VecDeque<String>,
-    /// The tenant served by the previous pop, for the structural
-    /// starvation check (see [`MetricsHub::fair_share_violation`]).
-    last_popped: Option<String>,
-    /// Whether another tenant was already waiting when the previous pop
-    /// was served. Serving the same tenant twice in a row is only a
-    /// starvation violation if someone else has been waiting the whole
-    /// time — a tenant that arrived in between legitimately queues
-    /// behind the incumbent's rotation slot.
-    last_pop_had_others: bool,
-}
-
-impl<T> FairQueue<T> {
-    fn new(capacity: usize, quota: usize) -> Self {
-        assert!(capacity > 0, "queue capacity must be positive");
-        assert!(quota > 0, "tenant quota must be positive");
-        Self {
-            state: Mutex::new(FairState {
-                capacity,
-                quota,
-                len: 0,
-                closed: false,
-                queues: HashMap::new(),
-                rotation: VecDeque::new(),
-                last_popped: None,
-                last_pop_had_others: false,
-            }),
-            ready: Condvar::new(),
-            vacancy: Condvar::new(),
-        }
-    }
-
-    /// Blocks until both the global capacity and `tenant`'s quota admit
-    /// the item, then enqueues it. `Err(item)` once the queue is closed.
-    fn push(&self, tenant: &str, item: T) -> Result<(), T> {
-        let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        loop {
-            if state.closed {
-                return Err(item);
-            }
-            let tenant_len = state.queues.get(tenant).map_or(0, VecDeque::len);
-            if state.len < state.capacity && tenant_len < state.quota {
-                if tenant_len == 0 {
-                    // Empty → non-empty: the tenant (re)joins the
-                    // rotation at the back — "ties by submission order".
-                    state.rotation.push_back(tenant.to_string());
-                }
-                state.queues.entry(tenant.to_string()).or_default().push_back(item);
-                state.len += 1;
-                self.ready.notify_one();
-                return Ok(());
-            }
-            state = self.vacancy.wait(state).unwrap_or_else(|e| e.into_inner());
-        }
-    }
-
-    /// Pops the next job in fair-share order, blocking while the queue
-    /// is empty but open. `None` once closed *and* drained.
-    fn pop(&self, hub: &MetricsHub) -> Option<T> {
-        let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        loop {
-            if let Some(tenant) = state.rotation.pop_front() {
-                // gtl-lint: allow(no-panic-on-serve-path, reason = "push inserts the queue before enqueueing the tenant in the rotation")
-                let queue = state.queues.get_mut(&tenant).expect("rotation tenant has a queue");
-                // gtl-lint: allow(no-panic-on-serve-path, reason = "a tenant leaves the rotation when its queue drains, so rotation members have work")
-                let item = queue.pop_front().expect("rotation tenant has work");
-                let more = !queue.is_empty();
-                // Structural starvation check: serving the same tenant
-                // twice in a row while another tenant has been waiting
-                // since the previous pop would mean the rotation is
-                // broken. Counted, never expected.
-                if state.last_pop_had_others && state.last_popped.as_deref() == Some(&*tenant) {
-                    hub.fair_share_violation();
-                }
-                state.last_pop_had_others = !state.rotation.is_empty();
-                if more {
-                    state.rotation.push_back(tenant.clone());
-                }
-                state.last_popped = Some(tenant);
-                state.len -= 1;
-                self.vacancy.notify_all();
-                return Some(item);
-            }
-            if state.closed {
-                return None;
-            }
-            state = self.ready.wait(state).unwrap_or_else(|e| e.into_inner());
-        }
-    }
-
-    /// Closes the queue: pending `pop`s drain what was admitted, then
-    /// every blocked caller returns.
-    fn close(&self) {
-        let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        state.closed = true;
-        self.ready.notify_all();
-        self.vacancy.notify_all();
-    }
-
-    /// Jobs currently queued across all tenants.
-    fn len(&self) -> usize {
-        self.state.lock().unwrap_or_else(|e| e.into_inner()).len
-    }
-}
-
-/// A side-port metrics scrape endpoint for [`serve_lines`]: a second
-/// listener answered by a
-/// dedicated I/O thread with `render`'s text for minimal HTTP/1.0
-/// `GET /metrics` requests (anything else gets a 404). `render`
-/// receives a fresh [`MetricsSnapshot`] per scrape; scraping is
-/// observation-only and never perturbs request handling.
-#[derive(Clone, Copy)]
-pub struct MetricsExporter<'a> {
-    /// The bound side-port listener to answer scrapes on.
-    pub listener: &'a TcpListener,
-    /// Renders a snapshot into the scrape response body (e.g.
-    /// Prometheus text exposition, owned by the protocol layer).
-    pub render: &'a (dyn Fn(&MetricsSnapshot) -> String + Sync),
-}
-
 /// Serves line-delimited requests from `listener` until the accept
 /// budget is exhausted (or forever without one).
 ///
@@ -721,82 +570,6 @@ pub fn serve_lines<H: LineHandler>(
         dropped_io_errors: drained.dropped,
         metrics: hub.snapshot(&cache),
     })
-}
-
-/// The scrape endpoint's accept loop: one short-lived HTTP/1.0
-/// exchange per connection, answered inline on this thread (scrapes
-/// are rare and tiny; a slow scraper is bounded by the per-exchange
-/// timeouts, it cannot block the serve path — only the next scraper).
-fn scrape_loop(
-    exporter: MetricsExporter<'_>,
-    done: &AtomicBool,
-    hub: &MetricsHub,
-    cache: &ResponseCache,
-) {
-    let mut consecutive_errors = 0usize;
-    loop {
-        let stream = match exporter.listener.accept() {
-            Ok((stream, _peer)) => {
-                consecutive_errors = 0;
-                stream
-            }
-            Err(_) => {
-                consecutive_errors += 1;
-                if done.load(Ordering::SeqCst)
-                    || consecutive_errors >= MAX_CONSECUTIVE_ACCEPT_ERRORS
-                {
-                    return;
-                }
-                continue;
-            }
-        };
-        if done.load(Ordering::SeqCst) {
-            return; // the self-connection wake-up
-        }
-        // Scrape-side I/O failures cost only that scrape.
-        let _ = answer_scrape(stream, exporter, hub, cache);
-    }
-}
-
-/// One scrape exchange: read the request line (and drain the headers),
-/// answer `GET /metrics` with the rendered snapshot, anything else
-/// with a 404, then close. Hard timeouts bound a stalled client.
-fn answer_scrape(
-    stream: TcpStream,
-    exporter: MetricsExporter<'_>,
-    hub: &MetricsHub,
-    cache: &ResponseCache,
-) -> std::io::Result<()> {
-    stream.set_read_timeout(Some(Duration::from_secs(2)))?;
-    stream.set_write_timeout(Some(Duration::from_secs(2)))?;
-    let mut reader = BufReader::new(stream.try_clone()?);
-    let mut request = String::new();
-    reader.read_line(&mut request)?;
-    // Drain the header block (if any) before answering, so closing the
-    // socket cannot RST the response out from under a client that is
-    // still mid-write.
-    loop {
-        let mut header = String::new();
-        if reader.read_line(&mut header)? == 0 || header == "\r\n" || header == "\n" {
-            break;
-        }
-    }
-    let mut writer = BufWriter::new(stream);
-    let path = request.strip_prefix("GET ").and_then(|rest| rest.split_whitespace().next());
-    if path == Some("/metrics") {
-        let body = (exporter.render)(&hub.snapshot(cache));
-        write!(
-            writer,
-            "HTTP/1.0 200 OK\r\nContent-Type: text/plain; version=0.0.4; charset=utf-8\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{}",
-            body.len(),
-            body
-        )?;
-    } else {
-        writer.write_all(
-            b"HTTP/1.0 404 Not Found\r\nContent-Length: 0\r\nConnection: close\r\n\r\n",
-        )?;
-    }
-    writer.flush()
 }
 
 /// Shared references every connection and job needs, bundled so the
@@ -1338,14 +1111,14 @@ impl ConnShared {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use std::sync::atomic::Ordering;
 
     /// Deterministic test handler: echoes with a prefix, sleeps a few
     /// milliseconds on `slow-` lines (to shuffle lane completion order),
     /// serves a metrics line, and answers framing errors.
-    struct TestHandler;
+    pub(crate) struct TestHandler;
 
     impl LineHandler for TestHandler {
         type Parsed = ();
@@ -1401,7 +1174,7 @@ mod tests {
         }
     }
 
-    fn bind() -> TcpListener {
+    pub(crate) fn bind() -> TcpListener {
         TcpListener::bind("127.0.0.1:0").expect("bind loopback")
     }
 
@@ -2003,62 +1776,8 @@ mod tests {
         assert_eq!(wire, format!("{}\n", replies.join("\n")).into_bytes());
     }
 
-    fn test_hub() -> MetricsHub {
+    pub(crate) fn test_hub() -> MetricsHub {
         MetricsHub::new(1, 8, 1, 8)
-    }
-
-    #[test]
-    fn fair_queue_serves_tenants_round_robin_in_submission_order() {
-        let queue: FairQueue<&'static str> = FairQueue::new(8, 8);
-        let hub = test_hub();
-        queue.push("a", "a1").unwrap();
-        queue.push("a", "a2").unwrap();
-        queue.push("b", "b1").unwrap();
-        queue.push("c", "c1").unwrap();
-        queue.push("a", "a3").unwrap();
-        queue.close();
-        let mut order = Vec::new();
-        while let Some(item) = queue.pop(&hub) {
-            order.push(item);
-        }
-        // Round-robin across tenants (first submission first), FIFO
-        // within each tenant.
-        assert_eq!(order, vec!["a1", "b1", "c1", "a2", "a3"]);
-        assert_eq!(hub.snapshot(&ResponseCache::new(0)).fair_share_violations, 0);
-    }
-
-    #[test]
-    fn fair_queue_quota_blocks_only_the_offending_tenant() {
-        let queue: FairQueue<u32> = FairQueue::new(8, 1);
-        let hub = test_hub();
-        queue.push("hog", 1).unwrap();
-        // The hog is at quota; another tenant still gets in immediately.
-        queue.push("other", 10).unwrap();
-        std::thread::scope(|scope| {
-            let blocked = scope.spawn(|| queue.push("hog", 2));
-            // Give the push a moment to block, then drain one hog job:
-            // the blocked producer must get through.
-            std::thread::sleep(Duration::from_millis(20));
-            assert!(!blocked.is_finished(), "push should block at quota");
-            assert_eq!(queue.pop(&hub), Some(1));
-            blocked.join().unwrap().unwrap();
-        });
-        assert_eq!(queue.pop(&hub), Some(10));
-        assert_eq!(queue.pop(&hub), Some(2));
-        assert_eq!(queue.len(), 0);
-    }
-
-    #[test]
-    fn fair_queue_close_drains_then_rejects() {
-        let queue: FairQueue<u32> = FairQueue::new(4, 4);
-        let hub = test_hub();
-        queue.push("t", 1).unwrap();
-        queue.push("t", 2).unwrap();
-        queue.close();
-        assert_eq!(queue.push("t", 3), Err(3), "push after close must fail");
-        assert_eq!(queue.pop(&hub), Some(1));
-        assert_eq!(queue.pop(&hub), Some(2));
-        assert_eq!(queue.pop(&hub), None);
     }
 
     /// Classifies tenants by the line's `<tenant>:` prefix; flooding
@@ -2091,7 +1810,7 @@ mod tests {
 
     /// Serially send `lines` on one connection, reading each response
     /// before the next request.
-    fn exchange_serially(addr: std::net::SocketAddr, lines: &[String]) -> Vec<String> {
+    pub(crate) fn exchange_serially(addr: std::net::SocketAddr, lines: &[String]) -> Vec<String> {
         let mut conn = TcpStream::connect(addr).unwrap();
         let mut reader = BufReader::new(conn.try_clone().unwrap());
         let mut out = Vec::new();
@@ -2243,49 +1962,6 @@ mod tests {
             let kinds: Vec<(&str, u64)> =
                 report.metrics.kind_latency.iter().map(|s| (s.label.as_str(), s.count)).collect();
             assert_eq!(kinds, vec![("find", 3)]);
-        });
-    }
-
-    #[test]
-    fn metrics_side_port_answers_scrapes_and_404s() {
-        let listener = bind();
-        let addr = listener.local_addr().unwrap();
-        let scrape_listener = bind();
-        let scrape_addr = scrape_listener.local_addr().unwrap();
-        let render = |snap: &MetricsSnapshot| format!("gtl_requests_total {}\n", snap.requests);
-        let exporter = MetricsExporter { listener: &scrape_listener, render: &render };
-        let config = RuntimeConfig {
-            lanes: 1,
-            cache_bytes: 0,
-            pipeline_depth: 1,
-            max_connections: Some(1),
-            ..RuntimeConfig::default()
-        };
-        let scrape = |request: &str| {
-            let mut conn = TcpStream::connect(scrape_addr).unwrap();
-            write!(conn, "{request}").unwrap();
-            conn.shutdown(std::net::Shutdown::Write).unwrap();
-            let mut response = String::new();
-            std::io::Read::read_to_string(&mut conn, &mut response).unwrap();
-            response
-        };
-        std::thread::scope(|scope| {
-            let server = scope
-                .spawn(|| serve_lines(&listener, &config, &TestHandler, Some(exporter)).unwrap());
-            // Scrape while the server is live (before its one allowed
-            // connection shuts it down).
-            let ok = scrape("GET /metrics HTTP/1.0\r\nHost: x\r\n\r\n");
-            assert!(ok.starts_with("HTTP/1.0 200 OK\r\n"), "{ok:?}");
-            assert!(ok.contains("Content-Type: text/plain; version=0.0.4"), "{ok:?}");
-            assert!(ok.ends_with("gtl_requests_total 0\n"), "{ok:?}");
-            let missing = scrape("GET /other HTTP/1.0\r\n\r\n");
-            assert!(missing.starts_with("HTTP/1.0 404 Not Found\r\n"), "{missing:?}");
-            // Exhaust the accept budget so the serve loop (and with it
-            // the scrape thread) shuts down cleanly.
-            let got = exchange_serially(addr, &["ping".to_string()]);
-            assert_eq!(got, vec!["echo:ping".to_string()]);
-            let report = server.join().unwrap();
-            assert_eq!(report.connections, 1);
         });
     }
 }

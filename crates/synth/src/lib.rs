@@ -1,8 +1,8 @@
 //! Synthetic workload generators for the tangled-logic experiments.
 //!
 //! The DAC 2010 paper evaluates on three kinds of testcases; this crate
-//! generates all of them (see `DESIGN.md` §4 for the substitution
-//! rationale):
+//! generates all of them ([`ispd_like`]'s module doc gives the
+//! substitution rationale):
 //!
 //! * [`planted`] — random graphs with known planted GTLs, "generated based
 //!   on \[Garbers et al.\]" (Table 1, Figures 2–3);

@@ -236,92 +236,6 @@ pub fn multiplier_array(b: &mut NetlistBuilder, n: usize) -> StructureCells {
     StructureCells { cells, kind: format!("mul{n}") }
 }
 
-/// Appends a `width`-bit, `log2(width)`-stage barrel shifter: each stage
-/// is a rank of MUX2 cells whose data nets hop `2^stage` lanes — long
-/// structured nets plus a per-stage select rail.
-///
-/// # Panics
-///
-/// Panics unless `width` is a power of two in `2..=1024`.
-///
-/// # Example
-///
-/// ```
-/// use gtl_netlist::NetlistBuilder;
-/// use gtl_synth::structures::barrel_shifter;
-///
-/// let mut b = NetlistBuilder::new();
-/// let s = barrel_shifter(&mut b, 16);
-/// assert_eq!(s.len(), 16 * 4); // width × log2(width)
-/// ```
-pub fn barrel_shifter(b: &mut NetlistBuilder, width: usize) -> StructureCells {
-    assert!(
-        width.is_power_of_two() && (2..=1024).contains(&width),
-        "width must be a power of two in 2..=1024"
-    );
-    let stages = width.trailing_zeros() as usize;
-    let mut cells = Vec::with_capacity(width * stages);
-    let mut prev: Vec<CellId> = Vec::new();
-    for stage in 0..stages {
-        let rank: Vec<CellId> =
-            (0..width).map(|lane| b.add_cell(format!("bsh_{stage}_{lane}"), 2.25)).collect();
-        let hop = 1usize << stage;
-        for lane in 0..width {
-            if !prev.is_empty() {
-                // Straight-through and shifted data inputs.
-                b.add_net(format!("bsh_d_{stage}_{lane}"), [prev[lane], rank[lane]]);
-                b.add_net(
-                    format!("bsh_s_{stage}_{lane}"),
-                    [prev[(lane + hop) % width], rank[lane]],
-                );
-            }
-        }
-        b.add_net(format!("bsh_sel_{stage}"), rank.iter().copied());
-        cells.extend(&rank);
-        prev = rank;
-    }
-    StructureCells { cells, kind: format!("bsh{width}") }
-}
-
-/// Appends an `n × n` crossbar: one transfer cell per (input, output)
-/// pair, with input rails spanning rows and output wired-OR nets spanning
-/// columns — quadratic cells, extremely pin-dense.
-///
-/// # Panics
-///
-/// Panics unless `2 <= n <= 64`.
-///
-/// # Example
-///
-/// ```
-/// use gtl_netlist::NetlistBuilder;
-/// use gtl_synth::structures::crossbar;
-///
-/// let mut b = NetlistBuilder::new();
-/// let s = crossbar(&mut b, 8);
-/// assert_eq!(s.len(), 64);
-/// ```
-pub fn crossbar(b: &mut NetlistBuilder, n: usize) -> StructureCells {
-    assert!((2..=64).contains(&n), "n must be in 2..=64");
-    let mut cells = Vec::with_capacity(n * n);
-    let mut grid = vec![vec![CellId::default(); n]; n];
-    for (r, row) in grid.iter_mut().enumerate() {
-        for (c, slot) in row.iter_mut().enumerate() {
-            let cell = b.add_cell(format!("xbar_{r}_{c}"), 1.5);
-            *slot = cell;
-            cells.push(cell);
-        }
-    }
-    for (r, row) in grid.iter().enumerate() {
-        b.add_net(format!("xbar_in{r}"), row.iter().copied());
-    }
-    #[allow(clippy::needless_range_loop)] // c indexes columns across rows
-    for c in 0..n {
-        b.add_net(format!("xbar_out{c}"), (0..n).map(|r| grid[r][c]));
-    }
-    StructureCells { cells, kind: format!("xbar{n}") }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -420,37 +334,6 @@ mod tests {
         for s in [&a, &d, &m] {
             let set = CellSet::from_cells(nl.num_cells(), s.cells.iter().copied());
             assert_eq!(SubsetStats::compute(&nl, &set).cut, 0);
-        }
-    }
-
-    #[test]
-    fn barrel_shifter_counts_and_validity() {
-        let mut b = NetlistBuilder::new();
-        let s = barrel_shifter(&mut b, 8);
-        assert_eq!(s.len(), 24);
-        assert_eq!(s.kind, "bsh8");
-        let nl = b.finish();
-        nl.validate().unwrap();
-    }
-
-    #[test]
-    #[should_panic(expected = "power of two")]
-    fn barrel_shifter_rejects_non_power() {
-        let mut b = NetlistBuilder::new();
-        barrel_shifter(&mut b, 12);
-    }
-
-    #[test]
-    fn crossbar_is_extremely_pin_dense() {
-        let (a_c, cut) = density(|b| crossbar(b, 8));
-        assert!(a_c >= 2.0, "A_C = {a_c}");
-        assert_eq!(cut, 0);
-        // Every cell sits on exactly one row rail and one column rail.
-        let mut b = NetlistBuilder::new();
-        let s = crossbar(&mut b, 4);
-        let nl = b.finish();
-        for &c in &s.cells {
-            assert_eq!(nl.cell_degree(c), 2);
         }
     }
 

@@ -12,8 +12,7 @@
 //! * the paper's **metrics** ([`metrics`]): `GTL-Score`, normalized
 //!   `nGTL-Score` and density-aware `GTL-SD`, all built on Rent's rule so
 //!   that groups of *different sizes* are comparable — plus the classical
-//!   baselines they are compared against (ratio cut, absorption, scaled
-//!   cost, Rent-exponent cost, degree separation);
+//!   ratio-cut baseline they are compared against;
 //! * the **three-phase finder** ([`TangledLogicFinder`]):
 //!   Phase I grows a linear ordering from a seed ([`ordering`]), Phase II
 //!   extracts the prefix minimizing the score ([`candidate`]), Phase III
@@ -54,10 +53,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod baseline_cluster;
 pub mod candidate;
 pub mod eval;
-pub mod kl_connectivity;
 pub mod metrics;
 pub mod ordering;
 pub mod prune;

@@ -1,4 +1,4 @@
-//! GTL quality metrics (paper §3.1) and classical baselines (Chapter II).
+//! GTL quality metrics (paper §3.1) and the ratio-cut baseline (Chapter II).
 //!
 //! All metrics score a cell group `C` from three raw quantities computed by
 //! [`SubsetStats`]: the cut `T(C)`, the size `|C|`, and the group pin count
@@ -134,99 +134,7 @@ pub fn estimate_rent_exponent(stats: &SubsetStats) -> Option<f64> {
     Some(((stats.cut as f64).ln() - a_c.ln()) / (stats.size as f64).ln())
 }
 
-/// Estimates the whole design's Rent exponent by sampling BFS regions.
-///
-/// Grows breadth-first regions from `samples` deterministic seed cells,
-/// records `(|C|, T(C))` at power-of-two region sizes between 16 and
-/// `max_region`, and fits `ln T = ln c + p·ln |C|` by least squares.
-/// This is the classical empirical-Rent procedure and gives the global
-/// `p` to use in [`DesignContext`] when per-ordering estimation is not
-/// wanted.
-///
-/// Returns `None` when fewer than 4 sample points exist (tiny or
-/// disconnected designs).
-pub fn estimate_design_rent_exponent(
-    netlist: &gtl_netlist::Netlist,
-    samples: usize,
-    max_region: usize,
-) -> Option<f64> {
-    use std::collections::VecDeque;
-    let n = netlist.num_cells();
-    if n < 32 {
-        return None;
-    }
-    let mut xs: Vec<f64> = Vec::new();
-    let mut ys: Vec<f64> = Vec::new();
-    let stride = (n / samples.max(1)).max(1);
-    let mut inside: Vec<u32> = vec![0; netlist.num_nets()];
-    let mut dirty_nets: Vec<u32> = Vec::new();
-    let mut visited = vec![false; n];
-    let mut visited_cells: Vec<u32> = Vec::new();
-
-    for seed_idx in (0..n).step_by(stride).take(samples) {
-        let seed = gtl_netlist::CellId::new(seed_idx);
-        let mut queue = VecDeque::new();
-        queue.push_back(seed);
-        visited[seed.index()] = true;
-        visited_cells.push(seed.raw());
-        let mut size = 0usize;
-        let mut cut = 0i64;
-        let mut next_mark = 16usize;
-        while let Some(u) = queue.pop_front() {
-            size += 1;
-            for &net in netlist.cell_nets(u) {
-                let deg = netlist.net_degree(net);
-                let old = inside[net.index()] as usize;
-                if old == 0 {
-                    dirty_nets.push(net.raw());
-                }
-                inside[net.index()] += 1;
-                let was_cut = old > 0 && old < deg;
-                let is_cut = old + 1 < deg;
-                cut += is_cut as i64 - was_cut as i64;
-                for &v in netlist.net_cells(net) {
-                    if !visited[v.index()] {
-                        visited[v.index()] = true;
-                        visited_cells.push(v.raw());
-                        queue.push_back(v);
-                    }
-                }
-            }
-            if size == next_mark {
-                if cut > 0 {
-                    xs.push((size as f64).ln());
-                    ys.push((cut as f64).ln());
-                }
-                next_mark *= 2;
-                if next_mark > max_region.min(n / 2) {
-                    break;
-                }
-            }
-        }
-        for raw in dirty_nets.drain(..) {
-            inside[raw as usize] = 0;
-        }
-        for raw in visited_cells.drain(..) {
-            visited[raw as usize] = false;
-        }
-    }
-
-    if xs.len() < 4 {
-        return None;
-    }
-    let k = xs.len() as f64;
-    let sx: f64 = xs.iter().sum();
-    let sy: f64 = ys.iter().sum();
-    let sxy: f64 = xs.iter().zip(&ys).map(|(a, b)| a * b).sum();
-    let sxx: f64 = xs.iter().map(|a| a * a).sum();
-    let denom = k * sxx - sx * sx;
-    if denom.abs() < 1e-12 {
-        return None;
-    }
-    Some(((k * sxy - sx * sy) / denom).clamp(0.05, 1.0))
-}
-
-/// Classical clustering metrics, for comparison (paper Chapter II, Fig. 5).
+/// The classical ratio-cut metric, for comparison (paper Chapter II, Fig. 5).
 pub mod baseline {
     use gtl_netlist::SubsetStats;
 
@@ -240,162 +148,12 @@ pub mod baseline {
         }
         stats.cut as f64 / stats.size as f64
     }
-
-    /// Absorption: the number of internal nets (Alpert–Kahng survey).
-    ///
-    /// Grows with cluster size, so it is biased toward big clusters.
-    pub fn absorption(stats: &SubsetStats) -> f64 {
-        stats.internal_nets as f64
-    }
-
-    /// Rent-exponent cost `ln T(C) / ln |C|` (Ng et al.).
-    ///
-    /// Better than ratio cut, but still monotonically decreasing with size.
-    /// Returns `f64::INFINITY` when undefined (`|C| ≤ 1` or `T = 0`).
-    pub fn rent_cost(stats: &SubsetStats) -> f64 {
-        if stats.size <= 1 || stats.cut == 0 {
-            return f64::INFINITY;
-        }
-        (stats.cut as f64).ln() / (stats.size as f64).ln()
-    }
-
-    /// Degree part of Hagen–Kahng degree/separation: average nets per cell
-    /// inside the group.
-    pub fn degree(stats: &SubsetStats) -> f64 {
-        stats.avg_pins_per_cell()
-    }
-
-    /// Separation part of degree/separation: average shortest-path length
-    /// between sampled node pairs inside the group, measured on the
-    /// group-induced hypergraph (nets as unit-length hops).
-    ///
-    /// Exact all-pairs is quadratic, so up to `samples` BFS sources are
-    /// used. Unreachable pairs are skipped; returns `f64::INFINITY` when no
-    /// pair is reachable or the group has < 2 cells.
-    pub fn separation(
-        netlist: &gtl_netlist::Netlist,
-        group: &gtl_netlist::CellSet,
-        samples: usize,
-    ) -> f64 {
-        use std::collections::VecDeque;
-        if group.len() < 2 {
-            return f64::INFINITY;
-        }
-        let members: Vec<_> = group.iter().collect();
-        let step = (members.len() / samples.max(1)).max(1);
-        let mut total = 0u64;
-        let mut pairs = 0u64;
-        let mut dist = vec![u32::MAX; netlist.num_cells()];
-        let mut touched = Vec::new();
-        for src in members.iter().step_by(step) {
-            let mut queue = VecDeque::new();
-            dist[src.index()] = 0;
-            touched.push(*src);
-            queue.push_back(*src);
-            while let Some(u) = queue.pop_front() {
-                let d = dist[u.index()];
-                for &net in netlist.cell_nets(u) {
-                    for &v in netlist.net_cells(net) {
-                        if group.contains(v) && dist[v.index()] == u32::MAX {
-                            dist[v.index()] = d + 1;
-                            touched.push(v);
-                            queue.push_back(v);
-                        }
-                    }
-                }
-            }
-            for m in &members {
-                let d = dist[m.index()];
-                if d != u32::MAX && d > 0 {
-                    total += d as u64;
-                    pairs += 1;
-                }
-            }
-            for t in touched.drain(..) {
-                dist[t.index()] = u32::MAX;
-            }
-        }
-        if pairs == 0 {
-            f64::INFINITY
-        } else {
-            total as f64 / pairs as f64
-        }
-    }
-
-    /// Degree separation `DS = degree / separation` (Hagen–Kahng).
-    ///
-    /// Higher is more tangled. Returns `0.0` when separation is infinite.
-    pub fn degree_separation(
-        netlist: &gtl_netlist::Netlist,
-        group: &gtl_netlist::CellSet,
-        stats: &SubsetStats,
-        samples: usize,
-    ) -> f64 {
-        let sep = separation(netlist, group, samples);
-        if sep.is_finite() && sep > 0.0 {
-            degree(stats) / sep
-        } else {
-            0.0
-        }
-    }
-
-    /// Edge separability (Cong–Lim): the min-cut between the two endpoint
-    /// cells of an edge, here computed as the number of edge-disjoint
-    /// paths of length ≤ `max_len` (a bounded proxy; the exact min-cut is
-    /// the `max_len → ∞` limit by Menger's theorem).
-    ///
-    /// The paper's objection — "the evaluation of edge separability is
-    /// time consuming" — applies: each call runs a bounded max-flow.
-    pub fn edge_separability(
-        graph: &crate::kl_connectivity::AdjacencyGraph,
-        a: gtl_netlist::CellId,
-        b: gtl_netlist::CellId,
-        max_len: usize,
-    ) -> usize {
-        crate::kl_connectivity::edge_disjoint_paths(graph, a, b, max_len, usize::MAX - 1)
-    }
-
-    /// Adhesion (Kudva–Sullivan–Dougherty): the sum of pairwise min-cuts
-    /// over the cluster, sampled over at most `sample_pairs` pairs and
-    /// scaled up (the exact all-pairs version is "hardly practical for
-    /// designs with millions of cells", as the paper notes).
-    pub fn adhesion(
-        netlist: &gtl_netlist::Netlist,
-        group: &gtl_netlist::CellSet,
-        max_len: usize,
-        sample_pairs: usize,
-    ) -> f64 {
-        let members: Vec<gtl_netlist::CellId> = group.iter().collect();
-        let total_pairs = members.len().saturating_mul(members.len().saturating_sub(1)) / 2;
-        if total_pairs == 0 {
-            return 0.0;
-        }
-        let graph = crate::kl_connectivity::AdjacencyGraph::build(netlist, 16);
-        let mut sum = 0usize;
-        let mut sampled = 0usize;
-        // Deterministic stride sampling over the pair triangle.
-        let stride = (total_pairs / sample_pairs.max(1)).max(1);
-        let mut index = 0usize;
-        'outer: for i in 0..members.len() {
-            for j in (i + 1)..members.len() {
-                if index.is_multiple_of(stride) {
-                    sum += edge_separability(&graph, members[i], members[j], max_len);
-                    sampled += 1;
-                    if sampled >= sample_pairs {
-                        break 'outer;
-                    }
-                }
-                index += 1;
-            }
-        }
-        sum as f64 * total_pairs as f64 / sampled.max(1) as f64
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gtl_netlist::{CellSet, NetlistBuilder, SubsetStats};
+    use gtl_netlist::SubsetStats;
 
     fn ctx() -> DesignContext {
         DesignContext { avg_pins_per_cell: 4.0, rent_exponent: 0.6 }
@@ -498,113 +256,5 @@ mod tests {
         let small = ngtl_score((4.0 * 100f64.powf(0.6)) as usize, 100, &c);
         let large = ngtl_score((4.0 * 1000f64.powf(0.6)) as usize, 1000, &c);
         assert!((small - large).abs() < 0.05, "{small} vs {large}");
-    }
-
-    #[test]
-    fn baseline_rent_cost_decreases_with_size() {
-        let a = baseline::rent_cost(&stats(40, 100, 400));
-        let b = baseline::rent_cost(&stats(40, 10000, 40000));
-        assert!(b < a);
-        assert!(baseline::rent_cost(&stats(0, 100, 1)).is_infinite());
-    }
-
-    #[test]
-    fn separation_on_path_graph() {
-        // Path a-b-c: avg pairwise distance from all sources = (1+2+1+1+2+1)/6.
-        let mut bld = NetlistBuilder::new();
-        let a = bld.add_cell("a", 1.0);
-        let b = bld.add_cell("b", 1.0);
-        let cc = bld.add_cell("c", 1.0);
-        bld.add_anonymous_net([a, b]);
-        bld.add_anonymous_net([b, cc]);
-        let nl = bld.finish();
-        let group = CellSet::from_cells(3, [a, b, cc]);
-        let sep = baseline::separation(&nl, &group, usize::MAX);
-        assert!((sep - 8.0 / 6.0).abs() < 1e-9, "sep {sep}");
-        let st = SubsetStats::compute(&nl, &group);
-        let ds = baseline::degree_separation(&nl, &group, &st, usize::MAX);
-        assert!(ds > 0.0);
-    }
-
-    #[test]
-    fn separation_degenerate() {
-        let mut bld = NetlistBuilder::new();
-        let a = bld.add_cell("a", 1.0);
-        let nl = bld.finish();
-        let group = CellSet::from_cells(1, [a]);
-        assert!(baseline::separation(&nl, &group, 4).is_infinite());
-    }
-
-    #[test]
-    fn absorption_counts_internal_nets() {
-        let s = SubsetStats { size: 5, cut: 2, pins: 20, internal_nets: 7 };
-        assert_eq!(baseline::absorption(&s), 7.0);
-    }
-
-    #[test]
-    fn design_rent_estimate_on_hierarchical_background() {
-        // A Rent-wired background should regress to a sane exponent band.
-        let (nl, _) = crate::testutil::cliques_in_background(3_000, &[], 17);
-        let p = estimate_design_rent_exponent(&nl, 12, 1024).expect("estimate");
-        assert!((0.2..=1.0).contains(&p), "p = {p}");
-    }
-
-    #[test]
-    fn design_rent_estimate_small_design_is_none() {
-        let mut bld = NetlistBuilder::new();
-        let a = bld.add_cell("a", 1.0);
-        let b2 = bld.add_cell("b", 1.0);
-        bld.add_anonymous_net([a, b2]);
-        let nl = bld.finish();
-        assert!(estimate_design_rent_exponent(&nl, 4, 64).is_none());
-    }
-
-    #[test]
-    fn edge_separability_on_clique() {
-        // In a 4-clique the min-cut between any two vertices is 3.
-        let mut bld = NetlistBuilder::new();
-        let cells: Vec<_> = (0..4).map(|i| bld.add_cell(format!("c{i}"), 1.0)).collect();
-        for i in 0..4 {
-            for j in (i + 1)..4 {
-                bld.add_anonymous_net([cells[i], cells[j]]);
-            }
-        }
-        let nl = bld.finish();
-        let graph = crate::kl_connectivity::AdjacencyGraph::build(&nl, 16);
-        assert_eq!(baseline::edge_separability(&graph, cells[0], cells[1], 3), 3);
-    }
-
-    #[test]
-    fn adhesion_clique_beats_chain() {
-        let build = |clique: bool| {
-            let mut bld = NetlistBuilder::new();
-            let cells: Vec<_> = (0..6).map(|i| bld.add_cell(format!("c{i}"), 1.0)).collect();
-            if clique {
-                for i in 0..6 {
-                    for j in (i + 1)..6 {
-                        bld.add_anonymous_net([cells[i], cells[j]]);
-                    }
-                }
-            } else {
-                for w in cells.windows(2) {
-                    bld.add_anonymous_net([w[0], w[1]]);
-                }
-            }
-            let nl = bld.finish();
-            let group = CellSet::from_cells(nl.num_cells(), cells.iter().copied());
-            baseline::adhesion(&nl, &group, 4, 100)
-        };
-        let clique = build(true);
-        let chain = build(false);
-        assert!(clique > 3.0 * chain, "clique {clique} vs chain {chain}");
-    }
-
-    #[test]
-    fn adhesion_empty_group() {
-        let mut bld = NetlistBuilder::new();
-        bld.add_cell("a", 1.0);
-        let nl = bld.finish();
-        let group = CellSet::new(1);
-        assert_eq!(baseline::adhesion(&nl, &group, 4, 10), 0.0);
     }
 }
