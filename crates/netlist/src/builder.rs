@@ -91,6 +91,17 @@ impl NetlistBuilder {
         self.add_cell(String::new(), area)
     }
 
+    /// A builder holding `cells` anonymous unit-area cells, with room for
+    /// `nets` nets, or `None` when the allocator refuses the cell table:
+    /// a reader turns a cell count no memory backs into an error instead
+    /// of an abort.
+    pub(crate) fn try_with_anonymous_cells(cells: usize, nets: usize) -> Option<Self> {
+        let mut builder = Self::with_capacity(0, nets);
+        builder.cell_areas.try_reserve_exact(cells).ok()?;
+        builder.add_anonymous_cells(cells);
+        Some(builder)
+    }
+
     /// Adds `count` anonymous unit-area cells and returns the id of the
     /// first; ids are contiguous.
     ///
@@ -115,22 +126,45 @@ impl NetlistBuilder {
         pins: impl IntoIterator<Item = CellId>,
     ) -> NetId {
         let id = NetId::new(self.net_offsets.len() - 1);
-        let start = self.net_pins.len();
         for pin in pins {
             assert!(
                 pin.index() < self.cell_areas.len(),
                 "net pin references cell {pin} but only {} cells exist",
                 self.cell_areas.len()
             );
-            // Nets are short in practice (and huge nets are rarely duplicated),
-            // so a linear dedup scan beats hashing for the common case.
-            if !self.net_pins[start..].contains(&pin) {
-                self.net_pins.push(pin);
-            }
+            self.push_pin(pin);
         }
-        self.net_offsets.push(self.net_pins.len() as u32);
+        self.close_net();
         store_name(&mut self.net_names, id.index(), name.into());
         id
+    }
+
+    /// Appends `pin` to the open net, the pins pushed since the last net
+    /// was closed, unless it is on it already. Unlike
+    /// [`add_net`](Self::add_net) this does not check that the cell
+    /// exists: the caller has range-checked it.
+    #[inline]
+    pub(crate) fn push_pin(&mut self, pin: CellId) {
+        // Nets are short in practice (and huge nets are rarely duplicated),
+        // so a linear dedup scan beats hashing for the common case.
+        if !self.net_pins[self.open_net_start()..].contains(&pin) {
+            self.net_pins.push(pin);
+        }
+    }
+
+    /// Closes the open net as the next anonymous net.
+    pub(crate) fn close_net(&mut self) {
+        self.net_offsets.push(self.net_pins.len() as u32);
+    }
+
+    /// Drops the open net's pins.
+    pub(crate) fn discard_open_net(&mut self) {
+        self.net_pins.truncate(self.open_net_start());
+    }
+
+    /// Where the open net's pins begin in `net_pins`.
+    fn open_net_start(&self) -> usize {
+        self.net_offsets.last().map_or(0, |&offset| offset as usize)
     }
 
     /// Adds an anonymous net connecting `pins`.

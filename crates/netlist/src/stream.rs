@@ -8,9 +8,14 @@
 //! at a configurable maximum), so peak memory is bounded by
 //! `max_line_bytes` regardless of file size.
 //!
-//! The [`hgr`](crate::hgr) and [`bookshelf`](crate::bookshelf) parsers are
-//! built on this scanner, which makes "streaming parse" and "whole-buffer
-//! parse" the same code path — property-tested to be byte-equivalent.
+//! The [`bookshelf`](crate::bookshelf) parser and the `.hgr` header read
+//! whole lines through [`LineScanner::next_line`]. The `.hgr` body does
+//! not: [`hgr`](crate::hgr) reads it in one byte-level pass over the
+//! scanner's buffer, which the scanner refills and caps exactly as it
+//! does for `next_line`, so the line cap, the refill points and the line
+//! numbers in errors are the same for both. Either way "streaming parse"
+//! and "whole-buffer parse" are the same code path — property-tested to
+//! be byte-equivalent.
 //!
 //! # Example
 //!
@@ -101,28 +106,57 @@ impl<R: Read> LineScanner<R> {
     /// Returns [`NetlistError::Io`] on read failure and
     /// [`NetlistError::Syntax`] for an over-long line or invalid UTF-8.
     pub fn next_line(&mut self) -> Result<Option<(usize, &str)>, NetlistError> {
-        loop {
-            if let Some(pos) = find_byte(&self.buf[self.start..self.end], b'\n') {
-                let line_start = self.start;
-                let line_end = self.start + pos;
-                self.start = line_end + 1;
-                self.line_no += 1;
-                let bytes = trim_cr(&self.buf[line_start..line_end]);
-                return Ok(Some((self.line_no, self.check_utf8(bytes)?)));
+        let (line_start, line_end) = loop {
+            if let Some(pos) = find_byte(self.buffered(), b'\n') {
+                let line = (self.start, self.start + pos);
+                self.start += pos + 1;
+                break line;
             }
-            if self.eof {
+            if !self.fill()? {
                 if self.start == self.end {
                     return Ok(None);
                 }
-                let line_start = self.start;
-                let line_end = self.end;
+                let line = (self.start, self.end);
                 self.start = self.end;
-                self.line_no += 1;
-                let bytes = trim_cr(&self.buf[line_start..line_end]);
-                return Ok(Some((self.line_no, self.check_utf8(bytes)?)));
+                break line;
             }
+        };
+        self.line_no += 1;
+        let bytes = trim_cr(&self.buf[line_start..line_end]);
+        let line = std::str::from_utf8(bytes).map_err(|_| not_utf8(&self.label, self.line_no))?;
+        Ok(Some((self.line_no, line)))
+    }
+
+    /// The bytes read but not yet consumed: whole lines first, then at
+    /// most one partial line (the final unterminated line, once
+    /// [`fill`](Self::fill) has reported the end of the input).
+    pub(crate) fn buffered(&self) -> &[u8] {
+        &self.buf[self.start..self.end]
+    }
+
+    /// Consumes the first `bytes` bytes of [`buffered`](Self::buffered),
+    /// which hold `lines` whole lines.
+    pub(crate) fn consume(&mut self, bytes: usize, lines: usize) {
+        self.start += bytes;
+        self.line_no += lines;
+    }
+
+    /// Reads more input, to be called only when
+    /// [`buffered`](Self::buffered) holds no newline: the partial line
+    /// moves to the buffer front, a line already longer than the cap
+    /// fails, and the read appends to it. Returns `false` once the input
+    /// is exhausted; `buffered()` is then the final line, without a
+    /// newline (empty when the input ended with a newline).
+    ///
+    /// # Errors
+    ///
+    /// [`NetlistError::Io`] on read failure and [`NetlistError::Syntax`]
+    /// for an over-long line.
+    pub(crate) fn fill(&mut self) -> Result<bool, NetlistError> {
+        if !self.eof {
             self.refill()?;
         }
+        Ok(!self.eof)
     }
 
     /// Compacts the partial line to the buffer front and reads more bytes.
@@ -154,15 +188,11 @@ impl<R: Read> LineScanner<R> {
         }
         Ok(())
     }
+}
 
-    fn check_utf8<'a>(&self, bytes: &'a [u8]) -> Result<&'a str, NetlistError> {
-        std::str::from_utf8(bytes).map_err(|_| {
-            NetlistError::syntax(
-                ParseContext::new(&self.label, self.line_no),
-                "line is not valid UTF-8",
-            )
-        })
-    }
+/// The error for line `line_no` of stream `label`, which is not UTF-8.
+pub(crate) fn not_utf8(label: &str, line_no: usize) -> NetlistError {
+    NetlistError::syntax(ParseContext::new(label, line_no), "line is not valid UTF-8")
 }
 
 fn find_byte(haystack: &[u8], needle: u8) -> Option<usize> {

@@ -145,6 +145,12 @@ fn hgr_header_counts_are_not_trusted_for_allocation() {
         matches!(err, NetlistError::CountMismatch { declared: 4_000_000_000, found: 1, .. }),
         "{err}"
     );
+    // Four billion cells need a 32 GB cell table. The reader reserves it
+    // fallibly, so where the allocator refuses (a smaller machine, or an
+    // address-space cap such as `ulimit -v`) the answer is an error.
+    let err = hgr::parse_str("1 4000000000\n1\n").unwrap_err();
+    assert!(matches!(err, NetlistError::Syntax { .. }), "{err}");
+    assert_eq!(err.to_string(), "<string>:1: cell count 4000000000 does not fit in memory");
 }
 
 #[test]

@@ -205,9 +205,10 @@ pub fn place(netlist: &Netlist, die: &Die, config: &PlacerConfig) -> Placement {
 }
 
 /// Reusable cross-request scratch for [`place_cancellable_with_scratch`]:
-/// today the Laplacian build's triplet buffers. A long-lived caller (the
-/// serving session) holds one per session so repeated placements of the
-/// same netlist stop reallocating the `O(pins)` CSR intermediate.
+/// today the Laplacian build's per-row counts and fill cursors, two
+/// `O(cells)` arrays. A long-lived caller (the serving session) holds one
+/// per session so repeated placements of the same netlist stop
+/// reallocating them; the build buffers nothing `O(pins)` between runs.
 #[derive(Debug, Default)]
 pub struct PlaceScratch {
     laplacian: LaplacianScratch,

@@ -33,8 +33,9 @@
 //! Steady-state solves allocate nothing: callers own the output buffers
 //! ([`Laplacian::solve_anchored_into`], [`ShardSolver::solve_shard_into`])
 //! and the CG work vectors live in reusable scratch ([`SolveScratch`],
-//! [`ShardSolver`]), as does the triplet pass of the CSR build
-//! ([`LaplacianScratch`]).
+//! [`ShardSolver`]), as do the row counts and cursors of the CSR build
+//! ([`LaplacianScratch`]), which visits the springs twice (count, then
+//! fill) instead of buffering them.
 
 use gtl_netlist::Netlist;
 
@@ -89,13 +90,13 @@ fn csr_apply_anchored_into(
     }
 }
 
-/// Reusable scratch for [`Laplacian::build_with`]: the triplet list and
-/// row-count/cursor arrays of the CSR construction, hoisted out of the
-/// build so repeated builds (one per placement request on the serving
-/// path) stop reallocating the `O(pins)` intermediate.
+/// Reusable scratch for [`Laplacian::build_with`]: the per-row entry
+/// counts and fill cursors of the CSR construction (`O(cells)`), hoisted
+/// out of the build so repeated builds (one per placement request on the
+/// serving path) stop reallocating them. The springs themselves are never
+/// buffered: the build visits them twice from the netlist.
 #[derive(Debug, Clone, Default)]
 pub struct LaplacianScratch {
-    triplets: Vec<(u32, u32, f64)>,
     counts: Vec<usize>,
     cursor: Vec<usize>,
 }
@@ -104,6 +105,34 @@ impl LaplacianScratch {
     /// Creates empty scratch; buffers grow on first use.
     pub fn new() -> Self {
         Self::default()
+    }
+}
+
+/// Calls `f(i, j, w)` for every spring of the clique/star model, in net
+/// order: a net of `d ≤ CLIQUE_LIMIT` pins ties each pin pair `i < j` (in
+/// pin order) with weight `2/d`, a larger net ties every pin to its first
+/// pin, the hub, with weight 1 (total edge weight `(d−1)·1`, matching the
+/// clique's `d−1` while staying `O(d)` sparse). Single-pin nets add none.
+fn for_each_spring(netlist: &Netlist, mut f: impl FnMut(u32, u32, f64)) {
+    for net in netlist.nets() {
+        let cells = netlist.net_cells(net);
+        let d = cells.len();
+        if d < 2 {
+            continue;
+        }
+        if d <= CLIQUE_LIMIT {
+            let w = 2.0 / d as f64;
+            for i in 0..d {
+                for j in (i + 1)..d {
+                    f(cells[i].raw(), cells[j].raw(), w);
+                }
+            }
+        } else {
+            let hub = cells[0].raw();
+            for &pin in &cells[1..] {
+                f(hub, pin.raw(), 1.0);
+            }
+        }
     }
 }
 
@@ -161,70 +190,46 @@ impl Laplacian {
         Self::build_with(netlist, &mut LaplacianScratch::new())
     }
 
-    /// [`Laplacian::build`] with caller-owned scratch: the triplet pass
-    /// and the count/cursor arrays reuse `scratch`'s buffers, so repeated
-    /// builds allocate only the CSR arrays of the result itself. The
-    /// result is identical to [`Laplacian::build`] — scratch contents on
-    /// entry are ignored.
+    /// [`Laplacian::build`] with caller-owned scratch: the row counts and
+    /// fill cursors reuse `scratch`'s buffers, so repeated builds allocate
+    /// only the CSR arrays of the result itself. The result is identical
+    /// to [`Laplacian::build`] — scratch contents on entry are ignored.
     pub fn build_with(netlist: &Netlist, scratch: &mut LaplacianScratch) -> Self {
         let n = netlist.num_cells();
-        // Accumulate off-diagonal entries per row in a triplet pass.
-        let triplets = &mut scratch.triplets;
-        triplets.clear();
-        for net in netlist.nets() {
-            let cells = netlist.net_cells(net);
-            let d = cells.len();
-            if d < 2 {
-                continue;
-            }
-            if d <= CLIQUE_LIMIT {
-                let w = 2.0 / d as f64;
-                for i in 0..d {
-                    for j in (i + 1)..d {
-                        triplets.push((cells[i].raw(), cells[j].raw(), w));
-                    }
-                }
-            } else {
-                // Star model: hub = first pin, preserving O(d) sparsity.
-                // Total edge weight (d−1)·w matches the clique's d−1.
-                let w = 1.0;
-                let hub = cells[0].raw();
-                for &pin in &cells[1..] {
-                    triplets.push((hub, pin.raw(), w));
-                }
-            }
-        }
-
-        // Count row populations (both directions), prefix-sum, fill.
+        // Two visits of the springs, in the same order: the first counts
+        // each row's entries (both directions), the second fills the rows
+        // and sums the diagonal.
         let counts = &mut scratch.counts;
         counts.clear();
         counts.resize(n, 0);
-        for &(i, j, _) in triplets.iter() {
+        for_each_spring(netlist, |i, j, _| {
             counts[i as usize] += 1;
             counts[j as usize] += 1;
-        }
+        });
         let mut offsets = Vec::with_capacity(n + 1);
-        offsets.push(0usize);
+        let mut nnz = 0usize;
+        offsets.push(nnz);
         for c in counts.iter() {
-            offsets.push(offsets.last().unwrap() + c);
+            nnz += c;
+            offsets.push(nnz);
         }
-        let nnz = *offsets.last().unwrap();
         let mut columns = vec![0u32; nnz];
         let mut values = vec![0.0f64; nnz];
         let cursor = &mut scratch.cursor;
         cursor.clear();
         cursor.extend_from_slice(&offsets[..n]);
         let mut diagonal = vec![0.0f64; n];
-        for &(i, j, w) in triplets.iter() {
-            columns[cursor[i as usize]] = j;
-            values[cursor[i as usize]] = w;
-            cursor[i as usize] += 1;
-            columns[cursor[j as usize]] = i;
-            values[cursor[j as usize]] = w;
-            cursor[j as usize] += 1;
-            diagonal[i as usize] += w;
-            diagonal[j as usize] += w;
-        }
+        for_each_spring(netlist, |i, j, w| {
+            let (i, j) = (i as usize, j as usize);
+            columns[cursor[i]] = j as u32;
+            values[cursor[i]] = w;
+            cursor[i] += 1;
+            columns[cursor[j]] = i as u32;
+            values[cursor[j]] = w;
+            cursor[j] += 1;
+            diagonal[i] += w;
+            diagonal[j] += w;
+        });
         Self { offsets, columns, values, diagonal }
     }
 
@@ -812,7 +817,80 @@ pub(crate) mod tests {
     /// the fused loops above, and the one-axis-at-a-time shard solver the
     /// two-lane one replaced (also the placer's oracle).
     pub(crate) mod reference {
-        use super::super::{csr_apply_into, Laplacian};
+        use super::super::{csr_apply_into, Laplacian, CLIQUE_LIMIT};
+        use gtl_netlist::Netlist;
+
+        /// The triplet list, count and cursor buffers of the build below.
+        #[derive(Default)]
+        pub(crate) struct LaplacianScratch {
+            triplets: Vec<(u32, u32, f64)>,
+            counts: Vec<usize>,
+            cursor: Vec<usize>,
+        }
+
+        /// The CSR build that buffered every spring as a `(u32, u32, f64)`
+        /// triplet before counting and filling the rows, kept verbatim.
+        pub(crate) fn build_with(netlist: &Netlist, scratch: &mut LaplacianScratch) -> Laplacian {
+            let n = netlist.num_cells();
+            // Accumulate off-diagonal entries per row in a triplet pass.
+            let triplets = &mut scratch.triplets;
+            triplets.clear();
+            for net in netlist.nets() {
+                let cells = netlist.net_cells(net);
+                let d = cells.len();
+                if d < 2 {
+                    continue;
+                }
+                if d <= CLIQUE_LIMIT {
+                    let w = 2.0 / d as f64;
+                    for i in 0..d {
+                        for j in (i + 1)..d {
+                            triplets.push((cells[i].raw(), cells[j].raw(), w));
+                        }
+                    }
+                } else {
+                    // Star model: hub = first pin, preserving O(d) sparsity.
+                    // Total edge weight (d−1)·w matches the clique's d−1.
+                    let w = 1.0;
+                    let hub = cells[0].raw();
+                    for &pin in &cells[1..] {
+                        triplets.push((hub, pin.raw(), w));
+                    }
+                }
+            }
+
+            // Count row populations (both directions), prefix-sum, fill.
+            let counts = &mut scratch.counts;
+            counts.clear();
+            counts.resize(n, 0);
+            for &(i, j, _) in triplets.iter() {
+                counts[i as usize] += 1;
+                counts[j as usize] += 1;
+            }
+            let mut offsets = Vec::with_capacity(n + 1);
+            offsets.push(0usize);
+            for c in counts.iter() {
+                offsets.push(offsets.last().unwrap() + c);
+            }
+            let nnz = *offsets.last().unwrap();
+            let mut columns = vec![0u32; nnz];
+            let mut values = vec![0.0f64; nnz];
+            let cursor = &mut scratch.cursor;
+            cursor.clear();
+            cursor.extend_from_slice(&offsets[..n]);
+            let mut diagonal = vec![0.0f64; n];
+            for &(i, j, w) in triplets.iter() {
+                columns[cursor[i as usize]] = j;
+                values[cursor[i as usize]] = w;
+                cursor[i as usize] += 1;
+                columns[cursor[j as usize]] = i;
+                values[cursor[j as usize]] = w;
+                cursor[j as usize] += 1;
+                diagonal[i as usize] += w;
+                diagonal[j as usize] += w;
+            }
+            Laplacian { offsets, columns, values, diagonal }
+        }
 
         /// The shard solver that solved the x system and then the y system
         /// over the same local matrix, kept verbatim.
@@ -1243,6 +1321,34 @@ pub(crate) mod tests {
             assert_eq!(fresh.columns, reused.columns);
             assert_eq!(fresh.values, reused.values);
             assert_eq!(fresh.diagonal, reused.diagonal);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// The two-visit build reproduces the triplet build bit for bit —
+        /// row offsets, columns, values and diagonal — on random designs
+        /// (cliques, stars, single-pin nets, nets listing a pin twice,
+        /// repeated nets), each build reusing the previous design's scratch.
+        #[test]
+        fn laplacian_build_matches_oracle_bit_for_bit(
+            n in 1usize..200,
+            net_density in 0usize..5,
+            seed in 0u64..u64::MAX,
+        ) {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let mut scratch = LaplacianScratch::new();
+            let mut oracle_scratch = reference::LaplacianScratch::default();
+            for nets in [n * net_density / 2 + 1, n / 3 + 1] {
+                let nl = random_netlist(n, nets, &mut rng);
+                let want = reference::build_with(&nl, &mut oracle_scratch);
+                let got = Laplacian::build_with(&nl, &mut scratch);
+                prop_assert_eq!(&got.offsets, &want.offsets);
+                prop_assert_eq!(&got.columns, &want.columns);
+                prop_assert_eq!(bits(&got.values), bits(&want.values));
+                prop_assert_eq!(bits(&got.diagonal), bits(&want.diagonal));
+            }
         }
     }
 
