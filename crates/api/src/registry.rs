@@ -680,4 +680,135 @@ mod tests {
             ""
         );
     }
+
+    /// The numbers a totality case writes into a numeric field: zero,
+    /// negative, underflowing, overflowing and wider than `u64`.
+    const HOSTILE_NUMBERS: [&str; 5] = ["0", "-1", "1e-300", "1e300", "18446744073709551616"];
+
+    /// A valid line of protocol `v` for request kind `kind` (Find, Place,
+    /// Stats), every numeric field a literal and every compute one small
+    /// enough to answer in milliseconds on one or two threads.
+    fn valid_line(v: u32, kind: usize) -> String {
+        let session = (v >= crate::SESSION_SINCE_VERSION).then(|| DEFAULT_SESSION.to_string());
+        let deadline_ms = (v >= crate::DEADLINE_SINCE_VERSION).then_some(60_000);
+        let request = match kind {
+            0 => Request::Find(FindRequest {
+                v,
+                config: FinderConfig {
+                    num_seeds: 3,
+                    max_order_len: 24,
+                    min_size: 4,
+                    refine_seeds: 1,
+                    threads: 2,
+                    rent_exponent: Some(0.6),
+                    ..FinderConfig::default()
+                },
+                deadline_ms,
+                session,
+            }),
+            1 => {
+                let mut req = crate::PlaceRequest::new();
+                req.v = v;
+                req.placer.threads = 2;
+                req.routing.tiles = 8;
+                req.routing.threads = 2;
+                req.routing.h_capacity = Some(2.0);
+                req.routing.v_capacity = Some(2.0);
+                req.deadline_ms = deadline_ms;
+                req.session = session;
+                Request::Place(req)
+            }
+            _ => Request::Stats(StatsRequest { v, session }),
+        };
+        serde::json::to_string(&request)
+    }
+
+    /// The byte ranges of `line`'s numeric literals (outside strings),
+    /// each with the key it is the value of.
+    fn numeric_fields(line: &str) -> Vec<(std::ops::Range<usize>, String)> {
+        let bytes = line.as_bytes();
+        let (mut fields, mut key, mut i) = (Vec::new(), String::new(), 0);
+        while i < bytes.len() {
+            match bytes[i] {
+                b'"' => {
+                    let end = i + 1 + line[i + 1..].find('"').expect("no escapes in a valid line");
+                    key = line[i + 1..end].to_string();
+                    i = end + 1;
+                }
+                b'-' | b'0'..=b'9' => {
+                    let len = line[i..]
+                        .find(|c: char| !matches!(c, '-' | '+' | '.' | 'e' | 'E' | '0'..='9'))
+                        .unwrap_or(line.len() - i);
+                    fields.push((i..i + len, key.clone()));
+                    i += len;
+                }
+                _ => i += 1,
+            }
+        }
+        fields
+    }
+
+    /// Answers `line` as the serve path does: one parse, then the
+    /// dispatch, or the parse error's reply.
+    fn reply(d: &SessionDispatcher<'_>, line: &str) -> String {
+        let response = match classify(line).parsed {
+            Ok(request) => d.handle(&request),
+            Err(err) => Response::Error(crate::ErrorBody::from(&err)),
+        };
+        serde::json::to_string(&response)
+    }
+
+    /// One reply per line: no panic, one line, a `Response`.
+    fn assert_total(d: &SessionDispatcher<'_>, line: &str) {
+        let text = reply(d, line);
+        assert!(!text.contains('\n'), "multi-line reply to {line}: {text}");
+        assert!(serde::json::from_str::<Response>(&text).is_ok(), "reply to {line}: {text}");
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// The dispatcher answers every line with one `Response` line and
+        /// never panics: a valid v1–v5 Find, Place or Stats line cut at
+        /// every byte, nested past the parser's 128-level depth cap
+        /// (whole, and at one of its numeric fields), and with one
+        /// numeric field set to a hostile number. A `threads` field is
+        /// never set to 0, which asks for every core.
+        #[test]
+        fn every_line_gets_one_response_line(
+            v in 1u32..=5,
+            kind in 0usize..3,
+            field in 0usize..64,
+            number in 0usize..5,
+            depth in 129usize..300,
+        ) {
+            let default = Session::builder().netlist(chain(64)).build().unwrap();
+            let d = SessionDispatcher::new(&default, 0, 0, None);
+            let line = valid_line(v, kind);
+            for cut in 0..line.len() {
+                assert_total(&d, &line[..cut]);
+            }
+            let nest = |inner: &str| format!("{}{inner}{}", "[".repeat(depth), "]".repeat(depth));
+            assert_total(&d, &nest(&line));
+            let fields = numeric_fields(&line);
+            let (at, key) = &fields[field % fields.len()];
+            let with_field = |value: &str| {
+                format!("{}{value}{}", &line[..at.start], &line[at.end..])
+            };
+            assert_total(&d, &with_field(&nest(&line[at.clone()])));
+            if !(key == "threads" && HOSTILE_NUMBERS[number] == "0") {
+                assert_total(&d, &with_field(HOSTILE_NUMBERS[number]));
+            }
+        }
+    }
+
+    /// A chain of `n` cells.
+    fn chain(n: usize) -> Netlist {
+        let mut b = NetlistBuilder::new();
+        let cells: Vec<_> = (0..n).map(|i| b.add_cell(format!("c{i}"), 1.0)).collect();
+        for pair in cells.windows(2) {
+            b.add_anonymous_net(pair.iter().copied());
+        }
+        b.finish()
+    }
 }

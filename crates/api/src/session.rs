@@ -1,13 +1,14 @@
 //! The [`Session`]: one loaded netlist serving repeated requests.
 //!
-//! A session is the unit of request dispatch: it owns the [`Netlist`],
-//! validates each request (version, then arguments) before any compute
-//! starts, and reuses allocation-heavy scratch across requests — today
-//! the placer's Laplacian-build buffers ([`gtl_place::PlaceScratch`]),
-//! behind a mutex so concurrent `serve` connections share them safely.
-//! All heavy compute inside a request fans out through `gtl_core::exec`
-//! (via the finder and the sharded placer), so a response is
-//! byte-identical for any worker count.
+//! A session is the unit of request dispatch: it owns the [`Netlist`]
+//! and the statistics computed once from it, and validates each request
+//! (version, then arguments) before any compute starts, so a hostile
+//! request answers an error instead of panicking a lane. It keeps no
+//! scratch between requests: every request's buffers are its own, so
+//! concurrent `serve` connections share a session without a lock. All
+//! heavy compute inside a request fans out through `gtl_core::exec` (via
+//! the finder and the sharded placer), so a response is byte-identical
+//! for any worker count.
 //!
 //! One entry point per request kind ([`Session::find`],
 //! [`Session::place`], [`Session::stats`]), one envelope dispatcher
@@ -21,7 +22,6 @@
 //! first protocol version with another.
 
 use std::path::Path;
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use gtl_core::cancel::{CancelToken, Deadline};
@@ -85,6 +85,36 @@ fn check_threads(threads: usize, field: &str) -> Result<(), ApiError> {
         return Err(ApiError::invalid_argument(format!(
             "{field} must be at most {MAX_THREADS} (0 = all cores)"
         )));
+    }
+    Ok(())
+}
+
+/// Validates every anchor weight a placement with `config` solves with:
+/// `anchor_start · anchor_growthᵏ` for each of the `iterations` passes,
+/// then the epilogue's weight boosted by `anchor_final_boost`, computed
+/// by the placer's own multiplications. A weight of zero (or one that
+/// underflows to it) makes the anchored system singular, and an infinite
+/// one turns every position into NaN, so each must be finite and
+/// positive. The error names the field that first breaks a weight.
+fn check_anchor_weights(config: &gtl_place::PlacerConfig) -> Result<(), ApiError> {
+    let positive = |alpha: f64| alpha.is_finite() && alpha > 0.0;
+    let broken = |field: &str| {
+        ApiError::invalid_argument(format!(
+            "placer.{field} must keep every anchor weight finite and positive"
+        ))
+    };
+    let mut alpha = config.anchor_start;
+    if !positive(alpha) {
+        return Err(broken("anchor_start"));
+    }
+    for _ in 0..config.iterations {
+        alpha *= config.anchor_growth;
+        if !positive(alpha) {
+            return Err(broken("anchor_growth"));
+        }
+    }
+    if !positive(alpha * config.anchor_final_boost) {
+        return Err(broken("anchor_final_boost"));
     }
     Ok(())
 }
@@ -211,12 +241,11 @@ impl SessionBuilder {
         // The netlist is immutable for the session's lifetime, so the
         // full statistics are computed once here, not per Stats request.
         let stats = NetlistStats::compute(&netlist);
-        let place_scratch = Mutex::new(gtl_place::PlaceScratch::new());
-        Ok(Session { netlist, summary, stats, place_scratch })
+        Ok(Session { netlist, summary, stats })
     }
 }
 
-/// A loaded netlist plus per-session scratch, serving [`Request`]s.
+/// A loaded netlist and its statistics, serving [`Request`]s.
 ///
 /// # Example
 ///
@@ -241,7 +270,6 @@ pub struct Session {
     netlist: Netlist,
     summary: NetlistSummary,
     stats: NetlistStats,
-    place_scratch: Mutex<gtl_place::PlaceScratch>,
 }
 
 impl Session {
@@ -370,37 +398,29 @@ impl Session {
                 "placer.spread.target_utilization must be positive and finite",
             ));
         }
+        check_anchor_weights(&request.placer)?;
+        // A zero capacity makes every utilization ∞ or NaN, which the
+        // wire format cannot carry.
+        for (capacity, field) in [
+            (request.routing.h_capacity, "routing.h_capacity"),
+            (request.routing.v_capacity, "routing.v_capacity"),
+        ] {
+            if capacity.is_some_and(|c| !(c > 0.0 && c.is_finite())) {
+                return Err(ApiError::invalid_argument(format!(
+                    "{field} must be positive and finite when given"
+                )));
+            }
+        }
         check_threads(request.placer.threads, "placer.threads")?;
         check_threads(request.routing.threads, "routing.threads")?;
         let die = gtl_place::Die::for_netlist(&self.netlist, request.utilization);
-        // Reuse the session's Laplacian-build scratch when it is free;
-        // under contention fall back to a fresh one rather than queueing
-        // (the scratch is a pure allocation cache — results are identical).
-        let placement = match self.place_scratch.try_lock() {
-            Ok(mut scratch) => gtl_place::place_cancellable_with_scratch(
-                &self.netlist,
-                &die,
-                &request.placer,
-                &token,
-                &mut scratch,
-            ),
-            Err(std::sync::TryLockError::Poisoned(poisoned)) => {
-                gtl_place::place_cancellable_with_scratch(
-                    &self.netlist,
-                    &die,
-                    &request.placer,
-                    &token,
-                    &mut poisoned.into_inner(),
-                )
-            }
-            Err(std::sync::TryLockError::WouldBlock) => gtl_place::place_cancellable_with_scratch(
-                &self.netlist,
-                &die,
-                &request.placer,
-                &token,
-                &mut gtl_place::PlaceScratch::new(),
-            ),
-        }?;
+        let placement = gtl_place::place_cancellable_with_scratch(
+            &self.netlist,
+            &die,
+            &request.placer,
+            &token,
+            &mut gtl_place::PlaceScratch::new(),
+        )?;
         let hpwl = gtl_place::hpwl(&self.netlist, &placement);
         let map = congestion::estimate_cancellable(
             &self.netlist,
@@ -581,10 +601,52 @@ mod tests {
         preq.placer.spread.leaf_cells = 12;
         preq.placer.spread.max_depth = usize::MAX;
         assert_eq!(s.place(&preq).unwrap_err().code(), "invalid_argument");
+        preq.placer.spread.max_depth = 48;
+        preq.routing.v_capacity = Some(0.0);
+        assert_eq!(s.place(&preq).unwrap_err().code(), "invalid_argument");
+        preq.routing.v_capacity = Some(2.0);
+        preq.routing.h_capacity = Some(-1.0);
+        assert_eq!(s.place(&preq).unwrap_err().code(), "invalid_argument");
+        preq.routing.h_capacity = Some(2.0);
+        assert!(s.place(&preq).is_ok());
 
         let mut freq = find_request();
         freq.config.threads = usize::MAX;
         assert_eq!(s.find(&freq).unwrap_err().code(), "invalid_argument");
+    }
+
+    #[test]
+    fn anchor_weights_that_break_the_solve_are_invalid_arguments() {
+        let s = session();
+        // (anchor_start, anchor_growth, anchor_final_boost, the field named)
+        let cases = [
+            (0.0, 1.6, 30.0, "anchor_start"),
+            (-1.0, 1.6, 30.0, "anchor_start"),
+            (0.02, 0.0, 30.0, "anchor_growth"),
+            (0.02, 1.6, 0.0, "anchor_final_boost"),
+            // α underflows to 0 in the second pass.
+            (1e-300, 1e-100, 30.0, "anchor_growth"),
+            // α overflows to ∞, which would turn every position into NaN.
+            (0.02, 1e300, 30.0, "anchor_growth"),
+            (0.02, 1.6, 1e308, "anchor_final_boost"),
+        ];
+        for shard_grid in [0, 2] {
+            for (start, growth, boost, field) in cases {
+                let mut req = PlaceRequest::new();
+                req.placer.anchor_start = start;
+                req.placer.anchor_growth = growth;
+                req.placer.anchor_final_boost = boost;
+                req.placer.shard_grid = shard_grid;
+                let line = serde::json::to_string(&Request::Place(req));
+                let reply = s.handle_line(&line);
+                assert!(reply.contains("\"code\":\"invalid_argument\""), "{line}: {reply}");
+                assert!(reply.contains(&format!("placer.{field} ")), "{line}: {reply}");
+            }
+        }
+        // A weight that shrinks toward zero but stays positive is served.
+        let mut req = PlaceRequest::new();
+        req.placer.anchor_growth = 0.5;
+        assert!(s.place(&req).is_ok());
     }
 
     #[test]
@@ -717,7 +779,6 @@ mod tests {
         let first = format!("{:?}", s.find(&find_request()).unwrap().result);
         let second = format!("{:?}", s.find(&find_request()).unwrap().result);
         assert_eq!(first, second);
-        // The second placement reuses the session's Laplacian scratch.
         let first = serde::json::to_string(&s.place(&PlaceRequest::new()).unwrap());
         let second = serde::json::to_string(&s.place(&PlaceRequest::new()).unwrap());
         assert_eq!(first, second);

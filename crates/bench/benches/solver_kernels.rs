@@ -1,6 +1,6 @@
 //! Bench for the quadratic-solver kernels themselves — the
-//! fused Jacobi-CG of [`Laplacian::solve_anchored_into`] and the
-//! two-lane shard-restricted CG of [`ShardSolver::solve_shard_into`] —
+//! fused Jacobi-CG of [`Laplacian::solve_anchored`] and the
+//! two-lane shard-restricted CG of [`ShardSolver::solve_shard`] —
 //! measured below the placer so kernel-level regressions are visible
 //! before they wash out in a full `place()` run. The shard kernel gets
 //! different x and y targets and starting guesses, so its two lanes stop
@@ -11,14 +11,14 @@
 //! summary (kernel, wall seconds, solves/s) into `results/` via the
 //! `gtl_bench::report` machinery, and asserts both kernels are
 //! run-to-run deterministic (two timed passes over the same inputs must
-//! agree bit-for-bit). Both passes run with caller-owned
-//! output buffers and reused scratch: the steady state allocates nothing.
+//! agree bit-for-bit). Each anchored solve owns its work vectors; the
+//! shard sweeps reuse one `ShardSolver`, as a placer worker does.
 
 use std::time::Instant;
 
 use gtl_bench::report::{write_json, Json};
 use gtl_core::shard::ShardGrid;
-use gtl_place::quadratic::{Laplacian, ShardSolver, SolveScratch};
+use gtl_place::quadratic::{Laplacian, ShardSolver};
 use gtl_place::Die;
 use gtl_synth::ispd_like::{generate, IspdBenchmark, IspdLikeConfig};
 
@@ -31,7 +31,6 @@ const GRID: usize = 3;
 
 struct Testbed {
     lap: Laplacian,
-    anchor: Vec<f64>,
     rhs: Vec<f64>,
     x0: Vec<f64>,
     ys: Vec<f64>,
@@ -56,37 +55,29 @@ fn testbed() -> Testbed {
     let rhs: Vec<f64> = targets.iter().map(|t| ALPHA * t).collect();
     let grid = ShardGrid::square(GRID, die.width, die.height);
     let shards = grid.partition(&x0, &ys);
-    Testbed { lap, anchor: vec![ALPHA; n], rhs, x0, ys, targets, targets_y, shards }
+    Testbed { lap, rhs, x0, ys, targets, targets_y, shards }
 }
 
-/// Runs `reps` anchored solves into reused buffers; returns the wall
-/// time and the solution of the last solve (they are all identical).
+/// Runs `reps` anchored solves in place from the same starting guess;
+/// returns the wall time and the solution of the last solve (they are
+/// all identical).
 fn anchored_pass(tb: &Testbed, reps: usize) -> (f64, Vec<f64>) {
-    let mut scratch = SolveScratch::new();
     let mut x = vec![0.0; tb.lap.dim()];
     let start = Instant::now();
     for _ in 0..reps {
         x.copy_from_slice(&tb.x0);
-        tb.lap.solve_anchored_into(
-            &tb.anchor,
-            &tb.rhs,
-            &mut x,
-            TOLERANCE,
-            MAX_CG_ITERATIONS,
-            &mut scratch,
-        );
+        tb.lap.solve_anchored(ALPHA, &tb.rhs, &mut x, TOLERANCE, MAX_CG_ITERATIONS);
         std::hint::black_box(x[0]);
     }
     (start.elapsed().as_secs_f64(), x)
 }
 
-/// Runs `reps` full sweeps over every shard (both axes each) into reused
-/// buffers; returns the wall time and a concatenated fingerprint of the
-/// last sweep.
+/// Runs `reps` full sweeps over every shard (both axes each) on one
+/// reused solver; returns the wall time and a concatenated fingerprint
+/// of the last sweep.
 fn shard_pass(tb: &Testbed, reps: usize) -> (f64, Vec<f64>) {
     let n = tb.lap.dim();
     let mut solver = ShardSolver::new(n);
-    let (mut out_x, mut out_y) = (Vec::new(), Vec::new());
     let (mut tx, mut ty) = (Vec::new(), Vec::new());
     let mut fingerprint = Vec::new();
     let start = Instant::now();
@@ -104,7 +95,7 @@ fn shard_pass(tb: &Testbed, reps: usize) -> (f64, Vec<f64>) {
                 tx.push(tb.targets[c as usize]);
                 ty.push(tb.targets_y[c as usize]);
             }
-            solver.solve_shard_into(
+            let (out_x, out_y) = solver.solve_shard(
                 &tb.lap,
                 cells,
                 ALPHA,
@@ -114,8 +105,6 @@ fn shard_pass(tb: &Testbed, reps: usize) -> (f64, Vec<f64>) {
                 &tb.ys,
                 TOLERANCE,
                 MAX_CG_ITERATIONS,
-                &mut out_x,
-                &mut out_y,
             );
             std::hint::black_box(out_x.first().copied());
             if rep + 1 == reps {
@@ -133,7 +122,7 @@ fn main() {
 
     // Untimed warmup, then two timed passes per kernel: the minimum is
     // the low-noise wall estimator, and the pair doubles as the
-    // determinism check (reused scratch must be invisible).
+    // determinism check (a reused shard solver must be invisible).
     let mut rows = Vec::new();
     {
         std::hint::black_box(anchored_pass(&tb, 1).0);

@@ -179,35 +179,51 @@ impl NetlistBuilder {
     /// Finalizes the builder into an immutable [`Netlist`].
     ///
     /// Builds the reverse (cell → nets) CSR direction in `O(pins)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the allocator refuses the reverse direction's arrays.
     pub fn finish(self) -> Netlist {
+        self.try_finish().expect("the reverse CSR does not fit in memory")
+    }
+
+    /// [`finish`](Self::finish), or `None` when the allocator refuses the
+    /// reverse direction's arrays: a reader turns a cell count no memory
+    /// backs into an error instead of an abort.
+    pub(crate) fn try_finish(self) -> Option<Netlist> {
         let num_cells = self.cell_areas.len();
         let num_nets = self.net_offsets.len() - 1;
 
-        // Counting sort of pins by cell id to build the reverse CSR.
-        let mut degree = vec![0u32; num_cells];
+        // Counting sort of pins by cell id, in `cell_offsets` alone: each
+        // cell's pin count lands one slot past the cell, the prefix sum
+        // turns the counts into row starts, the fill advances each row's
+        // start as its cursor (leaving it at the next row's start), and
+        // one shift puts the starts back.
+        let mut cell_offsets: Vec<u32> = Vec::new();
+        cell_offsets.try_reserve_exact(num_cells + 1).ok()?;
+        cell_offsets.resize(num_cells + 1, 0);
         for pin in &self.net_pins {
-            degree[pin.index()] += 1;
+            cell_offsets[pin.index() + 1] += 1;
         }
-        let mut cell_offsets = Vec::with_capacity(num_cells + 1);
-        let mut acc = 0u32;
-        cell_offsets.push(0);
-        for d in &degree {
-            acc += d;
-            cell_offsets.push(acc);
+        for c in 0..num_cells {
+            cell_offsets[c + 1] += cell_offsets[c];
         }
-        let mut cursor: Vec<u32> = cell_offsets[..num_cells].to_vec();
-        let mut cell_pins = vec![NetId::default(); self.net_pins.len()];
+        let mut cell_pins = Vec::new();
+        cell_pins.try_reserve_exact(self.net_pins.len()).ok()?;
+        cell_pins.resize(self.net_pins.len(), NetId::default());
         for net in 0..num_nets {
             let lo = self.net_offsets[net] as usize;
             let hi = self.net_offsets[net + 1] as usize;
             for pin in &self.net_pins[lo..hi] {
-                let slot = cursor[pin.index()];
-                cell_pins[slot as usize] = NetId::new(net);
-                cursor[pin.index()] = slot + 1;
+                let slot = &mut cell_offsets[pin.index()];
+                cell_pins[*slot as usize] = NetId::new(net);
+                *slot += 1;
             }
         }
+        cell_offsets.copy_within(..num_cells, 1);
+        cell_offsets[0] = 0;
 
-        Netlist {
+        Some(Netlist {
             cell_names: self.cell_names,
             net_names: self.net_names,
             cell_areas: self.cell_areas,
@@ -215,7 +231,7 @@ impl NetlistBuilder {
             net_pins: self.net_pins,
             cell_offsets,
             cell_pins,
-        }
+        })
     }
 }
 
@@ -305,6 +321,35 @@ mod tests {
     }
 
     use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// The reverse CSR built in place lists, for every cell, exactly
+        /// the nets holding it in ascending net order, with row starts
+        /// from 0 to the pin count: on random designs with isolated
+        /// cells, empty nets and pins listed twice.
+        #[test]
+        fn reverse_csr_matches_a_scan_of_the_nets(
+            cells in 0usize..40,
+            nets in proptest::collection::vec(proptest::collection::vec(0usize..40, 0..6), 0..30),
+        ) {
+            let mut b = NetlistBuilder::new();
+            b.add_anonymous_cells(cells);
+            for pins in &nets {
+                b.add_anonymous_net(pins.iter().filter(|&&p| p < cells).map(|&p| CellId::new(p)));
+            }
+            let nl = b.finish();
+            prop_assert_eq!(nl.cell_offsets.first().copied(), Some(0));
+            prop_assert_eq!(*nl.cell_offsets.last().unwrap() as usize, nl.num_pins());
+            for cell in nl.cells() {
+                let want: Vec<NetId> =
+                    nl.nets().filter(|&net| nl.net_cells(net).contains(&cell)).collect();
+                prop_assert_eq!(nl.cell_nets(cell), &want[..]);
+            }
+            nl.validate().unwrap();
+        }
+    }
 
     /// One builder call of the name-storage property below.
     #[derive(Debug, Clone)]

@@ -91,16 +91,18 @@ pub fn parse_with<R: Read>(
 
     // The counts are only claims until the body backs them. The net count
     // sizes the net buffers only up to `MAX_RESERVED_NETS`; past that they
-    // grow as records arrive. The cell table is reserved fallibly, so a
-    // cell count no memory backs is an error, not an abort.
+    // grow as records arrive. The cell table and, at the end, the
+    // reverse CSR are allocated fallibly, so a cell count no memory backs
+    // is an error, not an abort.
+    let no_memory = |line| {
+        NetlistError::syntax(
+            ParseContext::new(label, line),
+            format!("cell count {num_cells} does not fit in memory"),
+        )
+    };
     let mut builder =
         NetlistBuilder::try_with_anonymous_cells(num_cells, num_nets.min(MAX_RESERVED_NETS))
-            .ok_or_else(|| {
-                NetlistError::syntax(
-                    ParseContext::new(label, scanner.line_no()),
-                    format!("cell count {num_cells} does not fit in memory"),
-                )
-            })?;
+            .ok_or_else(|| no_memory(scanner.line_no()))?;
 
     let mut body = Body { label, num_nets, num_cells: num_cells as u64, nets_read: 0 };
     let mut at_eof = false;
@@ -120,7 +122,8 @@ pub fn parse_with<R: Read>(
             found: body.nets_read,
         });
     }
-    Ok(builder.finish())
+    // The reverse direction's arrays are sized by the cell count too.
+    builder.try_finish().ok_or_else(|| no_memory(scanner.line_no()))
 }
 
 /// Reads the header, the first line that is neither blank nor a `%`

@@ -142,14 +142,6 @@ impl CongestionMap {
             / n
     }
 
-    /// Number of tiles with utilization at least `threshold`.
-    pub fn tiles_at_least(&self, threshold: f64) -> usize {
-        (0..self.tiles)
-            .flat_map(|y| (0..self.tiles).map(move |x| (x, y)))
-            .filter(|&(x, y)| self.utilization(x, y) >= threshold)
-            .count()
-    }
-
     /// The paper's three §5.1.3 numbers as a bundle, from one pass over
     /// the nets.
     ///
@@ -647,13 +639,6 @@ fn deposit_l(
     }
 }
 
-/// Convenience: a net with `NetId` passes through `(tx, ty)`'s tile iff
-/// that tile is in its bounding box.
-pub fn net_touches_tile(map: &CongestionMap, net: NetId, tx: usize, ty: usize) -> bool {
-    let (x0, y0, x1, y1) = map.net_boxes[net.index()];
-    (x0 as usize..=x1 as usize).contains(&tx) && (y0 as usize..=y1 as usize).contains(&ty)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -866,7 +851,6 @@ mod tests {
         };
         let map = estimate(&nl, &p, &die(), &cfg);
         assert!(map.max_utilization() >= 1.0);
-        assert!(map.tiles_at_least(1.0) >= 1);
         let report = map.report();
         assert_eq!(report.nets_through_100pct, 50, "the 50 clustered nets, not the quiet one");
         assert!(report.nets_through_90pct >= report.nets_through_100pct);
@@ -918,15 +902,6 @@ mod tests {
         let grid = map.to_grid();
         assert_eq!(grid.len(), 16);
         assert_eq!(grid[0], map.utilization(0, 0));
-    }
-
-    #[test]
-    fn net_touches_tile_uses_bbox() {
-        let (nl, p) = pair_netlist(&[((2.0, 2.0), (10.0, 10.0))]);
-        let map = estimate(&nl, &p, &die(), &RoutingConfig { tiles: 8, ..Default::default() });
-        assert!(net_touches_tile(&map, gtl_netlist::NetId::new(0), 1, 1));
-        assert!(!net_touches_tile(&map, gtl_netlist::NetId::new(0), 7, 7));
-        let _ = nl;
     }
 }
 

@@ -63,73 +63,24 @@ pub struct DensityMap {
 }
 
 impl DensityMap {
-    /// Computes the density map of `placement` on a `bins × bins` grid.
-    ///
-    /// Shorthand for [`DensityMap::compute_striped`] with all cores; the
-    /// result does not depend on the worker count.
+    /// Computes the density map of `placement` on a `bins × bins` grid:
+    /// each cell's area is added to the bin holding its position, in
+    /// cell-id order.
     ///
     /// # Panics
     ///
     /// Panics if `bins == 0` or the placement does not cover the netlist.
     pub fn compute(netlist: &Netlist, placement: &Placement, die: &Die, bins: usize) -> Self {
-        Self::compute_striped(netlist, placement, die, bins, 0)
-    }
-
-    /// Computes the density map with the same stripe-batched decomposition
-    /// as the congestion estimator: a serial O(cells) prepass bins cells
-    /// to stripes of bin rows, then one work item per stripe accumulates
-    /// only its own cells (in cell-id order, so the map is bit-identical
-    /// for any `threads`; `0` = all cores).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bins == 0` or the placement does not cover the netlist.
-    pub fn compute_striped(
-        netlist: &Netlist,
-        placement: &Placement,
-        die: &Die,
-        bins: usize,
-        threads: usize,
-    ) -> Self {
-        const STRIPE_ROWS: usize = gtl_core::shard::DEFAULT_STRIPE_ROWS;
         assert!(bins > 0, "bins must be positive");
         assert!(placement.len() >= netlist.num_cells(), "placement smaller than netlist");
         let bw = die.width / bins as f64;
         let bh = die.height / bins as f64;
-        let row_stripes = gtl_core::shard::stripes(bins, STRIPE_ROWS);
-
-        // Serial prepass: bin cells to their stripe (ascending cell id per
-        // stripe, so every bin sees the same addition order as a plain
-        // serial accumulation).
-        let mut stripe_cells: Vec<Vec<u32>> = vec![Vec::new(); row_stripes.len()];
-        for cell in netlist.cells() {
-            let (_, y) = placement.position(cell);
-            let by = ((y / bh) as usize).min(bins - 1);
-            stripe_cells[by / STRIPE_ROWS].push(cell.index() as u32);
-        }
-
-        let slabs: Vec<Vec<f64>> = parallel_map_chunked_with(
-            threads,
-            row_stripes.len(),
-            Granularity::Auto,
-            |_| (),
-            |(), s| {
-                let rows = &row_stripes[s];
-                let mut slab = vec![0.0; rows.len() * bins];
-                for &raw in &stripe_cells[s] {
-                    let cell = gtl_netlist::CellId::from(raw);
-                    let (x, y) = placement.position(cell);
-                    let bx = ((x / bw) as usize).min(bins - 1);
-                    let by = ((y / bh) as usize).min(bins - 1);
-                    slab[(by - rows.start) * bins + bx] += netlist.cell_area(cell);
-                }
-                slab
-            },
-        );
         let mut area = vec![0.0; bins * bins];
-        for (s, slab) in slabs.iter().enumerate() {
-            let rows = &row_stripes[s];
-            area[rows.start * bins..rows.end * bins].copy_from_slice(slab);
+        for cell in netlist.cells() {
+            let (x, y) = placement.position(cell);
+            let bx = ((x / bw) as usize).min(bins - 1);
+            let by = ((y / bh) as usize).min(bins - 1);
+            area[by * bins + bx] += netlist.cell_area(cell);
         }
         Self { bins, area, bin_capacity: bw * bh }
     }
@@ -187,8 +138,7 @@ impl Rect {
 /// Spreads `placement` toward uniform density, returning new positions
 /// (the input is not modified).
 ///
-/// Runs on all cores, like [`DensityMap::compute`]; the result is
-/// bit-identical for any worker count.
+/// Runs on all cores; the result is bit-identical for any worker count.
 ///
 /// # Panics
 ///

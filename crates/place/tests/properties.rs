@@ -97,31 +97,6 @@ proptest! {
         prop_assert_eq!(striped.report(), reference.report());
     }
 
-    /// The striped density map equals a plain serial accumulation for any
-    /// worker count.
-    #[test]
-    fn striped_density_matches_serial((nl, p, die) in arb_design(60), threads in 1usize..5) {
-        use gtl_place::spread::DensityMap;
-        let bins = 6usize;
-        let map = DensityMap::compute_striped(&nl, &p, &die, bins, threads);
-        // Independent serial oracle.
-        let bw = die.width / bins as f64;
-        let bh = die.height / bins as f64;
-        let mut area = vec![0.0f64; bins * bins];
-        for c in nl.cells() {
-            let (x, y) = p.position(c);
-            let bx = ((x / bw) as usize).min(bins - 1);
-            let by = ((y / bh) as usize).min(bins - 1);
-            area[by * bins + bx] += nl.cell_area(c);
-        }
-        for by in 0..bins {
-            for bx in 0..bins {
-                let expected = area[by * bins + bx] / (bw * bh);
-                prop_assert!((map.utilization(bx, by) - expected).abs() <= 1e-12);
-            }
-        }
-    }
-
     /// The congestion map's demand is translation-consistent: moving every
     /// cell by the same offset (within the die) preserves totals.
     #[test]
