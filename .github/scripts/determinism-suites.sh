@@ -32,10 +32,16 @@ t="$(dirname "$0")/cargo-test-nonempty.sh"
 "$t" -p gtl-place --lib scalar_anchor_solve_matches_fused_oracle_bit_for_bit
 "$t" -p gtl-place --lib solve_pass_matches_oracle_bit_for_bit
 "$t" -p gtl-place --lib global_solve_pass_matches_oracle_bit_for_bit
-# The two-visit Laplacian build and the one-pass congestion report vs
-# their verbatim oracles, bit for bit.
+# The two-visit Laplacian build of one-byte weight codes vs the triplet
+# build of f64 weights (which the solver oracles above run on), and the
+# one-pass congestion report vs its verbatim oracle, bit for bit.
 "$t" -p gtl-place --lib laplacian_build_matches_oracle_bit_for_bit
 "$t" -p gtl-place --lib one_pass_report_matches_oracle_bit_for_bit
+# The congestion estimate without a per-net geometry table vs the
+# table-building reference, bit for bit: on random designs at 1/4/13/32
+# tiles, and on NaN and infinite pins (the inverted-box rule).
+"$t" -p gtl-place --test properties striped_congestion_matches_reference
+"$t" -p gtl-place --lib non_finite_positions_match_reference_without_panicking
 # The byte-level `.hgr` body pass vs its verbatim line-by-line oracle:
 # mutated designs, then arbitrary bytes, each read whole and a byte at a
 # time under line caps down to 8 bytes; and the in-place reverse CSR of

@@ -772,8 +772,10 @@ mod tests {
         /// never panics: a valid v1–v5 Find, Place or Stats line cut at
         /// every byte, nested past the parser's 128-level depth cap
         /// (whole, and at one of its numeric fields), and with one
-        /// numeric field set to a hostile number. A `threads` field is
-        /// never set to 0, which asks for every core.
+        /// numeric field set to a hostile number; and a Place line with
+        /// `utilization` and both routing capacities set to that number
+        /// together. A `threads` field is never set to 0, which asks for
+        /// every core.
         #[test]
         fn every_line_gets_one_response_line(
             v in 1u32..=5,
@@ -798,6 +800,16 @@ mod tests {
             assert_total(&d, &with_field(&nest(&line[at.clone()])));
             if !(key == "threads" && HOSTILE_NUMBERS[number] == "0") {
                 assert_total(&d, &with_field(HOSTILE_NUMBERS[number]));
+            }
+            if kind == 1 {
+                // Back to front, so each range still points into `joint`.
+                let mut joint = line.clone();
+                for (at, key) in fields.iter().rev() {
+                    if matches!(key.as_str(), "utilization" | "h_capacity" | "v_capacity") {
+                        joint.replace_range(at.clone(), HOSTILE_NUMBERS[number]);
+                    }
+                }
+                assert_total(&d, &joint);
             }
         }
     }

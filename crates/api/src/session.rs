@@ -429,12 +429,31 @@ impl Session {
             &request.routing,
             &token,
         )?;
+        let congestion = map.report();
+        // Values each accepted on its own can still overflow together (a
+        // die of side ~1e150 over capacities of 1e-300 makes every
+        // utilization ∞), and the wire format renders a non-finite float
+        // as `null`, which no client parses.
+        let floats = [
+            die.width,
+            die.height,
+            hpwl,
+            congestion.average_congestion_pct,
+            congestion.max_utilization,
+            congestion.mean_utilization,
+        ];
+        if !floats.iter().all(|f| f.is_finite()) {
+            return Err(ApiError::invalid_argument(
+                "utilization, routing.h_capacity and routing.v_capacity must keep the die, \
+                 the HPWL and the congestion report finite",
+            ));
+        }
         Ok(PlaceResponse {
             v: request.v,
             netlist: self.summary.clone(),
             die,
             hpwl,
-            congestion: map.report(),
+            congestion,
             trace: None,
         })
     }
@@ -646,6 +665,30 @@ mod tests {
         // A weight that shrinks toward zero but stays positive is served.
         let mut req = PlaceRequest::new();
         req.placer.anchor_growth = 0.5;
+        assert!(s.place(&req).is_ok());
+    }
+
+    #[test]
+    fn a_reply_that_would_carry_non_finite_floats_is_an_invalid_argument() {
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/golden/two_cliques.hgr");
+        let s = Session::builder().load(path).unwrap().build().unwrap();
+        let mut req = PlaceRequest::new();
+        req.utilization = 1e-300;
+        req.routing.h_capacity = Some(1e-300);
+        req.routing.v_capacity = Some(1e-300);
+        let reply = s.handle_line(&serde::json::to_string(&Request::Place(req)));
+        assert!(serde::json::from_str::<Response>(&reply).is_ok(), "{reply}");
+        assert!(reply.contains("\"code\":\"invalid_argument\""), "{reply}");
+        for field in ["utilization", "routing.h_capacity", "routing.v_capacity"] {
+            assert!(reply.contains(field), "{field}: {reply}");
+        }
+        // Each value alone keeps the reply finite and is served.
+        let mut req = PlaceRequest::new();
+        req.utilization = 1e-300;
+        assert!(s.place(&req).is_ok());
+        let mut req = PlaceRequest::new();
+        req.routing.h_capacity = Some(1e-300);
+        req.routing.v_capacity = Some(1e-300);
         assert!(s.place(&req).is_ok());
     }
 

@@ -28,6 +28,16 @@
 //! deposit in ascending id order, so every tile receives exactly the
 //! additions of the serial per-net pass in the same order: the map is
 //! bit-identical to [`estimate_reference`] for any worker count.
+//!
+//! The pass keeps no per-net geometry table. Its serial prepass builds
+//! only the tile boxes the map keeps for [`CongestionMap::report`] (8
+//! bytes a net), and binning reads the tile rows from them. Each stripe
+//! recomputes the float box of every net it visits from the net's pins,
+//! with the same fold in pin order, so a net crossing several stripes is
+//! folded once per stripe and deposits the same bits. A net whose folded
+//! box is inverted on either axis — every pin's coordinate on that axis
+//! is NaN, which the `min`/`max` fold skips — is treated like a net
+//! without pins: its box is `(0, 0, 0, 0)` and it deposits no demand.
 
 use std::ops::Range;
 
@@ -247,8 +257,7 @@ impl std::fmt::Display for CongestionReport {
     }
 }
 
-/// Per-net geometry computed once in the serial prepass: the float and
-/// tile bounding boxes of every routable (≥ 2-pin) net.
+/// A net's float and tile bounding boxes.
 #[derive(Debug, Clone, Copy)]
 struct NetGeom {
     x0: f64,
@@ -261,12 +270,56 @@ struct NetGeom {
     ty1: usize,
 }
 
+impl NetGeom {
+    /// The tile box as the map keeps it.
+    fn tile_box(&self) -> (u16, u16, u16, u16) {
+        (self.tx0 as u16, self.ty0 as u16, self.tx1 as u16, self.ty1 as u16)
+    }
+}
+
 /// Tile-index bounding boxes `(x0, y0, x1, y1)`, one per net.
 type NetBoxes = Vec<(u16, u16, u16, u16)>;
 
-/// Serial O(pins) prepass: net tile boxes (for every net, including
-/// degenerate ones) and deposit geometry (for routable nets only).
+/// The geometry of `net` on a `t`-tile-wide grid of `tw × th` tiles: its
+/// bounding box, folded over its pins in pin order with `min`/`max`
+/// (which skip NaN), and the tiles of the box's corners. `None` when the
+/// folded box is inverted on either axis: the net has no pins, or every
+/// pin's coordinate on that axis is NaN. [`estimate`]'s prepass and its
+/// stripe pass both call it, so both see the same bits.
 fn net_geometry(
+    netlist: &Netlist,
+    placement: &Placement,
+    net: NetId,
+    t: usize,
+    tw: f64,
+    th: f64,
+) -> Option<NetGeom> {
+    let (mut x0, mut x1) = (f64::INFINITY, f64::NEG_INFINITY);
+    let (mut y0, mut y1) = (f64::INFINITY, f64::NEG_INFINITY);
+    for &c in netlist.net_cells(net) {
+        let (x, y) = placement.position(c);
+        x0 = x0.min(x);
+        x1 = x1.max(x);
+        y0 = y0.min(y);
+        y1 = y1.max(y);
+    }
+    if x0 > x1 || y0 > y1 {
+        return None;
+    }
+    let tile_of = |x: f64, y: f64| -> (usize, usize) {
+        (((x / tw) as usize).min(t - 1), ((y / th) as usize).min(t - 1))
+    };
+    let (tx0, ty0) = tile_of(x0, y0);
+    let (tx1, ty1) = tile_of(x1, y1);
+    Some(NetGeom { x0, y0, x1, y1, tx0, ty0, tx1, ty1 })
+}
+
+/// [`estimate_reference`]'s serial O(pins) prepass, which builds the
+/// table of every net's geometry: net tile boxes (for every net,
+/// including degenerate ones) and deposit geometry (for routable nets
+/// only). A net whose folded box is inverted on either axis (every pin
+/// NaN on it) gets the box of a net without pins and no geometry.
+fn net_geometry_table(
     netlist: &Netlist,
     placement: &Placement,
     t: usize,
@@ -293,6 +346,11 @@ fn net_geometry(
             x1 = x1.max(x);
             y0 = y0.min(y);
             y1 = y1.max(y);
+        }
+        if x0 > x1 || y0 > y1 {
+            net_boxes.push((0, 0, 0, 0));
+            geoms.push(None);
+            continue;
         }
         let (tx0, ty0) = tile_of(x0, y0);
         let (tx1, ty1) = tile_of(x1, y1);
@@ -446,43 +504,49 @@ fn estimate_impl(
     let tw = die.width / t as f64;
     let th = die.height / t as f64;
 
-    let (net_boxes, geoms) = net_geometry(netlist, placement, t, tw, th);
+    let geometry = |net: NetId| net_geometry(netlist, placement, net, t, tw, th);
+    let net_boxes: NetBoxes =
+        netlist.nets().map(|net| geometry(net).map_or((0, 0, 0, 0), |g| g.tile_box())).collect();
 
-    // Bin routable nets to the stripes their tile box crosses (counting
-    // order keeps each stripe's list ascending by net id).
+    // Bin routable (≥ 2-pin) nets to the stripes their tile box crosses
+    // (counting order keeps each stripe's list ascending by net id).
     let row_stripes = stripes(t, STRIPE_ROWS);
     let mut stripe_nets: Vec<Vec<u32>> = vec![Vec::new(); row_stripes.len()];
-    for (i, geom) in geoms.iter().enumerate() {
-        if let Some(g) = geom {
-            for list in &mut stripe_nets[g.ty0 / STRIPE_ROWS..=g.ty1 / STRIPE_ROWS] {
-                list.push(i as u32);
+    for (net, &(_, ty0, _, ty1)) in netlist.nets().zip(&net_boxes) {
+        if netlist.net_cells(net).len() >= 2 {
+            let (first, last) = (ty0 as usize / STRIPE_ROWS, ty1 as usize / STRIPE_ROWS);
+            for list in &mut stripe_nets[first..=last] {
+                list.push(net.raw());
             }
         }
     }
 
     // One batched pass: each stripe accumulates its own slab pair (the
     // slab doubles as the returned result, so it is allocated exactly
-    // once — no shared grid, no per-net allocation, no copy-out).
+    // once — no shared grid, no per-net allocation, no copy-out). A
+    // binned net whose box is inverted deposits nothing.
     let stripe_pass = |s: usize| {
         let rows = &row_stripes[s];
         let len = rows.len() * t;
         let mut h_acc = vec![0.0f64; len];
         let mut v_acc = vec![0.0f64; len];
         for &net in &stripe_nets[s] {
-            let geom = geoms[net as usize].as_ref().expect("binned nets are routable");
-            deposit_net(
-                netlist,
-                placement,
-                config.model,
-                NetId::new(net as usize),
-                geom,
-                &mut h_acc,
-                &mut v_acc,
-                t,
-                tw,
-                th,
-                rows,
-            );
+            let net = NetId::new(net as usize);
+            if let Some(geom) = geometry(net) {
+                deposit_net(
+                    netlist,
+                    placement,
+                    config.model,
+                    net,
+                    &geom,
+                    &mut h_acc,
+                    &mut v_acc,
+                    t,
+                    tw,
+                    th,
+                    rows,
+                );
+            }
         }
         (h_acc, v_acc)
     };
@@ -528,7 +592,7 @@ pub fn estimate_reference(
     let tw = die.width / t as f64;
     let th = die.height / t as f64;
 
-    let (net_boxes, geoms) = net_geometry(netlist, placement, t, tw, th);
+    let (net_boxes, geoms) = net_geometry_table(netlist, placement, t, tw, th);
     let mut h_demand = vec![0.0f64; t * t];
     let mut v_demand = vec![0.0f64; t * t];
     let all_rows = 0..t;
@@ -887,6 +951,90 @@ mod tests {
         let map = estimate(&nl, &p, &die(), &RoutingConfig::default());
         assert_eq!(map.max_utilization(), 0.0);
         assert_eq!(map.report().nets_through_100pct, 0);
+    }
+
+    /// Asserts that two maps are the same bits: demands, capacities and
+    /// net boxes.
+    fn assert_same_map(got: &CongestionMap, want: &CongestionMap, what: &str) {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(got.tiles, want.tiles, "{what}");
+        assert_eq!(bits(&got.h_demand), bits(&want.h_demand), "h demand: {what}");
+        assert_eq!(bits(&got.v_demand), bits(&want.v_demand), "v demand: {what}");
+        assert_eq!(got.h_capacity.to_bits(), want.h_capacity.to_bits(), "{what}");
+        assert_eq!(got.v_capacity.to_bits(), want.v_capacity.to_bits(), "{what}");
+        assert_eq!(got.net_boxes, want.net_boxes, "net boxes: {what}");
+    }
+
+    /// One cell per pin at the given `(x, y)`, and one net per pin list.
+    fn pinned_netlist(nets: &[&[(f64, f64)]]) -> (Netlist, Placement) {
+        let mut b = NetlistBuilder::new();
+        let (mut xs, mut ys) = (Vec::new(), Vec::new());
+        for pins in nets {
+            let first = xs.len();
+            for &(x, y) in pins.iter() {
+                b.add_cell(format!("c{}", xs.len()), 1.0);
+                xs.push(x);
+                ys.push(y);
+            }
+            b.add_anonymous_net((first..xs.len()).map(gtl_netlist::CellId::new));
+        }
+        (b.finish(), Placement::from_coords(xs, ys))
+    }
+
+    /// Pins at NaN or ±∞ never panic the estimate, and it matches the
+    /// reference bit for bit: nets with every pin NaN (on both axes and
+    /// on one), NaN mixed with finite pins, pins at ±∞, pinless and
+    /// single-pin nets, at 1, 8 and 32 tiles, for both models, with
+    /// explicit and calibrated capacities, on 1 and 2 workers. A net
+    /// whose box is inverted on an axis is boxed and weighted like a net
+    /// without pins.
+    #[test]
+    fn non_finite_positions_match_reference_without_panicking() {
+        let (nan, inf) = (f64::NAN, f64::INFINITY);
+        // The first three nets' boxes are inverted.
+        let inverted: [&[(f64, f64)]; 3] = [
+            &[(nan, nan), (nan, nan)],
+            &[(nan, 3.0), (nan, 20.0)],
+            &[(5.0, nan), (28.0, nan), (9.0, nan)],
+        ];
+        let others: [&[(f64, f64)]; 9] = [
+            &[(nan, nan), (4.0, 7.0), (nan, 2.0), (30.0, nan)],
+            &[(nan, nan), (12.0, 12.0)],
+            &[(-inf, 3.0), (inf, 9.0)],
+            &[(inf, inf), (inf, inf)],
+            &[(-inf, -inf), (10.0, 31.0), (nan, inf)],
+            &[(2.0, 2.0), (30.0, 30.0), (16.0, 0.5)],
+            &[],
+            &[(nan, nan)],
+            &[(7.0, 7.0)],
+        ];
+        let (nl, p) = pinned_netlist(&[&inverted[..], &others[..]].concat());
+        let (nl_inverted, p_inverted) = pinned_netlist(&inverted);
+        for tiles in [1, 8, 32] {
+            for model in [DemandModel::Rudy, DemandModel::LShape] {
+                for capacity in [Some(1.0), None] {
+                    for threads in [1, 2] {
+                        let cfg = RoutingConfig {
+                            tiles,
+                            h_capacity: capacity,
+                            v_capacity: capacity,
+                            model,
+                            threads,
+                            ..RoutingConfig::default()
+                        };
+                        let what = format!("{tiles} tiles, {model:?}, {capacity:?}, {threads}");
+                        let got = estimate(&nl, &p, &die(), &cfg);
+                        assert_same_map(&got, &estimate_reference(&nl, &p, &die(), &cfg), &what);
+                        for net in [0, 1, 2, 9, 10] {
+                            assert_eq!(got.net_boxes[net], (0, 0, 0, 0), "net {net}: {what}");
+                        }
+                        let map = estimate(&nl_inverted, &p_inverted, &die(), &cfg);
+                        let demands = map.h_demand.iter().chain(&map.v_demand);
+                        assert!(demands.into_iter().all(|&d| d == 0.0), "demand: {what}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -399,7 +399,7 @@ mod tests {
     /// a serial scan over a `shard_of` array) and before the 1×1 solve
     /// took a scalar anchor, kept verbatim with the reference shard
     /// solver and the reference per-cell-anchor solve as the placer's
-    /// bit-exactness oracle.
+    /// bit-exactness oracle. It runs on the Laplacian's `f64` layout.
     mod reference {
         use gtl_core::exec::{derive_stream, parallel_map_chunked_with, Granularity};
         use gtl_core::shard::ShardGrid;
@@ -407,8 +407,9 @@ mod tests {
         use rand::{Rng, SeedableRng};
 
         use super::super::{Placement, PlacerConfig, BOUNDARY_SWEEPS, TARGET_JITTER};
-        use crate::quadratic::tests::reference::{solve_anchored_into, ShardSolver, SolveScratch};
-        use crate::quadratic::Laplacian;
+        use crate::quadratic::tests::reference::{
+            solve_anchored_into, Laplacian, ShardSolver, SolveScratch,
+        };
         use crate::Die;
 
         /// One anchored solve toward `targets`, sharded when
@@ -568,6 +569,7 @@ mod tests {
             let mut rng = SmallRng::seed_from_u64(seed);
             let nl = crate::quadratic::tests::random_netlist(n, n * net_density / 2, &mut rng);
             let lap = Laplacian::build(&nl);
+            let oracle = crate::quadratic::tests::reference::build(&nl);
             let die = Die::for_netlist(&nl, 0.6);
             let mut coord = |side: f64| {
                 if stacked == 1 {
@@ -586,7 +588,7 @@ mod tests {
                 let config = PlacerConfig { seed, threads: 1, ..PlacerConfig::default() };
                 let (mut want_x, mut want_y) = (xs0.clone(), ys0.clone());
                 reference::solve_pass(
-                    &lap, &die, &config, grid_side, alpha, &targets, &mut want_x, &mut want_y,
+                    &oracle, &die, &config, grid_side, alpha, &targets, &mut want_x, &mut want_y,
                 );
                 for threads in [1, 2, 8] {
                     let config = PlacerConfig { threads, ..config };
@@ -621,6 +623,7 @@ mod tests {
             let mut rng = SmallRng::seed_from_u64(seed);
             let nl = crate::quadratic::tests::random_netlist(n, n * net_density / 2, &mut rng);
             let lap = Laplacian::build(&nl);
+            let oracle = crate::quadratic::tests::reference::build(&nl);
             let die = Die::for_netlist(&nl, 0.6);
             let mut coord = |side: f64| {
                 if stacked == 1 {
@@ -640,7 +643,9 @@ mod tests {
             let config =
                 PlacerConfig { seed, threads: 1, max_cg_iterations, ..PlacerConfig::default() };
             let (mut want_x, mut want_y) = (xs0.clone(), ys0.clone());
-            reference::solve_pass(&lap, &die, &config, 1, alpha, &targets, &mut want_x, &mut want_y);
+            reference::solve_pass(
+                &oracle, &die, &config, 1, alpha, &targets, &mut want_x, &mut want_y,
+            );
             for threads in [1, 2, 8] {
                 let config = PlacerConfig { threads, ..config };
                 let (mut xs, mut ys) = (xs0.clone(), ys0.clone());

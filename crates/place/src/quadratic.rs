@@ -17,6 +17,19 @@
 //! work vectors of its own, and [`ShardSolver::solve_shard`] solves one
 //! shard on the solver a worker keeps for all the shards it claims.
 //!
+//! The model has seven spring weights (`2/d` for `d = 2..=8`; a star's
+//! weight 1 is `2/2`), so the Laplacian stores each off-diagonal entry's
+//! weight as a one-byte code into a table of them: the 931,618 entries
+//! of a 100k-cell design take 0.9 MB of codes instead of 7.5 MB of
+//! `f64`s, for a placement's whole run. [`Laplacian::row`] decodes as it
+//! reads. The global solve decodes every entry once per solve into a
+//! work vector of `f64` weights next to its preconditioner, so its CG
+//! apply reads plain weights; the shard extraction copies decoded
+//! weights into each shard's local CSR, which every CG iteration reads.
+//! The table holds the bits the model's `2.0 / d as f64` gives, so every
+//! solve is bit-identical to the `f64` layout (kept as the `reference`
+//! oracle).
+//!
 //! The CG inner loops are fused — the x/r update, the Jacobi `z` solve and
 //! the `rz`/`rr` reductions run in one pass over the vectors, and the CSR
 //! apply folds the anchor term into its row loop — but every fusion keeps
@@ -43,12 +56,30 @@ use gtl_netlist::Netlist;
 /// Threshold above which a net is modeled as a star instead of a clique.
 const CLIQUE_LIMIT: usize = 8;
 
-/// Calls `f(i, j, w)` for every spring of the clique/star model, in net
-/// order: a net of `d ≤ CLIQUE_LIMIT` pins ties each pin pair `i < j` (in
-/// pin order) with weight `2/d`, a larger net ties every pin to its first
-/// pin, the hub, with weight 1 (total edge weight `(d−1)·1`, matching the
-/// clique's `d−1` while staying `O(d)` sparse). Single-pin nets add none.
-fn for_each_spring(netlist: &Netlist, mut f: impl FnMut(u32, u32, f64)) {
+/// The model's spring weights, indexed by a spring's one-byte code: code
+/// `d − 2` is the clique weight `2/d` of a `d`-pin net, computed by the
+/// expression the model defines, so each weight has its bits.
+const WEIGHTS: [f64; CLIQUE_LIMIT - 1] = {
+    let mut weights = [0.0; CLIQUE_LIMIT - 1];
+    let mut d = 2;
+    while d <= CLIQUE_LIMIT {
+        weights[d - 2] = 2.0 / d as f64;
+        d += 1;
+    }
+    weights
+};
+
+/// A star spring's code: its weight 1 is the 2-pin clique weight `2/2`.
+const STAR_CODE: u8 = 0;
+const _: () = assert!(WEIGHTS[STAR_CODE as usize] == 1.0);
+
+/// Calls `f(i, j, code)` for every spring of the clique/star model, in
+/// net order, with its weight's code into [`WEIGHTS`]: a net of
+/// `d ≤ CLIQUE_LIMIT` pins ties each pin pair `i < j` (in pin order) with
+/// weight `2/d`, a larger net ties every pin to its first pin, the hub,
+/// with weight 1 (total edge weight `(d−1)·1`, matching the clique's
+/// `d−1` while staying `O(d)` sparse). Single-pin nets add none.
+fn for_each_spring(netlist: &Netlist, mut f: impl FnMut(u32, u32, u8)) {
     for net in netlist.nets() {
         let cells = netlist.net_cells(net);
         let d = cells.len();
@@ -56,16 +87,16 @@ fn for_each_spring(netlist: &Netlist, mut f: impl FnMut(u32, u32, f64)) {
             continue;
         }
         if d <= CLIQUE_LIMIT {
-            let w = 2.0 / d as f64;
+            let code = (d - 2) as u8;
             for i in 0..d {
                 for j in (i + 1)..d {
-                    f(cells[i].raw(), cells[j].raw(), w);
+                    f(cells[i].raw(), cells[j].raw(), code);
                 }
             }
         } else {
             let hub = cells[0].raw();
             for &pin in &cells[1..] {
-                f(hub, pin.raw(), 1.0);
+                f(hub, pin.raw(), STAR_CODE);
             }
         }
     }
@@ -73,6 +104,11 @@ fn for_each_spring(netlist: &Netlist, mut f: impl FnMut(u32, u32, f64)) {
 
 /// A symmetric sparse matrix in CSR form, representing the connectivity
 /// Laplacian of a netlist.
+///
+/// Each off-diagonal entry stores its column and a one-byte code of its
+/// spring weight (see the [module docs](self)); [`Laplacian::row`]
+/// yields the decoded `f64` weights, and the diagonal is stored as `f64`
+/// sums.
 ///
 /// # Example
 ///
@@ -95,7 +131,8 @@ fn for_each_spring(netlist: &Netlist, mut f: impl FnMut(u32, u32, f64)) {
 pub struct Laplacian {
     offsets: Vec<usize>,
     columns: Vec<u32>,
-    values: Vec<f64>,
+    /// Each entry's weight code into [`WEIGHTS`].
+    codes: Vec<u8>,
     diagonal: Vec<f64>,
 }
 
@@ -119,23 +156,24 @@ impl Laplacian {
             offsets.push(nnz);
         }
         let mut columns = vec![0u32; nnz];
-        let mut values = vec![0.0f64; nnz];
+        let mut codes = vec![0u8; nnz];
         // The counts are spent: they become the fill cursors.
         let mut cursor = counts;
         cursor.copy_from_slice(&offsets[..n]);
         let mut diagonal = vec![0.0f64; n];
-        for_each_spring(netlist, |i, j, w| {
+        for_each_spring(netlist, |i, j, code| {
             let (i, j) = (i as usize, j as usize);
+            let w = WEIGHTS[code as usize];
             columns[cursor[i]] = j as u32;
-            values[cursor[i]] = w;
+            codes[cursor[i]] = code;
             cursor[i] += 1;
             columns[cursor[j]] = i as u32;
-            values[cursor[j]] = w;
+            codes[cursor[j]] = code;
             cursor[j] += 1;
             diagonal[i] += w;
             diagonal[j] += w;
         });
-        Self { offsets, columns, values, diagonal }
+        Self { offsets, columns, codes, diagonal }
     }
 
     /// Matrix dimension (number of cells).
@@ -152,8 +190,11 @@ impl Laplacian {
     ///
     /// Panics if `i >= dim()`.
     pub fn row(&self, i: usize) -> impl Iterator<Item = (usize, f64)> + '_ {
-        (self.offsets[i]..self.offsets[i + 1])
-            .map(move |k| (self.columns[k] as usize, self.values[k]))
+        let (start, end) = (self.offsets[i], self.offsets[i + 1]);
+        self.columns[start..end]
+            .iter()
+            .zip(&self.codes[start..end])
+            .map(|(&c, &code)| (c as usize, WEIGHTS[code as usize]))
     }
 
     /// Total incident edge weight of cell `i` (the Laplacian diagonal).
@@ -165,15 +206,16 @@ impl Laplacian {
         self.diagonal[i]
     }
 
-    /// Computes `out = (L + αI)·v` in one pass: each row's accumulator
-    /// walks the row entries through slice iterators (no per-element
-    /// bounds checks) in k-order, and the anchor product `α·vᵢ` is added
-    /// to the finished accumulator.
-    fn apply_anchored(&self, alpha: f64, v: &[f64], out: &mut [f64]) {
+    /// Computes `out = (L + αI)·v` in one pass, reading the entries'
+    /// weights from `weights` (the decoded codes, indexed like the
+    /// entries): each row's accumulator walks the row entries through
+    /// slice iterators (no per-element bounds checks) in k-order, and the
+    /// anchor product `α·vᵢ` is added to the finished accumulator.
+    fn apply_anchored(&self, weights: &[f64], alpha: f64, v: &[f64], out: &mut [f64]) {
         for i in 0..self.dim() {
             let (start, end) = (self.offsets[i], self.offsets[i + 1]);
             let mut acc = self.diagonal[i] * v[i];
-            for (&c, &w) in self.columns[start..end].iter().zip(&self.values[start..end]) {
+            for (&c, &w) in self.columns[start..end].iter().zip(&weights[start..end]) {
                 acc -= w * v[c as usize];
             }
             out[i] = acc + alpha * v[i];
@@ -202,6 +244,8 @@ impl Laplacian {
         assert_eq!(x.len(), n, "x0 dimension mismatch");
         assert!(alpha > 0.0, "a non-positive anchor weight makes the system singular");
 
+        // Every CG iteration reads every weight: decode them once.
+        let weights: Vec<f64> = self.codes.iter().map(|&code| WEIGHTS[code as usize]).collect();
         let precond: Vec<f64> =
             self.diagonal.iter().map(|d| 1.0 / (d + alpha).max(1e-12)).collect();
         let (mut r, mut z, mut p, mut ap) =
@@ -210,7 +254,7 @@ impl Laplacian {
         // Initial residual, fused with the Jacobi solve and the rz/rr
         // reductions (independent accumulators, index order — the same
         // operation sequence as the separate passes).
-        self.apply_anchored(alpha, x, &mut ap);
+        self.apply_anchored(&weights, alpha, x, &mut ap);
         let mut rz = 0.0f64;
         let mut rr = 0.0f64;
         for i in 0..n {
@@ -228,7 +272,7 @@ impl Laplacian {
             if rr <= target {
                 return iter;
             }
-            self.apply_anchored(alpha, &p, &mut ap);
+            self.apply_anchored(&weights, alpha, &p, &mut ap);
             let pap: f64 = p.iter().zip(ap.iter()).map(|(a, b)| a * b).sum();
             if pap <= 0.0 {
                 break; // numerical breakdown; current x is best effort
@@ -620,14 +664,50 @@ pub(crate) mod tests {
         b.finish()
     }
 
-    /// The pre-fusion kernels, kept verbatim as bit-exactness oracles for
-    /// the fused loops above; the fused per-cell-anchor solve the scalar
-    /// one replaced (also the 1×1 placer oracle's kernel); and the
-    /// one-axis-at-a-time shard solver the two-lane one replaced (also
-    /// the sharded placer oracle's kernel).
+    /// The Laplacian with an `f64` weight per entry, the layout the
+    /// one-byte codes replaced, with its build; the pre-fusion kernels,
+    /// kept verbatim as bit-exactness oracles for the fused loops above;
+    /// the fused per-cell-anchor solve the scalar one replaced (also the
+    /// 1×1 placer oracle's kernel); and the one-axis-at-a-time shard
+    /// solver the two-lane one replaced (also the sharded placer oracle's
+    /// kernel). Every kernel here runs on the `f64` layout, so each
+    /// solver oracle test compares the code layout with it end to end.
     pub(crate) mod reference {
-        use super::super::{Laplacian, CLIQUE_LIMIT};
+        use super::super::CLIQUE_LIMIT;
         use gtl_netlist::Netlist;
+
+        /// The connectivity Laplacian in CSR form with an `f64` weight
+        /// per off-diagonal entry.
+        #[derive(Debug, Clone)]
+        pub(crate) struct Laplacian {
+            pub(super) offsets: Vec<usize>,
+            pub(super) columns: Vec<u32>,
+            pub(super) values: Vec<f64>,
+            pub(super) diagonal: Vec<f64>,
+        }
+
+        impl Laplacian {
+            /// Matrix dimension (number of cells).
+            pub(crate) fn dim(&self) -> usize {
+                self.diagonal.len()
+            }
+
+            /// Off-diagonal entries of row `i` as `(column, weight)` pairs.
+            pub(crate) fn row(&self, i: usize) -> impl Iterator<Item = (usize, f64)> + '_ {
+                (self.offsets[i]..self.offsets[i + 1])
+                    .map(move |k| (self.columns[k] as usize, self.values[k]))
+            }
+
+            /// Total incident edge weight of cell `i` (the Laplacian diagonal).
+            pub(crate) fn degree(&self, i: usize) -> f64 {
+                self.diagonal[i]
+            }
+        }
+
+        /// [`build_with`] on fresh buffers.
+        pub(crate) fn build(netlist: &Netlist) -> Laplacian {
+            build_with(netlist, &mut LaplacianScratch::default())
+        }
 
         /// Computes `out[i] = diagonal[i]·v[i] − Σₖ values[k]·v[columns[k]]` over
         /// each CSR row `i` — the one sparse kernel behind both the global and the
@@ -1282,10 +1362,13 @@ pub(crate) mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(128))]
 
-        /// The two-visit build reproduces the triplet build bit for bit —
-        /// row offsets, columns, values and diagonal — on random designs
-        /// (cliques, stars, single-pin nets, nets listing a pin twice,
-        /// repeated nets), the oracle reusing the previous design's scratch.
+        /// The two-visit build of weight codes reproduces the triplet
+        /// build of `f64` weights bit for bit — row offsets, columns, the
+        /// weight of every entry as [`Laplacian::row`] decodes it, and
+        /// each [`Laplacian::degree`] — on random designs (cliques of
+        /// every size, stars, single-pin nets, nets listing a pin twice,
+        /// repeated nets), the oracle reusing the previous design's
+        /// scratch.
         #[test]
         fn laplacian_build_matches_oracle_bit_for_bit(
             n in 1usize..200,
@@ -1300,8 +1383,12 @@ pub(crate) mod tests {
                 let got = Laplacian::build(&nl);
                 prop_assert_eq!(&got.offsets, &want.offsets);
                 prop_assert_eq!(&got.columns, &want.columns);
-                prop_assert_eq!(bits(&got.values), bits(&want.values));
-                prop_assert_eq!(bits(&got.diagonal), bits(&want.diagonal));
+                for i in 0..n {
+                    let weights: Vec<u64> = got.row(i).map(|(_, w)| w.to_bits()).collect();
+                    let (start, end) = (want.offsets[i], want.offsets[i + 1]);
+                    prop_assert_eq!(weights, bits(&want.values[start..end]), "row {}", i);
+                    prop_assert_eq!(got.degree(i).to_bits(), want.diagonal[i].to_bits());
+                }
             }
         }
     }
@@ -1311,14 +1398,15 @@ pub(crate) mod tests {
         // The fused CG must reproduce the original four-pass kernel to the
         // last bit: converged, iteration-capped, and loose-tolerance runs.
         for nl in [chain(60), mixed(90)] {
-            let lap = Laplacian::build(&nl);
+            let (lap, oracle) = (Laplacian::build(&nl), reference::build(&nl));
             let n = lap.dim();
             let rhs = noise(n, 2);
             let x0 = noise(n, 3);
             for alpha in [0.01, 0.75, 4.2] {
                 for (tol, iters) in [(1e-10, 500), (1e-10, 7), (0.5, 500)] {
                     let anchor = vec![alpha; n];
-                    let (ex, eit) = reference::solve_anchored(&lap, &anchor, &rhs, &x0, tol, iters);
+                    let (ex, eit) =
+                        reference::solve_anchored(&oracle, &anchor, &rhs, &x0, tol, iters);
                     let mut fx = x0.clone();
                     let fit = lap.solve_anchored(alpha, &rhs, &mut fx, tol, iters);
                     assert_eq!(ex, fx, "alpha={alpha} tol={tol} iters={iters}");
@@ -1333,7 +1421,7 @@ pub(crate) mod tests {
         // On a whole-design shard the Dirichlet terms vanish, so the shard
         // CG reduces to the reference division-form kernel exactly.
         for nl in [chain(40), mixed(70)] {
-            let lap = Laplacian::build(&nl);
+            let (lap, oracle) = (Laplacian::build(&nl), reference::build(&nl));
             let n = lap.dim();
             let cells: Vec<u32> = (0..n as u32).collect();
             let targets = noise(n, 4);
@@ -1342,8 +1430,8 @@ pub(crate) mod tests {
             let aw = 0.75;
             for (tol, iters) in [(1e-10, 400), (1e-10, 5)] {
                 let rhs_x: Vec<f64> = targets.iter().map(|t| aw * t).collect();
-                let expect_x = reference::full_shard_cg(&lap, aw, &rhs_x, &xs, tol, iters);
-                let expect_y = reference::full_shard_cg(&lap, aw, &rhs_x, &ys, tol, iters);
+                let expect_x = reference::full_shard_cg(&oracle, aw, &rhs_x, &xs, tol, iters);
+                let expect_y = reference::full_shard_cg(&oracle, aw, &rhs_x, &ys, tol, iters);
                 let mut solver = ShardSolver::new(n);
                 let (sx, sy) =
                     solver.solve_shard(&lap, &cells, aw, &targets, &targets, &xs, &ys, tol, iters);
@@ -1378,9 +1466,11 @@ pub(crate) mod tests {
         b.finish()
     }
 
-    /// One shard solve's inputs.
+    /// One shard solve's inputs, with the design's Laplacian in both
+    /// layouts.
     struct ShardCase {
         lap: Laplacian,
+        oracle: reference::Laplacian,
         cells: Vec<u32>,
         anchor_weight: f64,
         tx: Vec<f64>,
@@ -1401,11 +1491,17 @@ pub(crate) mod tests {
     /// boundary must be the shard's cells with a neighbor outside it.
     fn assert_matches_oracle(case: &ShardCase, what: &str) {
         let ShardCase {
-            lap, cells, anchor_weight: aw, tolerance: tol, max_iterations: cap, ..
+            lap,
+            oracle,
+            cells,
+            anchor_weight: aw,
+            tolerance: tol,
+            max_iterations: cap,
+            ..
         } = case;
         let n = lap.dim();
         let (want_x, want_y) = reference::ShardSolver::new(n)
-            .solve_shard(lap, cells, *aw, &case.tx, &case.ty, &case.xs, &case.ys, *tol, *cap);
+            .solve_shard(oracle, cells, *aw, &case.tx, &case.ty, &case.xs, &case.ys, *tol, *cap);
 
         let mut in_shard = vec![false; n];
         for &c in cells {
@@ -1473,7 +1569,7 @@ pub(crate) mod tests {
         ) {
             let mut rng = SmallRng::seed_from_u64(seed);
             let nl = random_netlist(n, n * net_density / 2 + 1, &mut rng);
-            let lap = Laplacian::build(&nl);
+            let (lap, oracle) = (Laplacian::build(&nl), reference::build(&nl));
             let cells: Vec<u32> = match shard_kind {
                 0 => Vec::new(),
                 1 => vec![rng.gen_range(0..n as u32)],
@@ -1488,6 +1584,7 @@ pub(crate) mod tests {
             let ty: Vec<f64> = (0..m).map(|_| lane_value(&mut rng, special)).collect();
             let mut case = ShardCase {
                 lap,
+                oracle,
                 cells,
                 anchor_weight: [1e-3, 0.02, 0.75, 30.0, 1e300][anchor],
                 tx,
@@ -1526,7 +1623,8 @@ pub(crate) mod tests {
             seed in 0u64..u64::MAX,
         ) {
             let mut rng = SmallRng::seed_from_u64(seed);
-            let lap = Laplacian::build(&random_netlist(n, n * net_density / 2 + 1, &mut rng));
+            let nl = random_netlist(n, n * net_density / 2 + 1, &mut rng);
+            let (lap, oracle) = (Laplacian::build(&nl), reference::build(&nl));
             let alpha = [1e-3, 0.02, 0.75, 30.0, 600.0, 1e300][anchor];
             let tolerance = [1e-12, 1e-9, 1e-6, 1e-3, 0.1, 0.5][tolerance];
             let cap = [0, 1, 2, 300][cap];
@@ -1535,7 +1633,7 @@ pub(crate) mod tests {
             let x0: Vec<f64> = (0..n).map(|_| lane_value(&mut rng, special)).collect();
             let mut want = x0.clone();
             let want_iters = reference::solve_anchored_into(
-                &lap,
+                &oracle,
                 &vec![alpha; n],
                 &rhs,
                 &mut want,
@@ -1564,7 +1662,8 @@ pub(crate) mod tests {
         for i in 1..n - 1 {
             b.add_anonymous_net([CellId::new(i), CellId::new(i + 1)]);
         }
-        let lap = Laplacian::build(&b.finish());
+        let nl = b.finish();
+        let (lap, oracle) = (Laplacian::build(&nl), reference::build(&nl));
         let cells: Vec<u32> = (0..n as u32).collect();
         let zeros = vec![0.0; n];
         let ramp: Vec<f64> = (0..n).map(|i| (i * 7 % 11) as f64).collect();
@@ -1596,6 +1695,7 @@ pub(crate) mod tests {
                 };
                 let case = ShardCase {
                     lap: lap.clone(),
+                    oracle: oracle.clone(),
                     cells: cells.clone(),
                     anchor_weight: aw,
                     tx,

@@ -26,6 +26,40 @@ fn arb_design(max_cells: usize) -> impl Strategy<Value = (Netlist, Placement, Di
     })
 }
 
+/// [`arb_design`] plus the nets the congestion estimate treats apart: a
+/// pinless net, single-pin nets, nets of up to 24 pins, and nets whose
+/// pins sit at the die's bottom and top edges, so they span every stripe.
+fn arb_routed_design(max_cells: usize) -> impl Strategy<Value = (Netlist, Placement, Die)> {
+    (arb_design(max_cells), proptest::collection::vec(0usize..1000, 1..12)).prop_map(
+        |((nl, p, die), extra)| {
+            let n = nl.num_cells();
+            let mut b = NetlistBuilder::new();
+            b.add_anonymous_cells(n);
+            for net in nl.nets() {
+                b.add_anonymous_net(nl.net_cells(net).iter().copied());
+            }
+            let (mut xs, mut ys) = (p.xs().to_vec(), p.ys().to_vec());
+            let empty: [CellId; 0] = [];
+            b.add_anonymous_net(empty);
+            for (k, &r) in extra.iter().enumerate() {
+                match k % 3 {
+                    0 => b.add_anonymous_net([CellId::new(r % n)]),
+                    1 => b.add_anonymous_net((0..2 + r % 23).map(|i| CellId::new((r + 7 * i) % n))),
+                    _ => {
+                        // Two new cells on the die's bottom and top edges.
+                        let (low, high) = (b.add_anonymous_cells(2), CellId::new(xs.len() + 1));
+                        let x = (r % 31) as f64 * die.width / 30.0;
+                        xs.extend([x, die.width - x]);
+                        ys.extend([0.0, die.height]);
+                        b.add_anonymous_net([low, high, CellId::new(r % n)])
+                    }
+                };
+            }
+            (b.finish(), Placement::from_coords(xs, ys), die)
+        },
+    )
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -63,38 +97,41 @@ proptest! {
         }
     }
 
-    /// The stripe-batched congestion estimator agrees with the serial
-    /// per-net reference within 1e-9 on random netlists, for both the
-    /// RUDY and L-shape (RISA-corrected) models and any worker count.
-    /// (By construction the two are bit-identical — every tile sees the
-    /// same additions in the same order — so 1e-9 is generous.)
+    /// The stripe-batched congestion estimator reproduces the serial
+    /// per-net reference bit for bit — every tile's utilization and every
+    /// float of the report — on random netlists with pinless and
+    /// single-pin nets, nets of up to 24 pins and nets spanning every
+    /// stripe, at 1, 4, 13 and 32 tiles (13 leaves a ragged last stripe),
+    /// for both the RUDY and L-shape (RISA-corrected) models, with
+    /// explicit and calibrated capacities, and any worker count.
     #[test]
     fn striped_congestion_matches_reference(
-        (nl, p, die) in arb_design(60),
+        (nl, p, die) in arb_routed_design(60),
+        tiles_sel in 0usize..4,
         model_sel in 0usize..2,
+        calibrated in 0u8..2,
         threads in 1usize..5,
     ) {
         use gtl_place::congestion::{estimate, estimate_reference, DemandModel, RoutingConfig};
+        let capacity = if calibrated == 1 { None } else { Some(1.0) };
         let cfg = RoutingConfig {
-            // 13 is deliberately not a multiple of the stripe height, so
-            // the ragged last stripe is exercised.
-            tiles: 13,
-            h_capacity: Some(1.0),
-            v_capacity: Some(1.0),
+            tiles: [1, 4, 13, 32][tiles_sel],
+            h_capacity: capacity,
+            v_capacity: capacity,
             model: if model_sel == 0 { DemandModel::Rudy } else { DemandModel::LShape },
             threads,
             ..RoutingConfig::default()
         };
         let striped = estimate(&nl, &p, &die, &cfg);
         let reference = estimate_reference(&nl, &p, &die, &cfg);
-        let (a, b) = (striped.to_grid(), reference.to_grid());
-        prop_assert_eq!(a.len(), b.len());
-        for (i, (x, y)) in a.iter().zip(&b).enumerate() {
-            prop_assert!((x - y).abs() <= 1e-9, "tile {}: {} vs {}", i, x, y);
-        }
-        let (ta, tb): (f64, f64) = (a.iter().sum(), b.iter().sum());
-        prop_assert!((ta - tb).abs() <= 1e-9 * ta.abs().max(1.0), "totals {} vs {}", ta, tb);
-        prop_assert_eq!(striped.report(), reference.report());
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        prop_assert_eq!(bits(&striped.to_grid()), bits(&reference.to_grid()));
+        let (a, b) = (striped.report(), reference.report());
+        prop_assert_eq!(a.nets_through_100pct, b.nets_through_100pct);
+        prop_assert_eq!(a.nets_through_90pct, b.nets_through_90pct);
+        prop_assert_eq!(a.average_congestion_pct.to_bits(), b.average_congestion_pct.to_bits());
+        prop_assert_eq!(a.max_utilization.to_bits(), b.max_utilization.to_bits());
+        prop_assert_eq!(a.mean_utilization.to_bits(), b.mean_utilization.to_bits());
     }
 
     /// The congestion map's demand is translation-consistent: moving every
