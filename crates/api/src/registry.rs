@@ -349,9 +349,11 @@ impl<'s> SessionDispatcher<'s> {
     }
 
     /// [`SessionDispatcher::cache_key`] for `line` already parsed as
-    /// `parsed`: what the serve lane computes before the lookup and again
-    /// after a cacheable compute. Both resolve the session through the
-    /// registry, promoting it exactly as a dispatch does.
+    /// `parsed`: what the serve path computes before the lookup (on the
+    /// connection's reader for an in-order request, else on the lane) and
+    /// again on the lane after a cacheable compute. Both resolve the
+    /// session through the registry, promoting it exactly as a dispatch
+    /// does.
     pub(crate) fn parsed_cache_key<'a>(&self, line: &'a str, parsed: &ParsedLine) -> Cow<'a, [u8]> {
         let generation = match parsed.as_ref().ok().and_then(addressed_session) {
             Some(DEFAULT_SESSION) => Some(0),

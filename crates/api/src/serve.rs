@@ -21,15 +21,18 @@
 //!
 //! # Concurrency and determinism
 //!
-//! Connection threads are **I/O only** — they frame lines and move
-//! buffers; every request runs as a job on the runtime's fixed pool of
-//! compute lanes, fed by a bounded fair-share queue (full queue =
-//! backpressure to the client's TCP window, never unbounded buffering).
-//! Heavy compute inside a job (the finder, the sharded placer,
-//! congestion) still fans out through `gtl_core::exec` and is
-//! byte-identical for any worker count. Deterministic responses are additionally served from an LRU
-//! **response cache** keyed by the canonical request-line bytes; a hit
-//! returns exactly the bytes a fresh compute would (property-tested), so
+//! Connection threads never compute a response — they frame lines and
+//! move buffers; every request that needs compute runs as a job on the
+//! runtime's fixed pool of compute lanes, fed by a bounded fair-share
+//! queue (full queue = backpressure to the client's TCP window, never
+//! unbounded buffering). Heavy compute inside a job (the finder, the
+//! sharded placer, congestion) still fans out through `gtl_core::exec`
+//! and is byte-identical for any worker count. Deterministic responses
+//! are additionally served from an LRU **response cache** keyed by the
+//! canonical request-line bytes (plus the addressed session's
+//! generation); a hit on a request whose connection has every earlier
+//! reply written is answered by the connection's reader without a lane.
+//! A hit returns exactly the bytes a fresh compute would (property-tested), so
 //! the wire contract is unchanged for any lane count, cache size
 //! (including 0 = disabled) and pipeline depth: same request line, same
 //! response bytes. The deliberate exceptions are
@@ -141,9 +144,11 @@ pub fn serve(
 }
 
 /// The [`LineHandler`] gluing the runtime to a [`SessionDispatcher`]:
-/// classify (parse) each line once on the reader thread, then — on the
-/// lane — key it by its addressed session's generation, dispatch it and
-/// serialize into the runtime's recycled buffer.
+/// classify (parse) each line once on the reader thread, key it by its
+/// addressed session's generation (on the reader when every earlier reply
+/// on its connection is written, else on the lane, after the requests
+/// ahead of it), and on a miss dispatch it on the lane and serialize into
+/// the runtime's recycled buffer.
 struct SessionHandler<'d, 's> {
     dispatcher: &'d SessionDispatcher<'s>,
 }

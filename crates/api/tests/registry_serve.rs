@@ -363,6 +363,54 @@ fn flooding_tenant_cannot_perturb_a_trickler() {
     });
 }
 
+/// A Find pipelined behind a reload of its session on the same
+/// connection answers from the newly loaded design, even though the old
+/// design's reply for the same line is cached: the Find is keyed only
+/// after the reload ahead of it has run.
+#[test]
+fn a_find_pipelined_behind_a_reload_answers_from_the_new_design() {
+    let dir = netlist_dir("pipelined_reload", &[("x_small", 5), ("x_large", 9)]);
+    let session = default_session();
+    let find = find_line(Some("x"), 7);
+    let oracle = |file: &str| {
+        let path = dir.join(format!("{file}.hgr"));
+        Session::builder().load(path.to_str().unwrap()).unwrap().build().unwrap().handle_line(&find)
+    };
+    let (small, large) = (oracle("x_small"), oracle("x_large"));
+    assert_ne!(small, large, "the two designs must answer differently");
+
+    let dispatcher = SessionDispatcher::new(&session, 0, 0, Some(dir.clone()));
+    let config = RuntimeConfig {
+        lanes: 1,
+        pipeline_depth: 2,
+        max_connections: Some(1),
+        ..RuntimeConfig::default()
+    };
+    let listener = gtl_api::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    std::thread::scope(|scope| {
+        let server = scope.spawn(|| gtl_api::serve(&dispatcher, &listener, &config, None).unwrap());
+        let mut conn = TcpStream::connect(addr).unwrap();
+        let mut reader = BufReader::new(conn.try_clone().unwrap());
+        let mut reply = || {
+            let mut line = String::new();
+            reader.read_line(&mut line).unwrap();
+            strip_trace(line.trim_end())
+        };
+        // Load x_small as "x" and cache the Find's reply on it.
+        writeln!(conn, "{}", load_line("x", "x_small.hgr")).unwrap();
+        assert!(reply().starts_with("{\"LoadNetlist\":"));
+        writeln!(conn, "{find}").unwrap();
+        assert_eq!(reply(), small);
+        // One write: reload "x" from x_large, then the same Find.
+        write!(conn, "{}\n{find}\n", load_line("x", "x_large.hgr")).unwrap();
+        assert!(reply().starts_with("{\"LoadNetlist\":"));
+        assert_eq!(reply(), large, "the pipelined Find answered from the replaced design");
+        conn.shutdown(std::net::Shutdown::Write).unwrap();
+        server.join().unwrap();
+    });
+}
+
 /// The v4 negative paths, over the wire and in order: unknown session
 /// names, a load over the registry byte budget (registry unchanged), a
 /// pre-v4 `session` field, and unload of an absent name — all answer

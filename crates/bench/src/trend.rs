@@ -7,8 +7,8 @@
 //! file comparison — no benchmark re-runs, no network — so it can run
 //! anywhere the JSON artifacts exist.
 //!
-//! Tracked metrics (higher is better, all cold-path — warm-cache numbers
-//! are bounded by memcpy and too noisy to gate on):
+//! Tracked metrics (higher is better; all cold-path except `loadgen`'s,
+//! as noted on it):
 //!
 //! * `serve_throughput.json` → `cold_req_per_s` (requests per second
 //!   with the response cache disabled);
@@ -20,8 +20,11 @@
 //!   row (currently `anchored` and `shard`), gating the fused CG
 //!   kernels directly, below placer-level noise;
 //! * `loadgen.json` → `closed_req_per_s` (closed-loop replay throughput
-//!   of the full serve path over real TCP, emitted by
-//!   `gtl loadgen replay --summary`).
+//!   over real TCP, emitted by `gtl loadgen replay --summary`). CI's
+//!   smoke replays one Find and one Stats line 10,000 times each, so
+//!   all but the first few requests are cache hits: this is a cache-hit
+//!   rate (framing, parse and the reader's in-order hit path), not a
+//!   cold-path one.
 //!
 //! Baselines are **machine- and toolchain-relative** absolute numbers:
 //! they must be re-snapshotted whenever the reference hardware or the

@@ -23,8 +23,11 @@
 //!   substrate for multi-netlist session serving in `gtl-api`;
 //! * one classification per line: [`LineHandler::classify`] runs once
 //!   on the reader thread and yields the line's fair-share tenant, its
-//!   kind label and the parse the lane reuses for the cache key and the
-//!   compute. Tenant lanes drain in deterministic round-robin order
+//!   kind label and the parse that the cache key and the compute reuse.
+//!   A cache hit on an in-order request (every earlier reply on its
+//!   connection written) is answered right there by the reader; any
+//!   other request is keyed on a lane. Tenant lanes drain in
+//!   deterministic round-robin order
 //!   under a per-tenant quota ([`RuntimeConfig::tenant_quota`]), so one
 //!   flooding tenant backpressures itself, never its neighbors;
 //! * [`MetricsSnapshot`]: observation-only counters for all of the
@@ -73,7 +76,7 @@
 //!     let lines: Vec<String> = BufReader::new(conn).lines().map(|l| l.unwrap()).collect();
 //!     assert_eq!(lines, ["you said: hello", "you said: hello"]);
 //!     let report = server.join().unwrap();
-//!     // Both pipelined requests went through the bounded scheduler
+//!     // Both pipelined requests were admitted and looked up once each
 //!     // (whether the second hit the cache depends on timing — the
 //!     // response bytes never do).
 //!     assert_eq!(report.metrics.requests, 2);

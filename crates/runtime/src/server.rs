@@ -29,10 +29,14 @@
 //!   total accept budget (for scripted runs), and a per-connection
 //!   read/idle timeout.
 //!
-//! Connection threads are **I/O only**: they frame lines, classify each
-//! one once and move buffers; all request compute happens on the lanes,
-//! and whatever the handler fans out internally (e.g. `gtl_core::exec`)
-//! stays inside the job. Responses for a given request line are
+//! Connection threads never compute a response: they frame lines,
+//! classify each one once and move buffers; all request compute happens
+//! on the lanes, and whatever the handler fans out internally (e.g.
+//! `gtl_core::exec`) stays inside the job. The one exception to the
+//! lane path is a cache hit on a request that is *in order* (every
+//! earlier response on its connection already written): the reader looks
+//! it up and writes the stored bytes itself, so a hit never waits behind
+//! a compute for a lane. Responses for a given request line are
 //! byte-identical no matter how many lanes, connections, or pipelined
 //! requests are in flight — provided the handler is deterministic, which
 //! the [`ResponseCache`] additionally exploits (see [`crate::cache`]).
@@ -178,7 +182,7 @@ pub struct Classified<P> {
     /// The per-request-kind latency histogram label (e.g. `"find"`).
     /// The label set must be small and fixed.
     pub kind: &'static str,
-    /// The handler's parse of the line, which the lane hands to
+    /// The handler's parse of the line, which the runtime hands to
     /// [`LineHandler::cache_key`] and [`LineHandler::handle`].
     pub parsed: P,
 }
@@ -235,10 +239,15 @@ pub trait LineHandler: Sync {
     /// adds request-independent state (e.g. a session registry, where
     /// the same line means different things before and after a reload)
     /// must fold that state into the key; the transparency invariant
-    /// then holds per key. The runtime computes the key on the lane
-    /// before the lookup and again after a cacheable compute, filling
-    /// the cache only if both agree — so state that moves in between
-    /// costs a recompute, never an aliased entry.
+    /// then holds per key. The runtime computes the key once before the
+    /// request's one lookup: on the connection's reader thread when the
+    /// request is in order (every earlier response on its connection
+    /// already written), otherwise on the lane, so a pipelined request
+    /// is keyed only after the requests ahead of it have run. A miss
+    /// carries that key to the lane, which computes the key again after
+    /// a cacheable compute and fills the cache only if both agree — so
+    /// state that moves in between costs a recompute, never an aliased
+    /// entry.
     fn cache_key<'a>(&self, line: &'a str, parsed: &Self::Parsed) -> Cow<'a, [u8]> {
         let _ = parsed;
         Cow::Borrowed(line.as_bytes())
@@ -634,12 +643,16 @@ fn run_connection<'j, 'scope, 'env, H: LineHandler>(
         }
     };
     let conn = Arc::new(ConnShared::new(rt.pipeline));
+    // The reply stream, shared by the writer thread and the reader's
+    // in-order hits. Lock order: this first, then `conn.state`.
+    let out = Arc::new(Mutex::new(BufWriter::new(write_half)));
     let writer = {
         let conn = Arc::clone(&conn);
+        let out = Arc::clone(&out);
         let hub = rt.hub;
-        scope.spawn(move || write_side(&conn, BufWriter::new(write_half), hub))
+        scope.spawn(move || write_side(&conn, &out, hub))
     };
-    read_side(rt, queue, &conn, conn_id, stream);
+    read_side(rt, queue, &conn, &out, conn_id, stream);
     conn.finish_input();
     match writer.join() {
         Ok(Some(message)) => rt.record_io_error(conn_id, message),
@@ -650,19 +663,40 @@ fn run_connection<'j, 'scope, 'env, H: LineHandler>(
     }
 }
 
-/// The I/O-only producer: frame request lines, acquire a pipeline slot,
-/// classify each line once, submit a job per line. Never computes a
-/// response itself.
+/// The producer: frame request lines, acquire a pipeline slot, classify
+/// each line once, then answer the line or submit a job for it.
+///
+/// Only an in-order request (every earlier response on the connection
+/// already written) is keyed and looked up here. A hit is stamped and
+/// written to `out` by this thread: it takes no queue slot and no lane,
+/// and wakes no other thread. A miss goes to the lanes with its key.
+/// Any other request goes to the lanes unkeyed and is keyed there, after
+/// the requests ahead of it: keying it now could name a session that one
+/// of them is about to reload. The reader never computes a response
+/// itself.
 fn read_side<'j, H: LineHandler>(
     rt: &'j RuntimeRefs<'j, H>,
     queue: &FairQueue<Job<'j>>,
     conn: &Arc<ConnShared>,
+    out: &Mutex<BufWriter<TcpStream>>,
     conn_id: usize,
     stream: TcpStream,
 ) {
     let mut reader = BufReader::new(stream);
     let mut buf: Vec<u8> = Vec::new();
+    // Whether an inline reply may still sit in `out`'s buffer.
+    let mut unflushed = false;
     'lines: loop {
+        // Flush inline replies unless another complete line is already
+        // buffered: a burst of hits then leaves in one write, and no reply
+        // waits in the buffer while the reader blocks for more input.
+        if unflushed && !reader.buffer().contains(&b'\n') {
+            if let Err(e) = flush_shared(out, rt.hub) {
+                fail_inline(rt, conn, conn_id, format!("flush: {e}"));
+                break;
+            }
+            unflushed = false;
+        }
         buf.clear();
         // Read one line, possibly across several timeout wakeups: the
         // timeout measures client *idleness*, so while responses are in
@@ -728,22 +762,49 @@ fn read_side<'j, H: LineHandler>(
         if line.is_empty() {
             continue;
         }
-        let Some((seq, out)) = conn.acquire_slot() else {
+        let Some(Slot { seq, mut reply, in_order }) = conn.acquire_slot() else {
             break; // the writer died; stop producing
         };
         rt.hub.request_submitted();
         // The line's one classification (for a JSON handler, its one
         // parse), on the I/O thread: the fair-share queue bounds the
-        // tenant *before* the job occupies a queue slot, and the lane
-        // reads the same parse for the cache key and the compute.
+        // tenant *before* the job occupies a queue slot, and the key and
+        // the compute read the same parse.
         let mut classified = rt.handler.classify(line);
-        let tenant = std::mem::take(&mut classified.tenant);
-        let line = line.to_string();
         let trace = TraceId { conn: conn_id as u64, seq };
         let submitted = Instant::now();
+        // Nothing can overtake an in-order request: only this thread
+        // completes `seq`, and the writer has nothing before it to write.
+        let mut missed_key = None;
+        if in_order {
+            let key = rt.handler.cache_key(line, &classified.parsed);
+            if let Some(hit) = rt.cache.get(&key) {
+                reply.clear();
+                reply.push_str(&hit);
+                if let Err(e) =
+                    write_inline(rt, conn, out, trace, classified.kind, reply, submitted)
+                {
+                    fail_inline(rt, conn, conn_id, format!("write: {e}"));
+                    break;
+                }
+                unflushed = true;
+                continue;
+            }
+            missed_key = Some(key.into_owned());
+        }
+        // A buffered hit must not wait behind this compute.
+        if unflushed {
+            if let Err(e) = flush_shared(out, rt.hub) {
+                fail_inline(rt, conn, conn_id, format!("flush: {e}"));
+                break;
+            }
+            unflushed = false;
+        }
+        let tenant = std::mem::take(&mut classified.tenant);
+        let request = Admitted { trace, line: line.to_string(), classified, missed_key, submitted };
         let job: Job<'j> = Box::new({
             let conn = Arc::clone(conn);
-            move || run_job(rt, &conn, trace, &line, &classified, out, submitted)
+            move || run_job(rt, &conn, request, reply)
         });
         if queue.push(&tenant, job).is_err() {
             // Only possible if shutdown raced this connection; fail the
@@ -755,6 +816,47 @@ fn read_side<'j, H: LineHandler>(
     }
 }
 
+/// Writes an in-order hit's reply (`seq` = `trace.seq`) on the reader
+/// thread: trace-stamped after the cache like any reply, then one
+/// `write_all` into the shared writer's buffer, which advances the
+/// reorder cursor past it. No condvar is signalled: the reader is the
+/// only thread that waits for a slot, and the ring holds nothing new for
+/// the writer thread. The caller flushes.
+fn write_inline<H: LineHandler>(
+    rt: &RuntimeRefs<'_, H>,
+    conn: &ConnShared,
+    out: &Mutex<BufWriter<TcpStream>>,
+    trace: TraceId,
+    kind: &'static str,
+    mut reply: String,
+    submitted: Instant,
+) -> std::io::Result<()> {
+    if rt.handler.stamp_trace(trace, &mut reply) {
+        rt.hub.response_traced();
+    }
+    reply.push('\n');
+    {
+        let mut out = out.lock().unwrap_or_else(|e| e.into_inner());
+        out.write_all(reply.as_bytes())?;
+        conn.state.lock().unwrap_or_else(|e| e.into_inner()).advance(reply);
+    }
+    rt.hub.response_written();
+    rt.hub.observe_kind_latency_us(kind, Span::starting_at(submitted).end_at(Instant::now()));
+    Ok(())
+}
+
+/// A failed inline write or flush: the connection is gone, as when the
+/// writer thread fails.
+fn fail_inline<H: LineHandler>(
+    rt: &RuntimeRefs<'_, H>,
+    conn: &ConnShared,
+    conn_id: usize,
+    message: String,
+) {
+    rt.record_io_error(conn_id, message);
+    conn.kill();
+}
+
 /// Answers a framing failure in request order (if the handler supplies a
 /// response line) — the connection is closed by the caller afterwards.
 fn respond_transport_error<H: LineHandler>(
@@ -763,17 +865,32 @@ fn respond_transport_error<H: LineHandler>(
     error: &TransportError,
 ) {
     if let Some(text) = rt.handler.transport_error(error) {
-        if let Some((seq, mut out)) = conn.acquire_slot() {
+        if let Some(Slot { seq, mut reply, .. }) = conn.acquire_slot() {
             rt.hub.request_submitted();
-            out.clear();
-            out.push_str(&text);
-            conn.deposit(seq, out);
+            reply.clear();
+            reply.push_str(&text);
+            conn.deposit(seq, reply);
         }
     }
 }
 
+/// A request line the reader hands to the lanes.
+struct Admitted<P> {
+    trace: TraceId,
+    /// The canonical (trimmed) request line.
+    line: String,
+    /// The line's one classification.
+    classified: Classified<P>,
+    /// The key an in-order request was already looked up under on the
+    /// reader, and missed; `None` when the lane keys and looks it up.
+    missed_key: Option<Vec<u8>>,
+    /// When the reader admitted the line.
+    submitted: Instant,
+}
+
 /// One request's compute, run on a lane: cancellation probe, cache
-/// lookup, handler dispatch, cache fill, in-order delivery.
+/// lookup (unless the reader already looked the request up and missed),
+/// handler dispatch, cache fill, in-order delivery.
 ///
 /// A panic inside the handler is contained here: it costs exactly the
 /// connection that submitted the request (the same blast radius as the
@@ -782,12 +899,11 @@ fn respond_transport_error<H: LineHandler>(
 fn run_job<H: LineHandler>(
     rt: &RuntimeRefs<'_, H>,
     conn: &ConnShared,
-    trace: TraceId,
-    line: &str,
-    classified: &Classified<H::Parsed>,
+    request: Admitted<H::Parsed>,
     mut out: String,
-    submitted: Instant,
 ) {
+    let Admitted { trace, line, classified, missed_key, submitted } = request;
+    let line = line.as_str();
     let TraceId { conn: conn_id, seq } = trace;
     // The connection died (token tripped) or this sequence number was
     // truncated by an abort (an earlier job panicked) while the job sat
@@ -808,9 +924,17 @@ fn run_job<H: LineHandler>(
     out.clear();
     // The handler may fold request-independent state (e.g. a session
     // generation) into the key; computed once, used for both the lookup
-    // and the fill so they can never diverge.
-    let cache_key = rt.handler.cache_key(line, &classified.parsed);
-    if let Some(hit) = rt.cache.get(&cache_key) {
+    // and the fill so they can never diverge. Each request is looked up
+    // exactly once, so the hit and miss counters stay exact.
+    let (cache_key, hit) = match missed_key {
+        Some(key) => (Cow::Owned(key), None),
+        None => {
+            let key = rt.handler.cache_key(line, &classified.parsed);
+            let hit = rt.cache.get(&key);
+            (key, hit)
+        }
+    };
+    if let Some(hit) = hit {
         // Transparency invariant: these are exactly the bytes the
         // handler produced for this key (property-tested end to end).
         out.push_str(&hit);
@@ -877,28 +1001,31 @@ fn run_job<H: LineHandler>(
 /// every response immediately.
 fn write_side(
     conn: &ConnShared,
-    mut writer: BufWriter<TcpStream>,
+    out: &Mutex<BufWriter<TcpStream>>,
     hub: &MetricsHub,
 ) -> Option<String> {
-    let result = write_loop(conn, &mut writer, hub);
+    let result = write_loop(conn, out, hub);
     // Once the writer stops, nothing will ever be answered on this
     // connection again; shut the read half so a reader blocked in a
     // timeout-less read (e.g. after a handler panic aborted the
     // connection) sees EOF instead of leaking. On a normally completed
     // connection the reader has already exited and this is a no-op.
-    let _ = writer.get_ref().shutdown(std::net::Shutdown::Read);
+    let _ =
+        out.lock().unwrap_or_else(|e| e.into_inner()).get_ref().shutdown(std::net::Shutdown::Read);
     result
 }
 
-/// The write loop proper (see [`write_side`]).
+/// The write loop proper (see [`write_side`]). It holds `out`'s lock only
+/// to write and to flush, never while it waits, so the reader can write
+/// an in-order hit in between.
 ///
-/// Each response goes to `writer` as one `write_all` of its bytes plus
-/// the `\n`, so a response longer than the buffer reaches the socket in
-/// one write: a lone trailing 1-byte `\n` segment would sit in Nagle's
+/// Each response goes to `out` as one `write_all` of its bytes plus the
+/// `\n`, so a response longer than the buffer reaches the socket in one
+/// write: a lone trailing 1-byte `\n` segment would sit in Nagle's
 /// algorithm until the client's delayed ACK.
 fn write_loop<W: Write>(
     conn: &ConnShared,
-    writer: &mut BufWriter<W>,
+    out: &Mutex<BufWriter<W>>,
     hub: &MetricsHub,
 ) -> Option<String> {
     loop {
@@ -915,49 +1042,46 @@ fn write_loop<W: Write>(
                 if state.total == Some(state.written) {
                     // Everything written; push out whatever is batched.
                     drop(state);
-                    let flush = Span::starting_at(Instant::now());
-                    let result = writer.flush();
-                    hub.observe_stage_us(Stage::WriterFlush, flush.end_at(Instant::now()));
-                    return match result {
-                        Ok(()) => None,
-                        Err(e) => Some(format!("flush: {e}")),
-                    };
+                    return flush_shared(out, hub).err().map(|e| format!("flush: {e}"));
                 }
                 state = conn.response_ready.wait(state).unwrap_or_else(|e| e.into_inner());
             }
         };
         text.push('\n');
-        match writer.write_all(text.as_bytes()) {
-            Ok(()) => {
-                hub.response_written();
-                let next_ready = {
-                    let mut state = conn.state.lock().unwrap_or_else(|e| e.into_inner());
-                    state.written += 1;
-                    let mut recycled = text;
-                    recycled.clear();
-                    if state.pool.len() < state.ring.len() {
-                        state.pool.push(recycled);
-                    }
-                    conn.slot_freed.notify_one();
-                    let slot = state.ring_index(state.written);
-                    state.ring[slot].is_some()
-                };
-                if !next_ready {
-                    let flush = Span::starting_at(Instant::now());
-                    let result = writer.flush();
-                    hub.observe_stage_us(Stage::WriterFlush, flush.end_at(Instant::now()));
-                    if let Err(e) = result {
-                        conn.kill();
-                        return Some(format!("flush: {e}"));
-                    }
-                }
-            }
-            Err(e) => {
+        let mut writer = out.lock().unwrap_or_else(|e| e.into_inner());
+        if let Err(e) = writer.write_all(text.as_bytes()) {
+            conn.kill();
+            return Some(format!("write: {e}"));
+        }
+        hub.response_written();
+        let next_ready = {
+            let mut state = conn.state.lock().unwrap_or_else(|e| e.into_inner());
+            state.advance(text);
+            conn.slot_freed.notify_one();
+            let slot = state.ring_index(state.written);
+            state.ring[slot].is_some()
+        };
+        if !next_ready {
+            if let Err(e) = timed_flush(&mut writer, hub) {
                 conn.kill();
-                return Some(format!("write: {e}"));
+                return Some(format!("flush: {e}"));
             }
         }
     }
+}
+
+/// Flushes the shared reply stream (see [`timed_flush`]).
+fn flush_shared<W: Write>(out: &Mutex<BufWriter<W>>, hub: &MetricsHub) -> std::io::Result<()> {
+    timed_flush(&mut out.lock().unwrap_or_else(|e| e.into_inner()), hub)
+}
+
+/// Flushes `writer`, recording the time taken as a
+/// [`Stage::WriterFlush`] observation.
+fn timed_flush<W: Write>(writer: &mut BufWriter<W>, hub: &MetricsHub) -> std::io::Result<()> {
+    let flush = Span::starting_at(Instant::now());
+    let result = writer.flush();
+    hub.observe_stage_us(Stage::WriterFlush, flush.end_at(Instant::now()));
+    result
 }
 
 /// Per-connection pipeline state: the reorder ring plus flow control.
@@ -1004,6 +1128,26 @@ impl ConnState {
     fn ring_index(&self, seq: u64) -> usize {
         (seq % self.ring.len() as u64) as usize
     }
+
+    /// Moves the reorder cursor past the reply for `written`, now in the
+    /// writer's buffer, and recycles that reply's buffer.
+    fn advance(&mut self, mut text: String) {
+        self.written += 1;
+        text.clear();
+        if self.pool.len() < self.ring.len() {
+            self.pool.push(text);
+        }
+    }
+}
+
+/// A claimed pipeline slot (see [`ConnShared::acquire_slot`]).
+struct Slot {
+    /// The request's sequence number on its connection.
+    seq: u64,
+    /// A recycled buffer for its reply.
+    reply: String,
+    /// Every earlier reply on the connection is already written.
+    in_order: bool,
 }
 
 impl ConnShared {
@@ -1040,7 +1184,7 @@ impl ConnShared {
     /// Blocks until fewer than `pipeline_depth` requests are in flight,
     /// then claims the next sequence number and a recycled buffer.
     /// `None` when the connection is dead.
-    fn acquire_slot(&self) -> Option<(u64, String)> {
+    fn acquire_slot(&self) -> Option<Slot> {
         let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
         loop {
             if state.dead || state.aborted {
@@ -1049,8 +1193,8 @@ impl ConnShared {
             if state.submitted - state.written < state.ring.len() as u64 {
                 let seq = state.submitted;
                 state.submitted += 1;
-                let out = state.pool.pop().unwrap_or_default();
-                return Some((seq, out));
+                let reply = state.pool.pop().unwrap_or_default();
+                return Some(Slot { seq, reply, in_order: state.written == seq });
             }
             state = self.slot_freed.wait(state).unwrap_or_else(|e| e.into_inner());
         }
@@ -1758,14 +1902,15 @@ pub(crate) mod tests {
     fn a_reply_longer_than_the_buffer_reaches_the_socket_in_one_write() {
         let replies = ["short-1".to_string(), "x".repeat(20 << 10), "short-2".to_string()];
         let conn = ConnShared::new(replies.len());
-        for reply in &replies {
-            let (seq, mut out) = conn.acquire_slot().unwrap();
-            out.push_str(reply);
-            conn.deposit(seq, out);
+        for text in &replies {
+            let Slot { seq, mut reply, .. } = conn.acquire_slot().unwrap();
+            reply.push_str(text);
+            conn.deposit(seq, reply);
         }
         conn.finish_input();
-        let mut writer = BufWriter::new(RecordingWriter::default());
-        assert_eq!(write_loop(&conn, &mut writer, &test_hub()), None);
+        let writer = Mutex::new(BufWriter::new(RecordingWriter::default()));
+        assert_eq!(write_loop(&conn, &writer, &test_hub()), None);
+        let writer = writer.into_inner().unwrap();
         let calls = &writer.get_ref().calls;
         let long = format!("{}\n", replies[1]);
         // Only the long reply contains an `x`.
@@ -1883,6 +2028,127 @@ pub(crate) mod tests {
         assert_eq!(report.metrics.tenant_quota, 2);
     }
 
+    /// Echoes every line (cacheable). A `slow-` line reports that its
+    /// compute started, then holds its lane until the test releases it
+    /// (or 30 s pass, so a broken test cannot hang the suite).
+    struct GateHandler {
+        started: std::sync::mpsc::Sender<()>,
+        release: Mutex<std::sync::mpsc::Receiver<()>>,
+    }
+
+    impl GateHandler {
+        fn new() -> (Self, std::sync::mpsc::Receiver<()>, std::sync::mpsc::Sender<()>) {
+            let (started, on_start) = std::sync::mpsc::channel();
+            let (release, gate) = std::sync::mpsc::channel();
+            (Self { started, release: Mutex::new(gate) }, on_start, release)
+        }
+    }
+
+    impl LineHandler for GateHandler {
+        type Parsed = ();
+
+        fn classify(&self, _line: &str) -> Classified<()> {
+            Classified::default()
+        }
+
+        fn handle(
+            &self,
+            _ctx: &RequestContext<'_>,
+            line: &str,
+            _: &(),
+            out: &mut String,
+        ) -> Cacheability {
+            if line.starts_with("slow-") {
+                let _ = self.started.send(());
+                let gate = self.release.lock().unwrap();
+                let _ = gate.recv_timeout(Duration::from_secs(30));
+            }
+            out.push_str("echo:");
+            out.push_str(line);
+            Cacheability::Cacheable
+        }
+    }
+
+    /// Reads one reply line, or the error of a read that timed out.
+    fn read_reply(reader: &mut BufReader<TcpStream>) -> std::io::Result<String> {
+        let mut line = String::new();
+        reader.read_line(&mut line)?;
+        Ok(line.trim_end().to_string())
+    }
+
+    #[test]
+    fn a_hit_is_answered_while_the_only_lane_is_busy() {
+        let listener = bind();
+        let addr = listener.local_addr().unwrap();
+        let (handler, on_start, release) = GateHandler::new();
+        let config = RuntimeConfig {
+            lanes: 1,
+            cache_bytes: 1 << 14,
+            max_connections: Some(2),
+            ..RuntimeConfig::default()
+        };
+        std::thread::scope(|scope| {
+            let server = scope.spawn(|| serve_lines(&listener, &config, &handler, None).unwrap());
+            // Connection B primes the cache.
+            let mut b = TcpStream::connect(addr).unwrap();
+            b.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+            let mut b_reader = BufReader::new(b.try_clone().unwrap());
+            writeln!(b, "hot").unwrap();
+            assert_eq!(read_reply(&mut b_reader).unwrap(), "echo:hot");
+            // Connection A's miss takes the only lane and holds it.
+            let mut a = TcpStream::connect(addr).unwrap();
+            writeln!(a, "slow-a").unwrap();
+            on_start.recv_timeout(Duration::from_secs(10)).expect("A's compute started");
+            // B's repeat is a hit: it must not wait for the lane.
+            writeln!(b, "hot").unwrap();
+            let b_reply = read_reply(&mut b_reader);
+            // Release A before asserting, so a failure cannot hang.
+            release.send(()).unwrap();
+            let mut a_reader = BufReader::new(a.try_clone().unwrap());
+            assert_eq!(read_reply(&mut a_reader).unwrap(), "echo:slow-a");
+            assert_eq!(b_reply.expect("B's hit answered while A held the lane"), "echo:hot");
+            a.shutdown(std::net::Shutdown::Write).unwrap();
+            b.shutdown(std::net::Shutdown::Write).unwrap();
+            let report = server.join().unwrap();
+            assert_eq!(report.metrics.cache_hits, 1, "{:?}", report.metrics);
+            assert_eq!(report.metrics.cache_misses, 2, "{:?}", report.metrics);
+        });
+    }
+
+    #[test]
+    fn an_inline_hit_is_flushed_before_the_next_miss_is_queued() {
+        let listener = bind();
+        let addr = listener.local_addr().unwrap();
+        let (handler, _on_start, release) = GateHandler::new();
+        let config = RuntimeConfig {
+            lanes: 1,
+            cache_bytes: 1 << 14,
+            pipeline_depth: 1,
+            max_connections: Some(1),
+            ..RuntimeConfig::default()
+        };
+        std::thread::scope(|scope| {
+            let server = scope.spawn(|| serve_lines(&listener, &config, &handler, None).unwrap());
+            let mut conn = TcpStream::connect(addr).unwrap();
+            conn.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+            let mut reader = BufReader::new(conn.try_clone().unwrap());
+            writeln!(conn, "hot").unwrap();
+            assert_eq!(read_reply(&mut reader).unwrap(), "echo:hot");
+            // One write: the hit, then a miss that blocks until the hit's
+            // reply has been read here, then a repeat that keeps the
+            // reader waiting for the miss's pipeline slot.
+            write!(conn, "hot\nslow-miss\nhot\n").unwrap();
+            let hit = read_reply(&mut reader);
+            release.send(()).unwrap();
+            assert_eq!(hit.expect("the hit's reply flushed before the miss ran"), "echo:hot");
+            assert_eq!(read_reply(&mut reader).unwrap(), "echo:slow-miss");
+            assert_eq!(read_reply(&mut reader).unwrap(), "echo:hot");
+            conn.shutdown(std::net::Shutdown::Write).unwrap();
+            let report = server.join().unwrap();
+            assert_eq!(report.metrics.cache_hits, 2, "{:?}", report.metrics);
+        });
+    }
+
     #[test]
     fn trace_ids_render_as_fixed_width_hex_words() {
         assert_eq!(TraceId { conn: 1, seq: 0 }.to_string(), "00000001-00000000");
@@ -1949,14 +2215,16 @@ pub(crate) mod tests {
             let report = server.join().unwrap();
             assert_eq!(report.metrics.cache_hits, 1, "{:?}", report.metrics);
             assert_eq!(report.metrics.responses_traced, 3, "{:?}", report.metrics);
-            // Every stage histogram observed every request; serialize
-            // is handler-owned (empty for this handler) and the writer
-            // also flushes once more per connection at end of input.
+            // The queue and lane stages observed the two misses; the
+            // hit was answered on the reader without queueing. Serialize
+            // is handler-owned (empty for this handler), and every reply
+            // was flushed (the writer also flushes once more per
+            // connection at end of input).
             for stage in &report.metrics.stage_latency {
                 match stage.label.as_str() {
                     "serialize" => assert_eq!(stage.count, 0),
                     "writer_flush" => assert!(stage.count >= 3, "{}", stage.count),
-                    _ => assert_eq!(stage.count, 3, "stage {}", stage.label),
+                    _ => assert_eq!(stage.count, 2, "stage {}", stage.label),
                 }
             }
             let kinds: Vec<(&str, u64)> =
