@@ -32,12 +32,13 @@ use std::fmt::Write as _;
 use std::time::Duration;
 
 use gtl_api::{
-    load_netlist, ApiError, FindRequest, RuntimeConfig, ServeReport, Session, SessionDispatcher,
+    load_netlist, ApiError, FindRequest, FindResponse, RuntimeConfig, ServeReport, Session,
+    SessionDispatcher,
 };
 use gtl_netlist::{verilog, CellId, CellSet, Netlist, NetlistStats, SubsetStats};
 use gtl_tangled::candidate::{score_curve, CandidateConfig};
 use gtl_tangled::metrics::{self, baseline, DesignContext};
-use gtl_tangled::{FinderConfig, GrowthConfig, MetricKind, OrderingGrower, TangledLogicFinder};
+use gtl_tangled::{FinderConfig, GrowthConfig, MetricKind, OrderingGrower};
 
 /// Usage text printed by `--help` and on argument errors.
 pub const USAGE: &str = "\
@@ -230,15 +231,13 @@ fn cmd_stats(args: &[String]) -> Result<String, ApiError> {
 fn cmd_find(args: &[String]) -> Result<String, ApiError> {
     let netlist = load_netlist(want_file(args)?)?;
     let config = finder_from_args(&netlist, args)?;
+    let (session, response) = session_find(netlist, config)?;
     if args.iter().any(|a| a == "--json") {
-        // Same contract as one `gtl serve` round-trip: build the session,
-        // dispatch a FindRequest, print the FindResponse JSON — the exact
-        // payload bytes the server would answer with.
-        let session = Session::builder().netlist(netlist).build()?;
-        let response = session.find(&FindRequest::new(config))?;
+        // Same contract as one `gtl serve` round-trip: the FindResponse
+        // JSON is the exact payload bytes the server would answer with.
         return Ok(serde::json::to_string(&response) + "\n");
     }
-    let result = TangledLogicFinder::new(&netlist, config).run();
+    let (netlist, result) = (session.netlist(), &response.result);
 
     let mut out = String::new();
     let _ = writeln!(
@@ -363,19 +362,31 @@ fn finder_from_args(netlist: &Netlist, args: &[String]) -> Result<FinderConfig, 
     })
 }
 
+/// Runs the finder through [`Session::find`], as `gtl serve` does, so
+/// every output mode validates the request the same way.
+fn session_find(
+    netlist: Netlist,
+    config: FinderConfig,
+) -> Result<(Session, FindResponse), ApiError> {
+    let session = Session::builder().netlist(netlist).build()?;
+    let response = session.find(&FindRequest::new(config))?;
+    Ok((session, response))
+}
+
 fn cmd_blocks(args: &[String]) -> Result<String, ApiError> {
     let netlist = load_netlist(want_file(args)?)?;
     let config = finder_from_args(&netlist, args)?;
     let whitespace: f64 = parse_flag(args, "--whitespace", 0.3f64)?;
-    let result = TangledLogicFinder::new(&netlist, config).run();
+    let (session, FindResponse { result, .. }) = session_find(netlist, config)?;
+    let netlist = session.netlist();
     if result.gtls.is_empty() {
         return Ok("(no tangled structures found — nothing to floorplan)\n".into());
     }
-    let die = gtl_place::Die::for_netlist(&netlist, 0.7);
-    let placement = gtl_place::place(&netlist, &die, &gtl_place::PlacerConfig::default());
+    let die = gtl_place::Die::for_netlist(netlist, 0.7);
+    let placement = gtl_place::place(netlist, &die, &gtl_place::PlacerConfig::default());
     let gtls: Vec<Vec<CellId>> = result.gtls.iter().map(|g| g.cells.clone()).collect();
     let blocks = gtl_place::softblock::plan_soft_blocks(
-        &netlist,
+        netlist,
         &placement,
         &gtls,
         &die,
@@ -416,13 +427,13 @@ fn cmd_resynth(args: &[String]) -> Result<String, ApiError> {
     let netlist = load_netlist(want_file(args)?)?;
     let config = finder_from_args(&netlist, args)?;
     let max_fanout: usize = parse_flag(args, "--max-fanout", 3usize)?;
-    let result = TangledLogicFinder::new(&netlist, config).run();
+    let (session, FindResponse { result, .. }) = session_find(netlist, config)?;
     if result.gtls.is_empty() {
         return Ok("(no tangled structures found — nothing to resynthesize)\n".into());
     }
     let all_cells: Vec<CellId> = result.gtls.iter().flat_map(|g| g.cells.iter().copied()).collect();
     let (resynth, report) = gtl_synth::resynth::resynthesize(
-        &netlist,
+        session.netlist(),
         &all_cells,
         &gtl_synth::resynth::ResynthConfig { max_fanout },
     );
@@ -482,16 +493,18 @@ fn cmd_serve(args: &[String]) -> Result<String, ApiError> {
     let netlist_dir = flag_value(args, "--netlist-dir").map(std::path::PathBuf::from);
     let session = Session::builder().netlist(netlist).build()?;
     let dispatcher = SessionDispatcher::new(&session, max_netlists, registry_bytes, netlist_dir);
+    // The fixed metrics port first: bound after it, a `--port 0`
+    // listener could take that very port.
+    let metrics_listener = match metrics_port {
+        0 => None,
+        p => Some(gtl_api::bind(&format!("{addr}:{p}"))?),
+    };
     let listener = gtl_api::bind(&format!("{addr}:{port}"))?;
     let local = listener.local_addr().map_err(ApiError::from)?;
-    let metrics_listener = if metrics_port > 0 {
-        let l = gtl_api::bind(&format!("{addr}:{metrics_port}"))?;
+    if let Some(l) = &metrics_listener {
         let at = l.local_addr().map_err(ApiError::from)?;
         eprintln!("gtl: Prometheus scrape endpoint at http://{at}/metrics");
-        Some(l)
-    } else {
-        None
-    };
+    }
     // Readiness goes to stderr immediately (stdout is returned only when
     // the server finishes, which without --max-conns is never).
     eprintln!("gtl: serving {path} on {local} (JSON lines; Ctrl-C to stop)");
@@ -826,6 +839,19 @@ mod tests {
         assert_eq!(err.exit_code(), 2);
         let err = run(&argv(&["synth", "--cells", "100"])).unwrap_err();
         assert!(err.to_string().contains("--out"), "{err}");
+    }
+
+    #[test]
+    fn finder_commands_validate_like_json_find() {
+        let path = fixture_path("finder_commands_validate_like_json_find");
+        for bad in [["--seeds", "0"], ["--max-order", "0"]] {
+            let json = run(&argv(&["find", &path, bad[0], bad[1], "--json"])).unwrap_err();
+            assert_eq!((json.code(), json.exit_code()), ("invalid_argument", 2), "{json}");
+            for command in ["find", "blocks", "resynth"] {
+                let err = run(&argv(&[command, &path, bad[0], bad[1]])).unwrap_err();
+                assert_eq!(err, json, "{command} {bad:?}");
+            }
+        }
     }
 
     #[test]

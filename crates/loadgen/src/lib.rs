@@ -25,9 +25,10 @@
 //! server shape produce byte-identical response logs; the determinism
 //! matrix in CI holds that across server thread/chunk shapes.
 //!
-//! Connection fan-out goes through [`gtl_core::exec::parallel_map`] (the
-//! workspace's only sanctioned fan-out primitive — `gtl-lint` enforces
-//! this); the record proxy is single-threaded by design.
+//! Socket I/O runs on blocking threads, as in `gtl serve`, not on the
+//! compute pool [`gtl_core::exec`], which caps workers at the core count:
+//! a replay drives every connection at once, and the record proxy pumps
+//! each direction of its one client connection on its own thread.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -6,28 +6,25 @@
 //! per-connection sequence number and arrival offset. Point clients at
 //! the proxy instead of the server and traffic records itself.
 //!
-//! The proxy is deliberately single-threaded (the workspace's
-//! no-raw-thread rule applies to I/O crates too): it serves one client
-//! connection at a time with short socket read timeouts, pumping both
-//! directions from one loop. Concurrent clients queue in the listen
-//! backlog — fine for the capture use case, which cares about request
-//! content and pacing, not proxy throughput.
+//! The proxy serves one client connection at a time on two blocking
+//! threads: the calling thread forwards the client's bytes upstream and
+//! captures the request lines, a second one copies the replies back.
+//! Concurrent clients queue in the listen backlog — fine for the capture
+//! use case, which cares about request content and pacing, not proxy
+//! throughput.
 
-use std::io::{ErrorKind, Read, Write};
+use std::io::{Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
 use gtl_api::ApiError;
 
-use crate::replay::connect_with_retry;
+use crate::replay::{connect_with_retry, Hangup};
 use crate::trace::{render_line, TraceRecord};
 
 /// Cap on one captured request line; longer lines abort the recording.
 pub const MAX_LINE_BYTES: usize = 1 << 20;
-
-/// Poll interval for the duplex pump.
-const POLL: Duration = Duration::from_millis(5);
 
 /// Configuration for [`record`].
 #[derive(Debug, Clone)]
@@ -112,7 +109,7 @@ pub fn record_with_listener(
     Ok(RecordSummary { connections, requests })
 }
 
-/// Pumps one client connection against the upstream, handing each
+/// Proxies one client connection against the upstream, handing each
 /// complete request line to `sink`. Returns the number of lines captured.
 fn proxy_connection(
     client: &TcpStream,
@@ -122,79 +119,75 @@ fn proxy_connection(
     sink: &mut dyn FnMut(&TraceRecord) -> Result<(), ApiError>,
 ) -> Result<u64, ApiError> {
     let upstream = connect_with_retry(&options.upstream, options.connect_timeout)?;
-    client.set_read_timeout(Some(POLL)).map_err(ApiError::from)?;
-    upstream.set_read_timeout(Some(POLL)).map_err(ApiError::from)?;
-    // The pump forwards each chunk as it reads it, so a reply longer than
-    // one chunk leaves in several writes; with Nagle's algorithm on, every
+    // Each chunk is forwarded as it is read, so a reply longer than one
+    // chunk leaves in several writes; with Nagle's algorithm on, every
     // write after the first would wait for the peer's delayed ACK.
     client.set_nodelay(true).map_err(ApiError::from)?;
     upstream.set_nodelay(true).map_err(ApiError::from)?;
-    let mut client_r = client;
-    let mut upstream_r = &upstream;
+    let hangup = Hangup::new([client, &upstream]);
+    // gtl-lint: allow(no-raw-thread, reason = "blocking socket I/O: the proxy's second thread copies replies back to the client; no compute fans out here")
+    let captured = std::thread::scope(|scope| {
+        // The upstream closing ends the connection, as does a failed copy.
+        scope.spawn(|| {
+            hangup.end(&std::io::copy(&mut &upstream, &mut &*client).map_err(ApiError::from))
+        });
+        let captured = forward_requests(client, &upstream, &hangup, conn, start, sink);
+        if captured.is_err() {
+            hangup.end(&captured);
+        }
+        captured
+    });
+    hangup.outcome().unwrap_or(Ok(())).and(captured)
+}
 
+/// Forwards the client's bytes upstream and captures its request lines
+/// until the client closes or the connection ends.
+fn forward_requests(
+    client: &TcpStream,
+    upstream: &TcpStream,
+    hangup: &Hangup<'_, 2>,
+    conn: u32,
+    start: Instant,
+    sink: &mut dyn FnMut(&TraceRecord) -> Result<(), ApiError>,
+) -> Result<u64, ApiError> {
     let mut buf = [0u8; 8192];
     let mut acc: Vec<u8> = Vec::new();
     let mut seq = 0u32;
-    let mut client_open = true;
-
-    let mut capture = |acc: &mut Vec<u8>, upto: usize, seq: &mut u32| -> Result<(), ApiError> {
-        let mut line: Vec<u8> = acc.drain(..upto + 1).collect();
-        line.pop(); // the \n
-        if line.last() == Some(&b'\r') {
-            line.pop();
-        }
-        let text = String::from_utf8(line)
-            .map_err(|_| ApiError::bad_request("request line is not valid UTF-8"))?;
-        let offset_us = start.elapsed().as_micros() as u64;
-        sink(&TraceRecord::new(conn, *seq, offset_us, text))?;
-        *seq += 1;
-        Ok(())
-    };
-
+    let (mut client_r, mut upstream_w) = (client, upstream);
     loop {
-        if client_open {
-            match client_r.read(&mut buf) {
-                Ok(0) => {
-                    client_open = false;
-                    // Record a trailing unterminated fragment too — the
-                    // server sees those bytes and answers them at EOF.
-                    if !acc.is_empty() {
-                        acc.push(b'\n');
-                        let upto = acc.len() - 1;
-                        capture(&mut acc, upto, &mut seq)?;
-                    }
-                    let _ = upstream.shutdown(Shutdown::Write);
-                }
-                Ok(n) => {
-                    upstream_r.write_all(&buf[..n]).map_err(ApiError::from)?;
-                    acc.extend_from_slice(&buf[..n]);
-                    while let Some(pos) = acc.iter().position(|&b| b == b'\n') {
-                        capture(&mut acc, pos, &mut seq)?;
-                    }
-                    if acc.len() > MAX_LINE_BYTES {
-                        return Err(ApiError::bad_request(format!(
-                            "request line exceeds {MAX_LINE_BYTES} bytes"
-                        )));
-                    }
-                }
-                Err(e) if would_block(&e) => {}
-                Err(e) => return Err(e.into()),
-            }
+        let n = client_r.read(&mut buf).map_err(ApiError::from)?;
+        if n > 0 {
+            upstream_w.write_all(&buf[..n]).map_err(ApiError::from)?;
+            acc.extend_from_slice(&buf[..n]);
+        } else if hangup.outcome().is_some() {
+            // End of file after the other thread ended the connection is
+            // not the client's.
+            return Ok(seq as u64);
+        } else if !acc.is_empty() {
+            // Record a trailing unterminated fragment too — the server
+            // sees those bytes and answers them at EOF.
+            acc.push(b'\n');
         }
-        match upstream_r.read(&mut buf) {
-            Ok(0) => break, // upstream closed: connection is done
-            Ok(n) => {
-                let mut client_w = client;
-                client_w.write_all(&buf[..n]).map_err(ApiError::from)?;
+        while let Some(pos) = acc.iter().position(|&b| b == b'\n') {
+            let mut line: Vec<u8> = acc.drain(..=pos).collect();
+            line.pop(); // the \n
+            if line.last() == Some(&b'\r') {
+                line.pop();
             }
-            Err(e) if would_block(&e) => {}
-            Err(e) => return Err(e.into()),
+            let text = String::from_utf8(line)
+                .map_err(|_| ApiError::bad_request("request line is not valid UTF-8"))?;
+            let offset_us = start.elapsed().as_micros() as u64;
+            sink(&TraceRecord::new(conn, seq, offset_us, text))?;
+            seq += 1;
+        }
+        if n == 0 {
+            let _ = upstream.shutdown(Shutdown::Write);
+            return Ok(seq as u64);
+        }
+        if acc.len() > MAX_LINE_BYTES {
+            return Err(ApiError::bad_request(format!(
+                "request line exceeds {MAX_LINE_BYTES} bytes"
+            )));
         }
     }
-    Ok(seq as u64)
-}
-
-/// True for the two kinds a timed-out socket read surfaces as.
-pub(crate) fn would_block(e: &std::io::Error) -> bool {
-    matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut)
 }

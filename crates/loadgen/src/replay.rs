@@ -20,22 +20,30 @@
 //! protocol answers in order, and the response log concatenates
 //! connections in id order — so two replays of the same trace against
 //! the same server shape are byte-identical, which is what `--expect`
-//! checks. Connection fan-out uses [`gtl_core::exec::parallel_map`].
+//! checks. Each connection then runs on its own blocking thread (plus a
+//! reader in open loop), so all of them are in flight at once; a trace
+//! names at most [`MAX_REPLAY_CONNECTIONS`] connections.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::io::{BufRead, BufReader, Read, Write};
-use std::net::TcpStream;
+use std::net::{Shutdown, TcpStream};
 use std::path::PathBuf;
-use std::sync::Mutex;
+use std::sync::mpsc::{self, RecvTimeoutError, TryRecvError};
+use std::sync::{Arc, Mutex};
+use std::thread::Scope;
 use std::time::{Duration, Instant};
 
 use gtl_api::{request_kind, ApiError, REQUEST_KINDS};
-use gtl_core::exec::parallel_map;
 use gtl_core::obs::LatencyHistogram;
 use serde::Value;
 
-use crate::record::would_block;
 use crate::trace::TraceRecord;
+
+/// Most connections one replay drives: `gtl serve`'s default
+/// `--max-concurrent` gate, past which a default server never accepts
+/// the extra connections. Each connection runs on one thread, plus a
+/// reader in open loop.
+pub const MAX_REPLAY_CONNECTIONS: usize = 256;
 
 /// How replayed requests are paced.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -54,16 +62,6 @@ pub enum ReplayMode {
         /// recorded offsets.
         rate: f64,
     },
-}
-
-impl ReplayMode {
-    /// The mode tag used in summaries (`"closed"` / `"open"`).
-    pub fn tag(&self) -> &'static str {
-        match self {
-            ReplayMode::Closed { .. } => "closed",
-            ReplayMode::Open { .. } => "open",
-        }
-    }
 }
 
 /// Configuration for [`run`].
@@ -152,9 +150,11 @@ impl ReplayReport {
     /// Renders the machine-readable summary consumed by the
     /// `gtl-bench trend` gate (`results/loadgen.json` shape).
     pub fn summary_json(&self) -> String {
-        let knob = match self.mode {
-            ReplayMode::Closed { inflight } => ("inflight", Value::U64(inflight as u64)),
-            ReplayMode::Open { rate } => ("rate", Value::num(rate)),
+        let (mode, knob) = match self.mode {
+            ReplayMode::Closed { inflight } => {
+                ("closed", ("inflight", Value::U64(inflight as u64)))
+            }
+            ReplayMode::Open { rate } => ("open", ("rate", Value::num(rate))),
         };
         let kinds = self.kinds.iter().map(|k| {
             Value::obj([
@@ -167,7 +167,7 @@ impl ReplayReport {
             ])
         });
         let run = Value::obj(vec![
-            ("mode", Value::str(self.mode.tag())),
+            ("mode", Value::str(mode)),
             knob,
             ("requests", Value::U64(self.requests)),
             ("responses", Value::U64(self.responses)),
@@ -190,13 +190,10 @@ struct PlanItem {
     line: String,
 }
 
-/// What one connection's replay produced. The stream rides along so all
-/// connections stay open until after the optional metrics scrape.
+/// What one connection's replay produced.
 struct ConnOutput {
     responses: Vec<String>,
     hists: Vec<LatencyHistogram>,
-    /// Held only to keep the connection open until the scrape.
-    _stream: TcpStream,
 }
 
 /// Replays the trace and handles the report's file outputs: writes
@@ -235,44 +232,44 @@ pub fn run(records: &[TraceRecord], options: &ReplayOptions) -> Result<ReplayRep
     Ok(report)
 }
 
-/// Drives the trace against the server and collects the report. Pure
-/// replay: no file outputs, no golden comparison (see [`run`]).
-///
-/// # Errors
-///
-/// [`ApiError::BadRequest`] for an empty trace or invalid options,
-/// [`ApiError::Io`] when a connection fails or the server closes one
-/// mid-replay.
-pub fn replay(records: &[TraceRecord], options: &ReplayOptions) -> Result<ReplayReport, ApiError> {
+/// Drives the trace against the server and collects the report, with no
+/// file outputs and no golden comparison.
+fn replay(records: &[TraceRecord], options: &ReplayOptions) -> Result<ReplayReport, ApiError> {
     let plans = build_plans(records, options.mode, options.repeat)?;
-    let streams: Vec<Mutex<Option<TcpStream>>> = {
-        // Serial, in connection-id order: the server's accept order (and
-        // its v5 trace-ID stamps) must be a pure function of the trace.
-        let mut out = Vec::with_capacity(plans.len());
-        for _ in &plans {
-            out.push(Mutex::new(Some(connect_with_retry(&options.addr, options.connect_timeout)?)));
-        }
-        out
-    };
+    // Serial, in connection-id order: the server's accept order (and its
+    // v5 trace-ID stamps) must be a pure function of the trace.
+    let streams = plans
+        .iter()
+        .map(|_| connect_with_retry(&options.addr, options.connect_timeout))
+        .collect::<Result<Vec<_>, _>>()?;
     let mode = options.mode;
     let start = Instant::now();
-    let outputs: Vec<Result<ConnOutput, ApiError>> = parallel_map(plans.len(), plans.len(), |i| {
-        let stream = streams[i]
-            .lock()
-            .map_err(|_| ApiError::io("replay connection state poisoned"))?
-            .take()
-            .ok_or_else(|| ApiError::io("replay connection taken twice"))?;
-        run_conn(stream, &plans[i].1, mode, start)
+    // gtl-lint: allow(no-raw-thread, reason = "blocking socket I/O, one thread per replay connection plus its reader in open loop, at most MAX_REPLAY_CONNECTIONS; no compute fans out here")
+    let outputs: Result<Vec<ConnOutput>, ApiError> = std::thread::scope(|scope| {
+        let handles: Vec<_> = streams
+            .iter()
+            .zip(&plans)
+            .map(|(stream, (_, plan))| {
+                scope.spawn(move || match mode {
+                    ReplayMode::Closed { inflight } => run_conn_closed(stream, plan, inflight),
+                    ReplayMode::Open { .. } => run_conn_open(scope, stream, plan, start),
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+            .collect()
     });
     let wall_seconds = start.elapsed().as_secs_f64().max(1e-9);
-    let outputs: Vec<ConnOutput> = outputs.into_iter().collect::<Result<_, _>>()?;
+    let outputs = outputs?;
 
     let scrape = match &options.scrape_addr {
         Some(addr) => Some(scrape_metrics(addr, options.connect_timeout)?),
         None => None,
     };
-    let mut merged: Vec<LatencyHistogram> =
-        (0..REQUEST_KINDS.len()).map(|_| LatencyHistogram::new()).collect();
+    drop(streams); // now the replay connections close
+    let mut merged = kind_histograms();
     let mut log = String::new();
     let mut responses = 0u64;
     for output in &outputs {
@@ -285,7 +282,6 @@ pub fn replay(records: &[TraceRecord], options: &ReplayOptions) -> Result<Replay
         }
         responses += output.responses.len() as u64;
     }
-    drop(outputs); // now the replay connections close
 
     let requests: u64 = plans.iter().map(|(_, plan)| plan.len() as u64).sum();
     let kinds = REQUEST_KINDS
@@ -340,6 +336,12 @@ fn build_plans(
     for record in records {
         by_conn.entry(record.conn).or_default().push(record);
     }
+    if by_conn.len() > MAX_REPLAY_CONNECTIONS {
+        return Err(ApiError::bad_request(format!(
+            "trace has {} connections; a replay drives at most {MAX_REPLAY_CONNECTIONS}",
+            by_conn.len()
+        )));
+    }
     // One repetition spans the recorded window; later repetitions shift
     // past it so recorded-offset pacing stays monotonic per connection.
     let span_us = records.iter().map(|r| r.offset_us).max().unwrap_or(0) + 1;
@@ -378,32 +380,15 @@ fn build_plans(
     Ok(plans)
 }
 
-/// Replays one connection's plan.
-fn run_conn(
-    stream: TcpStream,
-    plan: &[PlanItem],
-    mode: ReplayMode,
-    start: Instant,
-) -> Result<ConnOutput, ApiError> {
-    let mut hists: Vec<LatencyHistogram> =
-        (0..REQUEST_KINDS.len()).map(|_| LatencyHistogram::new()).collect();
-    let responses = match mode {
-        ReplayMode::Closed { inflight } => run_conn_closed(&stream, plan, inflight, &mut hists)?,
-        ReplayMode::Open { .. } => run_conn_open(&stream, plan, start, &mut hists)?,
-    };
-    Ok(ConnOutput { responses, hists, _stream: stream })
-}
-
 /// Closed loop: keep up to `inflight` requests outstanding, blocking on
 /// responses to refill the window.
 fn run_conn_closed(
     stream: &TcpStream,
     plan: &[PlanItem],
     inflight: usize,
-    hists: &mut [LatencyHistogram],
-) -> Result<Vec<String>, ApiError> {
-    stream.set_read_timeout(None).map_err(ApiError::from)?;
-    let mut reader = BufReader::new(stream.try_clone().map_err(ApiError::from)?);
+) -> Result<ConnOutput, ApiError> {
+    let mut hists = kind_histograms();
+    let mut reader = BufReader::new(stream);
     let mut writer = stream;
     let mut window: VecDeque<(usize, Instant)> = VecDeque::with_capacity(inflight);
     let mut responses = Vec::with_capacity(plan.len());
@@ -433,91 +418,92 @@ fn run_conn_closed(
         hists[kind].record_us(sent.elapsed().as_micros() as u64);
         responses.push(finish_line(line)?);
     }
-    Ok(responses)
+    Ok(ConnOutput { responses, hists })
 }
 
-/// Open loop: send each request at its scheduled offset, draining
-/// responses opportunistically in between, then collect the stragglers.
-fn run_conn_open(
+/// Open loop: this thread sends each request at its scheduled offset
+/// while a reader thread on `scope` collects the responses. Each send
+/// time reaches the reader over a channel, in request order.
+fn run_conn_open<'scope>(
+    scope: &'scope Scope<'scope, '_>,
+    stream: &'scope TcpStream,
+    plan: &'scope [PlanItem],
+    start: Instant,
+) -> Result<ConnOutput, ApiError> {
+    let hangup = Arc::new(Hangup::new([stream]));
+    let (sent_tx, sent_rx) = mpsc::channel::<Instant>();
+    // Never sent on: the reader's end drops when it returns, which wakes
+    // a sleeping sender once the reader has failed.
+    let (reader_alive, reader_gone) = mpsc::channel::<()>();
+    let reader = {
+        let hangup = Arc::clone(&hangup);
+        scope.spawn(move || {
+            let _alive = reader_alive;
+            let read = read_open(stream, plan, &sent_rx);
+            if read.is_err() {
+                hangup.end(&read);
+            }
+            read
+        })
+    };
+    let mut writer = stream;
+    for item in plan {
+        let wait = (start + Duration::from_micros(item.target_us))
+            .saturating_duration_since(Instant::now());
+        if reader_gone.recv_timeout(wait) != Err(RecvTimeoutError::Timeout) {
+            break; // the reader failed; its error is the outcome
+        }
+        let written = writer.write_all(format!("{}\n", item.line).as_bytes());
+        if written.is_err() {
+            hangup.end(&written.map_err(ApiError::from));
+            break;
+        }
+        if sent_tx.send(Instant::now()).is_err() {
+            break;
+        }
+    }
+    drop(sent_tx); // the sending is over, which the reader can see
+    let read = reader.join().unwrap_or_else(|p| std::panic::resume_unwind(p));
+    hangup.outcome().unwrap_or(Ok(())).and(read)
+}
+
+/// The open-loop reader: books each response against its request's send
+/// time.
+fn read_open(
     stream: &TcpStream,
     plan: &[PlanItem],
-    start: Instant,
-    hists: &mut [LatencyHistogram],
-) -> Result<Vec<String>, ApiError> {
-    // The short timeout doubles as the wait-loop sleep: each poll blocks
-    // at most this long, keeping send times within ~2ms of schedule.
-    stream.set_read_timeout(Some(Duration::from_millis(2))).map_err(ApiError::from)?;
-    let mut reader = BufReader::new(stream.try_clone().map_err(ApiError::from)?);
-    let mut writer = stream;
-    let mut sent: Vec<(usize, Instant)> = Vec::with_capacity(plan.len());
-    let mut responses: Vec<String> = Vec::with_capacity(plan.len());
-    let mut partial: Vec<u8> = Vec::new();
-    let mut send_buf = String::new();
-    for item in plan {
-        let target = start + Duration::from_micros(item.target_us);
-        while Instant::now() < target {
-            poll_response(&mut reader, &mut partial, &mut responses, &sent, hists)?;
-        }
-        send_buf.clear();
-        send_buf.push_str(&item.line);
-        send_buf.push('\n');
-        writer.write_all(send_buf.as_bytes()).map_err(ApiError::from)?;
-        sent.push((item.kind, Instant::now()));
-    }
-    // Everything is sent; block for the remaining responses.
-    stream.set_read_timeout(None).map_err(ApiError::from)?;
+    sent: &mpsc::Receiver<Instant>,
+) -> Result<ConnOutput, ApiError> {
+    let mut hists = kind_histograms();
+    let mut reader = BufReader::new(stream);
+    let mut responses = Vec::with_capacity(plan.len());
     while responses.len() < plan.len() {
-        let n = reader.read_until(b'\n', &mut partial).map_err(ApiError::from)?;
-        if n == 0 || partial.last() != Some(&b'\n') {
-            return Err(ApiError::io(format!(
-                "server closed the connection after {} of {} responses",
-                responses.len(),
-                plan.len()
-            )));
+        let mut line = Vec::new();
+        let n = reader.read_until(b'\n', &mut line).map_err(ApiError::from)?;
+        if n == 0 || line.last() != Some(&b'\n') {
+            // The sender drops its end once every request is out.
+            while sent.try_recv().is_ok() {}
+            let when = match (sent.try_recv(), n) {
+                (Err(TryRecvError::Disconnected), _) => {
+                    format!("after {} of {} responses", responses.len(), plan.len())
+                }
+                (_, 0) => "mid-replay".to_string(),
+                _ => "mid-response".to_string(),
+            };
+            return Err(ApiError::io(format!("server closed the connection {when}")));
         }
-        complete_response(&mut partial, &mut responses, &sent, hists)?;
+        let at = sent
+            .recv()
+            .map_err(|_| ApiError::io("response received with no request outstanding"))?;
+        hists[plan[responses.len()].kind].record_us(at.elapsed().as_micros() as u64);
+        responses.push(finish_line(line)?);
     }
-    Ok(responses)
+    Ok(ConnOutput { responses, hists })
 }
 
-/// One bounded-wait read attempt; completes at most one response line.
-/// Partial bytes persist in `partial` across timeouts.
-fn poll_response(
-    reader: &mut BufReader<TcpStream>,
-    partial: &mut Vec<u8>,
-    responses: &mut Vec<String>,
-    sent: &[(usize, Instant)],
-    hists: &mut [LatencyHistogram],
-) -> Result<(), ApiError> {
-    match reader.read_until(b'\n', partial) {
-        Ok(0) => Err(ApiError::io("server closed the connection mid-replay")),
-        Ok(_) => {
-            if partial.last() == Some(&b'\n') {
-                complete_response(partial, responses, sent, hists)
-            } else {
-                // EOF with a dangling fragment.
-                Err(ApiError::io("server closed the connection mid-response"))
-            }
-        }
-        Err(e) if would_block(&e) => Ok(()),
-        Err(e) => Err(e.into()),
-    }
-}
-
-/// Books the completed line sitting in `partial` as the next response.
-fn complete_response(
-    partial: &mut Vec<u8>,
-    responses: &mut Vec<String>,
-    sent: &[(usize, Instant)],
-    hists: &mut [LatencyHistogram],
-) -> Result<(), ApiError> {
-    let line = std::mem::take(partial);
-    let (kind, at) = *sent
-        .get(responses.len())
-        .ok_or_else(|| ApiError::io("response received with no request outstanding"))?;
-    hists[kind].record_us(at.elapsed().as_micros() as u64);
-    responses.push(finish_line(line)?);
-    Ok(())
+/// One empty latency histogram per row of [`REQUEST_KINDS`].
+fn kind_histograms() -> Vec<LatencyHistogram> {
+    (0..REQUEST_KINDS.len()).map(|_| LatencyHistogram::new()).collect()
 }
 
 /// Strips the line terminator and validates UTF-8.
@@ -537,14 +523,12 @@ fn scrape_metrics(addr: &str, timeout: Duration) -> Result<String, ApiError> {
     stream
         .write_all(b"GET /metrics HTTP/1.0\r\nConnection: close\r\n\r\n")
         .map_err(ApiError::from)?;
-    stream.set_read_timeout(None).map_err(ApiError::from)?;
     let mut text = String::new();
     stream.read_to_string(&mut text).map_err(ApiError::from)?;
     Ok(text)
 }
 
-/// Connects to `addr`, retrying while the server boots. This replaces
-/// the shell retry loops CI used to wrap around `/dev/tcp` replays.
+/// Connects to `addr`, retrying while the server boots.
 pub(crate) fn connect_with_retry(addr: &str, timeout: Duration) -> Result<TcpStream, ApiError> {
     let start = Instant::now();
     loop {
@@ -560,6 +544,40 @@ pub(crate) fn connect_with_retry(addr: &str, timeout: Duration) -> Result<TcpStr
                 std::thread::sleep(Duration::from_millis(100));
             }
         }
+    }
+}
+
+/// How a connection served by two threads ends. The first thread to end
+/// it decides the outcome and shuts the sockets down, so the other
+/// thread's blocked read sees end of file and its writes fail; what that
+/// thread then makes of it is a consequence, not the cause.
+pub(crate) struct Hangup<'a, const N: usize> {
+    sockets: [&'a TcpStream; N],
+    outcome: Mutex<Option<Result<(), ApiError>>>,
+}
+
+impl<'a, const N: usize> Hangup<'a, N> {
+    pub(crate) fn new(sockets: [&'a TcpStream; N]) -> Self {
+        Self { sockets, outcome: Mutex::new(None) }
+    }
+
+    /// Ends the connection with `result` as its outcome, unless a thread
+    /// already ended it, and shuts every socket down.
+    pub(crate) fn end<T>(&self, result: &Result<T, ApiError>) {
+        let mut outcome = self.outcome.lock().unwrap_or_else(|e| e.into_inner());
+        if outcome.is_none() {
+            *outcome = Some(result.as_ref().map(drop).map_err(ApiError::clone));
+        }
+        drop(outcome);
+        for socket in self.sockets {
+            let _ = socket.shutdown(Shutdown::Both);
+        }
+    }
+
+    /// The outcome the first [`end`](Self::end) set; `None` while the
+    /// connection is open.
+    pub(crate) fn outcome(&self) -> Option<Result<(), ApiError>> {
+        self.outcome.lock().unwrap_or_else(|e| e.into_inner()).clone()
     }
 }
 
@@ -641,6 +659,27 @@ mod tests {
         assert!(build_plans(&records, ReplayMode::Closed { inflight: 1 }, 0).is_err());
         assert!(build_plans(&records, ReplayMode::Open { rate: -1.0 }, 1).is_err());
         assert!(build_plans(&records, ReplayMode::Open { rate: f64::NAN }, 1).is_err());
+    }
+
+    #[test]
+    fn a_trace_past_the_connection_limit_is_rejected_before_any_connect() {
+        assert_eq!(MAX_REPLAY_CONNECTIONS, gtl_api::RuntimeConfig::default().max_concurrent);
+        let trace = |conns: usize| -> Vec<TraceRecord> {
+            (0..conns as u32).map(|c| record(c, 0, 0, r#"{"Stats":{"v":1}}"#)).collect()
+        };
+        let at_limit = trace(MAX_REPLAY_CONNECTIONS);
+        let plans = build_plans(&at_limit, ReplayMode::Closed { inflight: 1 }, 1).unwrap();
+        assert_eq!(plans.len(), MAX_REPLAY_CONNECTIONS);
+        let past = trace(MAX_REPLAY_CONNECTIONS + 1);
+        for mode in [ReplayMode::Closed { inflight: 1 }, ReplayMode::Open { rate: 0.0 }] {
+            let err = build_plans(&past, mode, 1).unwrap_err();
+            assert_eq!(err.code(), "bad_request");
+            assert!(err.to_string().contains("at most 256"), "{err}");
+        }
+        // Many records on few connections are not limited.
+        let one_conn: Vec<TraceRecord> =
+            (0..1000).map(|seq| record(0, seq, 0, r#"{"Stats":{"v":1}}"#)).collect();
+        assert_eq!(build_plans(&one_conn, ReplayMode::Closed { inflight: 1 }, 1).unwrap().len(), 1);
     }
 
     #[test]

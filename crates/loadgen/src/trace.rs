@@ -14,7 +14,7 @@
 //! accepted via [`from_request_lines`], which wraps them as one
 //! connection sending back-to-back.
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader};
 use std::path::Path;
 
 use gtl_api::ApiError;
@@ -66,20 +66,6 @@ pub fn parse_line(line: &str) -> Result<TraceRecord, ApiError> {
         )));
     }
     Ok(record)
-}
-
-/// Writes a trace file (one record per line).
-///
-/// # Errors
-///
-/// Returns [`ApiError::Io`] on write failure.
-pub fn write_trace(path: impl AsRef<Path>, records: &[TraceRecord]) -> Result<(), ApiError> {
-    let mut out = std::io::BufWriter::new(std::fs::File::create(path)?);
-    for record in records {
-        writeln!(out, "{}", render_line(record))?;
-    }
-    out.flush()?;
-    Ok(())
 }
 
 /// Reads a trace file; blank lines and `#` comments are skipped.
@@ -141,7 +127,9 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("t.jsonl");
         let records = sample_records();
-        write_trace(&path, &records).unwrap();
+        // One rendered record per line, as the record proxy writes them.
+        let body: String = records.iter().map(|r| render_line(r) + "\n").collect();
+        std::fs::write(&path, body).unwrap();
         assert_eq!(read_trace(&path).unwrap(), records);
     }
 

@@ -2,9 +2,9 @@
 //! the captured trace against a fresh server and compare bytes.
 //!
 //! Raw `thread::scope` is fine here (test zone); the production proxy
-//! itself is single-threaded.
+//! runs one blocking thread per direction of its client connection.
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
 
 use gtl_api::{
@@ -110,4 +110,36 @@ fn proxy_captures_traffic_that_replays_byte_identically() {
     assert_eq!(report.responses, 2);
     let replayed: Vec<&str> = report.log.lines().collect();
     assert_eq!(replayed, client_lines.iter().map(String::as_str).collect::<Vec<_>>());
+}
+
+#[test]
+fn a_bad_request_line_ends_the_recording_while_both_peers_stay_connected() {
+    // Neither the client nor the upstream hangs up: the failing pump
+    // must shut both sockets down so the other pump returns too.
+    let trace_path = std::env::temp_dir()
+        .join(format!("gtl_loadgen_record_bad_line_{}.jsonl", std::process::id()));
+    let upstream = TcpListener::bind("127.0.0.1:0").unwrap();
+    let upstream_addr = upstream.local_addr().unwrap().to_string();
+    let proxy_listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let proxy_addr = proxy_listener.local_addr().unwrap().to_string();
+    let mut options = RecordOptions::new("ignored", &upstream_addr, &trace_path);
+    options.max_conns = 1;
+    let (err, upstream_saw, client_saw) = std::thread::scope(|scope| {
+        let server = scope.spawn(|| {
+            let (mut stream, _) = upstream.accept().unwrap();
+            let mut seen = Vec::new();
+            stream.read_to_end(&mut seen).unwrap();
+            seen
+        });
+        let proxy = scope.spawn(|| record_with_listener(&proxy_listener, &options));
+        let mut client = TcpStream::connect(&proxy_addr).unwrap();
+        client.write_all(b"\xff\xfe\n").unwrap();
+        let err = proxy.join().unwrap().unwrap_err();
+        let mut rest = Vec::new();
+        client.read_to_end(&mut rest).unwrap();
+        (err, server.join().unwrap(), rest)
+    });
+    assert_eq!(err.to_string(), "[bad_request] request line is not valid UTF-8");
+    assert_eq!(upstream_saw, b"\xff\xfe\n");
+    assert!(client_saw.is_empty());
 }

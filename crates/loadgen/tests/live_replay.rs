@@ -2,14 +2,17 @@
 //! loopback port and drive it with `gtl_loadgen::replay`.
 //!
 //! Raw `thread::scope` is fine here (test zone); production loadgen code
-//! fans out through `gtl_core::exec::parallel_map` only.
+//! runs its socket I/O on blocking threads, one per replay connection.
 
+use std::io::{BufRead, BufReader, Write};
+use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
+use std::time::{Duration, Instant};
 
 use gtl_api::{
     bind, serve, FindRequest, Request, RuntimeConfig, Session, SessionDispatcher, StatsRequest,
 };
-use gtl_loadgen::replay::{self, ReplayMode, ReplayOptions, ReplayReport};
+use gtl_loadgen::replay::{self, ReplayMode, ReplayOptions, ReplayReport, MAX_REPLAY_CONNECTIONS};
 use gtl_loadgen::trace::TraceRecord;
 use gtl_netlist::NetlistBuilder;
 use gtl_tangled::FinderConfig;
@@ -205,4 +208,71 @@ fn scrape_captures_metrics_while_connections_are_open() {
     assert!(scrape.contains("200 OK"), "{scrape}");
     assert!(scrape.contains("gtl_requests"), "{scrape}");
     assert_eq!(std::fs::read_to_string(&scrape_out).unwrap(), scrape);
+}
+
+#[test]
+fn replay_drives_every_connection_at_once() {
+    // One connection more than there are cores, against a server that
+    // answers only once every connection's request has arrived: a replay
+    // that drives fewer connections at a time never gets an answer. The
+    // server gives up after a deadline, so that replay fails instead of
+    // hanging.
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let conns = (cores + 1).min(MAX_REPLAY_CONNECTIONS);
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap().to_string();
+    let records: Vec<TraceRecord> =
+        (0..conns as u32).map(|c| TraceRecord::new(c, 0, 0, format!("request {c}"))).collect();
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let report = std::thread::scope(|scope| {
+        scope.spawn(|| {
+            let mut streams: Vec<TcpStream> = Vec::with_capacity(conns);
+            let mut lines = Vec::with_capacity(conns);
+            for _ in 0..conns {
+                streams.push(listener.accept().unwrap().0);
+            }
+            for stream in &streams {
+                let left = deadline.saturating_duration_since(Instant::now());
+                stream.set_read_timeout(Some(left.max(Duration::from_millis(1)))).unwrap();
+                let mut line = String::new();
+                match BufReader::new(stream).read_line(&mut line) {
+                    Ok(n) if n > 0 => lines.push(line),
+                    _ => return, // deadline passed: hang up on everyone
+                }
+            }
+            for (mut stream, line) in streams.iter().zip(lines) {
+                write!(stream, "answer to {line}").unwrap();
+            }
+        });
+        replay::run(&records, &ReplayOptions::new(&addr))
+    });
+    let report = report.expect("every connection must be in flight at once");
+    assert_eq!(report.responses, conns as u64);
+    let want: String = (0..conns).map(|c| format!("answer to request {c}\n")).collect();
+    assert_eq!(report.log, want);
+}
+
+#[test]
+fn open_loop_fails_when_the_server_hangs_up_not_when_the_next_send_is_due() {
+    // The server answers the first request and closes; the second
+    // request is due 10 s later. The reader sees the close, and the
+    // sleeping sender must stop then rather than at its send time.
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap().to_string();
+    let records =
+        vec![TraceRecord::new(0, 0, 0, "first"), TraceRecord::new(0, 1, 10_000_000, "second")];
+    let started = Instant::now();
+    let err = std::thread::scope(|scope| {
+        scope.spawn(|| {
+            let (stream, _) = listener.accept().unwrap();
+            let mut line = String::new();
+            BufReader::new(&stream).read_line(&mut line).unwrap();
+            (&stream).write_all(b"answer\n").unwrap();
+        });
+        let mut options = ReplayOptions::new(&addr);
+        options.mode = ReplayMode::Open { rate: 0.0 };
+        replay::run(&records, &options).unwrap_err()
+    });
+    assert_eq!(err.to_string(), "[io] server closed the connection mid-replay");
+    assert!(started.elapsed() < Duration::from_secs(5), "{:?}", started.elapsed());
 }

@@ -1,12 +1,13 @@
 //! The lanes' bounded fair-share job queue.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex};
 
 use crate::metrics::MetricsHub;
 
 /// The bounded fair-share job queue: per-tenant FIFOs drained in
-/// deterministic round-robin order.
+/// deterministic round-robin order. A tenant holds state only while it
+/// has queued jobs.
 ///
 /// `push` blocks on the limits and fails only once closed; `pop` drains
 /// everything admitted before returning `None` after close. Beyond a
@@ -35,9 +36,10 @@ struct FairState<T> {
     quota: usize,
     len: usize,
     closed: bool,
-    queues: HashMap<String, VecDeque<T>>,
-    /// Tenants with at least one queued job, in service order.
-    rotation: VecDeque<String>,
+    /// Tenants with at least one queued job, in service order, each with
+    /// its FIFO. A tenant leaves when its FIFO drains, so at most
+    /// `capacity` are here and a linear scan finds one.
+    rotation: VecDeque<(String, VecDeque<T>)>,
     /// The tenant served by the previous pop, for the structural
     /// starvation check (see [`MetricsHub::fair_share_violation`]).
     last_popped: Option<String>,
@@ -59,7 +61,6 @@ impl<T> FairQueue<T> {
                 quota,
                 len: 0,
                 closed: false,
-                queues: HashMap::new(),
                 rotation: VecDeque::new(),
                 last_popped: None,
                 last_pop_had_others: false,
@@ -74,18 +75,19 @@ impl<T> FairQueue<T> {
     pub(crate) fn push(&self, tenant: &str, item: T) -> Result<(), T> {
         let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
         loop {
-            if state.closed {
+            let st = &mut *state;
+            if st.closed {
                 return Err(item);
             }
-            let tenant_len = state.queues.get(tenant).map_or(0, VecDeque::len);
-            if state.len < state.capacity && tenant_len < state.quota {
-                if tenant_len == 0 {
+            let queue = st.rotation.iter_mut().find(|(name, _)| name == tenant).map(|(_, q)| q);
+            if st.len < st.capacity && queue.as_ref().map_or(0, |q| q.len()) < st.quota {
+                match queue {
+                    Some(queue) => queue.push_back(item),
                     // Empty → non-empty: the tenant (re)joins the
                     // rotation at the back — "ties by submission order".
-                    state.rotation.push_back(tenant.to_string());
+                    None => st.rotation.push_back((tenant.to_string(), VecDeque::from([item]))),
                 }
-                state.queues.entry(tenant.to_string()).or_default().push_back(item);
-                state.len += 1;
+                st.len += 1;
                 self.ready.notify_one();
                 return Ok(());
             }
@@ -98,12 +100,12 @@ impl<T> FairQueue<T> {
     pub(crate) fn pop(&self, hub: &MetricsHub) -> Option<T> {
         let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
         loop {
-            if let Some(tenant) = state.rotation.pop_front() {
-                // gtl-lint: allow(no-panic-on-serve-path, reason = "push inserts the queue before enqueueing the tenant in the rotation")
-                let queue = state.queues.get_mut(&tenant).expect("rotation tenant has a queue");
-                // gtl-lint: allow(no-panic-on-serve-path, reason = "a tenant leaves the rotation when its queue drains, so rotation members have work")
-                let item = queue.pop_front().expect("rotation tenant has work");
-                let more = !queue.is_empty();
+            if let Some((tenant, mut queue)) = state.rotation.pop_front() {
+                // A tenant leaves the rotation when its queue drains, so
+                // this always finds work.
+                let Some(item) = queue.pop_front() else {
+                    continue;
+                };
                 // Structural starvation check: serving the same tenant
                 // twice in a row while another tenant has been waiting
                 // since the previous pop would mean the rotation is
@@ -112,10 +114,13 @@ impl<T> FairQueue<T> {
                     hub.fair_share_violation();
                 }
                 state.last_pop_had_others = !state.rotation.is_empty();
-                if more {
-                    state.rotation.push_back(tenant.clone());
-                }
-                state.last_popped = Some(tenant);
+                state.last_popped = Some(if queue.is_empty() {
+                    tenant
+                } else {
+                    let name = tenant.clone();
+                    state.rotation.push_back((tenant, queue));
+                    name
+                });
                 state.len -= 1;
                 self.vacancy.notify_all();
                 return Some(item);
@@ -188,6 +193,36 @@ mod tests {
         assert_eq!(queue.pop(&hub), Some(10));
         assert_eq!(queue.pop(&hub), Some(2));
         assert_eq!(queue.len(), 0);
+    }
+
+    #[test]
+    fn fair_queue_forgets_drained_tenants() {
+        let queue: FairQueue<usize> = FairQueue::new(8, 2);
+        let hub = test_hub();
+        for i in 0..1000 {
+            queue.push(&format!("tenant-{i}"), i).unwrap();
+            if i % 2 == 1 {
+                assert_eq!(queue.pop(&hub), Some(i - 1));
+                assert_eq!(queue.pop(&hub), Some(i));
+            }
+        }
+        let state = queue.state.lock().unwrap();
+        // Every field named: a new one must say here whether it holds
+        // per-tenant state.
+        let FairState {
+            capacity: _,
+            quota: _,
+            len,
+            closed: _,
+            rotation,
+            last_popped,
+            last_pop_had_others: _,
+        } = &*state;
+        assert_eq!(*len, 0);
+        assert!(rotation.is_empty(), "{} drained tenants kept", rotation.len());
+        // The starvation check remembers one name, the last one served.
+        assert_eq!(last_popped.as_deref(), Some("tenant-999"));
+        assert_eq!(hub.snapshot(&ResponseCache::new(0)).fair_share_violations, 0);
     }
 
     #[test]

@@ -765,6 +765,9 @@ fn read_side<'j, H: LineHandler>(
         let Some(Slot { seq, mut reply, in_order }) = conn.acquire_slot() else {
             break; // the writer died; stop producing
         };
+        // Admitted: the request's span and its deadline start here, so
+        // both cover the parse below.
+        let submitted = Instant::now();
         rt.hub.request_submitted();
         // The line's one classification (for a JSON handler, its one
         // parse), on the I/O thread: the fair-share queue bounds the
@@ -772,7 +775,6 @@ fn read_side<'j, H: LineHandler>(
         // the compute read the same parse.
         let mut classified = rt.handler.classify(line);
         let trace = TraceId { conn: conn_id as u64, seq };
-        let submitted = Instant::now();
         // Nothing can overtake an in-order request: only this thread
         // completes `seq`, and the writer has nothing before it to write.
         let mut missed_key = None;
@@ -801,7 +803,14 @@ fn read_side<'j, H: LineHandler>(
             unflushed = false;
         }
         let tenant = std::mem::take(&mut classified.tenant);
-        let request = Admitted { trace, line: line.to_string(), classified, missed_key, submitted };
+        let request = Admitted {
+            trace,
+            line: line.to_string(),
+            classified,
+            missed_key,
+            submitted,
+            queued: Instant::now(),
+        };
         let job: Job<'j> = Box::new({
             let conn = Arc::clone(conn);
             move || run_job(rt, &conn, request, reply)
@@ -884,8 +893,10 @@ struct Admitted<P> {
     /// The key an in-order request was already looked up under on the
     /// reader, and missed; `None` when the lane keys and looks it up.
     missed_key: Option<Vec<u8>>,
-    /// When the reader admitted the line.
+    /// When the reader admitted the line, before its parse.
     submitted: Instant,
+    /// When the reader queued the job.
+    queued: Instant,
 }
 
 /// One request's compute, run on a lane: cancellation probe, cache
@@ -902,7 +913,7 @@ fn run_job<H: LineHandler>(
     request: Admitted<H::Parsed>,
     mut out: String,
 ) {
-    let Admitted { trace, line, classified, missed_key, submitted } = request;
+    let Admitted { trace, line, classified, missed_key, submitted, queued } = request;
     let line = line.as_str();
     let TraceId { conn: conn_id, seq } = trace;
     // The connection died (token tripped) or this sequence number was
@@ -920,7 +931,7 @@ fn run_job<H: LineHandler>(
     // (never branched on), so recording them cannot change response
     // bytes — the obs byte-invisibility contract.
     let started = Instant::now();
-    rt.hub.observe_stage_us(Stage::QueueWait, Span::starting_at(submitted).end_at(started));
+    rt.hub.observe_stage_us(Stage::QueueWait, Span::starting_at(queued).end_at(started));
     out.clear();
     // The handler may fold request-independent state (e.g. a session
     // generation) into the key; computed once, used for both the lookup
@@ -1503,6 +1514,54 @@ pub(crate) mod tests {
                 Cacheability::Cacheable
             }
         }
+    }
+
+    /// Sleeps in `classify` on `slow-parse` lines (kind `"slow"`), as a
+    /// parse that takes long would.
+    struct SlowParse;
+
+    impl LineHandler for SlowParse {
+        type Parsed = ();
+
+        fn classify(&self, line: &str) -> Classified<()> {
+            if line == "slow-parse" {
+                std::thread::sleep(Duration::from_millis(200));
+                return Classified { kind: "slow", ..Classified::default() };
+            }
+            Classified::default()
+        }
+
+        fn handle(
+            &self,
+            _: &RequestContext<'_>,
+            line: &str,
+            _: &(),
+            out: &mut String,
+        ) -> Cacheability {
+            out.push_str(line);
+            Cacheability::Cacheable
+        }
+    }
+
+    #[test]
+    fn the_request_span_covers_the_parse_and_the_queue_wait_does_not() {
+        let listener = bind();
+        let addr = listener.local_addr().unwrap();
+        let config =
+            RuntimeConfig { lanes: 1, max_connections: Some(1), ..RuntimeConfig::default() };
+        let report = std::thread::scope(|scope| {
+            let server = scope.spawn(|| serve_lines(&listener, &config, &SlowParse, None).unwrap());
+            let lines = vec!["slow-parse".to_string(), "fast".to_string()];
+            assert_eq!(exchange_serially(addr, &lines), lines);
+            server.join().unwrap()
+        });
+        let max_us = |summaries: &[crate::metrics::LatencySummary], label: &str| {
+            summaries.iter().find(|s| s.label == label).map(|s| s.max_us)
+        };
+        let slow = max_us(&report.metrics.kind_latency, "slow").unwrap();
+        assert!(slow >= 200_000, "the slow kind's span missed its parse: {slow} us");
+        let queue_wait = max_us(&report.metrics.stage_latency, "queue_wait").unwrap();
+        assert!(queue_wait < 200_000, "the queue wait counted the parse: {queue_wait} us");
     }
 
     #[test]
