@@ -23,11 +23,13 @@
 //!   it hold their own [`Arc`] and finish normally; the memory is
 //!   released when the last one drops it.
 //! * **Cache transparency per session, never across sessions.** The
-//!   response-cache key for a session-addressed line is prefixed with
-//!   the session's registry *generation* — monotonically increasing and
-//!   never reused — so a reload under the same name can never be
-//!   answered with the previous load's bytes, while byte-identical
-//!   requests against one load keep hitting.
+//!   response cache is keyed by the request line alone, and each reply is
+//!   stamped with the *generation* of the session it was computed on —
+//!   `0` for the default session, a registry generation (monotonically
+//!   increasing, never reused) for a named one. A stored reply answers
+//!   only while its generation is still resident, so a reload under the
+//!   same name can never be answered with the previous load's bytes,
+//!   while byte-identical requests against one load keep hitting.
 
 use std::borrow::Cow;
 use std::path::{Component, Path, PathBuf};
@@ -334,36 +336,50 @@ impl<'s> SessionDispatcher<'s> {
         self.handle_cancellable(request, &CancelToken::new(), Instant::now(), None)
     }
 
-    /// The response-cache key for a request line: the raw line bytes,
-    /// except for a request addressing a *resolvable* named session
-    /// (v4+), whose key is prefixed with `s<generation>:`. Generations
-    /// are monotonic and never reused, so a reload under the same name
-    /// keys differently and can never serve the previous load's bytes —
-    /// cache transparency holds per session, never across sessions. The
-    /// session name comes from the line's parse, so every spelling of the
-    /// `session` key that the parser accepts keys alike. A line
-    /// addressing an unknown session keeps the raw key; it answers an
-    /// error, which is never cached.
+    /// A key for a cache of replies that holds no stamps: the raw line
+    /// bytes, prefixed with `s<generation>:` when the line addresses a
+    /// resident named session (v4+). Parses the line, and promotes the
+    /// session as a dispatch does. `gtl serve` does not use it: its cache
+    /// is keyed by the line alone and checks the reply's generation on a
+    /// hit. It stays for the benchmark's (`gtlperf`) in-process replay,
+    /// which links it.
     pub fn cache_key<'a>(&self, line: &'a str) -> Cow<'a, [u8]> {
-        self.parsed_cache_key(line, &classify(line).parsed)
+        match self.addressed_generation(&classify(line).parsed) {
+            Some(generation) if generation > 0 => {
+                Cow::Owned(format!("s{generation}:{line}").into_bytes())
+            }
+            _ => Cow::Borrowed(line.as_bytes()),
+        }
     }
 
-    /// [`SessionDispatcher::cache_key`] for `line` already parsed as
-    /// `parsed`: what the serve path computes before the lookup (on the
-    /// connection's reader for an in-order request, else on the lane) and
-    /// again on the lane after a cacheable compute. Both resolve the
-    /// session through the registry, promoting it exactly as a dispatch
-    /// does.
-    pub(crate) fn parsed_cache_key<'a>(&self, line: &'a str, parsed: &ParsedLine) -> Cow<'a, [u8]> {
-        let generation = match parsed.as_ref().ok().and_then(addressed_session) {
-            Some(DEFAULT_SESSION) => Some(0),
+    /// The generation of the session a request line (parsed as `parsed`)
+    /// addresses, which the serve path stamps its cached reply with: `0`
+    /// for the default session (no `session` field, a pre-v4 line,
+    /// `"default"`, or a line that does not parse), the registry
+    /// generation of a resident named session, and `None` for an unknown
+    /// one, whose request answers an error and is never cached. The
+    /// session name comes from the parse, so every spelling of the
+    /// `session` key that the parser accepts resolves alike. A named
+    /// session is promoted exactly as a dispatch promotes it.
+    pub(crate) fn addressed_generation(&self, parsed: &ParsedLine) -> Option<u64> {
+        match parsed.as_ref().ok().and_then(addressed_session) {
+            None | Some(DEFAULT_SESSION) => Some(0),
             Some(name) => self.registry.get(name).map(|(_, generation)| generation),
-            None => None,
-        };
-        match generation {
-            Some(generation) => Cow::Owned(format!("s{generation}:{line}").into_bytes()),
-            None => Cow::Borrowed(line.as_bytes()),
         }
+    }
+
+    /// Whether a reply stamped with `generation` may still answer its
+    /// line: `0` (the default session, never reloaded) always; any other
+    /// generation while the registry still holds it. Generations are
+    /// registry-wide and never reused, so a resident one names exactly
+    /// the load the reply was computed on — the one the line's session
+    /// name still resolves to. A resident session is promoted, as the
+    /// dispatch of the line would promote it, so the registry's eviction
+    /// order stays a function of the request sequence whether a request
+    /// hits or misses. The serve path asks under the response cache's
+    /// lock: lock order is cache, then registry.
+    pub(crate) fn generation_is_live(&self, generation: u64) -> bool {
+        generation == 0 || self.registry.touch_generation(generation)
     }
 
     /// The fair-share admission tenant of a request line: the session it
@@ -378,7 +394,7 @@ impl<'s> SessionDispatcher<'s> {
 }
 
 /// The session name a request addresses: its `session` field on a
-/// protocol version that has one (v4+). The dispatch and the cache key
+/// protocol version that has one (v4+). The dispatch and the cache stamp
 /// both resolve through here, so they always agree on the session.
 fn addressed_session(request: &Request) -> Option<&str> {
     request.session().filter(|_| (SESSION_SINCE_VERSION..=API_VERSION).contains(&request.v()))
@@ -618,44 +634,57 @@ mod tests {
     }
 
     #[test]
-    fn cache_keys_isolate_sessions_by_generation() {
+    fn cache_stamps_isolate_sessions_by_generation() {
         let default = ring_session(8);
-        let dir = netlist_dir("cache_key", &[("a", 5)]);
+        let dir = netlist_dir("cache_stamp", &[("a", 5)]);
         let d = SessionDispatcher::new(&default, 0, 0, Some(dir));
         d.load(&LoadNetlistRequest::new("a", "a.hgr")).unwrap();
+        let stamp = |line: &str| d.addressed_generation(&classify(line).parsed);
 
+        // The default session, however a line reaches it, is stamped 0.
         let plain = serde::json::to_string(&Request::Stats(StatsRequest::new()));
-        assert!(
-            matches!(d.cache_key(&plain), Cow::Borrowed(_)),
-            "default-session lines keep their raw bytes as the key"
-        );
+        assert_eq!(stamp(&plain), Some(0));
+        assert_eq!(stamp("not json"), Some(0));
+        let mut req = StatsRequest::new();
+        req.session = Some(DEFAULT_SESSION.into());
+        assert_eq!(stamp(&serde::json::to_string(&Request::Stats(req))), Some(0));
 
         let mut req = StatsRequest::new();
         req.session = Some("a".into());
         let addressed = serde::json::to_string(&Request::Stats(req));
-        let first = d.cache_key(&addressed).into_owned();
-        assert_eq!(first, format!("s1:{addressed}").into_bytes());
-        // The key reads the parse, not the raw bytes: an escaped spelling
-        // of the `session` key addresses — and keys by — the same session.
+        assert_eq!(stamp(&addressed), Some(1));
+        // The stamp reads the parse, not the raw bytes: an escaped spelling
+        // of the `session` key addresses — and is stamped by — the same
+        // session.
         let escaped = addressed.replace("\"session\"", "\"sess\\u0069on\"");
         assert_ne!(escaped, addressed);
-        assert_eq!(d.cache_key(&escaped).into_owned(), format!("s1:{escaped}").into_bytes());
+        assert_eq!(stamp(&escaped), Some(1));
+        assert!(d.generation_is_live(0) && d.generation_is_live(1));
 
-        // A reload under the same name gets a fresh generation: the same
-        // line bytes key differently, so the old load's cached responses
-        // can never answer for the new one.
+        // A reload under the same name gets a fresh generation: replies
+        // stamped with the old one can never answer for the new load.
         d.load(&LoadNetlistRequest::new("a", "a.hgr")).unwrap();
-        let second = d.cache_key(&addressed).into_owned();
-        assert_eq!(second, format!("s2:{addressed}").into_bytes());
-        assert_ne!(first, second);
+        assert_eq!(stamp(&addressed), Some(2));
+        assert!(!d.generation_is_live(1));
+        assert!(d.generation_is_live(2));
 
-        // Unknown sessions (error outcome, never cached) keep raw bytes.
+        // An unknown session answers an error, never cached; the unload
+        // retired generation 2. The default session is never reloaded.
         d.unload(&UnloadNetlistRequest::new("a")).unwrap();
-        assert!(matches!(d.cache_key(&addressed), Cow::Borrowed(_)));
+        assert_eq!(stamp(&addressed), None);
+        assert!(!d.generation_is_live(2));
+        assert!(d.generation_is_live(0));
 
-        // Pre-v4 lines carrying a session name are rejected by the
-        // session layer — raw key, uncacheable error.
+        // Pre-v4 lines carrying a session name reach the default session,
+        // which rejects them — an uncacheable error either way.
         let pre_v4 = addressed.replacen("\"v\":5", "\"v\":3", 1);
+        assert_eq!(stamp(&pre_v4), Some(0));
+
+        // The stamp-free key: the generation of a resident named session
+        // prefixed, every other line as itself.
+        d.load(&LoadNetlistRequest::new("a", "a.hgr")).unwrap();
+        assert_eq!(d.cache_key(&addressed).into_owned(), format!("s3:{addressed}").into_bytes());
+        assert!(matches!(d.cache_key(&plain), Cow::Borrowed(_)));
         assert!(matches!(d.cache_key(&pre_v4), Cow::Borrowed(_)));
     }
 

@@ -29,9 +29,11 @@
 //! sharded placer, congestion) still fans out through `gtl_core::exec`
 //! and is byte-identical for any worker count. Deterministic responses
 //! are additionally served from an LRU **response cache** keyed by the
-//! canonical request-line bytes (plus the addressed session's
-//! generation); a hit on a request whose connection has every earlier
-//! reply written is answered by the connection's reader without a lane.
+//! canonical request-line bytes alone; each stored reply carries the
+//! generation of the session it was computed on and answers only while
+//! that generation is resident. A hit on a request whose connection has
+//! every earlier reply written is answered by the connection's reader
+//! before the line is parsed, without a lane.
 //! A hit returns exactly the bytes a fresh compute would (property-tested), so
 //! the wire contract is unchanged for any lane count, cache size
 //! (including 0 = disabled) and pipeline depth: same request line, same
@@ -55,7 +57,6 @@
 //! [`serve()`] is given a side listener, a plain-HTTP `GET /metrics`
 //! scrape endpoint.
 
-use std::borrow::Cow;
 use std::net::TcpListener;
 use std::time::Instant;
 
@@ -144,11 +145,12 @@ pub fn serve(
 }
 
 /// The [`LineHandler`] gluing the runtime to a [`SessionDispatcher`]:
-/// classify (parse) each line once on the reader thread, key it by its
-/// addressed session's generation (on the reader when every earlier reply
-/// on its connection is written, else on the lane, after the requests
-/// ahead of it), and on a miss dispatch it on the lane and serialize into
-/// the runtime's recycled buffer.
+/// classify (parse) each line that the cache does not answer once on the
+/// reader thread, stamp it with its addressed session's generation (on
+/// the reader when every earlier reply on its connection is written,
+/// else on the lane, after the requests ahead of it), dispatch it on the
+/// lane and serialize into the runtime's recycled buffer. A stored reply
+/// answers while its generation is still resident.
 struct SessionHandler<'d, 's> {
     dispatcher: &'d SessionDispatcher<'s>,
 }
@@ -170,8 +172,12 @@ impl LineHandler for SessionHandler<'_, '_> {
         classify(line)
     }
 
-    fn cache_key<'a>(&self, line: &'a str, parsed: &ParsedLine) -> Cow<'a, [u8]> {
-        self.dispatcher.parsed_cache_key(line, parsed)
+    fn cache_stamp(&self, parsed: &ParsedLine) -> Option<u64> {
+        self.dispatcher.addressed_generation(parsed)
+    }
+
+    fn stamp_is_current(&self, generation: u64) -> bool {
+        self.dispatcher.generation_is_live(generation)
     }
 
     fn handle(

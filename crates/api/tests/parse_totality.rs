@@ -1,10 +1,11 @@
 //! The serve path's parse is total: `serde::json::parse`, and the
-//! classification plus cache key that the connection's reader computes
-//! for every in-order line (`SessionDispatcher::cache_key` runs exactly
-//! that pair), return a value for every input and never panic — on
-//! arbitrary bytes, every truncation of the golden request lines, deep
-//! nesting and numbers hundreds of digits long. A line that is not JSON
-//! keys as its own bytes.
+//! classification plus session-generation lookup that the connection's
+//! reader runs for every in-order line the cache does not answer
+//! (`SessionDispatcher::cache_key` runs exactly that pair), return a
+//! value for every input and never panic — on arbitrary bytes, every
+//! truncation of the golden request lines, deep nesting and numbers
+//! hundreds of digits long. A line that is not JSON keys as its own
+//! bytes.
 
 use std::path::{Path, PathBuf};
 

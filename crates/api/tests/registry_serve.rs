@@ -156,10 +156,11 @@ proptest! {
         prop_assert_eq!(&serial, &parallel, "lane count changed registry behavior");
     }
 
-    /// In-crate cache isolation: replaying load/query interleavings
-    /// against a simulated cache keyed by the dispatcher's session-aware
-    /// keys, every hit returns exactly the bytes a fresh dispatch
-    /// produces — across reloads that swap the netlist under the name.
+    /// Isolation of the stamp-free key (`SessionDispatcher::cache_key`,
+    /// which the benchmark's in-process replay caches by): replaying
+    /// load/query interleavings against a simulated cache keyed by it,
+    /// every hit returns exactly the bytes a fresh dispatch produces —
+    /// across reloads that swap the netlist under the name.
     #[test]
     fn dispatcher_cache_keys_stay_transparent_across_reloads(
         ops in proptest::collection::vec(0u8..3, 1..24),
@@ -365,8 +366,8 @@ fn flooding_tenant_cannot_perturb_a_trickler() {
 
 /// A Find pipelined behind a reload of its session on the same
 /// connection answers from the newly loaded design, even though the old
-/// design's reply for the same line is cached: the Find is keyed only
-/// after the reload ahead of it has run.
+/// design's reply for the same line is cached: the Find is looked up and
+/// stamped only after the reload ahead of it has run.
 #[test]
 fn a_find_pipelined_behind_a_reload_answers_from_the_new_design() {
     let dir = netlist_dir("pipelined_reload", &[("x_small", 5), ("x_large", 9)]);
@@ -454,4 +455,106 @@ fn negative_paths_over_the_wire() {
     // Only the default session remains.
     assert!(got[8].contains("\"name\":\"default\""), "{}", got[8]);
     assert!(!got[8].contains("\"name\":\"small\""), "{}", got[8]);
+}
+
+/// Boots a server over `dispatcher` for one connection, sends each line
+/// only after the previous reply arrived (so every line is in order and
+/// looked up on the connection's reader), and returns the replies with
+/// their trace stamps stripped, plus the server's report.
+fn exchange_serially(
+    dispatcher: &SessionDispatcher<'_>,
+    lines: &[String],
+) -> (Vec<String>, gtl_api::ServeReport) {
+    let config = RuntimeConfig { lanes: 1, max_connections: Some(1), ..RuntimeConfig::default() };
+    let listener = gtl_api::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    std::thread::scope(|scope| {
+        let server = scope.spawn(|| gtl_api::serve(dispatcher, &listener, &config, None).unwrap());
+        let mut conn = TcpStream::connect(addr).unwrap();
+        let mut reader = BufReader::new(conn.try_clone().unwrap());
+        let mut replies = Vec::new();
+        for line in lines {
+            writeln!(conn, "{line}").unwrap();
+            let mut reply = String::new();
+            reader.read_line(&mut reply).unwrap();
+            replies.push(strip_trace(reply.trim_end()));
+        }
+        conn.shutdown(std::net::Shutdown::Write).unwrap();
+        (replies, server.join().unwrap())
+    })
+}
+
+/// The reader-path twin of the pipelined-reload test: after a reload, an
+/// in-order repeat of a line whose reply is cached from the old load
+/// misses (its generation is no longer resident) and answers from the
+/// new design; the repeat after it hits the new reply.
+#[test]
+fn an_in_order_repeat_after_a_reload_answers_from_the_new_design() {
+    let dir = netlist_dir("in_order_reload", &[("x_small", 5), ("x_large", 9)]);
+    let session = default_session();
+    let find = find_line(Some("x"), 7);
+    let oracle = |file: &str| {
+        let path = dir.join(format!("{file}.hgr"));
+        Session::builder().load(path.to_str().unwrap()).unwrap().build().unwrap().handle_line(&find)
+    };
+    let (small, large) = (oracle("x_small"), oracle("x_large"));
+    assert_ne!(small, large, "the two designs must answer differently");
+
+    let dispatcher = SessionDispatcher::new(&session, 0, 0, Some(dir.clone()));
+    let script = [
+        load_line("x", "x_small.hgr"),
+        find.clone(),
+        find.clone(),
+        load_line("x", "x_large.hgr"),
+        find.clone(),
+        find.clone(),
+    ];
+    let (replies, report) = exchange_serially(&dispatcher, &script);
+    assert!(replies[0].contains("\"generation\":1"), "{}", replies[0]);
+    assert_eq!(replies[1..3], [small.clone(), small]);
+    assert!(replies[3].contains("\"generation\":2"), "{}", replies[3]);
+    assert_eq!(replies[4..], [large.clone(), large], "a reply from the replaced design");
+    // Hits: the second Find on each load. The stale entry counted a miss.
+    assert_eq!((report.metrics.cache_hits, report.metrics.cache_misses), (2, 4));
+}
+
+/// A cache hit keeps its session warm, as its dispatch would: with room
+/// for two sessions, a Find on `a` answered from the cache after Finds
+/// on `a` and `b` makes `b` the coldest, so loading `c` evicts `b`.
+#[test]
+fn a_hit_keeps_its_session_warm() {
+    let dir = netlist_dir("warm_hit", &[("a", 5), ("b", 6), ("c", 7)]);
+    let session = default_session();
+    let dispatcher = SessionDispatcher::new(&session, 2, 0, Some(dir));
+    let script = [
+        load_line("a", "a.hgr"),
+        load_line("b", "b.hgr"),
+        find_line(Some("a"), 5),
+        find_line(Some("b"), 5),
+        find_line(Some("a"), 5),
+        load_line("c", "c.hgr"),
+    ];
+    let (replies, report) = exchange_serially(&dispatcher, &script);
+    assert_eq!(report.metrics.cache_hits, 1, "the second Find on `a` hits: {:?}", report.metrics);
+    assert_eq!(replies[4], replies[2]);
+    assert!(replies[5].contains("\"evicted\":[\"b\"]"), "{}", replies[5]);
+}
+
+/// A Bookshelf design whose node size overflows to infinity loads as a
+/// `netlist` error, and the connection goes on: the Stats pipelined
+/// behind the LoadNetlist is answered.
+#[test]
+fn a_load_of_a_non_finite_bookshelf_design_answers_an_error_and_serves_on() {
+    let dir = netlist_dir("non_finite_bookshelf", &[]);
+    std::fs::write(dir.join("d.aux"), "RowBasedPlacement : d.nodes d.nets\n").unwrap();
+    std::fs::write(dir.join("d.nodes"), "NumNodes : 2\n a 1e309 1\n b 1 1\n").unwrap();
+    std::fs::write(dir.join("d.nets"), "NumNets : 1\nNetDegree : 2\n a I\n b O\n").unwrap();
+    let session = default_session();
+    let dispatcher = SessionDispatcher::new(&session, 0, 0, Some(dir));
+    let config = RuntimeConfig { lanes: 1, ..RuntimeConfig::default() };
+    let got = play_script(&dispatcher, config, &[load_line("d", "d.aux"), stats_line(None)]);
+    assert_eq!(got.len(), 2, "{got:?}");
+    assert!(got[0].contains("\"code\":\"netlist\""), "{}", got[0]);
+    assert!(got[0].contains("not finite"), "{}", got[0]);
+    assert!(got[1].starts_with("{\"Stats\":"), "{}", got[1]);
 }

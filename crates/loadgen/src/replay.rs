@@ -405,7 +405,8 @@ fn run_conn_closed(
         }
         let mut line = Vec::new();
         let n = reader.read_until(b'\n', &mut line).map_err(ApiError::from)?;
-        if n == 0 {
+        // A line without its `\n` was cut off by the server's close.
+        if n == 0 || line.last() != Some(&b'\n') {
             return Err(ApiError::io(format!(
                 "server closed the connection after {} of {} responses",
                 responses.len(),

@@ -276,3 +276,22 @@ fn open_loop_fails_when_the_server_hangs_up_not_when_the_next_send_is_due() {
     assert_eq!(err.to_string(), "[io] server closed the connection mid-replay");
     assert!(started.elapsed() < Duration::from_secs(5), "{:?}", started.elapsed());
 }
+
+#[test]
+fn closed_loop_fails_on_a_reply_cut_off_by_the_close() {
+    // The server answers with a fragment and closes: the fragment is not
+    // a response, in closed loop as in open loop.
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap().to_string();
+    let records = vec![TraceRecord::new(0, 0, 0, stats_line())];
+    let err = std::thread::scope(|scope| {
+        scope.spawn(|| {
+            let (stream, _) = listener.accept().unwrap();
+            let mut line = String::new();
+            BufReader::new(&stream).read_line(&mut line).unwrap();
+            (&stream).write_all(b"{\"Stats\":{\"v\":1,\"cel").unwrap();
+        });
+        replay::run(&records, &ReplayOptions::new(&addr)).unwrap_err()
+    });
+    assert_eq!(err.to_string(), "[io] server closed the connection after 0 of 1 responses");
+}

@@ -257,6 +257,14 @@ fn parse_nodes<R: Read>(scanner: &mut LineScanner<R>) -> Result<Vec<NodeRec>, Ne
         let name = toks.next().unwrap_or_default().to_string();
         let width: f64 = parse_f64(toks.next(), &label, i, "node width")?;
         let height: f64 = parse_f64(toks.next(), &label, i, "node height")?;
+        // `1e309`, `inf` and `NaN` all parse, and so can a product that
+        // overflows; the builder takes only a finite cell area.
+        if !(width * height).is_finite() {
+            return Err(NetlistError::syntax(
+                ParseContext::new(&label, i),
+                format!("node `{name}` size {width} x {height} is not finite"),
+            ));
+        }
         let terminal = toks.next().map(|t| t.eq_ignore_ascii_case("terminal")).unwrap_or(false);
         out.push(NodeRec { name, width, height, terminal });
     }
@@ -635,6 +643,19 @@ mod tests {
         let bad_nets = "NumNets : 1\n a I\n";
         let err = parse_parts(NODES, bad_nets, None, None).unwrap_err();
         assert!(err.to_string().contains("before any NetDegree"));
+    }
+
+    #[test]
+    fn a_non_finite_node_size_is_a_syntax_error_naming_its_line() {
+        for size in ["1e309 1", "1 inf", "NaN 1", "-inf 2", "1 nan", "1e200 1e200"] {
+            let nodes = format!("NumNodes : 2\n a 1 1\n b {size}\n");
+            let err = parse_parts(&nodes, "NumNets : 0\n", None, None).unwrap_err();
+            assert!(matches!(err, NetlistError::Syntax { .. }), "{size}: {err}");
+            let text = err.to_string();
+            assert!(text.contains("<nodes>:3") && text.contains("not finite"), "{size}: {text}");
+        }
+        // Zero and negative sizes stay legal (the area is clamped positive).
+        assert!(parse_parts("NumNodes : 1\n a -0 0\n", "NumNets : 0\n", None, None).is_ok());
     }
 
     #[test]

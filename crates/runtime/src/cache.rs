@@ -1,22 +1,35 @@
-//! The deterministic response cache: an LRU map from request-line bytes
-//! to response bytes under a configurable byte budget.
+//! The deterministic response cache: an LRU map from request lines to
+//! reply bytes under a configurable byte budget.
 //!
-//! The workspace's service responses are **pure functions of the request
-//! line** (the execution layer makes every compute byte-identical for any
-//! worker count), which makes them trivially cacheable: serving a stored
-//! response is indistinguishable from recomputing it. That is the cache's
-//! hard invariant — *transparency* — and it holds by construction: a key
-//! is exactly the bytes the handler would receive (plus, since API v4,
-//! the session-generation prefix the dispatcher prepends for
-//! session-addressed requests), a value is exactly the bytes the handler
-//! produced for them, and entries are never mutated. Eviction order may
-//! depend on request interleaving across connections, but evictions only
-//! ever cost a recompute, never change bytes (property-tested here and
-//! end-to-end in `gtl-api`).
+//! The workspace's service replies are **pure functions of the request
+//! line and of the handler state it addresses** (the execution layer
+//! makes every compute byte-identical for any worker count), which makes
+//! them cacheable: serving a stored reply is indistinguishable from
+//! recomputing it. That is the cache's hard invariant — *transparency* —
+//! and it holds by construction:
 //!
-//! Only responses the handler declares cacheable are stored — runtime
+//! * the key is exactly the canonical (trimmed) line the handler would
+//!   receive, and the value exactly the bytes it produced for it;
+//! * each entry carries the **stamp** of the handler state its reply was
+//!   computed against ([`crate::LineHandler::cache_stamp`]: `0` for a
+//!   stateless handler, a session's registry generation in `gtl-api`),
+//!   and a lookup answers only while the handler still calls that stamp
+//!   current ([`crate::LineHandler::stamp_is_current`]). A stale entry
+//!   counts as a miss and is dropped, so a reload under the same name
+//!   can never be answered with the previous load's bytes;
+//! * entries are never mutated. Eviction order may depend on request
+//!   interleaving across connections, but evictions only ever cost a
+//!   recompute, never change bytes (property-tested here and end to end
+//!   in `gtl-api`).
+//!
+//! Because the answer is fixed by the line bytes and the stamp, a lookup
+//! needs no parse of the line: the serve path answers an in-order hit
+//! before it classifies the line at all. Each entry also keeps the
+//! reply's kind label, so such a hit is still recorded under its kind.
+//!
+//! Only replies the handler declares cacheable are stored — runtime
 //! metrics snapshots, for example, are *not* pure functions of the
-//! request bytes and bypass the cache.
+//! request and bypass the cache.
 //!
 //! Recency bookkeeping lives in [`crate::lru::RecencyList`], shared with
 //! the session registry ([`crate::registry`]).
@@ -36,9 +49,11 @@ const ENTRY_OVERHEAD: usize = 96;
 pub struct CacheStats {
     /// Lookups answered from the cache.
     pub hits: u64,
-    /// Lookups that missed (the caller computed the response).
+    /// Lookups that missed (the caller computed the response), stale
+    /// entries included.
     pub misses: u64,
-    /// Entries evicted to make room under the byte budget.
+    /// Entries dropped: evicted to make room under the byte budget, or
+    /// found stale (their stamp no longer current) by a lookup or a fill.
     pub evictions: u64,
     /// Entries stored (refreshes of an existing key do not count).
     pub insertions: u64,
@@ -53,7 +68,12 @@ pub struct CacheStats {
 /// A thread-safe LRU response cache with a byte budget.
 ///
 /// A budget of `0` disables caching entirely: every lookup misses without
-/// touching a lock, and nothing is ever stored.
+/// touching a lock (and without counting), and nothing is ever stored.
+///
+/// [`ResponseCache::get`] and [`ResponseCache::insert`] are the forms for
+/// a caller whose keys already name every state their replies depend on:
+/// they store and accept only stamp `0`. The serve path looks lines up
+/// with their stamps.
 ///
 /// # Example
 ///
@@ -97,53 +117,84 @@ impl ResponseCache {
         self.inner.is_some()
     }
 
-    /// Looks up the response stored for `key`, promoting it to
-    /// most-recently-used on a hit.
+    /// Looks up the response stored for `key` at stamp `0`, promoting it
+    /// to most-recently-used on a hit.
     pub fn get(&self, key: &[u8]) -> Option<Arc<str>> {
-        let inner = self.inner.as_ref()?;
-        let mut lru = inner.lock().unwrap_or_else(|e| e.into_inner());
-        match lru.map.get(key).copied() {
-            Some(index) => {
-                lru.hits += 1;
-                lru.list.touch(index);
-                // gtl-lint: allow(no-panic-on-serve-path, reason = "map index always points at a live slab entry")
-                Some(Arc::clone(&lru.entries[index].as_ref().expect("linked entry").value))
-            }
-            None => {
-                lru.misses += 1;
-                None
-            }
-        }
+        self.lookup(key, |stamp| stamp == 0).map(|(reply, _kind)| reply)
     }
 
-    /// Stores `value` for `key`, evicting least-recently-used entries
-    /// until the budget holds. A key already present is only promoted
-    /// (the stored bytes are necessarily identical — responses are pure
-    /// functions of their request); an entry larger than the whole budget
-    /// is not stored.
+    /// Stores `value` for `key` at stamp `0`, evicting least-recently-used
+    /// entries until the budget holds. A key already present is only
+    /// promoted (the stored bytes are necessarily identical — responses
+    /// are pure functions of their key); an entry larger than the whole
+    /// budget is not stored.
     pub fn insert(&self, key: &[u8], value: &str) {
+        // `Classified::default()`'s kind: these callers classify nothing.
+        self.fill(key, value, "request", 0);
+    }
+
+    /// Looks up the reply stored for `line` and its kind label. The entry
+    /// answers only if `is_current` accepts the stamp it was stored with:
+    /// then it is promoted to most-recently-used and counted as a hit.
+    /// Otherwise it is dropped, and the lookup counts as a miss, like one
+    /// that finds nothing. `is_current` runs under the cache lock, so a
+    /// lock it takes is ordered after this one.
+    pub(crate) fn lookup(
+        &self,
+        line: &[u8],
+        is_current: impl FnOnce(u64) -> bool,
+    ) -> Option<(Arc<str>, &'static str)> {
+        let inner = self.inner.as_ref()?;
+        let mut lru = inner.lock().unwrap_or_else(|e| e.into_inner());
+        let Some(index) = lru.map.get(line).copied() else {
+            lru.misses += 1;
+            return None;
+        };
+        let entry = lru.entry(index);
+        if !is_current(entry.stamp) {
+            lru.drop_entry(index);
+            lru.misses += 1;
+            return None;
+        }
+        let hit = (Arc::clone(&entry.value), entry.kind);
+        lru.hits += 1;
+        lru.list.touch(index);
+        Some(hit)
+    }
+
+    /// Stores `reply`, of kind `kind` and computed at `stamp`, for `line`,
+    /// evicting least-recently-used entries until the budget holds. An
+    /// entry already stored at the same stamp is only promoted (the bytes
+    /// are necessarily identical — replies are pure functions of their
+    /// line and stamp); one stored at another stamp is replaced. A reply
+    /// larger than the whole budget is not stored.
+    pub(crate) fn fill(&self, line: &[u8], reply: &str, kind: &'static str, stamp: u64) {
         let Some(inner) = self.inner.as_ref() else { return };
         let mut lru = inner.lock().unwrap_or_else(|e| e.into_inner());
-        if let Some(index) = lru.map.get(key).copied() {
-            // A concurrent miss on another lane computed the same bytes.
-            debug_assert_eq!(
-                // gtl-lint: allow(no-panic-on-serve-path, reason = "map index always points at a live slab entry; debug builds only")
-                &*lru.entries[index].as_ref().expect("linked entry").value,
-                value,
-                "cache transparency violated: same key, different response bytes"
-            );
-            lru.list.touch(index);
-            return;
+        if let Some(index) = lru.map.get(line).copied() {
+            let entry = lru.entry(index);
+            if entry.stamp == stamp {
+                // A concurrent miss on another lane computed the same bytes.
+                debug_assert_eq!(
+                    &*entry.value, reply,
+                    "cache transparency violated: same line and stamp, different response bytes"
+                );
+                lru.list.touch(index);
+                return;
+            }
+            lru.drop_entry(index);
         }
-        let cost = key.len() + value.len() + ENTRY_OVERHEAD;
+        let cost = line.len() + reply.len() + ENTRY_OVERHEAD;
         if cost > lru.budget {
             return;
         }
         while lru.bytes + cost > lru.budget {
-            lru.evict_coldest();
+            // gtl-lint: allow(no-panic-on-serve-path, reason = "bytes > 0 here, so the recency list is nonempty")
+            let coldest = lru.list.coldest().expect("evicting from an empty cache");
+            lru.drop_entry(coldest);
         }
-        let key: Arc<[u8]> = Arc::from(key);
-        let entry = Entry { key: Arc::clone(&key), value: Arc::from(value), cost };
+        let key: Arc<[u8]> = Arc::from(line);
+        let entry = Entry { key: Arc::clone(&key), value: Arc::from(reply), kind, stamp, cost };
         let index = lru.list.allocate();
         if index == lru.entries.len() {
             lru.entries.push(Some(entry));
@@ -179,6 +230,10 @@ impl ResponseCache {
 struct Entry {
     key: Arc<[u8]>,
     value: Arc<str>,
+    /// The reply's per-kind latency label.
+    kind: &'static str,
+    /// The handler state the reply was computed against.
+    stamp: u64,
     cost: usize,
 }
 
@@ -198,9 +253,14 @@ struct Lru {
 }
 
 impl Lru {
-    fn evict_coldest(&mut self) {
-        // gtl-lint: allow(no-panic-on-serve-path, reason = "caller holds bytes > 0, so the recency list is nonempty")
-        let index = self.list.coldest().expect("evicting from an empty cache");
+    /// The live entry at `index`.
+    fn entry(&self, index: usize) -> &Entry {
+        // gtl-lint: allow(no-panic-on-serve-path, reason = "map index always points at a live slab entry")
+        self.entries[index].as_ref().expect("linked entry")
+    }
+
+    /// Unlinks and frees the entry at `index`, counting an eviction.
+    fn drop_entry(&mut self, index: usize) {
         self.list.release(index);
         // gtl-lint: allow(no-panic-on-serve-path, reason = "map index always points at a live slab entry")
         let entry = self.entries[index].take().expect("linked entry");
@@ -287,11 +347,57 @@ mod tests {
         assert_eq!(cache.stats().insertions, 3);
     }
 
+    #[test]
+    fn a_stale_stamp_misses_and_drops_its_entry() {
+        let cache = ResponseCache::new(1 << 16);
+        cache.fill(b"line", "reply at 1", "find", 1);
+        assert_eq!(
+            cache.lookup(b"line", |stamp| stamp == 1),
+            Some((Arc::from("reply at 1"), "find"))
+        );
+        // Stamp 1 retired (say, its session was reloaded as stamp 2).
+        assert_eq!(cache.lookup(b"line", |stamp| stamp == 2), None);
+        let stats = cache.stats();
+        assert_eq!((stats.hits, stats.misses), (1, 1), "{stats:?}");
+        assert_eq!((stats.entries, stats.bytes, stats.evictions), (0, 0, 1), "{stats:?}");
+        // A line that is not stored never reaches the check.
+        let mut seen = Vec::new();
+        let check = |stamp| {
+            seen.push(stamp);
+            true
+        };
+        assert!(cache.lookup(b"line", check).is_none());
+        assert!(seen.is_empty());
+    }
+
+    #[test]
+    fn a_fill_at_another_stamp_replaces_the_entry() {
+        let cache = ResponseCache::new(1 << 16);
+        cache.fill(b"line", "reply at 1", "stats", 1);
+        cache.fill(b"line", "reply at 1", "stats", 1);
+        cache.fill(b"line", "reply at 2", "stats", 2);
+        let stats = cache.stats();
+        assert_eq!((stats.insertions, stats.evictions, stats.entries), (2, 1, 1), "{stats:?}");
+        assert_eq!(stats.bytes, (4 + 10 + ENTRY_OVERHEAD) as u64, "key + value + overhead");
+        let current = cache.lookup(b"line", |stamp| stamp == 2).map(|(reply, _)| reply);
+        assert_eq!(current.as_deref(), Some("reply at 2"));
+    }
+
+    #[test]
+    fn get_and_insert_are_the_stamp_zero_forms() {
+        let cache = ResponseCache::new(1 << 16);
+        cache.insert(b"k", "v");
+        assert_eq!(cache.lookup(b"k", |stamp| stamp == 0).map(|(v, _)| v).as_deref(), Some("v"));
+        cache.fill(b"stamped", "w", "find", 3);
+        assert!(cache.get(b"stamped").is_none(), "get accepts stamp 0 only");
+    }
+
     use proptest::prelude::*;
 
-    /// The pure "handler" the property test checks the cache against.
-    fn pure_response(key: u32) -> String {
-        format!("response({key})={}", u64::from(key).wrapping_mul(0x9e37_79b9))
+    /// The pure "handler" the property tests check the cache against: a
+    /// reply is a function of the key and of the stamp it was computed at.
+    fn pure_response(key: u32, stamp: u64) -> String {
+        format!("response({key}@{stamp})={}", u64::from(key).wrapping_mul(0x9e37_79b9) ^ stamp)
     }
 
     proptest! {
@@ -310,7 +416,7 @@ mod tests {
             let cache = ResponseCache::new(budget);
             for key in accesses {
                 let key_bytes = format!("req-{key}");
-                let expected = pure_response(key);
+                let expected = pure_response(key, 0);
                 let got = match cache.get(key_bytes.as_bytes()) {
                     Some(hit) => hit.to_string(),
                     None => {
@@ -321,6 +427,52 @@ mod tests {
                 prop_assert_eq!(got, expected);
                 let stats = cache.stats();
                 prop_assert!(stats.bytes <= stats.capacity_bytes);
+            }
+        }
+
+        /// Transparency across state changes: keys split into two
+        /// "sessions" whose stamps move independently (a reload bumps
+        /// one), and a lookup that accepts only the current stamps
+        /// always yields the bytes computed at the current stamp — never
+        /// a reply from before a reload. Each lookup counts once.
+        #[test]
+        fn transparency_across_stamp_changes(
+            budget in 0usize..4096,
+            accesses in proptest::collection::vec((0u32..16, 0u8..6), 0..200),
+        ) {
+            let cache = ResponseCache::new(budget);
+            let mut stamps = [0u64, 1];
+            let mut next_stamp = 2;
+            let mut lookups = 0u64;
+            for (key, op) in accesses {
+                let session = (key % 2) as usize;
+                if op == 0 {
+                    stamps[session] = next_stamp;
+                    next_stamp += 1;
+                    continue;
+                }
+                let current = stamps;
+                let stamp = current[session];
+                let expected = pure_response(key, stamp);
+                let line = format!("req-{key}");
+                lookups += 1;
+                let got = match cache.lookup(line.as_bytes(), |s| current.contains(&s)) {
+                    Some((hit, kind)) => {
+                        prop_assert_eq!(kind, "find");
+                        hit.to_string()
+                    }
+                    None => {
+                        cache.fill(line.as_bytes(), &expected, "find", stamp);
+                        expected.clone()
+                    }
+                };
+                prop_assert_eq!(got, expected);
+                let stats = cache.stats();
+                prop_assert!(stats.bytes <= stats.capacity_bytes);
+                if cache.is_enabled() {
+                    prop_assert_eq!(stats.hits + stats.misses, lookups);
+                    prop_assert_eq!(stats.insertions, stats.evictions + stats.entries);
+                }
             }
         }
     }

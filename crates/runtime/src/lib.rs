@@ -13,21 +13,24 @@
 //!   pipelining with a reorder buffer that preserves request order on
 //!   the wire, read/idle timeouts, and a max-concurrent-connections gate;
 //! * [`ResponseCache`]: a deterministic LRU response cache under a byte
-//!   budget, keyed by the canonical request-line bytes (optionally
-//!   extended by the handler via [`LineHandler::cache_key`], e.g. with a
-//!   session generation), with the hard invariant that a hit returns
-//!   exactly the bytes a fresh compute would (transparency —
+//!   budget, keyed by the canonical request-line bytes alone. Each reply
+//!   is stored with the stamp of the handler state it was computed
+//!   against ([`LineHandler::cache_stamp`], e.g. a session generation)
+//!   and answers only while the handler calls that stamp current
+//!   ([`LineHandler::stamp_is_current`]), with the hard invariant that a
+//!   hit returns exactly the bytes a fresh compute would (transparency —
 //!   property-tested);
 //! * [`Registry`]: a byte-budgeted store of named shared values with
 //!   deterministic LRU eviction and monotonic generation stamps — the
 //!   substrate for multi-netlist session serving in `gtl-api`;
-//! * one classification per line: [`LineHandler::classify`] runs once
-//!   on the reader thread and yields the line's fair-share tenant, its
-//!   kind label and the parse that the cache key and the compute reuse.
-//!   A cache hit on an in-order request (every earlier reply on its
-//!   connection written) is answered right there by the reader; any
-//!   other request is keyed on a lane. Tenant lanes drain in
-//!   deterministic round-robin order
+//! * at most one classification per line: a cache hit on an in-order
+//!   request (every earlier reply on its connection written) is looked
+//!   up by its line and answered right there by the reader, unparsed.
+//!   Any other line is classified once on the reader
+//!   ([`LineHandler::classify`]), which yields its fair-share tenant, its
+//!   kind label and the parse that the stamp and the compute reuse; a
+//!   line that is not in order is looked up on a lane. Tenant lanes
+//!   drain in deterministic round-robin order
 //!   under a per-tenant quota ([`RuntimeConfig::tenant_quota`]), so one
 //!   flooding tenant backpressures itself, never its neighbors;
 //! * [`MetricsSnapshot`]: observation-only counters for all of the

@@ -12,16 +12,18 @@
 //! # Invariants
 //!
 //! * **Deterministic eviction** — recency is updated only by `insert`,
-//!   `touch` and `remove`; for a serialized operation sequence the set of
+//!   `get`, `touch_generation` and `remove`; for a serialized operation
+//!   sequence the set of
 //!   evicted names (reported in insertion order, coldest first) is a pure
 //!   function of that sequence, independent of worker or lane counts.
 //! * **Monotonic generations** — every successful insert stamps the entry
 //!   with a fresh generation from a counter that starts at 1 and never
-//!   repeats, even when a name is reused after an unload. Response-cache
-//!   keys derived from a generation therefore never collide across
-//!   load/unload cycles, which is what keeps cache transparency intact
-//!   per session (generation 0 is reserved for the un-registered default
-//!   session).
+//!   repeats, even when a name is reused after an unload. A resident
+//!   generation therefore names exactly one load, so a response-cache
+//!   entry stamped with it ([`Registry::touch_generation`]) answers only
+//!   while that very load is resident, which is what keeps cache
+//!   transparency intact per session (generation 0 is reserved for the
+//!   un-registered default session).
 //! * **Drain, never abort** — `remove` and eviction drop only the
 //!   registry's reference; in-flight work holding the `Arc<T>` completes
 //!   against the old value.
@@ -111,6 +113,8 @@ struct Inner<T> {
     /// `0` = unlimited bytes.
     budget: usize,
     map: HashMap<Arc<str>, usize>,
+    /// The slab index of each resident generation.
+    generations: HashMap<u64, usize>,
     entries: Vec<Option<Entry<T>>>,
     list: RecencyList,
     bytes: usize,
@@ -150,6 +154,7 @@ impl<T> Registry<T> {
                 max_entries,
                 budget: budget_bytes,
                 map: HashMap::new(),
+                generations: HashMap::new(),
                 entries: Vec::new(),
                 list: RecencyList::new(),
                 bytes: 0,
@@ -180,6 +185,7 @@ impl<T> Registry<T> {
             // gtl-lint: allow(no-panic-on-serve-path, reason = "map index always points at a live slab entry")
             let old = inner.entries[index].take().expect("linked entry");
             inner.list.release(index);
+            inner.generations.remove(&old.generation);
             inner.bytes -= old.cost;
             true
         } else {
@@ -196,6 +202,7 @@ impl<T> Registry<T> {
             // gtl-lint: allow(no-panic-on-serve-path, reason = "map index always points at a live slab entry")
             let old = inner.entries[index].take().expect("linked entry");
             inner.map.remove(&old.name);
+            inner.generations.remove(&old.generation);
             inner.bytes -= old.cost;
             inner.evictions += 1;
             evicted.push(old.name);
@@ -211,6 +218,7 @@ impl<T> Registry<T> {
             inner.entries[index] = Some(entry);
         }
         inner.map.insert(name, index);
+        inner.generations.insert(generation, index);
         inner.bytes += cost;
         inner.loads += 1;
         Ok(InsertOutcome { generation, evicted, replaced })
@@ -227,6 +235,17 @@ impl<T> Registry<T> {
         Some((Arc::clone(&entry.value), entry.generation))
     }
 
+    /// Whether the entry stamped `generation` is still resident,
+    /// promoting it to most-recently-used if so — exactly as a
+    /// [`Registry::get`] of its name would. Generations are never reused,
+    /// so `true` means that very insert is still the one under its name.
+    pub fn touch_generation(&self, generation: u64) -> bool {
+        let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
+        let Some(index) = inner.generations.get(&generation).copied() else { return false };
+        inner.list.touch(index);
+        true
+    }
+
     /// Removes `name`, returning its value. In-flight holders of the
     /// `Arc` keep working against it (drain, never abort).
     pub fn remove(&self, name: &str) -> Option<Arc<T>> {
@@ -235,6 +254,7 @@ impl<T> Registry<T> {
         inner.list.release(index);
         // gtl-lint: allow(no-panic-on-serve-path, reason = "map index always points at a live slab entry")
         let entry = inner.entries[index].take().expect("linked entry");
+        inner.generations.remove(&entry.generation);
         inner.bytes -= entry.cost;
         inner.unloads += 1;
         Some(entry.value)
@@ -330,6 +350,24 @@ mod tests {
     }
 
     #[test]
+    fn touch_generation_names_one_load_and_promotes_it() {
+        let registry: Registry<u32> = Registry::new(2, 0);
+        let a1 = registry.insert("a", 1, 10).unwrap().generation;
+        let b = registry.insert("b", 2, 10).unwrap().generation;
+        assert!(!registry.touch_generation(0), "generation 0 is never stamped");
+        // Touching `a` by generation makes `b` the coldest, as `get("a")` would.
+        assert!(registry.touch_generation(a1));
+        assert_eq!(registry.insert("c", 3, 10).unwrap().evicted, vec![Arc::from("b")]);
+        assert!(!registry.touch_generation(b), "an evicted load is gone");
+        // A reload retires the old generation, an unload the new one.
+        let a2 = registry.insert("a", 4, 10).unwrap().generation;
+        assert!(!registry.touch_generation(a1));
+        assert!(registry.touch_generation(a2));
+        registry.remove("a");
+        assert!(!registry.touch_generation(a2));
+    }
+
+    #[test]
     fn replacement_keeps_entry_count_and_reports_replaced() {
         let registry: Registry<u32> = Registry::new(2, 0);
         registry.insert("a", 1, 10).unwrap();
@@ -419,6 +457,15 @@ mod tests {
             self.bytes -= row.2;
             Some(row.1)
         }
+
+        fn touch_generation(&mut self, generation: u64) -> bool {
+            let Some(pos) = self.rows.iter().position(|r| r.3 == generation) else {
+                return false;
+            };
+            let row = self.rows.remove(pos);
+            self.rows.insert(0, row);
+            true
+        }
     }
 
     #[derive(Debug, Clone)]
@@ -426,15 +473,17 @@ mod tests {
         Insert(u8, u32, usize),
         Get(u8),
         Remove(u8),
+        TouchGeneration(u64),
     }
 
     fn op_strategy() -> impl Strategy<Value = Op> {
         // The vendored proptest shim has no `prop_oneof`; a selector
         // field picks the operation kind instead.
-        (0u8..3, 0u8..6, 0u32..1000, 1usize..120).prop_map(|(kind, n, v, c)| match kind {
+        (0u8..4, 0u8..6, 0u32..1000, 1usize..120).prop_map(|(kind, n, v, c)| match kind {
             0 => Op::Insert(n, v, c),
             1 => Op::Get(n),
-            _ => Op::Remove(n),
+            2 => Op::Remove(n),
+            _ => Op::TouchGeneration(u64::from(v % 48)),
         })
     }
 
@@ -477,6 +526,12 @@ mod tests {
                         let name = format!("n{n}");
                         let got = registry.remove(&name).map(|v| *v);
                         prop_assert_eq!(got, model.remove(&name));
+                    }
+                    Op::TouchGeneration(generation) => {
+                        prop_assert_eq!(
+                            registry.touch_generation(generation),
+                            model.touch_generation(generation)
+                        );
                     }
                 }
                 let stats = registry.stats();

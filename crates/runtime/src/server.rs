@@ -30,18 +30,18 @@
 //!   read/idle timeout.
 //!
 //! Connection threads never compute a response: they frame lines,
-//! classify each one once and move buffers; all request compute happens
-//! on the lanes, and whatever the handler fans out internally (e.g.
-//! `gtl_core::exec`) stays inside the job. The one exception to the
+//! classify each one at most once and move buffers; all request compute
+//! happens on the lanes, and whatever the handler fans out internally
+//! (e.g. `gtl_core::exec`) stays inside the job. The one exception to the
 //! lane path is a cache hit on a request that is *in order* (every
 //! earlier response on its connection already written): the reader looks
-//! it up and writes the stored bytes itself, so a hit never waits behind
-//! a compute for a lane. Responses for a given request line are
-//! byte-identical no matter how many lanes, connections, or pipelined
-//! requests are in flight — provided the handler is deterministic, which
-//! the [`ResponseCache`] additionally exploits (see [`crate::cache`]).
+//! the line up before it classifies it and writes the stored bytes
+//! itself, so a hit is never parsed and never waits behind a compute for
+//! a lane. Responses for a given request line are byte-identical no
+//! matter how many lanes, connections, or pipelined requests are in
+//! flight — provided the handler is deterministic, which the
+//! [`ResponseCache`] additionally exploits (see [`crate::cache`]).
 
-use std::borrow::Cow;
 use std::io::{BufRead as _, BufReader, BufWriter, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -183,7 +183,7 @@ pub struct Classified<P> {
     /// The label set must be small and fixed.
     pub kind: &'static str,
     /// The handler's parse of the line, which the runtime hands to
-    /// [`LineHandler::cache_key`] and [`LineHandler::handle`].
+    /// [`LineHandler::cache_stamp`] and [`LineHandler::handle`].
     pub parsed: P,
 }
 
@@ -195,8 +195,16 @@ impl<P: Default> Default for Classified<P> {
     }
 }
 
-/// The request dispatcher a runtime serves: each admitted line is
-/// classified once, then keyed and computed on a lane from that parse.
+/// The request dispatcher a runtime serves: an admitted line that the
+/// response cache does not answer is classified once, then stamped and
+/// computed on a lane from that parse.
+///
+/// The cache is keyed by the canonical line alone. What else a reply
+/// depends on (e.g. which load of a session a line addresses) enters as
+/// the reply's *stamp*: [`LineHandler::cache_stamp`] names it before the
+/// compute, and [`LineHandler::stamp_is_current`] decides on every later
+/// lookup whether a stored reply still answers. A handler whose replies
+/// are pure functions of the line keeps both defaults.
 ///
 /// `handle` must append exactly the response line's bytes (no trailing
 /// newline) onto `out`, which arrives cleared but with reused capacity.
@@ -210,10 +218,11 @@ pub trait LineHandler: Sync {
     type Parsed: Send;
 
     /// Classifies `line` into its admission tenant, its kind label and
-    /// the handler's parse. Runs once per admitted line, on the
+    /// the handler's parse. Runs at most once per admitted line, on the
     /// connection's I/O thread before the line takes a queue slot, so
     /// the fair-share queue can bound the tenant first; the lane never
-    /// parses the line again.
+    /// parses the line again. An in-order line that the cache answers is
+    /// never classified.
     fn classify(&self, line: &str) -> Classified<Self::Parsed>;
 
     /// Computes the response for `line` (parsed as `parsed`) into `out`.
@@ -233,24 +242,35 @@ pub trait LineHandler: Sync {
         None
     }
 
-    /// The response-cache key for `line` (parsed as `parsed`). The
-    /// default — the line bytes themselves — is correct for handlers
-    /// whose responses are pure functions of the line. A handler that
-    /// adds request-independent state (e.g. a session registry, where
-    /// the same line means different things before and after a reload)
-    /// must fold that state into the key; the transparency invariant
-    /// then holds per key. The runtime computes the key once before the
-    /// request's one lookup: on the connection's reader thread when the
-    /// request is in order (every earlier response on its connection
-    /// already written), otherwise on the lane, so a pipelined request
-    /// is keyed only after the requests ahead of it have run. A miss
-    /// carries that key to the lane, which computes the key again after
-    /// a cacheable compute and fills the cache only if both agree — so
-    /// state that moves in between costs a recompute, never an aliased
-    /// entry.
-    fn cache_key<'a>(&self, line: &'a str, parsed: &Self::Parsed) -> Cow<'a, [u8]> {
+    /// The stamp of the state a request (parsed as `parsed`) is about to
+    /// be computed against, or `None` when its reply must not be cached
+    /// whatever [`LineHandler::handle`] says. The default, `Some(0)`, is
+    /// correct for handlers whose responses are pure functions of the
+    /// line. A handler that adds request-independent state (e.g. a
+    /// session registry, where the same line means different things
+    /// before and after a reload) returns a stamp that names that state
+    /// and is never reused for another; the transparency invariant then
+    /// holds per line and stamp.
+    ///
+    /// The runtime takes the stamp once a lookup has missed: on the
+    /// connection's reader when the request is in order, otherwise on the
+    /// lane after the requests ahead of it have run. It takes the stamp
+    /// again after a cacheable compute and fills the cache only if both
+    /// agree, so a reply computed against state that moved in between is
+    /// never stored.
+    fn cache_stamp(&self, parsed: &Self::Parsed) -> Option<u64> {
         let _ = parsed;
-        Cow::Borrowed(line.as_bytes())
+        Some(0)
+    }
+
+    /// Whether a reply stored at `stamp` may still answer its line. The
+    /// cache asks on every lookup that finds an entry, under its lock
+    /// (a lock this takes is ordered after the cache's); a `false`
+    /// drops the entry, and the lookup misses. The default, `true`, is
+    /// correct with the default [`LineHandler::cache_stamp`].
+    fn stamp_is_current(&self, stamp: u64) -> bool {
+        let _ = stamp;
+        true
     }
 
     /// Stamps this request's [`TraceId`] into the finished response
@@ -595,6 +615,12 @@ struct RuntimeRefs<'a, H: LineHandler> {
 }
 
 impl<H: LineHandler> RuntimeRefs<'_, H> {
+    /// Looks `line` up in the response cache: the stored reply and its
+    /// kind, if its stamp is still current for the handler.
+    fn lookup(&self, line: &str) -> Option<(Arc<str>, &'static str)> {
+        self.cache.lookup(line.as_bytes(), |stamp| self.handler.stamp_is_current(stamp))
+    }
+
     fn record_io_error(&self, conn_id: usize, message: String) {
         self.hub.io_error();
         self.record_error(conn_id, message);
@@ -663,17 +689,20 @@ fn run_connection<'j, 'scope, 'env, H: LineHandler>(
     }
 }
 
-/// The producer: frame request lines, acquire a pipeline slot, classify
-/// each line once, then answer the line or submit a job for it.
+/// The producer: frame request lines, acquire a pipeline slot, then
+/// answer the line from the cache or classify it once and submit a job
+/// for it.
 ///
 /// Only an in-order request (every earlier response on the connection
-/// already written) is keyed and looked up here. A hit is stamped and
-/// written to `out` by this thread: it takes no queue slot and no lane,
-/// and wakes no other thread. A miss goes to the lanes with its key.
-/// Any other request goes to the lanes unkeyed and is keyed there, after
-/// the requests ahead of it: keying it now could name a session that one
-/// of them is about to reload. The reader never computes a response
-/// itself.
+/// already written) is looked up here, by its line alone and before any
+/// parse. A hit whose stamp is still current is trace-stamped and written
+/// to `out` by this thread: it is never classified, takes no queue slot
+/// and no lane, and wakes no other thread. A miss is classified, takes
+/// its stamp ([`LineHandler::cache_stamp`]) and goes to the lanes with
+/// it. Any other request is classified and goes to the lanes unstamped;
+/// it is looked up and stamped there, after the requests ahead of it:
+/// doing it now could see a session that one of them is about to reload.
+/// The reader never computes a response itself.
 fn read_side<'j, H: LineHandler>(
     rt: &'j RuntimeRefs<'j, H>,
     queue: &FairQueue<Job<'j>>,
@@ -766,34 +795,34 @@ fn read_side<'j, H: LineHandler>(
             break; // the writer died; stop producing
         };
         // Admitted: the request's span and its deadline start here, so
-        // both cover the parse below.
+        // both cover the lookup and the parse below.
         let submitted = Instant::now();
         rt.hub.request_submitted();
-        // The line's one classification (for a JSON handler, its one
-        // parse), on the I/O thread: the fair-share queue bounds the
-        // tenant *before* the job occupies a queue slot, and the key and
-        // the compute read the same parse.
-        let mut classified = rt.handler.classify(line);
         let trace = TraceId { conn: conn_id as u64, seq };
         // Nothing can overtake an in-order request: only this thread
         // completes `seq`, and the writer has nothing before it to write.
-        let mut missed_key = None;
         if in_order {
-            let key = rt.handler.cache_key(line, &classified.parsed);
-            if let Some(hit) = rt.cache.get(&key) {
+            if let Some((hit, kind)) = rt.lookup(line) {
                 reply.clear();
                 reply.push_str(&hit);
-                if let Err(e) =
-                    write_inline(rt, conn, out, trace, classified.kind, reply, submitted)
-                {
+                if let Err(e) = write_inline(rt, conn, out, trace, kind, reply, submitted) {
                     fail_inline(rt, conn, conn_id, format!("write: {e}"));
                     break;
                 }
                 unflushed = true;
                 continue;
             }
-            missed_key = Some(key.into_owned());
         }
+        // The line's one classification (for a JSON handler, its one
+        // parse), on the I/O thread: the fair-share queue bounds the
+        // tenant *before* the job occupies a queue slot, and the stamp
+        // and the compute read the same parse.
+        let mut classified = rt.handler.classify(line);
+        let cache = if in_order {
+            CacheState::Missed(rt.handler.cache_stamp(&classified.parsed))
+        } else {
+            CacheState::Unchecked
+        };
         // A buffered hit must not wait behind this compute.
         if unflushed {
             if let Err(e) = flush_shared(out, rt.hub) {
@@ -807,7 +836,7 @@ fn read_side<'j, H: LineHandler>(
             trace,
             line: line.to_string(),
             classified,
-            missed_key,
+            cache,
             submitted,
             queued: Instant::now(),
         };
@@ -886,17 +915,27 @@ fn respond_transport_error<H: LineHandler>(
 /// A request line the reader hands to the lanes.
 struct Admitted<P> {
     trace: TraceId,
-    /// The canonical (trimmed) request line.
+    /// The canonical (trimmed) request line: the cache key and the
+    /// handler input.
     line: String,
     /// The line's one classification.
     classified: Classified<P>,
-    /// The key an in-order request was already looked up under on the
-    /// reader, and missed; `None` when the lane keys and looks it up.
-    missed_key: Option<Vec<u8>>,
-    /// When the reader admitted the line, before its parse.
+    /// Where the line stands with the response cache.
+    cache: CacheState,
+    /// When the reader admitted the line, before its lookup and parse.
     submitted: Instant,
     /// When the reader queued the job.
     queued: Instant,
+}
+
+/// Where an admitted line stands with the response cache.
+enum CacheState {
+    /// Not looked up yet: the lane looks it up and stamps it, after the
+    /// requests ahead of it.
+    Unchecked,
+    /// Looked up on the reader, which missed and took this stamp (see
+    /// [`LineHandler::cache_stamp`]).
+    Missed(Option<u64>),
 }
 
 /// One request's compute, run on a lane: cancellation probe, cache
@@ -913,7 +952,7 @@ fn run_job<H: LineHandler>(
     request: Admitted<H::Parsed>,
     mut out: String,
 ) {
-    let Admitted { trace, line, classified, missed_key, submitted, queued } = request;
+    let Admitted { trace, line, classified, cache, submitted, queued } = request;
     let line = line.as_str();
     let TraceId { conn: conn_id, seq } = trace;
     // The connection died (token tripped) or this sequence number was
@@ -933,23 +972,24 @@ fn run_job<H: LineHandler>(
     let started = Instant::now();
     rt.hub.observe_stage_us(Stage::QueueWait, Span::starting_at(queued).end_at(started));
     out.clear();
-    // The handler may fold request-independent state (e.g. a session
-    // generation) into the key; computed once, used for both the lookup
-    // and the fill so they can never diverge. Each request is looked up
-    // exactly once, so the hit and miss counters stay exact.
-    let (cache_key, hit) = match missed_key {
-        Some(key) => (Cow::Owned(key), None),
-        None => {
-            let key = rt.handler.cache_key(line, &classified.parsed);
-            let hit = rt.cache.get(&key);
-            (key, hit)
-        }
+    // Each request is looked up exactly once (here, or on the reader if
+    // it was in order), so the hit and miss counters stay exact.
+    let hit = match cache {
+        CacheState::Unchecked => rt.lookup(line),
+        CacheState::Missed(_) => None,
     };
-    if let Some(hit) = hit {
+    if let Some((hit, _kind)) = hit {
         // Transparency invariant: these are exactly the bytes the
-        // handler produced for this key (property-tested end to end).
+        // handler produced for this line at a still-current stamp
+        // (property-tested end to end).
         out.push_str(&hit);
     } else {
+        // The stamp of the state the compute is about to read, taken
+        // after the lookup, as the reader takes it.
+        let stamp = match cache {
+            CacheState::Unchecked => rt.handler.cache_stamp(&classified.parsed),
+            CacheState::Missed(stamp) => stamp,
+        };
         // The job's token: trips on connection loss, and additionally on
         // the server-side default deadline (anchored at submission, so
         // queue wait counts). An unrepresentably far deadline is no
@@ -965,14 +1005,15 @@ fn run_job<H: LineHandler>(
         }));
         match outcome {
             Ok(Cacheability::Cacheable) => {
-                // Guard against handler state moving between the lookup
-                // and the compute (e.g. a session reloaded mid-job): the
-                // fill goes in only if the key is unchanged, which —
-                // with monotonic, never-reused state stamps in the key —
-                // proves the compute saw exactly the state the key
-                // names. A skipped fill only costs a recompute.
-                if rt.handler.cache_key(line, &classified.parsed) == cache_key {
-                    rt.cache.insert(&cache_key, &out);
+                // Keep a reply computed against moved state (e.g. a
+                // session reloaded mid-job) out of the cache: the fill
+                // goes in only if the stamp is unchanged. Such an entry
+                // could never answer anyway — its stamp is retired, and
+                // stamps are never reused — so the guard only saves the
+                // room it would take.
+                let after = rt.handler.cache_stamp(&classified.parsed);
+                if let Some(stamp) = stamp.filter(|&before| Some(before) == after) {
+                    rt.cache.fill(line.as_bytes(), &out, classified.kind, stamp);
                 }
             }
             Ok(Cacheability::Uncacheable) => {}
@@ -1484,19 +1525,33 @@ pub(crate) mod tests {
     }
 
     /// Counts classifications and hands each line's "parse" (its
-    /// uppercase form) through to the lane, so a test can prove every
-    /// admitted line is classified exactly once — hit, miss or
-    /// uncacheable alike — and that the lane reads that one parse.
+    /// uppercase form) through to the lane, so a test can prove which
+    /// admitted lines are classified — once each — and that the lane
+    /// reads that one parse. A `gate` line holds its lane until the test
+    /// releases it (or 30 s pass, so a broken test cannot hang the suite).
     struct ClassifyCounter {
         classified: std::sync::atomic::AtomicUsize,
+        release: Mutex<std::sync::mpsc::Receiver<()>>,
+    }
+
+    impl ClassifyCounter {
+        fn new() -> (Self, std::sync::mpsc::Sender<()>) {
+            let (release, gate) = std::sync::mpsc::channel();
+            let classified = std::sync::atomic::AtomicUsize::new(0);
+            (Self { classified, release: Mutex::new(gate) }, release)
+        }
+
+        fn classified(&self) -> usize {
+            self.classified.load(Ordering::SeqCst)
+        }
     }
 
     impl LineHandler for ClassifyCounter {
         type Parsed = String;
 
         fn classify(&self, line: &str) -> Classified<String> {
-            self.classified.fetch_add(1, Ordering::Relaxed);
-            Classified { parsed: line.to_uppercase(), ..Classified::default() }
+            self.classified.fetch_add(1, Ordering::SeqCst);
+            Classified { kind: "counted", parsed: line.to_uppercase(), ..Classified::default() }
         }
 
         fn handle(
@@ -1506,6 +1561,10 @@ pub(crate) mod tests {
             parsed: &String,
             out: &mut String,
         ) -> Cacheability {
+            if line == "gate" {
+                let gate = self.release.lock().unwrap();
+                let _ = gate.recv_timeout(Duration::from_secs(30));
+            }
             out.push_str("parsed:");
             out.push_str(parsed);
             if line == "volatile" {
@@ -1565,10 +1624,38 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn each_admitted_line_is_classified_exactly_once() {
+    fn an_in_order_hit_is_never_classified() {
         let listener = bind();
         let addr = listener.local_addr().unwrap();
-        let handler = ClassifyCounter { classified: std::sync::atomic::AtomicUsize::new(0) };
+        let (handler, _release) = ClassifyCounter::new();
+        let config = RuntimeConfig {
+            lanes: 1,
+            pipeline_depth: 1,
+            cache_bytes: 1 << 14,
+            max_connections: Some(1),
+            ..RuntimeConfig::default()
+        };
+        let report = std::thread::scope(|scope| {
+            let server = scope.spawn(|| serve_lines(&listener, &config, &handler, None).unwrap());
+            let lines: Vec<String> = (0..5).map(|_| "hot".to_string()).collect();
+            assert_eq!(exchange_serially(addr, &lines), vec!["parsed:HOT"; 5]);
+            server.join().unwrap()
+        });
+        // The first line missed and was parsed; the four repeats were
+        // answered from the cache by the line alone.
+        assert_eq!(handler.classified(), 1);
+        assert_eq!((report.metrics.cache_hits, report.metrics.cache_misses), (4, 1));
+        // A hit is still recorded under its kind, kept with the reply.
+        let kinds: Vec<(&str, u64)> =
+            report.metrics.kind_latency.iter().map(|s| (s.label.as_str(), s.count)).collect();
+        assert_eq!(kinds, vec![("counted", 5)]);
+    }
+
+    #[test]
+    fn misses_and_out_of_order_lines_are_classified_once_in_order_hits_never() {
+        let listener = bind();
+        let addr = listener.local_addr().unwrap();
+        let (handler, release) = ClassifyCounter::new();
         let config = RuntimeConfig {
             lanes: 2,
             pipeline_depth: 4,
@@ -1579,14 +1666,23 @@ pub(crate) mod tests {
         std::thread::scope(|scope| {
             let server = scope.spawn(|| serve_lines(&listener, &config, &handler, None).unwrap());
             let mut conn = TcpStream::connect(addr).unwrap();
+            conn.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
             let mut reader = BufReader::new(conn.try_clone().unwrap());
-            // Fill the cache first, so the pipelined repeats are hits.
+            // Fill the cache first, so the repeats below are hits.
             writeln!(conn, "hot").unwrap();
-            let mut first = String::new();
-            reader.read_line(&mut first).unwrap();
-            assert_eq!(first.trim_end(), "parsed:HOT");
-            // Hits, a miss, an uncacheable line twice, and blank lines.
-            write!(conn, "hot\n\nhot\ncold\nvolatile\nvolatile\n  \nhot\n").unwrap();
+            assert_eq!(read_reply(&mut reader).unwrap(), "parsed:HOT");
+            assert_eq!(handler.classified(), 1);
+            // Two in-order hits (and blank lines), then a miss that holds
+            // its lane, so the hit, the miss and the uncacheable line
+            // behind it arrive out of order.
+            write!(conn, "hot\n\nhot\ngate\n  \nhot\ncold\nvolatile\n").unwrap();
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while handler.classified() < 5 && Instant::now() < deadline {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            let classified_while_gated = handler.classified();
+            release.send(()).unwrap();
+            assert_eq!(classified_while_gated, 5, "gate, then three lines behind it");
             conn.shutdown(std::net::Shutdown::Write).unwrap();
             let got: Vec<String> = reader.lines().map(|l| l.unwrap()).collect();
             assert_eq!(
@@ -1594,15 +1690,18 @@ pub(crate) mod tests {
                 [
                     "parsed:HOT",
                     "parsed:HOT",
+                    "parsed:GATE",
+                    "parsed:HOT",
                     "parsed:COLD",
-                    "parsed:VOLATILE",
-                    "parsed:VOLATILE",
-                    "parsed:HOT"
+                    "parsed:VOLATILE"
                 ]
             );
             let report = server.join().unwrap();
             assert_eq!(report.metrics.requests, 7, "{:?}", report.metrics);
-            assert_eq!(handler.classified.load(Ordering::Relaxed) as u64, report.metrics.requests);
+            // Classified: the four misses (hot's fill, gate, cold,
+            // volatile) and the one out-of-order hit; never the two
+            // in-order hits.
+            assert_eq!(handler.classified(), 5);
             assert_eq!(report.metrics.cache_hits, 3, "{:?}", report.metrics);
             assert_eq!(report.metrics.cache_misses, 4, "{:?}", report.metrics);
         });
