@@ -14,6 +14,11 @@ t="$(dirname "$0")/cargo-test-nonempty.sh"
 
 # Finder: full-result identity across 1/2/8 workers.
 "$t" -p gtl-tangled result_identical_for_1_2_8_workers
+# Finder Phase I and scoring: `grow_into` vs its verbatim lazy-heap
+# oracle (orderings, profiles and prefix stats), and
+# `SubsetStats::compute` vs its verbatim BTreeMap oracle.
+"$t" -p gtl-tangled --lib grow_into_matches_oracle
+"$t" -p gtl-netlist --lib subset_stats_match_oracle
 # Sharded placer + striped congestion vs serial oracles.
 "$t" -p gtl-place --test determinism
 "$t" -p gtl-place --test properties
@@ -22,13 +27,15 @@ t="$(dirname "$0")/cargo-test-nonempty.sh"
 "$t" -p gtl-place --lib spread_matches_oracle_bit_for_bit
 "$t" -p gtl-place --lib spread_matches_oracle_on_a_fanned_out_12k_fixture
 "$t" -p gtl-place --lib spread_matches_oracle_where_area_sum_order_matters
-# Placer solves: the two-lane shard CG vs its verbatim one-axis oracle,
-# the scalar-anchor global CG vs its verbatim per-cell-anchor oracle, and
+# Placer solves: the two-lane shard CG vs its verbatim one-axis oracle
+# (also with one solver reused across designs of different sizes), the
+# scalar-anchor global CG vs its verbatim per-cell-anchor oracle, and
 # the solve pass vs its verbatim oracle at 1/2/8 workers, sharded (stitch,
 # reported boundary cells, sweeps) and on a 1×1 grid (both axes' global
 # solves and the clamp).
 "$t" -p gtl-place --lib two_lane_shard_solve_matches_oracle_bit_for_bit
 "$t" -p gtl-place --lib two_lane_shard_solve_matches_oracle_at_the_stopping_edges
+"$t" -p gtl-place --lib one_shard_solver_matches_oracle_across_design_sizes
 "$t" -p gtl-place --lib scalar_anchor_solve_matches_fused_oracle_bit_for_bit
 "$t" -p gtl-place --lib solve_pass_matches_oracle_bit_for_bit
 "$t" -p gtl-place --lib global_solve_pass_matches_oracle_bit_for_bit

@@ -12,13 +12,15 @@
 //! `gtl_bench::report` machinery, and asserts both kernels are
 //! run-to-run deterministic (two timed passes over the same inputs must
 //! agree bit-for-bit). Each anchored solve owns its work vectors; the
-//! shard sweeps reuse one `ShardSolver`, as a placer worker does.
+//! shard sweeps reuse one `ShardSolver`, as a placer worker does, and
+//! read one `ShardMap` that the testbed builds once from the partition,
+//! outside the timed sweeps, as a placer pass does before its solves.
 
 use std::time::Instant;
 
 use gtl_bench::report::{write_json, Json};
 use gtl_core::shard::ShardGrid;
-use gtl_place::quadratic::{Laplacian, ShardSolver};
+use gtl_place::quadratic::{Laplacian, ShardMap, ShardSolver};
 use gtl_place::Die;
 use gtl_synth::ispd_like::{generate, IspdBenchmark, IspdLikeConfig};
 
@@ -37,6 +39,7 @@ struct Testbed {
     targets: Vec<f64>,
     targets_y: Vec<f64>,
     shards: Vec<Vec<u32>>,
+    map: ShardMap,
 }
 
 fn testbed() -> Testbed {
@@ -55,7 +58,8 @@ fn testbed() -> Testbed {
     let rhs: Vec<f64> = targets.iter().map(|t| ALPHA * t).collect();
     let grid = ShardGrid::square(GRID, die.width, die.height);
     let shards = grid.partition(&x0, &ys);
-    Testbed { lap, rhs, x0, ys, targets, targets_y, shards }
+    let map = ShardMap::new(n, &shards);
+    Testbed { lap, rhs, x0, ys, targets, targets_y, shards, map }
 }
 
 /// Runs `reps` anchored solves in place from the same starting guess;
@@ -76,8 +80,7 @@ fn anchored_pass(tb: &Testbed, reps: usize) -> (f64, Vec<f64>) {
 /// reused solver; returns the wall time and a concatenated fingerprint
 /// of the last sweep.
 fn shard_pass(tb: &Testbed, reps: usize) -> (f64, Vec<f64>) {
-    let n = tb.lap.dim();
-    let mut solver = ShardSolver::new(n);
+    let mut solver = ShardSolver::new();
     let (mut tx, mut ty) = (Vec::new(), Vec::new());
     let mut fingerprint = Vec::new();
     let start = Instant::now();
@@ -97,6 +100,7 @@ fn shard_pass(tb: &Testbed, reps: usize) -> (f64, Vec<f64>) {
             }
             let (out_x, out_y) = solver.solve_shard(
                 &tb.lap,
+                &tb.map,
                 cells,
                 ALPHA,
                 &tx,

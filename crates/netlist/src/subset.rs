@@ -336,6 +336,83 @@ impl SubsetStats {
 mod tests {
     use super::*;
     use crate::NetlistBuilder;
+    use proptest::prelude::*;
+
+    /// `SubsetStats::compute` with its `BTreeMap` net counter, kept
+    /// verbatim (`Self` became `SubsetStats`) as the oracle for a compute
+    /// that counts the nets another way.
+    mod reference {
+        use std::collections::BTreeMap;
+
+        use crate::{CellSet, Netlist, SubsetStats};
+
+        pub(super) fn compute(netlist: &Netlist, set: &CellSet) -> SubsetStats {
+            assert!(
+                set.universe() >= netlist.num_cells(),
+                "set universe {} smaller than netlist {}",
+                set.universe(),
+                netlist.num_cells()
+            );
+            // BTreeMap, not HashMap: net visit order must not depend on a
+            // per-process hash seed (no-unordered-iteration-in-compute).
+            let mut inside: BTreeMap<crate::NetId, u32> = BTreeMap::new();
+            let mut pins = 0usize;
+            for cell in set.iter() {
+                let nets = netlist.cell_nets(cell);
+                pins += nets.len();
+                for &net in nets {
+                    *inside.entry(net).or_insert(0) += 1;
+                }
+            }
+            let mut cut = 0usize;
+            let mut internal = 0usize;
+            for (net, count) in &inside {
+                if (*count as usize) < netlist.net_degree(*net) {
+                    cut += 1;
+                } else {
+                    internal += 1;
+                }
+            }
+            SubsetStats { size: set.len(), cut, pins, internal_nets: internal }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// `SubsetStats::compute` reproduces its oracle on random
+        /// hypergraphs (empty and single-pin nets, cells on no net, a few
+        /// nets of up to 40 pins) for subsets of every shape: empty, one
+        /// cell, every cell and random, over the netlist's universe or a
+        /// wider one.
+        #[test]
+        fn subset_stats_match_oracle(
+            cells in 1usize..60,
+            nets in proptest::collection::vec(proptest::collection::vec(0usize..60, 0..8), 0..80),
+            hubs in proptest::collection::vec(proptest::collection::vec(0usize..60, 20..40), 0..3),
+            members in proptest::collection::vec(0u8..3, 60),
+            shape in 0u8..4,
+            wider in 0usize..3,
+        ) {
+            let mut b = NetlistBuilder::new();
+            b.add_anonymous_cells(cells);
+            for pins in nets.iter().chain(&hubs) {
+                b.add_anonymous_net(pins.iter().filter(|&&p| p < cells).map(|&p| CellId::new(p)));
+            }
+            let nl = b.finish();
+            let universe = cells + [0, 1, 64][wider];
+            let set = match shape {
+                0 => CellSet::new(universe),
+                1 => CellSet::from_cells(universe, [CellId::new(cells / 2)]),
+                2 => CellSet::from_cells(universe, nl.cells()),
+                _ => CellSet::from_cells(
+                    universe,
+                    (0..cells).filter(|&c| members[c] > 0).map(CellId::new),
+                ),
+            };
+            prop_assert_eq!(SubsetStats::compute(&nl, &set), reference::compute(&nl, &set));
+        }
+    }
 
     #[test]
     fn insert_remove_contains() {

@@ -6,7 +6,10 @@
 //!
 //! * one `module ... endmodule` per file,
 //! * `input` / `output` / `inout` / `wire` declarations, including simple
-//!   bus ranges (`wire [7:0] d;` expands to `d[7]` … `d[0]`),
+//!   bus ranges (`wire [7:0] d;` expands to `d[7]` … `d[0]`; one
+//!   declaration expands to at most 65,536 nets and a module's bus
+//!   declarations to at most 262,144, past which the parser reports a
+//!   syntax error naming the line),
 //! * gate instantiations with named (`.A(n1)`) or positional (`(n1, n2)`)
 //!   connections,
 //! * `//` line comments and `/* */` block comments.
@@ -42,6 +45,20 @@ use std::collections::HashMap;
 use std::path::Path;
 
 use crate::{CellId, Netlist, NetlistBuilder, NetlistError, ParseContext};
+
+/// The most nets one bus declaration may expand to, over all its names
+/// (`wire [N:0] a, b;` makes 2(N + 1)). A range sizes its expansion from
+/// its bounds, not from the input's length, so a few bytes could
+/// otherwise ask for billions of nets; a declaration past the cap is a
+/// syntax error naming its line, raised before the name that passes it
+/// expands.
+const MAX_DECLARATION_BITS: u64 = 1 << 16;
+
+/// The most nets the bus declarations of one module may expand to in
+/// total, redeclarations included, so that many in-cap declarations
+/// cannot add up to what one may not make. The name that passes it is a
+/// syntax error naming its line.
+const MAX_MODULE_BUS_BITS: u64 = 1 << 18;
 
 /// Cell-type → (area, expected pin count) table used when translating
 /// instances to cells.
@@ -165,7 +182,7 @@ pub fn parse_with_library(
     label: &str,
 ) -> Result<Module, NetlistError> {
     let tokens = tokenize(source, label)?;
-    Parser { tokens, pos: 0, label, library }.parse_module()
+    Parser { tokens, pos: 0, label, library, bus_bits: 0 }.parse_module()
 }
 
 #[derive(Debug, Clone, PartialEq)]
@@ -256,6 +273,8 @@ struct Parser<'a> {
     pos: usize,
     label: &'a str,
     library: &'a CellLibrary,
+    /// Nets the module's bus declarations have expanded to so far.
+    bus_bits: u64,
 }
 
 impl Parser<'_> {
@@ -408,10 +427,33 @@ impl Parser<'_> {
             range = Some((hi, lo));
         }
         let mut names = Vec::new();
+        let mut declared_bits = 0u64;
         loop {
             let t = self.expect_ident()?;
             match range {
                 Some((hi, lo)) => {
+                    // Both caps are checked before a name expands.
+                    let bits = hi.abs_diff(lo).saturating_add(1);
+                    declared_bits = declared_bits.saturating_add(bits);
+                    if declared_bits > MAX_DECLARATION_BITS {
+                        return Err(self.err(
+                            t.line,
+                            format!(
+                                "bus declaration expands past {MAX_DECLARATION_BITS} nets at `{}`",
+                                t.text
+                            ),
+                        ));
+                    }
+                    self.bus_bits += bits;
+                    if self.bus_bits > MAX_MODULE_BUS_BITS {
+                        return Err(self.err(
+                            t.line,
+                            format!(
+                                "bus declarations expand past {MAX_MODULE_BUS_BITS} nets in one \
+                                 module"
+                            ),
+                        ));
+                    }
                     let (lo, hi) = (lo.min(hi), lo.max(hi));
                     for bit in lo..=hi {
                         names.push(format!("{}[{}]", t.text, bit));
@@ -608,6 +650,53 @@ endmodule
         assert_eq!(m.netlist.num_nets(), 4);
         let g = m.netlist.find_cell("g").unwrap();
         assert_eq!(m.netlist.cell_degree(g), 3);
+    }
+
+    /// The error `source` fails to parse with, as displayed.
+    fn parse_error(source: &str) -> String {
+        match parse_str(source) {
+            Ok(m) => panic!("parsed {} nets", m.netlist.num_nets()),
+            Err(e) => e.to_string(),
+        }
+    }
+
+    #[test]
+    fn bus_ranges_past_the_declaration_cap_are_syntax_errors() {
+        // A few bytes naming millions or billions of nets fail before any
+        // expands, on the declaration's line.
+        for range in ["1999999:0", "2147483647:0", "0:9223372036854775807", "65536:0"] {
+            let source = format!("module m ();\n wire [{range}] d;\nendmodule");
+            let started = std::time::Instant::now();
+            let err = parse_error(&source);
+            assert!(started.elapsed().as_secs_f64() < 1.0, "{range} took {:?}", started.elapsed());
+            assert_eq!(
+                err, "<string>:2: bus declaration expands past 65536 nets at `d`",
+                "{range}"
+            );
+        }
+        // The cap counts every name of the declaration.
+        let err = parse_error("module m (); wire [16383:0] a, b, c, d, e; endmodule");
+        assert!(err.ends_with("expands past 65536 nets at `e`"), "{err}");
+        // At the cap the bus parses.
+        let m = parse_str("module m (); wire [65535:0] d; endmodule").unwrap();
+        assert_eq!(m.netlist.num_nets(), 65_536);
+    }
+
+    #[test]
+    fn bus_declarations_past_the_module_cap_are_syntax_errors() {
+        // In-cap declarations, redeclarations of one bus among them, add
+        // up past the module's total on the fifth.
+        let mut source = String::from("module m ();\n");
+        for k in 0..4 {
+            source.push_str(&format!("wire [65535:0] d{};\n", k % 2));
+        }
+        let fits = format!("{source}endmodule");
+        assert_eq!(parse_str(&fits).unwrap().netlist.num_nets(), 2 * 65_536);
+        source.push_str("input [0:0] e;\nendmodule");
+        let started = std::time::Instant::now();
+        let err = parse_error(&source);
+        assert!(started.elapsed().as_secs_f64() < 10.0, "took {:?}", started.elapsed());
+        assert_eq!(err, "<string>:6: bus declarations expand past 262144 nets in one module");
     }
 
     #[test]

@@ -4,9 +4,11 @@
 //! sample with each of its numbers swapped for a hostile one (`1e309`,
 //! `-0`, `NaN`, `inf`, a 20-digit integer), and arbitrary text: raw
 //! bytes, and soups of each format's own tokens, which reach far deeper
-//! into a reader than raw bytes do. All four Bookshelf files go through
-//! `bookshelf::parse_parts`; the `.hgr` reader's suite is
-//! `hgr_reader_is_total` in `src/hgr.rs`.
+//! into a reader than raw bytes do. The Verilog sample also gets bus
+//! bounds that fit `i64` but would expand to millions or billions of
+//! nets, which the reader's bus caps turn into prompt errors. All four
+//! Bookshelf files go through `bookshelf::parse_parts`; the `.hgr`
+//! reader's suite is `hgr_reader_is_total` in `src/hgr.rs`.
 
 use std::ops::Range;
 
@@ -29,9 +31,13 @@ const BOOKSHELF_WORDS: &str = "UCLA nodes nets 1.0 NumNodes NumTerminals NumNets
     NetDegree NumRows terminal a b p0 I O B /FIXED CoreRow Horizontal End Coordinate Height \
     Sitewidth SubrowOrigin NumSites : #";
 
-/// The words of the Verilog soups.
+/// Valid bus bounds past the Verilog reader's caps (65,536 nets per
+/// declaration, 262,144 per module), and the largest bound within them.
+const HUGE_BOUNDS: [&str; 5] = ["65535", "65536", "1999999", "2147483647", "9223372036854775807"];
+
+/// The words of the Verilog soups, huge bus bounds among them.
 const VERILOG_WORDS: &str = "module endmodule input output inout wire assign top a b w d u1 \
-    INV NAND2 ( ) [ ] : ; , . .A = // /* */ -";
+    INV NAND2 ( ) [ ] : ; , . .A = // /* */ - 1999999 2147483647 9223372036854775807";
 
 /// The numbers a soup picks besides the hostile ones.
 const PLAIN_NUMBERS: [&str; 6] = ["0", "1", "2", "3", "0.5", "-1"];
@@ -85,14 +91,15 @@ fn truncations(text: &str) -> impl Iterator<Item = &str> {
     (0..text.len()).filter(|&cut| text.is_char_boundary(cut)).map(move |cut| &text[..cut])
 }
 
-/// `text` with each of its numbers, in turn, replaced by each hostile one.
-fn hostile_swaps(text: &str) -> Vec<String> {
+/// `text` with each of its numbers, in turn, replaced by each of
+/// `numbers`.
+fn swaps(text: &str, numbers: &[&str]) -> Vec<String> {
     let spans = number_spans(text);
     assert!(spans.len() >= 3, "a sample without numbers: {text}");
     spans
         .iter()
         .flat_map(|span| {
-            HOSTILE_NUMBERS
+            numbers
                 .iter()
                 .map(move |number| format!("{}{number}{}", &text[..span.start], &text[span.end..]))
         })
@@ -126,7 +133,7 @@ fn bookshelf_reader_is_total_on_truncations_and_hostile_numbers() {
         for cut in truncations(sample) {
             check_bookshelf(with_file(k, cut));
         }
-        for swapped in hostile_swaps(sample) {
+        for swapped in swaps(sample, &HOSTILE_NUMBERS) {
             check_bookshelf(with_file(k, &swapped));
         }
     }
@@ -137,9 +144,25 @@ fn verilog_reader_is_total_on_truncations_and_hostile_numbers() {
     for cut in truncations(VERILOG) {
         check_verilog(cut);
     }
-    for swapped in hostile_swaps(VERILOG) {
+    for swapped in swaps(VERILOG, &HOSTILE_NUMBERS) {
         check_verilog(&swapped);
     }
+}
+
+#[test]
+fn verilog_reader_is_total_on_huge_bus_ranges() {
+    for swapped in swaps(VERILOG, &HUGE_BOUNDS) {
+        check_verilog(&swapped);
+    }
+    let at = |hi: &str| VERILOG.replace("[3:0]", &format!("[{hi}:0]"));
+    assert!(verilog::parse_str(&at("65535")).is_ok());
+    for hi in &HUGE_BOUNDS[1..] {
+        assert!(verilog::parse_str(&at(hi)).is_err(), "[{hi}:0] parsed");
+    }
+    // Declarations within the per-declaration cap that add up past the
+    // module's.
+    let many = VERILOG.replace("wire [3:0] d;", &"wire [65535:0] d;\n".repeat(5));
+    assert!(verilog::parse_str(&many).is_err());
 }
 
 proptest! {

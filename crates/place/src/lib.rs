@@ -7,7 +7,8 @@
 //!
 //! * [`quadratic`] — the netlist Laplacian (clique/star net model), a
 //!   hand-written Jacobi-preconditioned conjugate-gradient solver, and the
-//!   [`quadratic::ShardSolver`] for shard-restricted systems;
+//!   [`quadratic::ShardSolver`] for shard-restricted systems, which reads
+//!   shard membership from a [`quadratic::ShardMap`];
 //! * [`place`] — SimPL-style anchored solve/spread iterations with a
 //!   boosted-anchor epilogue, region-sharded onto `gtl_core::exec`
 //!   (byte-identical for any worker count);

@@ -3,14 +3,15 @@
 //!
 //! Each solve/spread iteration decomposes the die into a deterministic
 //! [`ShardGrid`] of regions (cells are binned by their spread-target
-//! position), solves every shard's anchored system concurrently through
-//! [`parallel_map_chunked_with`] — one reusable [`ShardSolver`] per
-//! worker — and stitches the shards back together with a fixed-order
-//! boundary anchor pass. A 1×1 grid solves the two axes of the global
-//! system as two work items instead. The decomposition depends only on
-//! the netlist, die and config (never on the worker count), so
-//! placements are byte-identical for any thread count; see
-//! `crates/place/tests/determinism.rs`.
+//! position), records the partition in one [`ShardMap`] for the pass,
+//! solves every shard's anchored system concurrently through
+//! [`parallel_map_chunked_with`] — one reusable, shard-sized
+//! [`ShardSolver`] per worker, all reading that map — and stitches the
+//! shards back together with a fixed-order boundary anchor pass. A 1×1
+//! grid solves the two axes of the global system as two work items
+//! instead. The decomposition depends only on the netlist, die and
+//! config (never on the worker count), so placements are byte-identical
+//! for any thread count; see `crates/place/tests/determinism.rs`.
 
 use gtl_core::cancel::{CancelToken, Cancelled};
 use gtl_core::exec::{derive_stream, parallel_map, parallel_map_chunked_with, Granularity};
@@ -19,7 +20,7 @@ use gtl_netlist::{CellId, Netlist};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use crate::quadratic::{Laplacian, ShardSolver};
+use crate::quadratic::{Laplacian, ShardMap, ShardSolver};
 use crate::spread::{spread_coords, SpreadConfig};
 use crate::Die;
 
@@ -307,6 +308,7 @@ fn solve_pass(
         // is a pure function of the targets — never of the thread count.
         let grid = ShardGrid::square(grid_side, die.width, die.height);
         let shards = grid.partition(targets.xs(), targets.ys());
+        let map = &ShardMap::new(n, &shards);
         let jitter = TARGET_JITTER * die.width.max(die.height);
         let (xs_now, ys_now): (&[f64], &[f64]) = (xs, ys);
 
@@ -316,7 +318,7 @@ fn solve_pass(
             config.threads,
             shards.len(),
             Granularity::Auto,
-            |_worker| (ShardSolver::new(n), Vec::new(), Vec::new()),
+            |_worker| (ShardSolver::new(), Vec::new(), Vec::new()),
             |(solver, tx, ty), s| {
                 let cells = &shards[s];
                 if cells.is_empty() {
@@ -335,6 +337,7 @@ fn solve_pass(
                 }
                 let (sx, sy) = solver.solve_shard(
                     lap,
+                    map,
                     cells,
                     alpha,
                     tx,

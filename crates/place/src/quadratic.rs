@@ -50,6 +50,11 @@
 //! kept verbatim as the `reference` oracle). The shard's extraction also
 //! reports its cells with a neighbor outside the shard, which the
 //! placer's boundary sweeps take as their list.
+//!
+//! Shard membership comes from one [`ShardMap`] per partition, which
+//! every shard solve reads: a [`ShardSolver`] holds only its current
+//! shard's state (local CSR, CG lanes, boundary list), so a worker's
+//! solver costs nothing per cell of the design.
 
 use gtl_netlist::Netlist;
 
@@ -129,7 +134,9 @@ fn for_each_spring(netlist: &Netlist, mut f: impl FnMut(u32, u32, u8)) {
 /// ```
 #[derive(Debug, Clone)]
 pub struct Laplacian {
-    offsets: Vec<usize>,
+    /// Row offsets into `columns` and `codes`, `u32` like the netlist's
+    /// own CSR offsets (the entry count is checked at build).
+    offsets: Vec<u32>,
     columns: Vec<u32>,
     /// Each entry's weight code into [`WEIGHTS`].
     codes: Vec<u8>,
@@ -138,25 +145,40 @@ pub struct Laplacian {
 
 impl Laplacian {
     /// Builds the Laplacian of `netlist` with the clique/path hybrid model.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the matrix has more than `u32::MAX` off-diagonal
+    /// entries, the reach of its `u32` row offsets. The model gives a
+    /// design at most 7 × its pin count of them (a pin of a `d`-pin
+    /// clique net has `d − 1 ≤ 7` neighbors; a star's `d − 1` springs
+    /// make `2(d − 1)` entries over its `d` pins), so a design of up to
+    /// 613,566,756 pins always builds.
     pub fn build(netlist: &Netlist) -> Self {
         let n = netlist.num_cells();
         // Two visits of the springs, in the same order: the first counts
         // each row's entries (both directions), the second fills the rows
         // and sums the diagonal.
-        let mut counts = vec![0usize; n];
+        let mut counts = vec![0u32; n];
+        let mut entries = 0u64;
         for_each_spring(netlist, |i, j, _| {
             counts[i as usize] += 1;
             counts[j as usize] += 1;
+            entries += 2;
         });
+        assert!(
+            entries <= u64::from(u32::MAX),
+            "{entries} Laplacian entries overflow its u32 row offsets"
+        );
         let mut offsets = Vec::with_capacity(n + 1);
-        let mut nnz = 0usize;
+        let mut nnz = 0u32;
         offsets.push(nnz);
         for c in &counts {
             nnz += c;
             offsets.push(nnz);
         }
-        let mut columns = vec![0u32; nnz];
-        let mut codes = vec![0u8; nnz];
+        let mut columns = vec![0u32; nnz as usize];
+        let mut codes = vec![0u8; nnz as usize];
         // The counts are spent: they become the fill cursors.
         let mut cursor = counts;
         cursor.copy_from_slice(&offsets[..n]);
@@ -164,11 +186,11 @@ impl Laplacian {
         for_each_spring(netlist, |i, j, code| {
             let (i, j) = (i as usize, j as usize);
             let w = WEIGHTS[code as usize];
-            columns[cursor[i]] = j as u32;
-            codes[cursor[i]] = code;
+            columns[cursor[i] as usize] = j as u32;
+            codes[cursor[i] as usize] = code;
             cursor[i] += 1;
-            columns[cursor[j]] = i as u32;
-            codes[cursor[j]] = code;
+            columns[cursor[j] as usize] = i as u32;
+            codes[cursor[j] as usize] = code;
             cursor[j] += 1;
             diagonal[i] += w;
             diagonal[j] += w;
@@ -190,7 +212,7 @@ impl Laplacian {
     ///
     /// Panics if `i >= dim()`.
     pub fn row(&self, i: usize) -> impl Iterator<Item = (usize, f64)> + '_ {
-        let (start, end) = (self.offsets[i], self.offsets[i + 1]);
+        let (start, end) = (self.offsets[i] as usize, self.offsets[i + 1] as usize);
         self.columns[start..end]
             .iter()
             .zip(&self.codes[start..end])
@@ -213,7 +235,7 @@ impl Laplacian {
     /// anchor product `α·vᵢ` is added to the finished accumulator.
     fn apply_anchored(&self, weights: &[f64], alpha: f64, v: &[f64], out: &mut [f64]) {
         for i in 0..self.dim() {
-            let (start, end) = (self.offsets[i], self.offsets[i + 1]);
+            let (start, end) = (self.offsets[i] as usize, self.offsets[i + 1] as usize);
             let mut acc = self.diagonal[i] * v[i];
             for (&c, &w) in self.columns[start..end].iter().zip(&weights[start..end]) {
                 acc -= w * v[c as usize];
@@ -302,6 +324,51 @@ impl Laplacian {
     }
 }
 
+/// The slot of a cell in no shard of a [`ShardMap`].
+const OUTSIDE: u32 = u32::MAX;
+
+/// Where each cell of a design lies in a shard partition, one `u32` per
+/// cell: its index in the shards' cell lists laid end to end, shard 0's
+/// first. A shard whose list starts at index `b` holds exactly the cells
+/// the map puts in `b..b + len`, and a cell's index in that list is its
+/// slot minus `b`, so the one slot gives both the shard and the local
+/// index.
+///
+/// The sharded placer builds one map per pass from the pass's
+/// [`ShardGrid::partition`](gtl_core::shard::ShardGrid::partition), and
+/// every [`ShardSolver::solve_shard`] of the pass reads it to tell a
+/// shard's own cells (and their local indices) from the fixed neighbors
+/// outside it. It is the only per-cell state of the shard solves,
+/// whatever the worker count, and it lives only while they run. The
+/// [`ShardSolver`] example builds one.
+#[derive(Debug, Clone)]
+pub struct ShardMap {
+    /// Each cell's index in the lists laid end to end; [`OUTSIDE`] for a
+    /// cell in no shard.
+    slots: Vec<u32>,
+}
+
+impl ShardMap {
+    /// The map of a `num_cells`-cell design partitioned into `shards`,
+    /// each shard's list of cells; a cell that no list names lies outside
+    /// every shard.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a listed cell is not below `num_cells`, a cell is listed
+    /// twice, or `num_cells` is `u32::MAX` or more.
+    pub fn new(num_cells: usize, shards: &[Vec<u32>]) -> Self {
+        assert!(num_cells < OUTSIDE as usize, "too many cells for a shard map");
+        let mut slots = vec![OUTSIDE; num_cells];
+        for (at, &c) in shards.iter().flatten().enumerate() {
+            let slot = &mut slots[c as usize];
+            assert_eq!(*slot, OUTSIDE, "cell {c} is listed in two shards");
+            *slot = at as u32;
+        }
+        Self { slots }
+    }
+}
+
 /// A solver of *shard-restricted* anchored systems.
 ///
 /// The sharded placer decomposes the die into a grid of regions and solves
@@ -312,7 +379,9 @@ impl Laplacian {
 /// per *worker* of [`gtl_core::exec::parallel_map_chunked_with`] and
 /// reused across every shard that worker claims — the local CSR and all
 /// CG vectors are allocated once and recycled, per the execution layer's
-/// scratch contract.
+/// scratch contract. Its state is shard-sized: which cells a shard holds
+/// comes from the pass's shared [`ShardMap`], so one solver serves
+/// designs of any size.
 ///
 /// Both axes share the local matrix, so they are solved together: every
 /// CG vector holds an `[x, y]` pair per cell and each local row is read
@@ -330,7 +399,7 @@ impl Laplacian {
 ///
 /// ```
 /// use gtl_netlist::NetlistBuilder;
-/// use gtl_place::quadratic::{Laplacian, ShardSolver};
+/// use gtl_place::quadratic::{Laplacian, ShardMap, ShardSolver};
 ///
 /// // Three cells in a chain; solve the shard {0, 1} with cell 2 fixed.
 /// let mut b = NetlistBuilder::new();
@@ -340,23 +409,19 @@ impl Laplacian {
 /// let nl = b.finish();
 /// let lap = Laplacian::build(&nl);
 ///
-/// let mut solver = ShardSolver::new(nl.num_cells());
+/// let shards = [vec![0, 1], vec![2]];
+/// let map = ShardMap::new(nl.num_cells(), &shards);
+/// let mut solver = ShardSolver::new();
 /// let xs = [0.0, 0.0, 10.0];
 /// let ys = [0.0, 0.0, 0.0];
 /// let (sx, _sy) = solver.solve_shard(
-///     &lap, &[0, 1], 1.0, &[0.0, 0.0], &[0.0, 0.0], &xs, &ys, 1e-10, 100,
+///     &lap, &map, &shards[0], 1.0, &[0.0, 0.0], &[0.0, 0.0], &xs, &ys, 1e-10, 100,
 /// );
 /// // Cell 1 is pulled toward the fixed cell 2 at x = 10; cell 0 follows.
 /// assert!(sx[1] > sx[0] && sx[1] > 1.0);
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ShardSolver {
-    /// Epoch stamp per global cell; `mark[g] == epoch` ⇔ `g` is in the
-    /// current shard.
-    mark: Vec<u32>,
-    /// Local index of each global cell (valid only where `mark` matches).
-    local_of: Vec<u32>,
-    epoch: u32,
     /// The shard-local matrix.
     local: LocalCsr,
     /// Global ids of the last shard's cells with a neighbor outside it,
@@ -367,34 +432,32 @@ pub struct ShardSolver {
 }
 
 impl ShardSolver {
-    /// Creates a solver for shards of a `num_cells`-cell design.
-    pub fn new(num_cells: usize) -> Self {
-        Self {
-            mark: vec![0; num_cells],
-            local_of: vec![0; num_cells],
-            epoch: 0,
-            local: LocalCsr::default(),
-            boundary: Vec::new(),
-            lanes: Lanes::default(),
-        }
+    /// Creates a solver; its buffers grow to the largest shard it solves.
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// Solves both axes of the anchored system restricted to `cells` and
     /// returns the new coordinates of the shard cells, in `cells` order.
     ///
-    /// `targets_x`/`targets_y` are the anchor targets of the shard cells
-    /// (indexed like `cells`); `xs`/`ys` are the full current coordinate
-    /// vectors, used both as the CG starting guess and as the fixed
-    /// positions of out-of-shard neighbors.
+    /// `cells` is one shard's list as `map` was filled from it (any run
+    /// of the map's lists laid end to end will do): the shard is exactly
+    /// those cells, and every other cell is a fixed neighbor.
+    /// `targets_x`/`targets_y` are the anchor targets of the
+    /// shard cells (indexed like `cells`); `xs`/`ys` are the full current
+    /// coordinate vectors, used both as the CG starting guess and as the
+    /// fixed positions of out-of-shard neighbors.
     ///
     /// # Panics
     ///
     /// Panics if `anchor_weight <= 0`, the target slices do not match
-    /// `cells`, or any cell index is out of range for the Laplacian.
+    /// `cells`, `cells` is not a run of `map`'s lists in order, or any
+    /// cell index is out of range for the Laplacian or the map.
     #[allow(clippy::too_many_arguments)]
     pub fn solve_shard(
         &mut self,
         lap: &Laplacian,
+        map: &ShardMap,
         cells: &[u32],
         anchor_weight: f64,
         targets_x: &[f64],
@@ -408,13 +471,9 @@ impl ShardSolver {
         assert!(anchor_weight > 0.0, "anchor weight must be positive");
         assert_eq!(targets_x.len(), m, "targets_x must match cells");
         assert_eq!(targets_y.len(), m, "targets_y must match cells");
-
-        // Stamp shard membership (O(shard), no clearing of the full map).
-        self.epoch += 1;
-        for (k, &c) in cells.iter().enumerate() {
-            self.mark[c as usize] = self.epoch;
-            self.local_of[c as usize] = k as u32;
-        }
+        // The shard's cells are the ones the map puts at `base..base + m`,
+        // cell `k` at `base + k`.
+        let base = cells.first().map_or(0, |&c| map.slots[c as usize]);
 
         // One pass per row extracts the shard-local CSR and both
         // right-hand-side lanes: an edge leaving the shard keeps its
@@ -432,11 +491,16 @@ impl ShardSolver {
         x.clear();
         for (k, &c) in cells.iter().enumerate() {
             let g = c as usize;
+            assert!(
+                base != OUTSIDE && map.slots[g] == base + k as u32,
+                "cell {c} is not entry {k} of a run of the shard map"
+            );
             let (mut ex, mut ey) = (0.0, 0.0);
             let mut leaves = false;
             for (j, w) in lap.row(g) {
-                if self.mark[j] == self.epoch {
-                    columns.push(self.local_of[j]);
+                let local = map.slots[j].wrapping_sub(base);
+                if local < m as u32 {
+                    columns.push(local);
                     values.push(w);
                 } else {
                     ex += w * xs[j];
@@ -1381,7 +1445,8 @@ pub(crate) mod tests {
                 let nl = random_netlist(n, nets, &mut rng);
                 let want = reference::build_with(&nl, &mut oracle_scratch);
                 let got = Laplacian::build(&nl);
-                prop_assert_eq!(&got.offsets, &want.offsets);
+                let offsets: Vec<usize> = got.offsets.iter().map(|&o| o as usize).collect();
+                prop_assert_eq!(&offsets, &want.offsets);
                 prop_assert_eq!(&got.columns, &want.columns);
                 for i in 0..n {
                     let weights: Vec<u64> = got.row(i).map(|(_, w)| w.to_bits()).collect();
@@ -1432,9 +1497,9 @@ pub(crate) mod tests {
                 let rhs_x: Vec<f64> = targets.iter().map(|t| aw * t).collect();
                 let expect_x = reference::full_shard_cg(&oracle, aw, &rhs_x, &xs, tol, iters);
                 let expect_y = reference::full_shard_cg(&oracle, aw, &rhs_x, &ys, tol, iters);
-                let mut solver = ShardSolver::new(n);
-                let (sx, sy) =
-                    solver.solve_shard(&lap, &cells, aw, &targets, &targets, &xs, &ys, tol, iters);
+                let map = ShardMap::new(n, std::slice::from_ref(&cells));
+                let (sx, sy) = ShardSolver::new()
+                    .solve_shard(&lap, &map, &cells, aw, &targets, &targets, &xs, &ys, tol, iters);
                 assert_eq!(sx, expect_x, "x tol={tol} iters={iters}");
                 assert_eq!(sy, expect_y, "y tol={tol} iters={iters}");
             }
@@ -1485,11 +1550,12 @@ pub(crate) mod tests {
         v.iter().map(|x| x.to_bits()).collect()
     }
 
-    /// Solves `case` with the reference solver and with a two-lane solver
-    /// left dirty by the rest of the design, as the placer's workers
-    /// reuse theirs: both lanes must match bit for bit, and the reported
-    /// boundary must be the shard's cells with a neighbor outside it.
-    fn assert_matches_oracle(case: &ShardCase, what: &str) {
+    /// Solves `case` with the reference solver and with `solver` left
+    /// dirty by the rest of the design, as the placer's workers reuse
+    /// theirs, the two shards recorded in one map: both lanes must match
+    /// bit for bit, and the reported boundary must be the shard's cells
+    /// with a neighbor outside it.
+    fn assert_matches_oracle(solver: &mut ShardSolver, case: &ShardCase, what: &str) {
         let ShardCase {
             lap,
             oracle,
@@ -1509,10 +1575,11 @@ pub(crate) mod tests {
         }
         let rest: Vec<u32> = (0..n as u32).filter(|&c| !in_shard[c as usize]).collect();
         let rest_targets = vec![1.0; rest.len()];
-        let mut solver = ShardSolver::new(n);
+        let map = ShardMap::new(n, &[cells.clone(), rest.clone()]);
         if !rest.is_empty() {
             let _ = solver.solve_shard(
                 lap,
+                &map,
                 &rest,
                 *aw,
                 &rest_targets,
@@ -1523,8 +1590,8 @@ pub(crate) mod tests {
                 *cap,
             );
         }
-        let (got_x, got_y) =
-            solver.solve_shard(lap, cells, *aw, &case.tx, &case.ty, &case.xs, &case.ys, *tol, *cap);
+        let (got_x, got_y) = solver
+            .solve_shard(lap, &map, cells, *aw, &case.tx, &case.ty, &case.xs, &case.ys, *tol, *cap);
         assert_eq!(bits(&got_x), bits(&want_x), "x lane: {what}");
         assert_eq!(bits(&got_y), bits(&want_y), "y lane: {what}");
 
@@ -1599,7 +1666,7 @@ pub(crate) mod tests {
                 let lane = if rng.gen_bool(0.5) { &mut case.xs } else { &mut case.ys };
                 lane[rng.gen_range(0..n)] = poison;
             }
-            assert_matches_oracle(&case, &format!("n={n} m={m} seed={seed}"));
+            assert_matches_oracle(&mut ShardSolver::new(), &case, &format!("n={n} m={m} seed={seed}"));
         }
     }
 
@@ -1705,9 +1772,134 @@ pub(crate) mod tests {
                     tolerance: tol,
                     max_iterations: cap,
                 };
-                assert_matches_oracle(&case, &format!("{what}, edge on x: {edge_on_x}"));
+                let what = format!("{what}, edge on x: {edge_on_x}");
+                assert_matches_oracle(&mut ShardSolver::new(), &case, &what);
             }
         }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// One solver serves designs of different sizes, as a worker's
+        /// solver serves every shard it claims: its state is shard-sized,
+        /// so a design of `n` cells, then one four times larger, then one
+        /// half as large each match the oracle bit for bit.
+        #[test]
+        fn one_shard_solver_matches_oracle_across_design_sizes(
+            n in 1usize..100,
+            seed in 0u64..u64::MAX,
+        ) {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let mut solver = ShardSolver::new();
+            for n in [n, 4 * n + 7, n / 2 + 1] {
+                let nl = random_netlist(n, n + 1, &mut rng);
+                let cells: Vec<u32> = (0..n as u32).filter(|_| rng.gen_bool(0.5)).collect();
+                let m = cells.len();
+                let mut values = |len: usize| -> Vec<f64> {
+                    (0..len).map(|_| rng.gen_range(-20.0..120.0)).collect()
+                };
+                let case = ShardCase {
+                    lap: Laplacian::build(&nl),
+                    oracle: reference::build(&nl),
+                    cells,
+                    anchor_weight: 0.75,
+                    tx: values(m),
+                    ty: values(m),
+                    xs: values(n),
+                    ys: values(n),
+                    tolerance: 1e-9,
+                    max_iterations: 300,
+                };
+                assert_matches_oracle(&mut solver, &case, &format!("n={n} m={m} seed={seed}"));
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// A map built from [`ShardGrid::partition`] gives every cell its
+        /// shard's start plus its index in that shard's list: positions
+        /// scattered over the die, stacked on a coarse lattice, or outside
+        /// it.
+        #[test]
+        fn shard_map_agrees_with_the_partition(
+            n in 0usize..600,
+            side in 1usize..7,
+            stacked in 0u8..2,
+            seed in 0u64..u64::MAX,
+        ) {
+            use gtl_core::shard::ShardGrid;
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let mut coord = || {
+                if stacked == 1 {
+                    rng.gen_range(0..5usize) as f64 * 2.5
+                } else {
+                    rng.gen_range(-1.0..11.0)
+                }
+            };
+            let (xs, ys): (Vec<f64>, Vec<f64>) = (0..n).map(|_| (coord(), coord())).unzip();
+            let shards = ShardGrid::square(side, 10.0, 10.0).partition(&xs, &ys);
+            let map = ShardMap::new(n, &shards);
+            let mut base = 0;
+            for cells in &shards {
+                for (k, &c) in cells.iter().enumerate() {
+                    prop_assert_eq!(map.slots[c as usize], (base + k) as u32, "cell {}", c);
+                }
+                base += cells.len();
+            }
+            prop_assert_eq!(base, n);
+            prop_assert_eq!(map.slots.len(), n);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "listed in two shards")]
+    fn shard_map_rejects_a_cell_in_two_shards() {
+        let _ = ShardMap::new(4, &[vec![0, 1], vec![1, 2]]);
+    }
+
+    #[test]
+    #[should_panic(expected = "cell 3 is not entry 0 of a run of the shard map")]
+    fn solve_shard_rejects_a_cell_in_no_shard() {
+        let nl = chain(4);
+        let lap = Laplacian::build(&nl);
+        let map = ShardMap::new(4, &[vec![0, 1]]);
+        let at = [0.0, 1.0, 2.0, 3.0];
+        let _ = ShardSolver::new().solve_shard(
+            &lap,
+            &map,
+            &[3],
+            1.0,
+            &[0.0],
+            &[0.0],
+            &at,
+            &at,
+            1e-9,
+            10,
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "is not entry 1 of a run of the shard map")]
+    fn solve_shard_rejects_cells_that_are_not_a_run_of_the_map() {
+        let nl = chain(4);
+        let lap = Laplacian::build(&nl);
+        let map = ShardMap::new(4, &[vec![0, 1], vec![2, 3]]);
+        let at = [0.0, 1.0, 2.0, 3.0];
+        let _ = ShardSolver::new().solve_shard(
+            &lap,
+            &map,
+            &[0, 2],
+            1.0,
+            &[0.0; 2],
+            &[0.0; 2],
+            &at,
+            &at,
+            1e-9,
+            10,
+        );
     }
 
     #[test]
@@ -1775,10 +1967,10 @@ pub(crate) mod tests {
         let x0 = vec![0.0; n];
         let mut global = x0.clone();
         lap.solve_anchored(0.5, &rhs, &mut global, 1e-12, 500);
-        let mut solver = ShardSolver::new(n);
         let cells: Vec<u32> = (0..n as u32).collect();
-        let (sx, sy) =
-            solver.solve_shard(&lap, &cells, 0.5, &targets, &targets, &x0, &x0, 1e-12, 500);
+        let map = ShardMap::new(n, std::slice::from_ref(&cells));
+        let (sx, sy) = ShardSolver::new()
+            .solve_shard(&lap, &map, &cells, 0.5, &targets, &targets, &x0, &x0, 1e-12, 500);
         for i in 0..n {
             assert!((sx[i] - global[i]).abs() < 1e-8, "x[{i}]: {} vs {}", sx[i], global[i]);
             assert!((sy[i] - global[i]).abs() < 1e-8);
@@ -1798,10 +1990,11 @@ pub(crate) mod tests {
         let tb = vec![7.5; 14];
         let a: Vec<u32> = (0..6).collect();
         let b: Vec<u32> = (6..20).collect();
-        let mut solver = ShardSolver::new(n);
-        let first = solver.solve_shard(&lap, &a, 1.0, &ta, &ta, &xs, &ys, 1e-10, 200);
-        let _ = solver.solve_shard(&lap, &b, 1.0, &tb, &tb, &xs, &ys, 1e-10, 200);
-        let again = solver.solve_shard(&lap, &a, 1.0, &ta, &ta, &xs, &ys, 1e-10, 200);
+        let map = ShardMap::new(n, &[a.clone(), b.clone()]);
+        let mut solver = ShardSolver::new();
+        let first = solver.solve_shard(&lap, &map, &a, 1.0, &ta, &ta, &xs, &ys, 1e-10, 200);
+        let _ = solver.solve_shard(&lap, &map, &b, 1.0, &tb, &tb, &xs, &ys, 1e-10, 200);
+        let again = solver.solve_shard(&lap, &map, &a, 1.0, &ta, &ta, &xs, &ys, 1e-10, 200);
         assert_eq!(first, again);
     }
 

@@ -461,6 +461,364 @@ impl<'a> OrderingGrower<'a> {
 mod tests {
     use super::*;
     use gtl_netlist::{CellSet, NetlistBuilder};
+    use proptest::prelude::*;
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
+
+    /// `OrderingGrower::grow_into` with its lazy-deletion `BinaryHeap`
+    /// frontier (`Entry`, `pop_best`, `add_cell`, `keys`, `delta_cut`
+    /// and `reset`), kept verbatim as the Phase I oracle: a frontier
+    /// kernel that replaces the heap must reproduce its orderings and
+    /// profiles bit for bit.
+    mod reference {
+        use std::cmp::Ordering as CmpOrdering;
+        use std::collections::BinaryHeap;
+
+        use gtl_netlist::{CellId, Netlist};
+
+        use super::super::{GrowthConfig, GrowthCriterion, LinearOrdering};
+
+        /// Max-heap entry holding a precomputed (primary, secondary) key; higher
+        /// keys win, then lower cell id (for determinism). Entries are lazy —
+        /// stale ones are skipped at pop time by comparing against the current
+        /// per-cell values.
+        #[derive(Debug, Clone, Copy)]
+        struct Entry {
+            primary: f64,
+            secondary: f64,
+            cell: u32,
+        }
+
+        impl PartialEq for Entry {
+            fn eq(&self, other: &Self) -> bool {
+                self.cmp(other) == CmpOrdering::Equal
+            }
+        }
+        impl Eq for Entry {}
+
+        impl PartialOrd for Entry {
+            fn partial_cmp(&self, other: &Self) -> Option<CmpOrdering> {
+                Some(self.cmp(other))
+            }
+        }
+
+        impl Ord for Entry {
+            fn cmp(&self, other: &Self) -> CmpOrdering {
+                self.primary
+                    .total_cmp(&other.primary)
+                    .then_with(|| self.secondary.total_cmp(&other.secondary))
+                    .then_with(|| other.cell.cmp(&self.cell))
+            }
+        }
+
+        /// Reusable Phase I engine.
+        ///
+        /// Holds `O(|V| + |E|)` scratch buffers so that running many seeds on the
+        /// same netlist (the paper launches 100) only pays for the cells and nets
+        /// actually touched by each growth, not for re-allocation.
+        #[derive(Debug)]
+        pub struct OrderingGrower<'a> {
+            netlist: &'a Netlist,
+            config: GrowthConfig,
+            in_group: Vec<bool>,
+            /// Pins of each net inside the group.
+            net_inside: Vec<u32>,
+            /// Current connection weight of each frontier cell.
+            weight: Vec<f64>,
+            /// Incident nets of each cell that are touched (≥ 1 pin inside).
+            touched_nets: Vec<u32>,
+            /// Incident nets of each cell where the cell is the only outside pin.
+            absorb: Vec<u32>,
+            cell_dirty: Vec<bool>,
+            dirty_cells: Vec<u32>,
+            dirty_nets: Vec<u32>,
+            heap: BinaryHeap<Entry>,
+        }
+
+        impl<'a> OrderingGrower<'a> {
+            /// Creates a grower for `netlist`.
+            pub fn new(netlist: &'a Netlist, config: GrowthConfig) -> Self {
+                Self {
+                    netlist,
+                    config,
+                    in_group: vec![false; netlist.num_cells()],
+                    net_inside: vec![0; netlist.num_nets()],
+                    weight: vec![0.0; netlist.num_cells()],
+                    touched_nets: vec![0; netlist.num_cells()],
+                    absorb: vec![0; netlist.num_cells()],
+                    cell_dirty: vec![false; netlist.num_cells()],
+                    dirty_cells: Vec::new(),
+                    dirty_nets: Vec::new(),
+                    heap: BinaryHeap::new(),
+                }
+            }
+
+            /// Grows a linear ordering from `seed` into a caller-owned buffer,
+            /// reusing its allocations (`out` is cleared first).
+            ///
+            /// The result is identical to [`Self::grow`] — buffer reuse is
+            /// invisible in the output, which is what lets per-worker scratch
+            /// state satisfy the execution layer's determinism contract
+            /// (see [`gtl_core`]).
+            ///
+            /// # Panics
+            ///
+            /// Panics if `seed` is out of bounds for the netlist.
+            pub fn grow_into(&mut self, seed: CellId, out: &mut LinearOrdering) {
+                assert!(seed.index() < self.netlist.num_cells(), "seed {seed} out of bounds");
+                self.reset();
+
+                let cap = self.config.max_len.min(self.netlist.num_cells());
+                out.clear();
+                out.cells.reserve(cap);
+                out.cut_profile.reserve(cap);
+                out.pin_profile.reserve(cap);
+                out.absorbed_profile.reserve(cap);
+
+                let mut cut = 0i64;
+                let mut pins = 0u64;
+                let mut absorbed = 0i64;
+
+                self.add_cell(seed, &mut cut, &mut pins, &mut absorbed, out);
+
+                while out.cells.len() < self.config.max_len {
+                    let Some(next) = self.pop_best() else { break };
+                    self.add_cell(next, &mut cut, &mut pins, &mut absorbed, out);
+                }
+            }
+
+            /// Pops the best live frontier cell, skipping stale heap entries.
+            fn pop_best(&mut self) -> Option<CellId> {
+                while let Some(e) = self.heap.pop() {
+                    let c = e.cell as usize;
+                    if self.in_group[c] {
+                        continue;
+                    }
+                    let (primary, secondary) = self.keys(CellId::from(e.cell));
+                    if e.primary == primary && e.secondary == secondary {
+                        return Some(CellId::from(e.cell));
+                    }
+                }
+                None
+            }
+
+            /// The (primary, secondary) max-heap key of a frontier cell under the
+            /// configured criterion.
+            #[inline]
+            fn keys(&self, cell: CellId) -> (f64, f64) {
+                let w = self.weight[cell.index()];
+                let d = -(self.delta_cut(cell) as f64); // higher = smaller cut growth
+                match self.config.criterion {
+                    GrowthCriterion::WeightFirst => (w, d),
+                    GrowthCriterion::CutFirst => (d, w),
+                }
+            }
+
+            /// Cut increase if `cell` were added now: new nets touched minus nets
+            /// absorbed (cell is their last outside pin). Used as tie-break.
+            #[inline]
+            fn delta_cut(&self, cell: CellId) -> i32 {
+                let untouched =
+                    self.netlist.cell_degree(cell) as i32 - self.touched_nets[cell.index()] as i32;
+                untouched - self.absorb[cell.index()] as i32
+            }
+
+            #[inline]
+            fn mark_dirty(&mut self, cell: CellId) {
+                if !self.cell_dirty[cell.index()] {
+                    self.cell_dirty[cell.index()] = true;
+                    self.dirty_cells.push(cell.raw());
+                }
+            }
+
+            #[inline]
+            fn push_entry(&mut self, cell: CellId) {
+                let (primary, secondary) = self.keys(cell);
+                self.heap.push(Entry { primary, secondary, cell: cell.raw() });
+            }
+
+            fn add_cell(
+                &mut self,
+                v: CellId,
+                cut: &mut i64,
+                pins: &mut u64,
+                absorbed: &mut i64,
+                ordering: &mut LinearOrdering,
+            ) {
+                debug_assert!(!self.in_group[v.index()]);
+                self.mark_dirty(v);
+                self.in_group[v.index()] = true;
+                *pins += self.netlist.cell_degree(v) as u64;
+
+                for i in 0..self.netlist.cell_nets(v).len() {
+                    let net = self.netlist.cell_nets(v)[i];
+                    let deg = self.netlist.net_degree(net);
+                    let old_in = self.net_inside[net.index()] as usize;
+                    if old_in == 0 {
+                        self.dirty_nets.push(net.raw());
+                    }
+                    self.net_inside[net.index()] = (old_in + 1) as u32;
+                    let new_in = old_in + 1;
+
+                    let was_cut = old_in > 0 && old_in < deg;
+                    let is_cut = new_in < deg; // new_in > 0 always
+                    *cut += is_cut as i64 - was_cut as i64;
+                    if new_in == deg {
+                        *absorbed += 1;
+                    }
+
+                    let outside_new = deg - new_in;
+                    if old_in == 0 {
+                        // First touch: every other pin becomes (or strengthens) a
+                        // frontier cell.
+                        let w = 1.0 / (outside_new as f64 + 1.0);
+                        for j in 0..deg {
+                            let u = self.netlist.net_cells(net)[j];
+                            if u == v || self.in_group[u.index()] {
+                                continue;
+                            }
+                            self.mark_dirty(u);
+                            self.touched_nets[u.index()] += 1;
+                            self.weight[u.index()] += w;
+                            self.push_entry(u);
+                        }
+                    } else {
+                        // The net shrank by one outside pin; update frontier weights
+                        // unless the net is large (the paper's λ ≥ 20 skip).
+                        let outside_old = deg - old_in;
+                        if outside_old < self.config.lambda_threshold.saturating_add(1) {
+                            let dw =
+                                1.0 / (outside_new as f64 + 1.0) - 1.0 / (outside_old as f64 + 1.0);
+                            for j in 0..deg {
+                                let u = self.netlist.net_cells(net)[j];
+                                if self.in_group[u.index()] {
+                                    continue;
+                                }
+                                self.mark_dirty(u);
+                                self.weight[u.index()] += dw;
+                                self.push_entry(u);
+                            }
+                        }
+                    }
+
+                    if outside_new == 1 {
+                        // Exactly one pin remains outside: adding it would absorb
+                        // the net. Track for the min-cut tie-break.
+                        for j in 0..deg {
+                            let u = self.netlist.net_cells(net)[j];
+                            if !self.in_group[u.index()] {
+                                self.mark_dirty(u);
+                                self.absorb[u.index()] += 1;
+                                self.push_entry(u);
+                                break;
+                            }
+                        }
+                    }
+                }
+
+                ordering.cells.push(v);
+                ordering.cut_profile.push(u32::try_from(*cut).expect("cut fits u32"));
+                ordering.pin_profile.push(*pins);
+                ordering
+                    .absorbed_profile
+                    .push(u32::try_from(*absorbed).expect("absorbed fits u32"));
+            }
+
+            /// Clears only the state touched by the previous growth.
+            fn reset(&mut self) {
+                for raw in self.dirty_cells.drain(..) {
+                    let i = raw as usize;
+                    self.in_group[i] = false;
+                    self.weight[i] = 0.0;
+                    self.touched_nets[i] = 0;
+                    self.absorb[i] = 0;
+                    self.cell_dirty[i] = false;
+                }
+                for raw in self.dirty_nets.drain(..) {
+                    self.net_inside[raw as usize] = 0;
+                }
+                self.heap.clear();
+            }
+        }
+    }
+
+    /// A random hypergraph for the Phase I oracle: `n` cells on `nets`
+    /// nets, then `isolated` cells on none. A net draws one pin, 2–6 pins
+    /// or 8–40 pins (past every small λ threshold), or, with `uniform`,
+    /// exactly that many, so that connection weights tie. Pins are drawn
+    /// with replacement and the builder keeps one of each, so a net may
+    /// come out smaller than drawn.
+    fn random_hypergraph(
+        n: usize,
+        nets: usize,
+        isolated: usize,
+        uniform: Option<usize>,
+        rng: &mut SmallRng,
+    ) -> Netlist {
+        let mut b = NetlistBuilder::new();
+        b.add_anonymous_cells(n + isolated);
+        for _ in 0..nets {
+            let degree = uniform.unwrap_or_else(|| match rng.gen_range(0..6u8) {
+                0 => 1,
+                1 => rng.gen_range(8..=40),
+                _ => rng.gen_range(2..=6),
+            });
+            let pins: Vec<CellId> = (0..degree).map(|_| CellId::new(rng.gen_range(0..n))).collect();
+            b.add_anonymous_net(pins);
+        }
+        b.finish()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// `grow_into` reproduces the lazy-heap oracle from every seed:
+        /// identical cells and cut, pin and absorbed profiles, on a grower
+        /// and an output buffer reused across seeds as the finder reuses
+        /// them, and every prefix's stats equal `SubsetStats::compute`.
+        /// The hypergraphs mix single-pin nets and nets past the λ
+        /// threshold, or hold nets of one degree so that weights tie;
+        /// seeds include isolated cells; both criteria run, with λ from 1
+        /// to exact and `max_len` from 1 to unbounded.
+        #[test]
+        fn grow_into_matches_oracle(
+            n in 1usize..120,
+            net_density in 0usize..4,
+            isolated in 0usize..4,
+            shape in 0usize..4,
+            lambda in 0usize..4,
+            max_len in 0usize..4,
+            cut_first in 0u8..2,
+            seed in 0u64..u64::MAX,
+        ) {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let uniform = [None, None, Some(2), Some(3)][shape];
+            let nl = random_hypergraph(n, n * net_density / 2 + 1, isolated, uniform, &mut rng);
+            let total = nl.num_cells();
+            let config = GrowthConfig {
+                max_len: [1, 2, n / 2 + 1, 100_000][max_len],
+                lambda_threshold: [1, 3, 20, usize::MAX][lambda],
+                criterion: [GrowthCriterion::WeightFirst, GrowthCriterion::CutFirst]
+                    [usize::from(cut_first)],
+            };
+            let mut seeds: Vec<CellId> =
+                (0..5).map(|_| CellId::new(rng.gen_range(0..total))).collect();
+            seeds.push(CellId::new(total - 1)); // isolated whenever any cell is
+            let mut grower = OrderingGrower::new(&nl, config);
+            let mut oracle = reference::OrderingGrower::new(&nl, config);
+            let (mut got, mut want) = (LinearOrdering::new(), LinearOrdering::new());
+            for seed_cell in seeds {
+                grower.grow_into(seed_cell, &mut got);
+                oracle.grow_into(seed_cell, &mut want);
+                prop_assert_eq!(&got, &want, "seed {} of n={} {:?}", seed_cell, total, config);
+                let mut prefix = CellSet::new(total);
+                for (k, &cell) in got.cells().iter().enumerate() {
+                    prefix.insert(cell);
+                    prop_assert_eq!(got.stats_at(k), SubsetStats::compute(&nl, &prefix));
+                }
+            }
+        }
+    }
 
     /// Builds two 5-cliques bridged by a single 2-pin net.
     fn two_cliques() -> (Netlist, Vec<CellId>) {
