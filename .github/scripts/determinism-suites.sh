@@ -19,6 +19,12 @@ t="$(dirname "$0")/cargo-test-nonempty.sh"
 # `SubsetStats::compute` vs its verbatim BTreeMap oracle.
 "$t" -p gtl-tangled --lib grow_into_matches_oracle
 "$t" -p gtl-netlist --lib subset_stats_match_oracle
+# Finder Phase III: `refine_candidate` vs its verbatim oracle (kept
+# cells, stats, score bits and the random draws, one grower shared), and
+# `prune_overlapping_with` vs its verbatim oracle (the kept candidates in
+# order, with one scratch reused across universes).
+"$t" -p gtl-tangled --lib refine_candidate_matches_oracle
+"$t" -p gtl-tangled --lib prune_matches_oracle
 # Sharded placer + striped congestion vs serial oracles.
 "$t" -p gtl-place --test determinism
 "$t" -p gtl-place --test properties

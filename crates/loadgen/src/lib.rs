@@ -2,7 +2,7 @@
 //!
 //! The ROADMAP's "heavy traffic" claims need to be measured, not
 //! asserted. This crate provides the two halves of that measurement
-//! (ROADMAP item 3; surfaced as `gtl loadgen`):
+//! (surfaced as `gtl loadgen`; ROADMAP direction 7 adds a hostile mode):
 //!
 //! * [`record`] — a proxy/tee that sits between JSON-lines clients and a
 //!   live server, forwarding bytes both ways while capturing every

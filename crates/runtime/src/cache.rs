@@ -31,13 +31,14 @@
 //! metrics snapshots, for example, are *not* pure functions of the
 //! request and bypass the cache.
 //!
-//! Recency bookkeeping lives in [`crate::lru::RecencyList`], shared with
-//! the session registry ([`crate::registry`]).
+//! The entries, their recency order and the key map live in one
+//! [`crate::lru::Lru`], the store under the session registry
+//! ([`crate::registry`]) too; the cache adds its byte budget, its
+//! counters and the stamp check.
 
-use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
-use crate::lru::RecencyList;
+use crate::lru::Lru;
 
 /// Approximate per-entry bookkeeping cost (hash-map slot, list node,
 /// refcounts) charged against the byte budget on top of key + value
@@ -90,18 +91,16 @@ pub struct CacheStats {
 #[derive(Debug)]
 pub struct ResponseCache {
     /// `None` when the budget is zero (caching disabled).
-    inner: Option<Mutex<Lru>>,
+    inner: Option<Mutex<Inner>>,
 }
 
 impl ResponseCache {
     /// Creates a cache bounded by `budget_bytes` (`0` disables caching).
     pub fn new(budget_bytes: usize) -> Self {
         let inner = (budget_bytes > 0).then(|| {
-            Mutex::new(Lru {
+            Mutex::new(Inner {
                 budget: budget_bytes,
-                map: HashMap::new(),
-                entries: Vec::new(),
-                list: RecencyList::new(),
+                entries: Lru::new(),
                 bytes: 0,
                 hits: 0,
                 misses: 0,
@@ -144,22 +143,21 @@ impl ResponseCache {
         line: &[u8],
         is_current: impl FnOnce(u64) -> bool,
     ) -> Option<(Arc<str>, &'static str)> {
-        let inner = self.inner.as_ref()?;
-        let mut lru = inner.lock().unwrap_or_else(|e| e.into_inner());
-        let Some(index) = lru.map.get(line).copied() else {
-            lru.misses += 1;
+        let mut guard = self.inner.as_ref()?.lock().unwrap_or_else(|e| e.into_inner());
+        let inner = &mut *guard;
+        let Some(entry) = inner.entries.get(line) else {
+            inner.misses += 1;
             return None;
         };
-        let entry = lru.entry(index);
-        if !is_current(entry.stamp) {
-            lru.drop_entry(index);
-            lru.misses += 1;
-            return None;
+        if is_current(entry.stamp) {
+            inner.hits += 1;
+            return Some((Arc::clone(&entry.value), entry.kind));
         }
-        let hit = (Arc::clone(&entry.value), entry.kind);
-        lru.hits += 1;
-        lru.list.touch(index);
-        Some(hit)
+        if let Some(stale) = inner.entries.remove(line) {
+            inner.forget(&stale);
+        }
+        inner.misses += 1;
+        None
     }
 
     /// Stores `reply`, of kind `kind` and computed at `stamp`, for `line`,
@@ -170,40 +168,33 @@ impl ResponseCache {
     /// larger than the whole budget is not stored.
     pub(crate) fn fill(&self, line: &[u8], reply: &str, kind: &'static str, stamp: u64) {
         let Some(inner) = self.inner.as_ref() else { return };
-        let mut lru = inner.lock().unwrap_or_else(|e| e.into_inner());
-        if let Some(index) = lru.map.get(line).copied() {
-            let entry = lru.entry(index);
+        let mut guard = inner.lock().unwrap_or_else(|e| e.into_inner());
+        let inner = &mut *guard;
+        if let Some(entry) = inner.entries.get(line) {
             if entry.stamp == stamp {
                 // A concurrent miss on another lane computed the same bytes.
                 debug_assert_eq!(
                     &*entry.value, reply,
                     "cache transparency violated: same line and stamp, different response bytes"
                 );
-                lru.list.touch(index);
                 return;
             }
-            lru.drop_entry(index);
+            if let Some(stale) = inner.entries.remove(line) {
+                inner.forget(&stale);
+            }
         }
         let cost = line.len() + reply.len() + ENTRY_OVERHEAD;
-        if cost > lru.budget {
+        if cost > inner.budget {
             return;
         }
-        while lru.bytes + cost > lru.budget {
-            // gtl-lint: allow(no-panic-on-serve-path, reason = "bytes > 0 here, so the recency list is nonempty")
-            let coldest = lru.list.coldest().expect("evicting from an empty cache");
-            lru.drop_entry(coldest);
+        while inner.bytes + cost > inner.budget {
+            let Some((_, coldest)) = inner.entries.pop_coldest() else { break };
+            inner.forget(&coldest);
         }
-        let key: Arc<[u8]> = Arc::from(line);
-        let entry = Entry { key: Arc::clone(&key), value: Arc::from(reply), kind, stamp, cost };
-        let index = lru.list.allocate();
-        if index == lru.entries.len() {
-            lru.entries.push(Some(entry));
-        } else {
-            lru.entries[index] = Some(entry);
-        }
-        lru.map.insert(key, index);
-        lru.bytes += cost;
-        lru.insertions += 1;
+        let entry = Entry { value: Arc::from(reply), kind, stamp, cost };
+        inner.entries.insert(Arc::from(line), entry);
+        inner.bytes += cost;
+        inner.insertions += 1;
     }
 
     /// A consistent snapshot of the counters.
@@ -211,15 +202,15 @@ impl ResponseCache {
         match self.inner.as_ref() {
             None => CacheStats::default(),
             Some(inner) => {
-                let lru = inner.lock().unwrap_or_else(|e| e.into_inner());
+                let inner = inner.lock().unwrap_or_else(|e| e.into_inner());
                 CacheStats {
-                    hits: lru.hits,
-                    misses: lru.misses,
-                    evictions: lru.evictions,
-                    insertions: lru.insertions,
-                    entries: lru.map.len() as u64,
-                    bytes: lru.bytes as u64,
-                    capacity_bytes: lru.budget as u64,
+                    hits: inner.hits,
+                    misses: inner.misses,
+                    evictions: inner.evictions,
+                    insertions: inner.insertions,
+                    entries: inner.entries.len() as u64,
+                    bytes: inner.bytes as u64,
+                    capacity_bytes: inner.budget as u64,
                 }
             }
         }
@@ -228,7 +219,6 @@ impl ResponseCache {
 
 #[derive(Debug)]
 struct Entry {
-    key: Arc<[u8]>,
     value: Arc<str>,
     /// The reply's per-kind latency label.
     kind: &'static str,
@@ -237,14 +227,11 @@ struct Entry {
     cost: usize,
 }
 
-/// The locked interior: a slab of entries threaded into the shared
-/// intrusive recency list (head = most recent), plus the key map.
+/// The locked interior: the entries by line, most recent first.
 #[derive(Debug)]
-struct Lru {
+struct Inner {
     budget: usize,
-    map: HashMap<Arc<[u8]>, usize>,
-    entries: Vec<Option<Entry>>,
-    list: RecencyList,
+    entries: Lru<Arc<[u8]>, Entry>,
     bytes: usize,
     hits: u64,
     misses: u64,
@@ -252,19 +239,9 @@ struct Lru {
     insertions: u64,
 }
 
-impl Lru {
-    /// The live entry at `index`.
-    fn entry(&self, index: usize) -> &Entry {
-        // gtl-lint: allow(no-panic-on-serve-path, reason = "map index always points at a live slab entry")
-        self.entries[index].as_ref().expect("linked entry")
-    }
-
-    /// Unlinks and frees the entry at `index`, counting an eviction.
-    fn drop_entry(&mut self, index: usize) {
-        self.list.release(index);
-        // gtl-lint: allow(no-panic-on-serve-path, reason = "map index always points at a live slab entry")
-        let entry = self.entries[index].take().expect("linked entry");
-        self.map.remove(&entry.key);
+impl Inner {
+    /// Uncharges an entry that left the store, counting an eviction.
+    fn forget(&mut self, entry: &Entry) {
         self.bytes -= entry.cost;
         self.evictions += 1;
     }
@@ -473,6 +450,152 @@ mod tests {
                     prop_assert_eq!(stats.hits + stats.misses, lookups);
                     prop_assert_eq!(stats.insertions, stats.evictions + stats.entries);
                 }
+            }
+        }
+    }
+
+    /// The lines of the recency-model suite: their lengths differ, so
+    /// entries cost different amounts against the budget.
+    const LINES: [&str; 6] = ["a", "bb", "ccc", "d", "ee", "fff"];
+
+    /// The kind label the model's handler gives `line`.
+    fn kind_of(line: usize) -> &'static str {
+        ["find", "stats", "place"][line % 3]
+    }
+
+    /// A reference model of the cache: same semantics, naive `Vec` of
+    /// `(line, stamp, cost)` rows, most recent first.
+    struct RecencyModel {
+        budget: usize,
+        rows: Vec<(usize, u64, usize)>,
+        stats: CacheStats,
+    }
+
+    impl RecencyModel {
+        fn new(budget: usize) -> Self {
+            let stats = CacheStats { capacity_bytes: budget as u64, ..CacheStats::default() };
+            Self { budget, rows: Vec::new(), stats }
+        }
+
+        fn stats(&self) -> CacheStats {
+            if self.budget == 0 {
+                return CacheStats::default();
+            }
+            let bytes = self.rows.iter().map(|row| row.2 as u64).sum();
+            CacheStats { entries: self.rows.len() as u64, bytes, ..self.stats }
+        }
+
+        fn drop_row(&mut self, pos: usize) {
+            self.rows.remove(pos);
+            self.stats.evictions += 1;
+        }
+
+        fn lookup(&mut self, line: usize, current: &[u64]) -> Option<(String, &'static str)> {
+            if self.budget == 0 {
+                return None;
+            }
+            let Some(pos) = self.rows.iter().position(|row| row.0 == line) else {
+                self.stats.misses += 1;
+                return None;
+            };
+            let row = self.rows[pos];
+            if !current.contains(&row.1) {
+                self.drop_row(pos);
+                self.stats.misses += 1;
+                return None;
+            }
+            self.rows.remove(pos);
+            self.rows.insert(0, row);
+            self.stats.hits += 1;
+            Some((pure_response(line as u32, row.1), kind_of(line)))
+        }
+
+        fn fill(&mut self, line: usize, stamp: u64) {
+            if self.budget == 0 {
+                return;
+            }
+            if let Some(pos) = self.rows.iter().position(|row| row.0 == line) {
+                if self.rows[pos].1 == stamp {
+                    let row = self.rows.remove(pos);
+                    self.rows.insert(0, row);
+                    return;
+                }
+                self.drop_row(pos);
+            }
+            let cost = LINES[line].len() + pure_response(line as u32, stamp).len() + ENTRY_OVERHEAD;
+            if cost > self.budget {
+                return;
+            }
+            while self.rows.iter().map(|row| row.2).sum::<usize>() + cost > self.budget {
+                let coldest = self.rows.len() - 1;
+                self.drop_row(coldest);
+            }
+            self.rows.insert(0, (line, stamp, cost));
+            self.stats.insertions += 1;
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// For any budget of up to about four entries and any sequence
+        /// of lookups, fills (at the current stamp or a retired one),
+        /// serve-path lookup-then-fill pairs and stamp retirements, the
+        /// cache agrees with a naive recency model on every lookup's
+        /// reply and kind and on every `CacheStats` field: which entry a
+        /// hit promotes, which one a fill evicts, and the bytes charged.
+        #[test]
+        fn eviction_order_matches_recency_model(
+            slots in 0usize..5,
+            slack in 0usize..128,
+            ops in proptest::collection::vec((0u8..4, 0usize..6, 0usize..3), 0..120),
+        ) {
+            // One entry costs 112–127 bytes here: a budget of `slots`
+            // entries plus slack, so that unequal costs decide evictions.
+            let budget = slots * 120 + slack;
+            let cache = ResponseCache::new(budget);
+            let mut model = RecencyModel::new(budget);
+            // Lines alternate between two sessions; a retirement moves a
+            // session to a fresh stamp and remembers the old ones.
+            let mut history: [Vec<u64>; 2] = [vec![1], vec![2]];
+            let mut next_stamp = 3;
+            for (kind, line, back) in ops {
+                let session = line % 2;
+                let current = [history[0][history[0].len() - 1], history[1][history[1].len() - 1]];
+                let is_current = |stamp: u64| current.contains(&stamp);
+                match kind {
+                    0 => {
+                        let got = cache
+                            .lookup(LINES[line].as_bytes(), is_current)
+                            .map(|(reply, kind)| (reply.to_string(), kind));
+                        prop_assert_eq!(got, model.lookup(line, &current));
+                    }
+                    1 => {
+                        let stamps = &history[session];
+                        let stamp = stamps[stamps.len() - 1 - back.min(stamps.len() - 1)];
+                        let reply = pure_response(line as u32, stamp);
+                        cache.fill(LINES[line].as_bytes(), &reply, kind_of(line), stamp);
+                        model.fill(line, stamp);
+                    }
+                    2 => {
+                        let got = cache
+                            .lookup(LINES[line].as_bytes(), is_current)
+                            .map(|(reply, kind)| (reply.to_string(), kind));
+                        let want = model.lookup(line, &current);
+                        prop_assert_eq!(&got, &want);
+                        if got.is_none() {
+                            let stamp = current[session];
+                            let reply = pure_response(line as u32, stamp);
+                            cache.fill(LINES[line].as_bytes(), &reply, kind_of(line), stamp);
+                            model.fill(line, stamp);
+                        }
+                    }
+                    _ => {
+                        history[session].push(next_stamp);
+                        next_stamp += 1;
+                    }
+                }
+                prop_assert_eq!(cache.stats(), model.stats());
             }
         }
     }

@@ -1,140 +1,220 @@
-//! The intrusive recency list shared by the response cache and the
-//! session registry.
+//! The LRU store under the response cache and the session registry.
 //!
 //! Both byte-budgeted stores ([`crate::cache::ResponseCache`] and
-//! [`crate::registry::Registry`]) need the same machinery: a slab of
-//! entries threaded into a doubly-linked most-recently-used list, so
-//! promotion and cold-end eviction are O(1) without allocating per
-//! touch. This module owns only the *links*; the stores keep their
-//! payloads in a parallel `Vec` indexed by the same slot numbers, which
-//! keeps the list reusable without making the payload generic over an
-//! intrusive-node trait.
+//! [`crate::registry::Registry`]) need a key map over entries threaded
+//! into a doubly-linked most-recently-used list, so that a lookup, a
+//! promotion and a cold-end eviction are each O(1) and allocate nothing
+//! per touch. [`Lru`] owns the map, the entries and their links, packed
+//! in one `Vec`: a removal moves the last entry into the freed slot, so
+//! no slot is ever empty and an index the map holds names a live entry
+//! by construction. The stores keep only their limits and counters.
 
-/// Sentinel index for "no slot".
-pub(crate) const NIL: usize = usize::MAX;
+use std::borrow::Borrow;
+use std::collections::HashMap;
+use std::hash::Hash;
 
-#[derive(Debug, Clone, Copy)]
-struct Links {
+/// Sentinel index for "no entry".
+const NIL: usize = usize::MAX;
+
+#[derive(Debug)]
+struct Node<K, V> {
+    key: K,
+    value: V,
     /// Toward the MRU end (`NIL` at the head).
     prev: usize,
     /// Toward the LRU end (`NIL` at the tail).
     next: usize,
 }
 
-/// A doubly-linked recency list over externally stored slots.
-///
-/// Slot numbers are allocated by [`RecencyList::allocate`] (freed slots
-/// are reused first, so the owner's parallel storage stays dense) and
-/// stay valid until [`RecencyList::release`].
-#[derive(Debug, Default)]
-pub(crate) struct RecencyList {
-    links: Vec<Links>,
-    free: Vec<usize>,
+/// A map from `K` to `V` that knows which entry was used least recently.
+#[derive(Debug)]
+pub(crate) struct Lru<K, V> {
+    /// The index in `nodes` of each key's entry.
+    map: HashMap<K, usize>,
+    nodes: Vec<Node<K, V>>,
     head: usize,
     tail: usize,
 }
 
-impl RecencyList {
+impl<K: Hash + Eq + Clone, V> Lru<K, V> {
     pub(crate) fn new() -> Self {
-        Self { links: Vec::new(), free: Vec::new(), head: NIL, tail: NIL }
+        Self { map: HashMap::new(), nodes: Vec::new(), head: NIL, tail: NIL }
     }
 
-    /// Claims a slot and links it at the MRU end. The caller stores the
-    /// payload for the returned index in its parallel storage.
-    pub(crate) fn allocate(&mut self) -> usize {
-        let index = match self.free.pop() {
-            Some(slot) => slot,
-            None => {
-                self.links.push(Links { prev: NIL, next: NIL });
-                self.links.len() - 1
+    /// Entries resident.
+    pub(crate) fn len(&self) -> usize {
+        self.nodes.len()
+    }
+
+    /// The entry stored for `key`, promoted to most-recently-used.
+    pub(crate) fn get<Q>(&mut self, key: &Q) -> Option<&V>
+    where
+        K: Borrow<Q>,
+        Q: Hash + Eq + ?Sized,
+    {
+        let index = *self.map.get(key)?;
+        self.unlink(index);
+        self.push_front(index);
+        Some(&self.nodes[index].value)
+    }
+
+    /// Stores `value` under `key` as the most recently used entry,
+    /// replacing any entry already stored there.
+    pub(crate) fn insert(&mut self, key: K, value: V) {
+        self.remove(&key);
+        let index = self.nodes.len();
+        self.nodes.push(Node { key: key.clone(), value, prev: NIL, next: NIL });
+        self.map.insert(key, index);
+        self.push_front(index);
+    }
+
+    /// Removes the entry stored for `key` and returns its value.
+    pub(crate) fn remove<Q>(&mut self, key: &Q) -> Option<V>
+    where
+        K: Borrow<Q>,
+        Q: Hash + Eq + ?Sized,
+    {
+        let index = *self.map.get(key)?;
+        Some(self.remove_at(index).1)
+    }
+
+    /// Removes the least recently used entry and returns it.
+    pub(crate) fn pop_coldest(&mut self) -> Option<(K, V)> {
+        (self.tail != NIL).then(|| self.remove_at(self.tail))
+    }
+
+    /// Every resident entry, in no particular order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (&K, &V)> {
+        self.nodes.iter().map(|node| (&node.key, &node.value))
+    }
+
+    fn remove_at(&mut self, index: usize) -> (K, V) {
+        self.unlink(index);
+        let node = self.nodes.swap_remove(index);
+        self.map.remove(&node.key);
+        if index < self.nodes.len() {
+            // The last entry moved into `index`: repoint its map slot and
+            // its neighbours' links at the new place.
+            let (prev, next) = (self.nodes[index].prev, self.nodes[index].next);
+            if let Some(slot) = self.map.get_mut(&self.nodes[index].key) {
+                *slot = index;
             }
-        };
-        self.push_front(index);
-        index
-    }
-
-    /// Moves an allocated slot to the MRU end.
-    pub(crate) fn touch(&mut self, index: usize) {
-        self.unlink(index);
-        self.push_front(index);
-    }
-
-    /// Unlinks a slot and returns it to the free pool.
-    pub(crate) fn release(&mut self, index: usize) {
-        self.unlink(index);
-        self.free.push(index);
-    }
-
-    /// The LRU-end slot, if any slot is linked.
-    pub(crate) fn coldest(&self) -> Option<usize> {
-        (self.tail != NIL).then_some(self.tail)
+            self.point_next(prev, index);
+            self.point_prev(next, index);
+        }
+        (node.key, node.value)
     }
 
     fn unlink(&mut self, index: usize) {
-        let Links { prev, next } = self.links[index];
-        match prev {
-            NIL => self.head = next,
-            p => self.links[p].next = next,
-        }
-        match next {
-            NIL => self.tail = prev,
-            n => self.links[n].prev = prev,
-        }
+        let (prev, next) = (self.nodes[index].prev, self.nodes[index].next);
+        self.point_next(prev, next);
+        self.point_prev(next, prev);
     }
 
     fn push_front(&mut self, index: usize) {
-        let old_head = self.head;
-        self.links[index] = Links { prev: NIL, next: old_head };
-        match old_head {
-            NIL => self.tail = index,
-            h => self.links[h].prev = index,
-        }
+        (self.nodes[index].prev, self.nodes[index].next) = (NIL, self.head);
+        self.point_prev(self.head, index);
         self.head = index;
+    }
+
+    /// Points the forward link of `from` (the head if `NIL`) at `to`.
+    fn point_next(&mut self, from: usize, to: usize) {
+        match from {
+            NIL => self.head = to,
+            p => self.nodes[p].next = to,
+        }
+    }
+
+    /// Points the backward link of `from` (the tail if `NIL`) at `to`.
+    fn point_prev(&mut self, from: usize, to: usize) {
+        match from {
+            NIL => self.tail = to,
+            n => self.nodes[n].prev = to,
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
-    /// Reads the list from MRU to LRU by following the links.
-    fn order(list: &RecencyList) -> Vec<usize> {
+    /// Reads the keys from MRU to LRU by following the links, checking
+    /// on the way that both directions and the map agree.
+    fn order(lru: &Lru<u8, u32>) -> Vec<u8> {
         let mut out = Vec::new();
-        let mut cursor = list.head;
+        let (mut cursor, mut prev) = (lru.head, NIL);
         while cursor != NIL {
-            out.push(cursor);
-            cursor = list.links[cursor].next;
+            let node = &lru.nodes[cursor];
+            assert_eq!(node.prev, prev, "backward link of {}", node.key);
+            assert_eq!(lru.map.get(&node.key), Some(&cursor), "map slot of {}", node.key);
+            out.push(node.key);
+            (prev, cursor) = (cursor, node.next);
         }
+        assert_eq!(lru.tail, prev);
+        assert_eq!((out.len(), lru.map.len()), (lru.len(), lru.len()), "every entry is linked");
         out
     }
 
     #[test]
-    fn allocate_touch_release_maintain_recency_order() {
-        let mut list = RecencyList::new();
-        let a = list.allocate();
-        let b = list.allocate();
-        let c = list.allocate();
-        assert_eq!(order(&list), vec![c, b, a]);
-        assert_eq!(list.coldest(), Some(a));
-
-        list.touch(a);
-        assert_eq!(order(&list), vec![a, c, b]);
-        assert_eq!(list.coldest(), Some(b));
-
-        list.release(b);
-        assert_eq!(order(&list), vec![a, c]);
-        // Freed slots are reused before the slab grows.
-        let d = list.allocate();
-        assert_eq!(d, b);
-        assert_eq!(order(&list), vec![d, a, c]);
+    fn get_insert_remove_maintain_recency_order() {
+        let mut lru = Lru::new();
+        for key in [1, 2, 3] {
+            lru.insert(key, u32::from(key) * 10);
+        }
+        assert_eq!(order(&lru), [3, 2, 1]);
+        assert_eq!(lru.get(&1), Some(&10));
+        assert_eq!(order(&lru), [1, 3, 2]);
+        // Removing the first-stored entry moves the last one into its slot.
+        assert_eq!(lru.remove(&1), Some(10));
+        assert_eq!(order(&lru), [3, 2]);
+        lru.insert(2, 21);
+        assert_eq!(order(&lru), [2, 3]);
+        assert_eq!(lru.pop_coldest(), Some((3, 30)));
+        assert_eq!(lru.pop_coldest(), Some((2, 21)));
+        assert_eq!(lru.pop_coldest(), None);
+        assert_eq!(lru.get(&2), None);
+        assert!(order(&lru).is_empty());
     }
 
-    #[test]
-    fn empty_list_has_no_coldest() {
-        let mut list = RecencyList::new();
-        assert_eq!(list.coldest(), None);
-        let a = list.allocate();
-        list.release(a);
-        assert_eq!(list.coldest(), None);
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Any sequence of gets, inserts, removals and cold-end pops
+        /// agrees with a `Vec` kept most recent first, and leaves the
+        /// links and the map consistent after every step.
+        #[test]
+        fn matches_a_recency_vec(
+            ops in proptest::collection::vec((0u8..4, 0u8..8, 0u32..100), 0..120),
+        ) {
+            let mut lru = Lru::new();
+            let mut model: Vec<(u8, u32)> = Vec::new();
+            for (kind, key, value) in ops {
+                let pos = model.iter().position(|row| row.0 == key);
+                match kind {
+                    0 => {
+                        let want = pos.map(|pos| model.remove(pos));
+                        if let Some(row) = want {
+                            model.insert(0, row);
+                        }
+                        prop_assert_eq!(lru.get(&key).copied(), want.map(|row| row.1));
+                    }
+                    1 => {
+                        if let Some(pos) = pos {
+                            model.remove(pos);
+                        }
+                        model.insert(0, (key, value));
+                        lru.insert(key, value);
+                    }
+                    2 => {
+                        let want = pos.map(|pos| model.remove(pos).1);
+                        prop_assert_eq!(lru.remove(&key), want);
+                    }
+                    _ => prop_assert_eq!(lru.pop_coldest(), model.pop()),
+                }
+                let keys: Vec<u8> = model.iter().map(|row| row.0).collect();
+                prop_assert_eq!(order(&lru), keys);
+            }
+        }
     }
 }

@@ -5,9 +5,12 @@
 //! `LoadNetlist`/`UnloadNetlist`/`ListSessions`), but the registry itself
 //! is domain-free: it maps names to `Arc<T>` values under two admission
 //! limits — a maximum entry count and a byte budget — and evicts the
-//! coldest entries (reusing the same intrusive recency list as the
-//! response cache, [`crate::lru::RecencyList`]) when an insert would
-//! exceed either.
+//! coldest entries when an insert would exceed either. The entries and
+//! their recency order live in a [`crate::lru::Lru`], the store under
+//! the response cache too, keyed by generation: a cache hit names its
+//! load by generation ([`Registry::touch_generation`]), so that path
+//! takes one integer lookup. The registry adds its two limits, its
+//! counters and a map from each resident name to its generation.
 //!
 //! # Invariants
 //!
@@ -31,7 +34,7 @@
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
-use crate::lru::RecencyList;
+use crate::lru::Lru;
 
 /// Counters and occupancy describing a [`Registry`] at one instant.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -94,12 +97,13 @@ impl std::error::Error for RegistryError {}
 /// use gtl_runtime::Registry;
 ///
 /// let registry: Registry<String> = Registry::new(2, 0);
-/// registry.insert("a", "alpha".to_string(), 64).unwrap();
-/// registry.insert("b", "beta".to_string(), 64).unwrap();
-/// let outcome = registry.insert("c", "gamma".to_string(), 64).unwrap();
+/// registry.insert("a", "alpha".to_string(), 64)?;
+/// registry.insert("b", "beta".to_string(), 64)?;
+/// let outcome = registry.insert("c", "gamma".to_string(), 64)?;
 /// assert_eq!(outcome.evicted, vec![std::sync::Arc::from("a")]); // coldest
 /// assert!(registry.get("a").is_none());
-/// assert_eq!(&*registry.get("c").unwrap().0, "gamma");
+/// assert_eq!(registry.get("c").map(|(value, _)| value.to_string()).as_deref(), Some("gamma"));
+/// # Ok::<(), gtl_runtime::RegistryError>(())
 /// ```
 #[derive(Debug)]
 pub struct Registry<T> {
@@ -112,11 +116,10 @@ struct Inner<T> {
     max_entries: usize,
     /// `0` = unlimited bytes.
     budget: usize,
-    map: HashMap<Arc<str>, usize>,
-    /// The slab index of each resident generation.
-    generations: HashMap<u64, usize>,
-    entries: Vec<Option<Entry<T>>>,
-    list: RecencyList,
+    /// The resident entries by generation.
+    entries: Lru<u64, Entry<T>>,
+    /// The generation of each resident name.
+    names: HashMap<Arc<str>, u64>,
     bytes: usize,
     next_generation: u64,
     loads: u64,
@@ -129,7 +132,15 @@ struct Entry<T> {
     name: Arc<str>,
     value: Arc<T>,
     cost: usize,
-    generation: u64,
+}
+
+impl<T> Inner<T> {
+    /// Removes the entry resident under `name`, uncharging it.
+    fn take(&mut self, name: &str) -> Option<Entry<T>> {
+        let entry = self.entries.remove(&self.names.remove(name)?)?;
+        self.bytes -= entry.cost;
+        Some(entry)
+    }
 }
 
 /// One row of [`Registry::list`].
@@ -153,10 +164,8 @@ impl<T> Registry<T> {
             inner: Mutex::new(Inner {
                 max_entries,
                 budget: budget_bytes,
-                map: HashMap::new(),
-                generations: HashMap::new(),
-                entries: Vec::new(),
-                list: RecencyList::new(),
+                entries: Lru::new(),
+                names: HashMap::new(),
                 bytes: 0,
                 next_generation: 1,
                 loads: 0,
@@ -177,48 +186,28 @@ impl<T> Registry<T> {
         value: T,
         cost: usize,
     ) -> Result<InsertOutcome, RegistryError> {
-        let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
+        let mut guard = self.inner.lock().unwrap_or_else(|e| e.into_inner());
+        let inner = &mut *guard;
         if inner.budget > 0 && cost > inner.budget {
             return Err(RegistryError::OverBudget(cost as u64, inner.budget as u64));
         }
-        let replaced = if let Some(index) = inner.map.remove(name) {
-            // gtl-lint: allow(no-panic-on-serve-path, reason = "map index always points at a live slab entry")
-            let old = inner.entries[index].take().expect("linked entry");
-            inner.list.release(index);
-            inner.generations.remove(&old.generation);
-            inner.bytes -= old.cost;
-            true
-        } else {
-            false
-        };
+        let replaced = inner.take(name).is_some();
         let mut evicted = Vec::new();
         // Make room: the new entry counts toward both limits.
         while (inner.budget > 0 && inner.bytes + cost > inner.budget)
-            || (inner.max_entries > 0 && inner.map.len() + 1 > inner.max_entries)
+            || (inner.max_entries > 0 && inner.entries.len() + 1 > inner.max_entries)
         {
-            // gtl-lint: allow(no-panic-on-serve-path, reason = "over-budget single entries were rejected above, so the loop only runs while something is resident")
-            let index = inner.list.coldest().expect("limits admit at least one entry");
-            inner.list.release(index);
-            // gtl-lint: allow(no-panic-on-serve-path, reason = "map index always points at a live slab entry")
-            let old = inner.entries[index].take().expect("linked entry");
-            inner.map.remove(&old.name);
-            inner.generations.remove(&old.generation);
-            inner.bytes -= old.cost;
+            let Some((_, coldest)) = inner.entries.pop_coldest() else { break };
+            inner.names.remove(&coldest.name);
+            inner.bytes -= coldest.cost;
             inner.evictions += 1;
-            evicted.push(old.name);
+            evicted.push(coldest.name);
         }
         let generation = inner.next_generation;
         inner.next_generation += 1;
         let name: Arc<str> = Arc::from(name);
-        let entry = Entry { name: Arc::clone(&name), value: Arc::new(value), cost, generation };
-        let index = inner.list.allocate();
-        if index == inner.entries.len() {
-            inner.entries.push(Some(entry));
-        } else {
-            inner.entries[index] = Some(entry);
-        }
-        inner.map.insert(name, index);
-        inner.generations.insert(generation, index);
+        inner.names.insert(Arc::clone(&name), generation);
+        inner.entries.insert(generation, Entry { name, value: Arc::new(value), cost });
         inner.bytes += cost;
         inner.loads += 1;
         Ok(InsertOutcome { generation, evicted, replaced })
@@ -227,12 +216,11 @@ impl<T> Registry<T> {
     /// Looks up `name`, promoting the entry to most-recently-used.
     /// Returns the shared value and its generation.
     pub fn get(&self, name: &str) -> Option<(Arc<T>, u64)> {
-        let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        let index = inner.map.get(name).copied()?;
-        inner.list.touch(index);
-        // gtl-lint: allow(no-panic-on-serve-path, reason = "map index always points at a live slab entry")
-        let entry = inner.entries[index].as_ref().expect("linked entry");
-        Some((Arc::clone(&entry.value), entry.generation))
+        let mut guard = self.inner.lock().unwrap_or_else(|e| e.into_inner());
+        let inner = &mut *guard;
+        let generation = *inner.names.get(name)?;
+        let entry = inner.entries.get(&generation)?;
+        Some((Arc::clone(&entry.value), generation))
     }
 
     /// Whether the entry stamped `generation` is still resident,
@@ -241,21 +229,14 @@ impl<T> Registry<T> {
     /// so `true` means that very insert is still the one under its name.
     pub fn touch_generation(&self, generation: u64) -> bool {
         let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        let Some(index) = inner.generations.get(&generation).copied() else { return false };
-        inner.list.touch(index);
-        true
+        inner.entries.get(&generation).is_some()
     }
 
     /// Removes `name`, returning its value. In-flight holders of the
     /// `Arc` keep working against it (drain, never abort).
     pub fn remove(&self, name: &str) -> Option<Arc<T>> {
         let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        let index = inner.map.remove(name)?;
-        inner.list.release(index);
-        // gtl-lint: allow(no-panic-on-serve-path, reason = "map index always points at a live slab entry")
-        let entry = inner.entries[index].take().expect("linked entry");
-        inner.generations.remove(&entry.generation);
-        inner.bytes -= entry.cost;
+        let entry = inner.take(name)?;
         inner.unloads += 1;
         Some(entry.value)
     }
@@ -265,17 +246,13 @@ impl<T> Registry<T> {
     pub fn list(&self) -> Vec<RegistryEntry<T>> {
         let inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
         let mut rows: Vec<RegistryEntry<T>> = inner
-            .map
-            .values()
-            .map(|&index| {
-                // gtl-lint: allow(no-panic-on-serve-path, reason = "map index always points at a live slab entry")
-                let entry = inner.entries[index].as_ref().expect("linked entry");
-                RegistryEntry {
-                    name: Arc::clone(&entry.name),
-                    value: Arc::clone(&entry.value),
-                    cost: entry.cost as u64,
-                    generation: entry.generation,
-                }
+            .entries
+            .iter()
+            .map(|(&generation, entry)| RegistryEntry {
+                name: Arc::clone(&entry.name),
+                value: Arc::clone(&entry.value),
+                cost: entry.cost as u64,
+                generation,
             })
             .collect();
         rows.sort_by(|a, b| a.name.cmp(&b.name));
@@ -286,7 +263,7 @@ impl<T> Registry<T> {
     pub fn stats(&self) -> RegistryStats {
         let inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
         RegistryStats {
-            entries: inner.map.len() as u64,
+            entries: inner.entries.len() as u64,
             bytes: inner.bytes as u64,
             capacity_bytes: inner.budget as u64,
             max_entries: inner.max_entries as u64,

@@ -81,14 +81,38 @@ pub struct StreamStats {
 ///
 /// # Errors
 ///
-/// Returns [`NetlistError::Io`] on write failure.
+/// Returns [`NetlistError::IndexOutOfBounds`], before writing any byte,
+/// when the embedded structures alone need more than `config.cells`
+/// cells, and [`NetlistError::Io`] on write failure.
 pub fn write_hgr<W: Write>(
     config: &StreamDesignConfig,
     out: W,
 ) -> Result<StreamStats, NetlistError> {
+    write_counted(config, || Ok(out))
+}
+
+/// [`write_hgr`] to a file path. The file is created only once the
+/// design is known to fit, so a refused config leaves no file behind.
+///
+/// # Errors
+///
+/// As [`write_hgr`], plus [`NetlistError::Io`] on create failure.
+pub fn write_hgr_file(
+    config: &StreamDesignConfig,
+    path: impl AsRef<Path>,
+) -> Result<StreamStats, NetlistError> {
+    write_counted(config, || std::fs::File::create(path))
+}
+
+/// Counts the nets (the `.hgr` header precedes the body), then opens
+/// the sink and writes the identical generation to it.
+fn write_counted<W: Write>(
+    config: &StreamDesignConfig,
+    open: impl FnOnce() -> std::io::Result<W>,
+) -> Result<StreamStats, NetlistError> {
     assert!(config.cells >= 64, "streaming generator needs at least 64 cells");
 
-    // Pass 1: count nets (the .hgr header precedes the body).
+    // Pass 1: count nets.
     let mut nets = 0usize;
     let mut pins = 0u64;
     emit_nets(config, &mut |net: &[u32]| {
@@ -98,7 +122,7 @@ pub fn write_hgr<W: Write>(
     })?;
 
     // Pass 2: identical generation, this time writing lines.
-    let mut w = BufWriter::new(out);
+    let mut w = BufWriter::new(open()?);
     writeln!(w, "{} {}", nets, config.cells)?;
     let mut line = String::with_capacity(128);
     emit_nets(config, &mut |net: &[u32]| {
@@ -116,19 +140,6 @@ pub fn write_hgr<W: Write>(
     })?;
     w.flush()?;
     Ok(StreamStats { cells: config.cells, nets, pins })
-}
-
-/// [`write_hgr`] to a file path.
-///
-/// # Errors
-///
-/// Returns [`NetlistError::Io`] on create/write failure.
-pub fn write_hgr_file(
-    config: &StreamDesignConfig,
-    path: impl AsRef<Path>,
-) -> Result<StreamStats, NetlistError> {
-    let file = std::fs::File::create(path)?;
-    write_hgr(config, file)
 }
 
 /// Runs one full deterministic generation, handing each net's deduped
@@ -167,6 +178,17 @@ fn emit_nets(
         }
         ranges.push((base, built.num_cells() as u32));
         base += built.num_cells() as u32;
+    }
+    // Structures are admitted while they start below half the design, so
+    // the last one can still end past it.
+    if base as usize > config.cells {
+        return Err(NetlistError::IndexOutOfBounds {
+            what: format!(
+                "the embedded structures need {base} cells but the design has {}; \
+                 raise the cell count or lower the structure count",
+                config.cells
+            ),
+        });
     }
 
     // --- Rent-rule background ------------------------------------------
@@ -316,6 +338,20 @@ mod tests {
         let nl = hgr::read(&path).unwrap();
         assert_eq!(nl.num_cells(), 800);
         assert_eq!(nl.num_nets(), stats.nets);
+    }
+
+    #[test]
+    fn structures_that_outgrow_the_design_are_refused_before_any_byte() {
+        // Seed 0's first structure is a decoder of more than 64 cells.
+        let cfg = StreamDesignConfig { seed: 0, ..StreamDesignConfig::new(64) };
+        let mut out = Vec::new();
+        let err = write_hgr(&cfg, &mut out).unwrap_err().to_string();
+        assert!(err.contains("cells but the design has 64"), "{err}");
+        assert!(out.is_empty(), "{} bytes written", out.len());
+        let path = std::env::temp_dir()
+            .join(format!("gtl_synth_stream_refused_{}.hgr", std::process::id()));
+        assert!(write_hgr_file(&cfg, &path).is_err());
+        assert!(!path.exists(), "a refused design left {}", path.display());
     }
 
     #[test]

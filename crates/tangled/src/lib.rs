@@ -72,11 +72,20 @@ pub use ordering::{GrowthConfig, GrowthCriterion, LinearOrdering, OrderingGrower
 pub(crate) mod testutil {
     //! Shared fixtures: cliques planted in a random sparse background, so
     //! that the cut of a growing group rises with size (Rent-like) instead
-    //! of staying constant as it would on a chain or ring.
+    //! of staying constant as it would on a chain or ring; random
+    //! hypergraphs; and a bitwise view of a candidate for the oracles.
 
-    use gtl_netlist::{CellId, Netlist, NetlistBuilder};
+    use gtl_netlist::{CellId, Netlist, NetlistBuilder, SubsetStats};
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
+
+    use crate::Candidate;
+
+    /// A candidate's fields with its floats as bits, for oracle tests
+    /// that must match bit for bit.
+    pub fn candidate_bits(c: &Candidate) -> (&[CellId], SubsetStats, u64, u64, usize) {
+        (&c.cells, c.stats, c.score.to_bits(), c.rent_exponent.to_bits(), c.minimum_index)
+    }
 
     /// Builds `n` cells with ~2 random 2-pin background nets per cell,
     /// plus all-pairs cliques planted at the given (offset, size) spots.
@@ -135,5 +144,32 @@ pub(crate) mod testutil {
             truth.push(members);
         }
         (b.finish(), truth)
+    }
+
+    /// A random hypergraph for the Phase I and III oracles: `n` cells on
+    /// `nets` nets, then `isolated` cells on none. A net draws one pin,
+    /// 2–6 pins or 8–40 pins (past every small λ threshold), or, with
+    /// `uniform`, exactly that many, so that connection weights tie. Pins
+    /// are drawn with replacement and the builder keeps one of each, so a
+    /// net may come out smaller than drawn.
+    pub fn random_hypergraph(
+        n: usize,
+        nets: usize,
+        isolated: usize,
+        uniform: Option<usize>,
+        rng: &mut SmallRng,
+    ) -> Netlist {
+        let mut b = NetlistBuilder::new();
+        b.add_anonymous_cells(n + isolated);
+        for _ in 0..nets {
+            let degree = uniform.unwrap_or_else(|| match rng.gen_range(0..6u8) {
+                0 => 1,
+                1 => rng.gen_range(8..=40),
+                _ => rng.gen_range(2..=6),
+            });
+            let pins: Vec<CellId> = (0..degree).map(|_| CellId::new(rng.gen_range(0..n))).collect();
+            b.add_anonymous_net(pins);
+        }
+        b.finish()
     }
 }

@@ -460,6 +460,7 @@ impl<'a> OrderingGrower<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testutil::random_hypergraph;
     use gtl_netlist::{CellSet, NetlistBuilder};
     use proptest::prelude::*;
     use rand::rngs::SmallRng;
@@ -740,33 +741,6 @@ mod tests {
                 self.heap.clear();
             }
         }
-    }
-
-    /// A random hypergraph for the Phase I oracle: `n` cells on `nets`
-    /// nets, then `isolated` cells on none. A net draws one pin, 2–6 pins
-    /// or 8–40 pins (past every small λ threshold), or, with `uniform`,
-    /// exactly that many, so that connection weights tie. Pins are drawn
-    /// with replacement and the builder keeps one of each, so a net may
-    /// come out smaller than drawn.
-    fn random_hypergraph(
-        n: usize,
-        nets: usize,
-        isolated: usize,
-        uniform: Option<usize>,
-        rng: &mut SmallRng,
-    ) -> Netlist {
-        let mut b = NetlistBuilder::new();
-        b.add_anonymous_cells(n + isolated);
-        for _ in 0..nets {
-            let degree = uniform.unwrap_or_else(|| match rng.gen_range(0..6u8) {
-                0 => 1,
-                1 => rng.gen_range(8..=40),
-                _ => rng.gen_range(2..=6),
-            });
-            let pins: Vec<CellId> = (0..degree).map(|_| CellId::new(rng.gen_range(0..n))).collect();
-            b.add_anonymous_net(pins);
-        }
-        b.finish()
     }
 
     proptest! {

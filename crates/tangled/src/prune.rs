@@ -130,7 +130,136 @@ pub fn prune_overlapping_with(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testutil::candidate_bits;
     use gtl_netlist::{CellId, SubsetStats};
+    use proptest::prelude::*;
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
+
+    /// `prune_overlapping_with` with its one-sort, one-bitset greedy,
+    /// kept verbatim as the pruning oracle: a pruner that replaces it
+    /// must keep the same candidates in the same order.
+    mod reference {
+        use super::super::PruneScratch;
+        use crate::candidate::Candidate;
+
+        /// [`prune_overlapping`] with caller-owned scratch, for callers that prune
+        /// repeatedly over the same netlist (see [`PruneScratch`]).
+        ///
+        /// # Panics
+        ///
+        /// In debug builds, panics if any candidate's cell list is not sorted.
+        pub fn prune_overlapping_with(
+            mut candidates: Vec<Candidate>,
+            universe: usize,
+            scratch: &mut PruneScratch,
+        ) -> Vec<Candidate> {
+            debug_assert!(
+                candidates.iter().all(|c| c.cells.windows(2).all(|w| w[0] <= w[1])),
+                "candidate cell lists must be sorted ascending for a canonical tiebreak"
+            );
+            // Best-first order, established exactly once. The comparator is a
+            // total order over (score, cells), so an unstable sort is canonical.
+            candidates
+                .sort_unstable_by(|a, b| a.score.total_cmp(&b.score).then(a.cells.cmp(&b.cells)));
+            scratch.reset(universe);
+            let covered = &mut scratch.covered;
+            let mut kept: Vec<Candidate> = Vec::new();
+            'outer: for cand in candidates {
+                // Probe before committing; the first covered cell disqualifies the
+                // candidate, so the common rejected case is O(overlap prefix).
+                for &cell in &cand.cells {
+                    if covered.contains(cell) {
+                        continue 'outer;
+                    }
+                }
+                for &cell in &cand.cells {
+                    covered.insert(cell);
+                }
+                kept.push(cand);
+            }
+            kept
+        }
+    }
+
+    /// A random candidate family over `universe` cells: sorted cell lists
+    /// that are empty, single cells, runs or scattered picks; copies of
+    /// an earlier member (same cells, maybe another score); members that
+    /// share exactly one cell with an earlier one; and scores from a
+    /// small set, so that ties are common, with both zeros and a NaN,
+    /// which only `total_cmp` orders.
+    fn random_family(universe: usize, len: usize, rng: &mut SmallRng) -> Vec<Candidate> {
+        const SCORES: [f64; 6] = [0.25, 0.5, 0.5, 0.0, -0.0, f64::NAN];
+        let mut family: Vec<Candidate> = Vec::with_capacity(len);
+        for index in 0..len {
+            let mut cells: Vec<CellId> = match rng.gen_range(0..6u8) {
+                0 => Vec::new(),
+                1 => vec![CellId::new(rng.gen_range(0..universe))],
+                2 if index > 0 => family[rng.gen_range(0..index)].cells.clone(),
+                3 if index > 0 => {
+                    // One cell of an earlier member, plus cells outside it.
+                    let earlier = &family[rng.gen_range(0..index)].cells;
+                    let shared =
+                        (!earlier.is_empty()).then(|| earlier[rng.gen_range(0..earlier.len())]);
+                    let mut cells: Vec<CellId> = (0..3)
+                        .map(|_| CellId::new(rng.gen_range(0..universe)))
+                        .filter(|cell| !earlier.contains(cell))
+                        .collect();
+                    cells.extend(shared);
+                    cells
+                }
+                4 => {
+                    let start = rng.gen_range(0..universe);
+                    let end = (start + rng.gen_range(1..8usize)).min(universe);
+                    (start..end).map(CellId::new).collect()
+                }
+                _ => (0..rng.gen_range(1..6))
+                    .map(|_| CellId::new(rng.gen_range(0..universe)))
+                    .collect(),
+            };
+            cells.sort_unstable();
+            cells.dedup();
+            let score = SCORES[rng.gen_range(0..SCORES.len())];
+            family.push(Candidate {
+                stats: SubsetStats { size: cells.len(), ..SubsetStats::default() },
+                cells,
+                score,
+                rent_exponent: 0.6,
+                minimum_index: index,
+            });
+        }
+        family
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// `prune_overlapping_with` keeps exactly the candidates its
+        /// verbatim oracle keeps, in the same order and bit for bit, on
+        /// random families (see `random_family`) in universes of 1–40
+        /// cells, with one scratch reused across families of growing and
+        /// shrinking universes against a fresh scratch per oracle call.
+        #[test]
+        fn prune_matches_oracle(
+            families in proptest::collection::vec((1usize..40, 0usize..24), 1..5),
+            seed in 0u64..u64::MAX,
+        ) {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let mut scratch = PruneScratch::new(1);
+            for (universe, len) in families {
+                let family = random_family(universe, len, &mut rng);
+                let got = prune_overlapping_with(family.clone(), universe, &mut scratch);
+                let want = reference::prune_overlapping_with(
+                    family,
+                    universe,
+                    &mut PruneScratch::new(universe),
+                );
+                let got: Vec<_> = got.iter().map(candidate_bits).collect();
+                let want: Vec<_> = want.iter().map(candidate_bits).collect();
+                prop_assert_eq!(got, want);
+            }
+        }
+    }
 
     fn cand(cells: &[usize], score: f64) -> Candidate {
         Candidate {

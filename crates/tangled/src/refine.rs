@@ -143,10 +143,186 @@ pub fn refine_candidate<R: Rng>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ordering::GrowthConfig;
+    use crate::metrics::MetricKind;
+    use crate::ordering::{GrowthConfig, GrowthCriterion};
+    use crate::testutil::candidate_bits;
     use gtl_netlist::CellId;
+    use proptest::prelude::*;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
+
+    /// `refine_candidate` with its `BTreeMap`-backed family rescoring
+    /// (`SubsetStats::compute` per member), kept verbatim as the Phase
+    /// III oracle: a rescoring kernel that replaces it must keep the same
+    /// cells, stats and score bits and draw the same random numbers.
+    mod reference {
+        use gtl_netlist::{CellSet, Netlist, SubsetStats};
+        use rand::seq::SliceRandom;
+        use rand::Rng;
+
+        use super::super::RefineConfig;
+        use crate::candidate::{extract_candidate, Candidate, CandidateConfig};
+        use crate::metrics::DesignContext;
+        use crate::ordering::OrderingGrower;
+
+        /// Refines `candidate` per the paper's Phase III and returns the best
+        /// family member (possibly the original candidate itself).
+        ///
+        /// Every family member is re-scored exactly (its cut is recomputed from
+        /// the netlist, not from an ordering profile) using the candidate's Rent
+        /// exponent, so members produced by set operations compete fairly.
+        pub fn refine_candidate<R: Rng>(
+            netlist: &Netlist,
+            grower: &mut OrderingGrower<'_>,
+            candidate: Candidate,
+            candidate_config: &CandidateConfig,
+            config: &RefineConfig,
+            rng: &mut R,
+        ) -> Candidate {
+            let universe = netlist.num_cells();
+            let base = CellSet::from_cells(universe, candidate.cells.iter().copied());
+
+            // Grow siblings from random interior seeds (algorithm III.2–III.3),
+            // reusing one ordering buffer across the growths.
+            let mut family: Vec<CellSet> = vec![base];
+            let mut picks = candidate.cells.clone();
+            picks.shuffle(rng);
+            let mut ordering = crate::ordering::LinearOrdering::new();
+            for seed in picks.into_iter().take(config.extra_seeds) {
+                grower.grow_into(seed, &mut ordering);
+                if let Some(sibling) =
+                    extract_candidate(&ordering, netlist.avg_pins_per_cell(), candidate_config)
+                {
+                    family.push(CellSet::from_cells(universe, sibling.cells.iter().copied()));
+                }
+            }
+
+            // Close the family under pairwise ∩, ∪ and both differences
+            // (algorithm III.6–III.12 walks each unordered pair once).
+            let initial = family.len();
+            for i in 0..initial {
+                for j in (i + 1)..initial {
+                    let inter = family[i].intersection(&family[j]);
+                    let union = family[i].union(&family[j]);
+                    let a_only = family[i].difference(&inter);
+                    let b_only = family[j].difference(&inter);
+                    family.extend([union, a_only, b_only, inter]);
+                }
+            }
+
+            // Exact re-scoring; keep the best member large enough to matter.
+            let ctx = DesignContext::new(netlist, candidate.rent_exponent);
+            let mut best: Option<(f64, CellSet, SubsetStats)> = None;
+            for set in family {
+                if set.len() < candidate_config.min_size {
+                    continue;
+                }
+                let stats = SubsetStats::compute(netlist, &set);
+                let score = candidate_config.metric.score(&stats, &ctx);
+                if best.as_ref().is_none_or(|(s, _, _)| score < *s) {
+                    best = Some((score, set, stats));
+                }
+            }
+
+            match best {
+                Some((score, set, stats)) => Candidate {
+                    cells: set.to_vec(),
+                    stats,
+                    score,
+                    rent_exponent: candidate.rent_exponent,
+                    minimum_index: candidate.minimum_index,
+                },
+                // The whole family fell below min_size (can only happen with
+                // degenerate configs); keep the original.
+                None => candidate,
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// `refine_candidate` reproduces its verbatim oracle bit for bit:
+        /// kept cells, stats, score and the random numbers drawn, with
+        /// one grower shared by both and reused across candidates as the
+        /// finder reuses it. Designs are random hypergraphs or two equal
+        /// cliques in a sparse background; candidates are extracted,
+        /// ordering prefixes or scattered cells. Both metrics run, with
+        /// `min_size` from 0 (empty members are scored) to past the whole
+        /// family (the input comes back), and 0–4 extra seeds, whose
+        /// siblings often repeat the base or each other, so the closure
+        /// holds duplicate and empty members, and members that tie.
+        #[test]
+        fn refine_candidate_matches_oracle(
+            n in 6usize..80,
+            design in 0usize..3,
+            source in 0usize..3,
+            min_size in 0usize..5,
+            extra_seeds in 0usize..5,
+            strict in 0u8..2,
+            gtl_sd in 0u8..2,
+            cut_first in 0u8..2,
+            seed in 0u64..u64::MAX,
+        ) {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let nl = match design {
+                0 => crate::testutil::random_hypergraph(n, n, 2, None, &mut rng),
+                1 => crate::testutil::random_hypergraph(n, n, 0, Some(2), &mut rng),
+                // Two equal cliques: as family members their scores tie.
+                _ => crate::testutil::cliques_in_background(n + 12, &[(0, 6), (n, 6)], seed).0,
+            };
+            let total = nl.num_cells();
+            let metric = [MetricKind::NGtlScore, MetricKind::GtlSd][usize::from(gtl_sd)];
+            let config = CandidateConfig {
+                metric,
+                min_size: [0, 1, 3, total / 4, total + 1][min_size],
+                // Lenient extraction yields siblings from most seeds.
+                accept_threshold: [f64::INFINITY, 0.9][usize::from(strict)],
+                prominence: [0.0, 1.2][usize::from(strict)],
+                max_size: [usize::MAX, total / 2 + 1][usize::from(strict)],
+                rent_exponent: [None, Some(0.6)][usize::from(strict)],
+            };
+            let refine = RefineConfig { extra_seeds };
+            let criterion =
+                [GrowthCriterion::WeightFirst, GrowthCriterion::CutFirst][usize::from(cut_first)];
+            let growth = GrowthConfig { criterion, ..GrowthConfig::default() };
+            let mut grower = OrderingGrower::new(&nl, growth);
+            let ctx = DesignContext::new(&nl, 0.6);
+            for _ in 0..3 {
+                let ordering = grower.grow(CellId::new(rng.gen_range(0..total)));
+                let k = rng.gen_range(0..ordering.len());
+                let cells: Vec<CellId> = match source {
+                    2 => {
+                        let mut scattered: Vec<CellId> =
+                            (0..=k).map(|_| CellId::new(rng.gen_range(0..total))).collect();
+                        scattered.sort_unstable();
+                        scattered.dedup();
+                        scattered
+                    }
+                    _ => ordering.prefix(k),
+                };
+                let stats = SubsetStats::compute(&nl, &CellSet::from_cells(total, cells.clone()));
+                let score = metric.score(&stats, &ctx);
+                let given = Candidate { cells, stats, score, rent_exponent: 0.6, minimum_index: k };
+                let candidate = match source {
+                    0 => extract_candidate(&ordering, nl.avg_pins_per_cell(), &config)
+                        .unwrap_or(given),
+                    _ => given,
+                };
+                let draws = rng.gen::<u64>();
+                let mut got_rng = SmallRng::seed_from_u64(draws);
+                let mut want_rng = SmallRng::seed_from_u64(draws);
+                let got = refine_candidate(
+                    &nl, &mut grower, candidate.clone(), &config, &refine, &mut got_rng,
+                );
+                let want = reference::refine_candidate(
+                    &nl, &mut grower, candidate, &config, &refine, &mut want_rng,
+                );
+                prop_assert_eq!(candidate_bits(&got), candidate_bits(&want), "{:?} n={} {:?}", config, total, refine);
+                prop_assert_eq!(got_rng.gen::<u64>(), want_rng.gen::<u64>(), "draws diverged");
+            }
+        }
+    }
 
     /// Clique of `k` cells planted in a random background; returns the
     /// netlist, the planted members, and a candidate config.
