@@ -27,10 +27,11 @@
 //!   `netlist`, `io`, `unknown_session`) and conventional CLI exit
 //!   codes;
 //! * [`Session`]: a builder-constructed owner of one loaded
-//!   [`Netlist`](gtl_netlist::Netlist) that validates and serves repeated
-//!   requests with reused scratch;
+//!   [`Netlist`](gtl_netlist::Netlist) that validates and computes
+//!   Find, Place and Stats requests;
 //! * [`SessionDispatcher`]: the default session plus a budgeted
-//!   registry of named sessions — the one dispatch `gtl serve` runs. It
+//!   registry of named sessions — the one dispatch, in-process
+//!   ([`SessionDispatcher::handle_line`]) and in `gtl serve`. It
 //!   answers all eight request kinds, resolving each compute request's
 //!   optional `session` field (v4+) to the session it addresses;
 //! * [`serve`](mod@serve): the TCP JSON-lines server the `gtl serve`
@@ -58,7 +59,7 @@
 //! # Example
 //!
 //! ```
-//! use gtl_api::{FindRequest, Request, Session};
+//! use gtl_api::{FindRequest, Request, Session, SessionDispatcher};
 //! use gtl_netlist::NetlistBuilder;
 //! use gtl_tangled::FinderConfig;
 //!
@@ -68,11 +69,13 @@
 //!     b.add_anonymous_net([cells[i], cells[i + 1]]);
 //! }
 //! let session = Session::builder().netlist(b.finish()).build().unwrap();
+//! let dispatcher = SessionDispatcher::new(&session, 0, 0, None);
 //!
-//! // One JSON line in, one JSON line out — same contract as `gtl serve`.
+//! // One JSON line in, one JSON line out: the bytes `gtl serve` answers
+//! // with, before it stamps a v5 reply's trace.
 //! let config = FinderConfig { num_seeds: 4, ..FinderConfig::default() };
 //! let line = serde::json::to_string(&Request::Find(FindRequest::new(config)));
-//! let reply = session.handle_line(&line);
+//! let reply = dispatcher.handle_line(&line);
 //! assert!(reply.starts_with("{\"Find\":"));
 //! ```
 

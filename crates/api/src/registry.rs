@@ -38,15 +38,15 @@ use std::time::Instant;
 
 use gtl_core::cancel::CancelToken;
 use gtl_netlist::Netlist;
-use gtl_runtime::{Classified, MetricsSnapshot, Registry, RegistryStats};
+use gtl_runtime::{Cacheability, Classified, MetricsSnapshot, Registry, RegistryStats};
 
 use crate::serve::{request_kind, REQUEST_KINDS};
-use crate::session::{check_since, error_response};
+use crate::session::check_since;
 use crate::{
-    load_netlist, ApiError, ListSessionsRequest, ListSessionsResponse, LoadNetlistRequest,
-    LoadNetlistResponse, MetricsResponse, MetricsTextResponse, Request, Response, RuntimeMetrics,
-    Session, SessionInfo, UnloadNetlistRequest, UnloadNetlistResponse, API_VERSION,
-    METRICS_SINCE_VERSION, METRICS_TEXT_SINCE_VERSION, SESSION_SINCE_VERSION,
+    load_netlist, ApiError, ErrorBody, ListSessionsRequest, ListSessionsResponse,
+    LoadNetlistRequest, LoadNetlistResponse, MetricsResponse, MetricsTextResponse, Request,
+    Response, RuntimeMetrics, Session, SessionInfo, UnloadNetlistRequest, UnloadNetlistResponse,
+    API_VERSION, METRICS_SINCE_VERSION, METRICS_TEXT_SINCE_VERSION, SESSION_SINCE_VERSION,
 };
 
 /// The reserved name of the netlist the server was started with. It is
@@ -66,9 +66,12 @@ pub fn netlist_cost(netlist: &Netlist) -> usize {
 /// A default [`Session`] plus a budgeted [`Registry`] of named sessions,
 /// dispatching [`Request`]s to whichever session they address.
 ///
-/// This is the layer `gtl serve` actually runs: it owns session
-/// *resolution* (names, generations, the registry) and the Metrics
-/// pair, while each [`Session`] owns request *validation and compute*.
+/// This is the one dispatch, in-process ([`SessionDispatcher::handle`],
+/// [`SessionDispatcher::handle_line`]) and in `gtl serve`, whose runtime
+/// drives it as a [`LineHandler`](gtl_runtime::LineHandler). It owns
+/// session *resolution* (names, generations, the registry), the Metrics
+/// pair and the registry kinds, while each [`Session`] owns request
+/// *validation and compute*.
 ///
 /// # Example
 ///
@@ -109,11 +112,6 @@ impl<'s> SessionDispatcher<'s> {
         Self { default, registry: Registry::new(max_netlists, registry_bytes), netlist_dir }
     }
 
-    /// The default session this dispatcher wraps.
-    pub fn default_session(&self) -> &'s Session {
-        self.default
-    }
-
     /// A snapshot of the registry's occupancy and counters.
     pub fn registry_stats(&self) -> RegistryStats {
         self.registry.stats()
@@ -121,8 +119,7 @@ impl<'s> SessionDispatcher<'s> {
 
     /// Looks up a named *registry* session (promoting it to
     /// most-recently-used), returning the shared session and its
-    /// generation. The default session lives outside the registry — use
-    /// [`SessionDispatcher::default_session`].
+    /// generation. The default session lives outside the registry.
     pub fn session(&self, name: &str) -> Option<(Arc<Session>, u64)> {
         self.registry.get(name)
     }
@@ -261,79 +258,120 @@ impl<'s> SessionDispatcher<'s> {
         metrics
     }
 
-    /// Dispatches an envelope, mapping failures onto [`Response::Error`]
-    /// (this never fails). The counterpart of
-    /// [`Session::handle_cancellable`], one level up, and the one
-    /// dispatch `gtl serve` runs:
+    /// The one dispatch of a request, and the only code that matches its
+    /// kind:
     ///
-    /// * the Metrics pair is answered from `metrics`, the serve
-    ///   runtime's snapshot, overlaid with the registry counters
+    /// * Find, Place and Stats run on the session they address (see
+    ///   `on_addressed`), under `base` narrowed by the request's
+    ///   `deadline_ms` anchored at `anchor`;
+    /// * the Metrics pair is answered from `metrics`, the serve runtime's
+    ///   snapshot, overlaid with the registry counters
     ///   ([`SessionDispatcher::runtime_metrics`]). The snapshot is taken
-    ///   only for these two kinds. Without one (`None`, in-process
-    ///   dispatch) they are the default session's structured error;
-    /// * registry administration requests are served here;
-    /// * a compute request carrying a `session` name (v4+) resolves it
-    ///   against the registry ([`unknown_session`](ApiError::UnknownSession)
-    ///   if absent), `"default"` and an absent field resolve to the
-    ///   default session;
-    /// * a `session` name on a pre-v4 version reaches the default
-    ///   session unresolved and is rejected there with
-    ///   `invalid_argument`, keeping frozen-version behavior
-    ///   build-independent.
+    ///   only for these two kinds; without one (in-process dispatch) they
+    ///   are an `invalid_argument` error;
+    /// * registry administration requests are served here.
     ///
-    /// Every error echoes the request's version unless that version is
-    /// unsupported, exactly like [`Session::handle_cancellable`].
-    pub fn handle_cancellable(
+    /// A reply comes with whether the response cache may store it: a
+    /// successful compute reply is a pure function of its line and its
+    /// session's generation (a server deadline makes only the outcome
+    /// timing-dependent, and a hit always meets it), unless the request
+    /// carries its own `deadline_ms` (the deadline is part of the key
+    /// bytes, so one client could otherwise mint an entry per deadline
+    /// value and evict everything else). Metrics and registry replies
+    /// report or change live state, and are never stored.
+    pub(crate) fn dispatch(
         &self,
         request: &Request,
         base: &CancelToken,
         anchor: Instant,
         metrics: Option<&dyn Fn() -> MetricsSnapshot>,
-    ) -> Response {
-        self.dispatch(request, base, anchor, metrics)
-            .unwrap_or_else(|err| error_response(&err, request.v()))
-    }
-
-    /// [`SessionDispatcher::handle_cancellable`] before its errors
-    /// become responses.
-    fn dispatch(
-        &self,
-        request: &Request,
-        base: &CancelToken,
-        anchor: Instant,
-        metrics: Option<&dyn Fn() -> MetricsSnapshot>,
-    ) -> Result<Response, ApiError> {
-        match (request, metrics) {
-            (Request::Find(_) | Request::Place(_) | Request::Stats(_), _)
-            | (Request::Metrics(_) | Request::MetricsText(_), None) => {
-                match addressed_session(request) {
-                    Some(name) if name != DEFAULT_SESSION => match self.registry.get(name) {
-                        Some((session, _generation)) => session.dispatch(request, base, anchor),
-                        None => Err(ApiError::unknown_session(name)),
-                    },
-                    _ => self.default.dispatch(request, base, anchor),
-                }
+    ) -> Result<(Response, Cacheability), ApiError> {
+        let computed = |response| match request.deadline_ms() {
+            None => (response, Cacheability::Cacheable),
+            Some(_) => (response, Cacheability::Uncacheable),
+        };
+        let live = |response| (response, Cacheability::Uncacheable);
+        let no_runtime = || {
+            ApiError::invalid_argument(
+                "Metrics is served by the `gtl serve` runtime (no runtime is attached to an \
+                 in-process session)",
+            )
+        };
+        Ok(match request {
+            Request::Find(req) => computed(Response::Find(
+                self.on_addressed(request, |s| s.find_cancellable(req, base, anchor))?,
+            )),
+            Request::Place(req) => computed(Response::Place(
+                self.on_addressed(request, |s| s.place_cancellable(req, base, anchor))?,
+            )),
+            Request::Stats(req) => {
+                computed(Response::Stats(self.on_addressed(request, |s| s.stats(req))?))
             }
-            (Request::Metrics(req), Some(snapshot)) => {
+            Request::Metrics(req) => {
+                let snapshot = metrics.ok_or_else(no_runtime)?;
                 check_since(req.v, METRICS_SINCE_VERSION, "Metrics")?;
                 let metrics = self.runtime_metrics(snapshot());
-                Ok(Response::Metrics(MetricsResponse { v: req.v, metrics, trace: None }))
+                live(Response::Metrics(MetricsResponse { v: req.v, metrics, trace: None }))
             }
-            (Request::MetricsText(req), Some(snapshot)) => {
+            Request::MetricsText(req) => {
+                let snapshot = metrics.ok_or_else(no_runtime)?;
                 check_since(req.v, METRICS_TEXT_SINCE_VERSION, "MetricsText")?;
                 let text = crate::prom::render_prometheus(&self.runtime_metrics(snapshot()));
-                Ok(Response::MetricsText(MetricsTextResponse { v: req.v, text, trace: None }))
+                live(Response::MetricsText(MetricsTextResponse { v: req.v, text, trace: None }))
             }
-            (Request::LoadNetlist(req), _) => self.load(req).map(Response::LoadNetlist),
-            (Request::UnloadNetlist(req), _) => self.unload(req).map(Response::UnloadNetlist),
-            (Request::ListSessions(req), _) => self.list(req).map(Response::ListSessions),
+            Request::LoadNetlist(req) => live(Response::LoadNetlist(self.load(req)?)),
+            Request::UnloadNetlist(req) => live(Response::UnloadNetlist(self.unload(req)?)),
+            Request::ListSessions(req) => live(Response::ListSessions(self.list(req)?)),
+        })
+    }
+
+    /// Runs `compute` on the session `request` addresses: a resident
+    /// named session, promoted as its lookup does
+    /// ([`unknown_session`](ApiError::UnknownSession) if it is not
+    /// resident), or the default session for an absent field, `"default"`
+    /// and a pre-v4 version. A pre-v4 `session` name thus reaches the
+    /// default session unresolved and is rejected there with
+    /// `invalid_argument`, keeping frozen-version behavior
+    /// build-independent.
+    fn on_addressed<T>(
+        &self,
+        request: &Request,
+        compute: impl FnOnce(&Session) -> Result<T, ApiError>,
+    ) -> Result<T, ApiError> {
+        match addressed_session(request) {
+            Some(name) if name != DEFAULT_SESSION => {
+                let (session, _generation) =
+                    self.registry.get(name).ok_or_else(|| ApiError::unknown_session(name))?;
+                compute(&session)
+            }
+            _ => compute(self.default),
         }
     }
 
-    /// [`SessionDispatcher::handle_cancellable`] without external
-    /// cancellation or a runtime, for in-process dispatch.
+    /// Answers one request in-process: the one dispatch, with no external
+    /// cancellation and no runtime, every failure a [`Response::Error`]
+    /// (this never fails). Errors echo the request's version unless that
+    /// version is unsupported.
     pub fn handle(&self, request: &Request) -> Response {
-        self.handle_cancellable(request, &CancelToken::new(), Instant::now(), None)
+        match self.dispatch(request, &CancelToken::new(), Instant::now(), None) {
+            Ok((response, _)) => response,
+            Err(err) => error_response(&err, request.v()),
+        }
+    }
+
+    /// The in-process wire round trip for one JSON line: parse once,
+    /// [`SessionDispatcher::handle`], serialize. Every kind but the
+    /// Metrics pair is answered with the bytes `gtl serve` writes before
+    /// it stamps a v5 reply's trace; malformed input is a `bad_request`
+    /// error. The result is one JSON document with no trailing newline,
+    /// and the same line (against the same sessions) always yields the
+    /// same bytes, for any `threads` value and any machine.
+    pub fn handle_line(&self, line: &str) -> String {
+        let response = match classify(line).parsed {
+            Ok(request) => self.handle(&request),
+            Err(err) => Response::Error(ErrorBody::from(&err)),
+        };
+        serde::json::to_string(&response)
     }
 
     /// A key for a cache of replies that holds no stamps: the raw line
@@ -391,6 +429,20 @@ impl<'s> SessionDispatcher<'s> {
     pub fn tenant(&self, line: &str) -> String {
         classify(line).tenant
     }
+}
+
+/// The error response for a request of version `v` that failed with
+/// `err`. Like success responses, errors echo the request's version — a
+/// v1 client sees exactly the bytes a v1 build produced. A version
+/// outside the supported range can't be spoken back, so those errors
+/// (and parse failures, where no version is known) carry the build's own
+/// [`API_VERSION`].
+pub(crate) fn error_response(err: &ApiError, v: u32) -> Response {
+    let mut body = ErrorBody::from(err);
+    if !matches!(err, ApiError::UnsupportedVersion { .. }) {
+        body.v = v;
+    }
+    Response::Error(body)
 }
 
 /// The session name a request addresses: its `session` field on a
@@ -522,6 +574,93 @@ mod tests {
         assert_eq!(body.code, "unknown_session");
         assert_eq!(body.v, SESSION_SINCE_VERSION);
         assert!(body.message.contains("missing"), "{}", body.message);
+    }
+
+    fn find_request() -> FindRequest {
+        FindRequest::new(FinderConfig {
+            num_seeds: 12,
+            min_size: 4,
+            max_order_len: 24,
+            rng_seed: 7,
+            ..FinderConfig::default()
+        })
+    }
+
+    #[test]
+    fn error_responses_echo_a_supported_request_version() {
+        let default = ring_session(40);
+        let d = SessionDispatcher::new(&default, 0, 0, None);
+        // A v1 request failing validation answers with v:1 — the bytes a
+        // v1 build produced.
+        let mut req = find_request();
+        req.v = 1;
+        req.config.num_seeds = 0;
+        let Response::Error(body) = d.handle(&Request::Find(req)) else {
+            panic!("expected error response");
+        };
+        assert_eq!(body.v, 1);
+        assert_eq!(body.code, "invalid_argument");
+        // An unsupported version can't be spoken back: the build's own
+        // version is stamped, and the message names the range.
+        let mut req = find_request();
+        req.v = API_VERSION + 1;
+        let Response::Error(body) = d.handle(&Request::Find(req)) else {
+            panic!("expected error response");
+        };
+        assert_eq!(body.code, "unsupported_version");
+        assert_eq!(body.v, API_VERSION);
+        assert!(body.message.contains("1..=5"), "{}", body.message);
+    }
+
+    #[test]
+    fn a_cancelled_base_token_answers_cancelled_echoing_the_version() {
+        let default = ring_session(40);
+        let d = SessionDispatcher::new(&default, 0, 0, None);
+        let base = CancelToken::new();
+        base.cancel();
+        let mut req = find_request();
+        req.v = 1;
+        let request = Request::Find(req);
+        let err = d.dispatch(&request, &base, Instant::now(), None).unwrap_err();
+        assert_eq!(err.code(), "cancelled");
+        let Response::Error(body) = error_response(&err, request.v()) else {
+            panic!("expected error response");
+        };
+        assert_eq!((body.code.as_str(), body.v), ("cancelled", 1));
+    }
+
+    #[test]
+    fn handle_line_is_total_and_deterministic() {
+        let default = ring_session(40);
+        let d = SessionDispatcher::new(&default, 0, 0, None);
+        let line = serde::json::to_string(&Request::Find(find_request()));
+        let a = d.handle_line(&line);
+        let b = d.handle_line(&line);
+        assert_eq!(a, b);
+        assert!(a.starts_with("{\"Find\":{\"v\":5,"), "{a}");
+        // A v1 request is still accepted and echoes v1 — the golden
+        // round-trip from the v1 protocol stays byte-identical (in-process
+        // dispatch stamps no trace for any version).
+        let v1 = d.handle_line(&line.replacen("\"v\":5", "\"v\":1", 1));
+        assert!(v1.starts_with("{\"Find\":{\"v\":1,"), "{v1}");
+        assert_eq!(v1.replacen("\"v\":1", "\"v\":5", 1), a);
+
+        let err = d.handle_line("this is not json");
+        assert!(err.contains("\"code\":\"bad_request\""), "{err}");
+    }
+
+    #[test]
+    fn in_process_metrics_answer_that_no_runtime_is_attached() {
+        let default = ring_session(8);
+        let d = SessionDispatcher::new(&default, 0, 0, None);
+        for line in ["{\"Metrics\":{\"v\":5}}", "{\"MetricsText\":{\"v\":5}}"] {
+            assert_eq!(
+                d.handle_line(line),
+                "{\"Error\":{\"v\":5,\"code\":\"invalid_argument\",\"message\":\"Metrics is \
+                 served by the `gtl serve` runtime (no runtime is attached to an in-process \
+                 session)\"}}"
+            );
+        }
     }
 
     #[test]
@@ -779,19 +918,9 @@ mod tests {
         fields
     }
 
-    /// Answers `line` as the serve path does: one parse, then the
-    /// dispatch, or the parse error's reply.
-    fn reply(d: &SessionDispatcher<'_>, line: &str) -> String {
-        let response = match classify(line).parsed {
-            Ok(request) => d.handle(&request),
-            Err(err) => Response::Error(crate::ErrorBody::from(&err)),
-        };
-        serde::json::to_string(&response)
-    }
-
     /// One reply per line: no panic, one line, a `Response`.
     fn assert_total(d: &SessionDispatcher<'_>, line: &str) {
-        let text = reply(d, line);
+        let text = d.handle_line(line);
         assert!(!text.contains('\n'), "multi-line reply to {line}: {text}");
         assert!(serde::json::from_str::<Response>(&text).is_ok(), "reply to {line}: {text}");
     }

@@ -2,7 +2,7 @@
 //! [`SessionDispatcher`], running on the [`gtl_runtime`] bounded service
 //! runtime configured by a [`RuntimeConfig`].
 //!
-//! Protocol: one [`Request`] envelope per line in, one
+//! Protocol: one [`Request`](crate::Request) envelope per line in, one
 //! [`Response`] envelope per line out, **in request
 //! order**, on a plain TCP stream (no HTTP). Blank lines are ignored; a
 //! connection ends at client EOF, at the read/idle timeout, or after a
@@ -66,14 +66,14 @@ use gtl_runtime::{
     RuntimeConfig, ServeReport, TraceId, TransportError,
 };
 
-use crate::registry::{classify, ParsedLine};
-use crate::{ApiError, ErrorBody, Request, Response, SessionDispatcher, TRACE_SINCE_VERSION};
+use crate::registry::{classify, error_response, ParsedLine};
+use crate::{ApiError, ErrorBody, Response, SessionDispatcher, TRACE_SINCE_VERSION};
 
 /// Request kinds: the label set of the per-kind latency summaries (the
 /// Prometheus `kind` label, the `gtl serve` exit summary and the
-/// `gtl loadgen` report), as `(envelope tag, label)` rows in [`Request`]
-/// variant order. The last row (`other`, empty tag) catches malformed and
-/// unknown envelopes.
+/// `gtl loadgen` report), as `(envelope tag, label)` rows in
+/// [`Request`](crate::Request) variant order. The last row (`other`,
+/// empty tag) catches malformed and unknown envelopes.
 pub const REQUEST_KINDS: [(&str, &str); 9] = [
     ("Find", "find"),
     ("Place", "place"),
@@ -132,7 +132,6 @@ pub fn serve(
     config: &RuntimeConfig,
     metrics_listener: Option<&TcpListener>,
 ) -> Result<ServeReport, ApiError> {
-    let handler = SessionHandler { dispatcher };
     // The scrape path and the wire mirrors share one rendering: the
     // runtime snapshot overlaid with the registry counters, through the
     // same `runtime_metrics` every other export uses.
@@ -140,19 +139,8 @@ pub fn serve(
         crate::prom::render_prometheus(&dispatcher.runtime_metrics(snapshot.clone()))
     };
     let exporter = metrics_listener.map(|listener| MetricsExporter { listener, render: &render });
-    gtl_runtime::serve_lines(listener, config, &handler, exporter)
+    gtl_runtime::serve_lines(listener, config, dispatcher, exporter)
         .map_err(|e| ApiError::io(e.to_string()))
-}
-
-/// The [`LineHandler`] gluing the runtime to a [`SessionDispatcher`]:
-/// classify (parse) each line that the cache does not answer once on the
-/// reader thread, stamp it with its addressed session's generation (on
-/// the reader when every earlier reply on its connection is written,
-/// else on the lane, after the requests ahead of it), dispatch it on the
-/// lane and serialize into the runtime's recycled buffer. A stored reply
-/// answers while its generation is still resident.
-struct SessionHandler<'d, 's> {
-    dispatcher: &'d SessionDispatcher<'s>,
 }
 
 /// Serializes a response into the runtime's recycled buffer, recording
@@ -165,7 +153,14 @@ fn serialize_response(ctx: &RequestContext<'_>, response: &Response, out: &mut S
     ctx.observe_serialize_us(span.end_at(Instant::now()));
 }
 
-impl LineHandler for SessionHandler<'_, '_> {
+/// The runtime's view of the dispatcher: classify (parse) each line that
+/// the cache does not answer once on the reader thread, stamp it with its
+/// addressed session's generation (on the reader when every earlier reply
+/// on its connection is written, else on the lane, after the requests
+/// ahead of it), dispatch it on the lane and serialize into the runtime's
+/// recycled buffer. A stored reply answers while its generation is still
+/// resident.
+impl LineHandler for SessionDispatcher<'_> {
     type Parsed = ParsedLine;
 
     fn classify(&self, line: &str) -> Classified<ParsedLine> {
@@ -173,11 +168,11 @@ impl LineHandler for SessionHandler<'_, '_> {
     }
 
     fn cache_stamp(&self, parsed: &ParsedLine) -> Option<u64> {
-        self.dispatcher.addressed_generation(parsed)
+        self.addressed_generation(parsed)
     }
 
     fn stamp_is_current(&self, generation: u64) -> bool {
-        self.dispatcher.generation_is_live(generation)
+        self.generation_is_live(generation)
     }
 
     fn handle(
@@ -187,58 +182,40 @@ impl LineHandler for SessionHandler<'_, '_> {
         parsed: &ParsedLine,
         out: &mut String,
     ) -> Cacheability {
-        let response = match parsed {
-            // The job token (connection loss + server default deadline)
-            // reaches the compute through the dispatcher; `deadline_ms`
-            // in the request narrows it further, anchored at admission so
-            // queue wait counts. Metrics report live runtime state, which
-            // only the runtime (through `ctx`) can see.
-            Ok(request) => self.dispatcher.handle_cancellable(
-                request,
-                ctx.cancel_token(),
-                ctx.submitted_at(),
-                Some(&|| ctx.metrics()),
-            ),
+        let (response, cacheability) = match parsed {
+            Ok(request) => {
+                // The job token (connection loss + server default
+                // deadline) reaches the compute through the dispatch;
+                // `deadline_ms` in the request narrows it further,
+                // anchored at admission so queue wait counts. Metrics
+                // report live runtime state, which only the runtime
+                // (through `ctx`) can see.
+                let metrics = || ctx.metrics();
+                let anchor = ctx.submitted_at();
+                match self.dispatch(request, ctx.cancel_token(), anchor, Some(&metrics)) {
+                    Ok(answer) => answer,
+                    Err(err) => {
+                        // The runtime owns the counters; the error's
+                        // variant says which one this outcome counts in.
+                        match err {
+                            ApiError::DeadlineExceeded { .. } => ctx.record_deadline_exceeded(),
+                            ApiError::Cancelled { .. } => ctx.record_cancelled(),
+                            _ => {}
+                        }
+                        // Errors are never cached: unique invalid requests
+                        // must not evict compute worth seconds, and a
+                        // deadline or cancel outcome is timing-dependent,
+                        // not a pure function of the line.
+                        (error_response(&err, request.v()), Cacheability::Uncacheable)
+                    }
+                }
+            }
             // No version is known for an unparseable line, so its error
             // carries the build's own.
-            Err(err) => Response::Error(ErrorBody::from(err)),
+            Err(err) => (Response::Error(ErrorBody::from(err)), Cacheability::Uncacheable),
         };
         serialize_response(ctx, &response, out);
-        if let Response::Error(body) = &response {
-            // The runtime owns the counters; the handler owns the outcome
-            // classification.
-            match body.code.as_str() {
-                "deadline_exceeded" => ctx.record_deadline_exceeded(),
-                "cancelled" => ctx.record_cancelled(),
-                _ => {}
-            }
-            // Error responses (parse and validation failures, deadline
-            // and cancellation outcomes) are never cached: unique invalid
-            // requests must not evict compute worth seconds, and
-            // deadline/cancel outcomes are timing-dependent, not pure
-            // functions of the line.
-            return Cacheability::Uncacheable;
-        }
-        // Successful compute responses are deterministic — cached bytes
-        // are always exactly what a successful compute of the line
-        // produces. Deadlines only make the success-vs-error *outcome*
-        // timing-dependent, and a warm hit resolving that race in the
-        // client's favor is deliberate: a deadline bounds latency, and a
-        // hit (microseconds) always meets it. Requests carrying their own
-        // `deadline_ms` are still kept out of the cache: the deadline is
-        // part of the key bytes, so admitting them would let one client
-        // mint unbounded near-duplicate entries of the same response (one
-        // per deadline value) and evict everything else. Metrics and
-        // registry administration responses report (and mutate) live
-        // state — never pure functions of their request bytes.
-        match parsed {
-            Ok(request @ (Request::Find(_) | Request::Place(_) | Request::Stats(_)))
-                if request.deadline_ms().is_none() =>
-            {
-                Cacheability::Cacheable
-            }
-            _ => Cacheability::Uncacheable,
-        }
+        cacheability
     }
 
     fn stamp_trace(&self, trace: TraceId, out: &mut String) -> bool {
@@ -414,7 +391,7 @@ mod tests {
                 // the wire; everything else is byte-identical to
                 // in-process dispatch.
                 assert!(lines[0].contains("\"trace\":\""), "{}", lines[0]);
-                assert_eq!(strip_trace(&lines[0]), session.handle_line(&request_line()));
+                assert_eq!(strip_trace(&lines[0]), dispatcher.handle_line(&request_line()));
                 assert_eq!(strip_trace(&lines[0]), strip_trace(&lines[1]));
                 assert_ne!(lines[0], lines[1], "traces are per-request");
                 assert!(lines[2].contains("\"bad_request\""), "{}", lines[2]);

@@ -1,25 +1,21 @@
-//! The [`Session`]: one loaded netlist serving repeated requests.
+//! The [`Session`]: one loaded netlist and the compute it serves.
 //!
-//! A session is the unit of request dispatch: it owns the [`Netlist`]
-//! and the statistics computed once from it, and validates each request
-//! (version, then arguments) before any compute starts, so a hostile
-//! request answers an error instead of panicking a lane. It keeps no
-//! scratch between requests: every request's buffers are its own, so
-//! concurrent `serve` connections share a session without a lock. All
-//! heavy compute inside a request fans out through `gtl_core::exec` (via
-//! the finder and the sharded placer), so a response is byte-identical
-//! for any worker count.
+//! A session owns the [`Netlist`] and the statistics computed once from
+//! it, and validates each request (version, then arguments) before any
+//! compute starts, so a hostile request answers an error instead of
+//! panicking a lane. It keeps no scratch between requests: every
+//! request's buffers are its own, so concurrent `serve` connections share
+//! a session without a lock. All heavy compute inside a request fans out
+//! through `gtl_core::exec` (via the finder and the sharded placer), so a
+//! response is byte-identical for any worker count.
 //!
-//! One entry point per request kind ([`Session::find`],
-//! [`Session::place`], [`Session::stats`]), one envelope dispatcher
-//! ([`Session::handle`]) with its cancellable form
-//! ([`Session::handle_cancellable`]), and one wire round-trip
-//! ([`Session::handle_line`]). A session serves the compute kinds only:
-//! `gtl serve` runs the [`SessionDispatcher`](crate::SessionDispatcher),
-//! which answers the Metrics pair and the registry kinds itself and
-//! hands Find/Place/Stats to the session they address. Both layers set
-//! an error's version with one function and gate a request kind's
-//! first protocol version with another.
+//! One entry point per compute kind: [`Session::find`],
+//! [`Session::place`] and [`Session::stats`]. Requests arrive as
+//! envelopes at the [`SessionDispatcher`](crate::SessionDispatcher), the
+//! one dispatch: it resolves the session a request addresses and calls
+//! that session's compute under the request's cancellation token, and
+//! answers the Metrics pair and the registry kinds itself. Both layers
+//! gate a request kind's first protocol version with one function.
 
 use std::path::Path;
 use std::time::{Duration, Instant};
@@ -30,9 +26,8 @@ use gtl_place::congestion;
 use gtl_tangled::TangledLogicFinder;
 
 use crate::{
-    ApiError, ErrorBody, FindRequest, FindResponse, NetlistSummary, PlaceRequest, PlaceResponse,
-    Request, Response, StatsRequest, StatsResponse, API_VERSION, DEADLINE_SINCE_VERSION,
-    MIN_API_VERSION, SESSION_SINCE_VERSION,
+    ApiError, FindRequest, FindResponse, NetlistSummary, PlaceRequest, PlaceResponse, StatsRequest,
+    StatsResponse, API_VERSION, DEADLINE_SINCE_VERSION, MIN_API_VERSION, SESSION_SINCE_VERSION,
 };
 
 /// Loads a netlist, selecting the parser from the file extension
@@ -173,20 +168,6 @@ pub(crate) fn check_since(v: u32, since: u32, what: &str) -> Result<(), ApiError
     Ok(())
 }
 
-/// The error response for a request of version `v` that failed with
-/// `err`. Like success responses, errors echo the request's version — a
-/// v1 client sees exactly the bytes a v1 build produced. A version
-/// outside the supported range can't be spoken back, so those errors
-/// (and parse failures, where no version is known) carry the build's own
-/// [`API_VERSION`].
-pub(crate) fn error_response(err: &ApiError, v: u32) -> Response {
-    let mut body = ErrorBody::from(err);
-    if !matches!(err, ApiError::UnsupportedVersion { .. }) {
-        body.v = v;
-    }
-    Response::Error(body)
-}
-
 /// Validates a request's `session` field against its protocol version.
 /// The field exists since [`SESSION_SINCE_VERSION`]; on older versions
 /// it is rejected exactly like a pre-v3 `deadline_ms`, so v1–v3 behavior
@@ -245,7 +226,8 @@ impl SessionBuilder {
     }
 }
 
-/// A loaded netlist and its statistics, serving [`Request`]s.
+/// A loaded netlist and its statistics, serving Find, Place and Stats
+/// requests.
 ///
 /// # Example
 ///
@@ -308,7 +290,7 @@ impl Session {
     /// and a deadline firing mid-run aborts the finder at its next
     /// checkpoint (one seed search). Besides [`Session::find`]'s errors
     /// it reports [`ApiError::DeadlineExceeded`] / [`ApiError::Cancelled`].
-    fn find_cancellable(
+    pub(crate) fn find_cancellable(
         &self,
         request: &FindRequest,
         base: &CancelToken,
@@ -354,7 +336,7 @@ impl Session {
     /// token and deadline anchor (see `find_cancellable`); the placer
     /// checkpoints between solve/spread iterations and the congestion
     /// estimator between tile stripes.
-    fn place_cancellable(
+    pub(crate) fn place_cancellable(
         &self,
         request: &PlaceRequest,
         base: &CancelToken,
@@ -467,73 +449,6 @@ impl Session {
         check_version(request.v)?;
         check_session_field(request.v, request.session.as_deref())?;
         Ok(StatsResponse { v: request.v, stats: self.stats.clone(), trace: None })
-    }
-
-    /// Dispatches an envelope, mapping failures onto [`Response::Error`]
-    /// (this never fails — every outcome is a response).
-    ///
-    /// A bare session serves Find, Place and Stats. The Metrics pair
-    /// reports the `gtl serve` runtime's counters and the registry kinds
-    /// administer the dispatcher's sessions, so here they are answered
-    /// with a structured `invalid_argument` error.
-    pub fn handle(&self, request: &Request) -> Response {
-        self.handle_cancellable(request, &CancelToken::new(), Instant::now())
-    }
-
-    /// [`Session::handle`] under a caller-supplied cancellation `base`
-    /// token and deadline anchor: cancellation and deadline outcomes
-    /// become `cancelled` / `deadline_exceeded` error responses (echoing
-    /// the request's version like every other error).
-    pub fn handle_cancellable(
-        &self,
-        request: &Request,
-        base: &CancelToken,
-        anchor: Instant,
-    ) -> Response {
-        self.dispatch(request, base, anchor).unwrap_or_else(|err| error_response(&err, request.v()))
-    }
-
-    /// [`Session::handle_cancellable`] before its errors become
-    /// responses: what the dispatcher runs for the requests it hands to
-    /// a session.
-    pub(crate) fn dispatch(
-        &self,
-        request: &Request,
-        base: &CancelToken,
-        anchor: Instant,
-    ) -> Result<Response, ApiError> {
-        match request {
-            Request::Find(req) => self.find_cancellable(req, base, anchor).map(Response::Find),
-            Request::Place(req) => self.place_cancellable(req, base, anchor).map(Response::Place),
-            Request::Stats(req) => self.stats(req).map(Response::Stats),
-            Request::Metrics(_) | Request::MetricsText(_) => Err(ApiError::invalid_argument(
-                "Metrics is served by the `gtl serve` runtime (no runtime is attached to an \
-                 in-process session)",
-            )),
-            Request::LoadNetlist(_) | Request::UnloadNetlist(_) | Request::ListSessions(_) => {
-                Err(ApiError::invalid_argument(
-                    "the session registry is served by the `gtl serve` runtime (an in-process \
-                     session owns exactly one netlist)",
-                ))
-            }
-        }
-    }
-
-    /// The full wire round-trip for one JSON line: parse, dispatch,
-    /// serialize. Malformed input becomes a `bad_request` error response;
-    /// the returned string is always exactly one JSON document with no
-    /// trailing newline.
-    ///
-    /// Determinism contract: the same input line always yields the same
-    /// output bytes, for any `threads` value in the request and any
-    /// machine — requests fan out through `gtl_core::exec` and the JSON
-    /// renderer is deterministic.
-    pub fn handle_line(&self, line: &str) -> String {
-        let response = match serde::json::from_str::<Request>(line) {
-            Ok(request) => self.handle(&request),
-            Err(e) => Response::Error(ErrorBody::from(&ApiError::bad_request(e.to_string()))),
-        };
-        serde::json::to_string(&response)
     }
 }
 
@@ -656,10 +571,9 @@ mod tests {
                 req.placer.anchor_growth = growth;
                 req.placer.anchor_final_boost = boost;
                 req.placer.shard_grid = shard_grid;
-                let line = serde::json::to_string(&Request::Place(req));
-                let reply = s.handle_line(&line);
-                assert!(reply.contains("\"code\":\"invalid_argument\""), "{line}: {reply}");
-                assert!(reply.contains(&format!("placer.{field} ")), "{line}: {reply}");
+                let err = s.place(&req).unwrap_err();
+                assert_eq!(err.code(), "invalid_argument", "{req:?}");
+                assert!(err.message().contains(&format!("placer.{field} ")), "{err}");
             }
         }
         // A weight that shrinks toward zero but stays positive is served.
@@ -676,11 +590,10 @@ mod tests {
         req.utilization = 1e-300;
         req.routing.h_capacity = Some(1e-300);
         req.routing.v_capacity = Some(1e-300);
-        let reply = s.handle_line(&serde::json::to_string(&Request::Place(req)));
-        assert!(serde::json::from_str::<Response>(&reply).is_ok(), "{reply}");
-        assert!(reply.contains("\"code\":\"invalid_argument\""), "{reply}");
+        let err = s.place(&req).unwrap_err();
+        assert_eq!(err.code(), "invalid_argument");
         for field in ["utilization", "routing.h_capacity", "routing.v_capacity"] {
-            assert!(reply.contains(field), "{field}: {reply}");
+            assert!(err.message().contains(field), "{field}: {err}");
         }
         // Each value alone keeps the reply finite and is served.
         let mut req = PlaceRequest::new();
@@ -700,60 +613,6 @@ mod tests {
         assert!(place.die.width > 0.0);
         let stats = s.stats(&StatsRequest::new()).unwrap();
         assert_eq!(stats.stats.num_cells, 40);
-    }
-
-    #[test]
-    fn error_responses_echo_a_supported_request_version() {
-        let s = session();
-        // A v1 request failing validation answers with v:1 — the bytes a
-        // v1 build produced.
-        let mut req = find_request();
-        req.v = 1;
-        req.config.num_seeds = 0;
-        let Response::Error(body) = s.handle(&Request::Find(req)) else {
-            panic!("expected error response");
-        };
-        assert_eq!(body.v, 1);
-        assert_eq!(body.code, "invalid_argument");
-        // An unsupported version can't be spoken back: the build's own
-        // version is stamped, and the message names the range.
-        let mut req = find_request();
-        req.v = 99;
-        let Response::Error(body) = s.handle(&Request::Find(req)) else {
-            panic!("expected error response");
-        };
-        assert_eq!(body.v, API_VERSION);
-        assert!(body.message.contains("1..=5"), "{}", body.message);
-    }
-
-    #[test]
-    fn handle_never_fails() {
-        let s = session();
-        let mut req = find_request();
-        req.v = API_VERSION + 1;
-        let Response::Error(body) = s.handle(&Request::Find(req)) else {
-            panic!("expected error response");
-        };
-        assert_eq!(body.code, "unsupported_version");
-    }
-
-    #[test]
-    fn handle_line_is_total_and_deterministic() {
-        let s = session();
-        let line = serde::json::to_string(&Request::Find(find_request()));
-        let a = s.handle_line(&line);
-        let b = s.handle_line(&line);
-        assert_eq!(a, b);
-        assert!(a.starts_with("{\"Find\":{\"v\":5,"), "{a}");
-        // A v1 request is still accepted and echoes v1 — the golden
-        // round-trip from the v1 protocol stays byte-identical (an
-        // in-process session stamps no trace for any version).
-        let v1 = s.handle_line(&line.replacen("\"v\":5", "\"v\":1", 1));
-        assert!(v1.starts_with("{\"Find\":{\"v\":1,"), "{v1}");
-        assert_eq!(v1.replacen("\"v\":1", "\"v\":5", 1), a);
-
-        let err = s.handle_line("this is not json");
-        assert!(err.contains("\"code\":\"bad_request\""), "{err}");
     }
 
     #[test]
@@ -797,23 +656,14 @@ mod tests {
     }
 
     #[test]
-    fn cancelled_base_token_reaches_the_dispatch() {
+    fn cancelled_base_token_reaches_the_compute() {
         let s = session();
         let base = CancelToken::new();
         base.cancel();
         let err = s.find_cancellable(&find_request(), &base, Instant::now()).unwrap_err();
         assert_eq!(err.code(), "cancelled");
-        // Through the envelope path the outcome is an error *response*
-        // echoing the request's version.
-        let mut req = find_request();
-        req.v = 1;
-        let Response::Error(body) =
-            s.handle_cancellable(&Request::Find(req), &base, Instant::now())
-        else {
-            panic!("expected error response");
-        };
-        assert_eq!(body.code, "cancelled");
-        assert_eq!(body.v, 1);
+        let err = s.place_cancellable(&PlaceRequest::new(), &base, Instant::now()).unwrap_err();
+        assert_eq!(err.code(), "cancelled");
     }
 
     #[test]
@@ -858,22 +708,6 @@ mod tests {
         let plain = serde::json::to_string(&s.stats(&StatsRequest::new()).unwrap());
         let addressed = StatsRequest { v: API_VERSION, session: Some("default".into()) };
         assert_eq!(plain, serde::json::to_string(&s.stats(&addressed).unwrap()));
-    }
-
-    #[test]
-    fn registry_requests_rejected_in_process() {
-        let s = session();
-        for req in [
-            Request::LoadNetlist(crate::LoadNetlistRequest::new("a", "a.hgr")),
-            Request::UnloadNetlist(crate::UnloadNetlistRequest::new("a")),
-            Request::ListSessions(crate::ListSessionsRequest::new()),
-        ] {
-            let Response::Error(body) = s.handle(&req) else {
-                panic!("expected error response");
-            };
-            assert_eq!(body.code, "invalid_argument");
-            assert!(body.message.contains("registry"), "{}", body.message);
-        }
     }
 
     #[test]

@@ -18,7 +18,7 @@
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use gtl_api::{
     netlist_cost, FindRequest, ListSessionsRequest, LoadNetlistRequest, Request, RuntimeConfig,
@@ -90,6 +90,15 @@ fn load_line(name: &str, path: &str) -> String {
 
 fn unload_line(name: &str) -> String {
     serde::json::to_string(&Request::UnloadNetlist(UnloadNetlistRequest::new(name)))
+}
+
+/// The in-process reply to `line` from a dispatcher over `default` with
+/// `<dir>/<file>.hgr` loaded as the session `x`.
+fn reply_with_x_loaded(default: &Session, dir: &Path, file: &str, line: &str) -> String {
+    let dispatcher = SessionDispatcher::new(default, 0, 0, Some(dir.to_path_buf()));
+    let loaded = dispatcher.handle_line(&load_line("x", &format!("{file}.hgr")));
+    assert!(loaded.starts_with("{\"LoadNetlist\":"), "{loaded}");
+    dispatcher.handle_line(line)
 }
 
 /// Boots a single-connection server over `dispatcher` with `config`,
@@ -218,23 +227,15 @@ proptest! {
         let dir = netlist_dir("isolation", &[("x_small", 5), ("x_large", 9)]);
         let session = default_session();
 
-        // Oracles: the same session-addressed line dispatched in-process
-        // against each netlist (the session layer treats a v4 session
-        // field as dispatcher-resolved, so the payload is the file's).
+        // Oracles: the same session-addressed line answered in-process
+        // with each netlist loaded as `x`.
         let line = find_line(Some("x"), 11);
         // The same request with its `session` key spelled through a JSON
         // escape: it parses alike, so it must answer — and key — alike.
         let escaped = line.replace("\"session\"", "\"sess\\u0069on\"");
-        let oracle: HashMap<&str, String> = [("x_small", 5usize), ("x_large", 9)]
+        let oracle: HashMap<&str, String> = ["x_small", "x_large"]
             .into_iter()
-            .map(|(file, _)| {
-                let s = Session::builder()
-                    .load(dir.join(format!("{file}.hgr")).to_str().unwrap())
-                    .unwrap()
-                    .build()
-                    .unwrap();
-                (file, s.handle_line(&line))
-            })
+            .map(|file| (file, reply_with_x_loaded(&session, &dir, file, &line)))
             .collect();
 
         // Script: start on x_small; op 0 swaps the loaded file, op 1
@@ -373,10 +374,7 @@ fn a_find_pipelined_behind_a_reload_answers_from_the_new_design() {
     let dir = netlist_dir("pipelined_reload", &[("x_small", 5), ("x_large", 9)]);
     let session = default_session();
     let find = find_line(Some("x"), 7);
-    let oracle = |file: &str| {
-        let path = dir.join(format!("{file}.hgr"));
-        Session::builder().load(path.to_str().unwrap()).unwrap().build().unwrap().handle_line(&find)
-    };
+    let oracle = |file: &str| reply_with_x_loaded(&session, &dir, file, &find);
     let (small, large) = (oracle("x_small"), oracle("x_large"));
     assert_ne!(small, large, "the two designs must answer differently");
 
@@ -493,10 +491,7 @@ fn an_in_order_repeat_after_a_reload_answers_from_the_new_design() {
     let dir = netlist_dir("in_order_reload", &[("x_small", 5), ("x_large", 9)]);
     let session = default_session();
     let find = find_line(Some("x"), 7);
-    let oracle = |file: &str| {
-        let path = dir.join(format!("{file}.hgr"));
-        Session::builder().load(path.to_str().unwrap()).unwrap().build().unwrap().handle_line(&find)
-    };
+    let oracle = |file: &str| reply_with_x_loaded(&session, &dir, file, &find);
     let (small, large) = (oracle("x_small"), oracle("x_large"));
     assert_ne!(small, large, "the two designs must answer differently");
 

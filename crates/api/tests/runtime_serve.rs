@@ -4,7 +4,8 @@
 //! * The stress test runs 8 concurrent pipelined connections with mixed
 //!   Find/Place/Stats requests against a small-cache (eviction-heavy)
 //!   runtime and asserts every response line byte-identical to a
-//!   single-threaded serial replay through [`Session::handle_line`].
+//!   single-threaded serial replay through
+//!   [`SessionDispatcher::handle_line`].
 //! * The property test drives random request sequences through random
 //!   cache budgets — warm hits, cold misses and arbitrary eviction
 //!   orders — and asserts the same.
@@ -74,9 +75,10 @@ fn request_pool() -> Vec<String> {
 #[test]
 fn eight_pipelined_clients_match_serial_replay() {
     let session = session();
+    let dispatcher = SessionDispatcher::new(&session, 0, 0, None);
     let pool = request_pool();
     // Serial oracle: dispatch every pool entry once, in-process.
-    let oracle: Vec<String> = pool.iter().map(|line| session.handle_line(line)).collect();
+    let oracle: Vec<String> = pool.iter().map(|line| dispatcher.handle_line(line)).collect();
 
     let listener = gtl_api::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap();
@@ -91,7 +93,6 @@ fn eight_pipelined_clients_match_serial_replay() {
         max_connections: Some(clients),
         ..RuntimeConfig::default()
     };
-    let dispatcher = SessionDispatcher::new(&session, 0, 0, None);
 
     std::thread::scope(|scope| {
         let server = scope.spawn(|| gtl_api::serve(&dispatcher, &listener, &config, None).unwrap());
@@ -143,8 +144,9 @@ proptest! {
         picks in proptest::collection::vec(0usize..7, 1..40),
     ) {
         let session = session();
+        let dispatcher = SessionDispatcher::new(&session, 0, 0, None);
         let pool = request_pool();
-        let oracle: Vec<String> = pool.iter().map(|line| session.handle_line(line)).collect();
+        let oracle: Vec<String> = pool.iter().map(|line| dispatcher.handle_line(line)).collect();
 
         let listener = gtl_api::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
@@ -155,7 +157,6 @@ proptest! {
             max_connections: Some(1),
             ..RuntimeConfig::default()
         };
-        let dispatcher = SessionDispatcher::new(&session, 0, 0, None);
         std::thread::scope(|scope| {
             let server =
                 scope.spawn(|| gtl_api::serve(&dispatcher, &listener, &config, None).unwrap());

@@ -2,7 +2,7 @@
 //! a serve response must be **byte-identical** for 1, 2 and 8 workers —
 //! the worker count is a performance knob, never a semantic one.
 
-use gtl_api::{FindRequest, PlaceRequest, Request, Session};
+use gtl_api::{FindRequest, PlaceRequest, Request, Session, SessionDispatcher};
 use gtl_netlist::NetlistBuilder;
 use gtl_tangled::FinderConfig;
 
@@ -28,6 +28,7 @@ fn session() -> Session {
 #[test]
 fn find_response_bytes_identical_for_1_2_8_workers() {
     let session = session();
+    let dispatcher = SessionDispatcher::new(&session, 0, 0, None);
     let mut lines = Vec::new();
     for threads in [1usize, 2, 8] {
         let request = Request::Find(FindRequest::new(FinderConfig {
@@ -38,7 +39,7 @@ fn find_response_bytes_identical_for_1_2_8_workers() {
             threads,
             ..FinderConfig::default()
         }));
-        lines.push(session.handle_line(&serde::json::to_string(&request)));
+        lines.push(dispatcher.handle_line(&serde::json::to_string(&request)));
     }
     assert!(lines[0].contains("\"gtls\":[{"), "finder found nothing: {}", lines[0]);
     assert_eq!(lines[0], lines[1], "2 workers changed the response bytes");
@@ -48,12 +49,13 @@ fn find_response_bytes_identical_for_1_2_8_workers() {
 #[test]
 fn place_response_bytes_identical_for_1_2_8_workers() {
     let session = session();
+    let dispatcher = SessionDispatcher::new(&session, 0, 0, None);
     let mut lines = Vec::new();
     for threads in [1usize, 2, 8] {
         let mut request = PlaceRequest::new();
         request.placer.threads = threads;
         request.routing.threads = threads;
-        lines.push(session.handle_line(&serde::json::to_string(&Request::Place(request))));
+        lines.push(dispatcher.handle_line(&serde::json::to_string(&Request::Place(request))));
     }
     assert!(lines[0].contains("\"hpwl\":"), "{}", lines[0]);
     assert_eq!(lines[0], lines[1]);

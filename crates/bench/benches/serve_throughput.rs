@@ -9,7 +9,7 @@
 //! enforces the service determinism contract where it matters:
 //!
 //! * every response in every burst is byte-identical to an in-process
-//!   `Session::handle_line` dispatch, for both cache modes;
+//!   `SessionDispatcher::handle_line` round trip, for both cache modes;
 //! * the checked-in golden round-trip (`tests/golden/`) replays
 //!   byte-identically through the new runtime path.
 
@@ -133,7 +133,7 @@ fn main() {
 
     let session = testbed_session();
     let line = request_line();
-    let expected = session.handle_line(&line);
+    let expected = SessionDispatcher::new(&session, 0, 0, None).handle_line(&line);
 
     // One timed pass per mode for the JSON summary. Cold = cache
     // disabled: every request recomputes. Warm = cache enabled and

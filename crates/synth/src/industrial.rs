@@ -17,7 +17,7 @@ use gtl_netlist::{CellId, NetlistBuilder};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use crate::ispd_like::rent_wire;
+use crate::stream::rent_wire_into;
 use crate::GeneratedCircuit;
 
 /// Configuration for the industrial-like generator.
@@ -90,10 +90,8 @@ pub fn generate(config: &IndustrialConfig) -> GeneratedCircuit {
 
     // --- Background --------------------------------------------------------
     let bg_count = total.saturating_sub(blob_cells).max(64);
-    let bg_first = b.add_anonymous_cells(bg_count);
-    let bg: Vec<CellId> =
-        (bg_first.index()..bg_first.index() + bg_count).map(CellId::new).collect();
-    rent_wire(&mut b, &bg, config.rent_exponent, &mut rng);
+    let bg_first = b.add_anonymous_cells(bg_count).index();
+    rent_wire_into(&mut b, bg_first, bg_first + bg_count, config.rent_exponent, &mut rng);
 
     // --- Blob boundaries: the paper's cuts, Rent-scaled ---------------------
     for (members, cut) in &truth {
@@ -101,7 +99,7 @@ pub fn generate(config: &IndustrialConfig) -> GeneratedCircuit {
             .clamp(4, *cut);
         for _ in 0..links {
             let inside = members[rng.gen_range(0..members.len())];
-            let outside = bg[rng.gen_range(0..bg.len())];
+            let outside = CellId::new(bg_first + rng.gen_range(0..bg_count));
             b.add_anonymous_net([inside, outside]);
         }
     }

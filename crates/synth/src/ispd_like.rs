@@ -13,6 +13,7 @@ use gtl_netlist::{CellId, NetlistBuilder};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
+use crate::stream::rent_wire_into;
 use crate::structures;
 use crate::GeneratedCircuit;
 
@@ -163,13 +164,11 @@ pub fn generate(config: &IspdLikeConfig) -> GeneratedCircuit {
 
     // --- Background ----------------------------------------------------
     let bg_count = target_cells.saturating_sub(b.num_cells());
-    let bg_first = b.add_anonymous_cells(bg_count);
-    let bg: Vec<CellId> =
-        (bg_first.index()..bg_first.index() + bg_count).map(CellId::new).collect();
-    rent_wire(&mut b, &bg, config.rent_exponent, &mut rng);
+    let bg_first = b.add_anonymous_cells(bg_count).index();
+    rent_wire_into(&mut b, bg_first, bg_first + bg_count, config.rent_exponent, &mut rng);
 
     // --- Structure boundary nets ---------------------------------------
-    if !bg.is_empty() {
+    if bg_count > 0 {
         for members in &truth {
             let links = ((members.len() as f64).sqrt() as usize).max(4);
             for _ in 0..links {
@@ -177,7 +176,7 @@ pub fn generate(config: &IspdLikeConfig) -> GeneratedCircuit {
                 let deg = crate::sample_net_degree(&mut rng, 6);
                 let mut pins = vec![inside];
                 for _ in 1..deg {
-                    pins.push(bg[rng.gen_range(0..bg.len())]);
+                    pins.push(CellId::new(bg_first + rng.gen_range(0..bg_count)));
                 }
                 b.add_anonymous_net(pins);
             }
@@ -188,43 +187,6 @@ pub fn generate(config: &IspdLikeConfig) -> GeneratedCircuit {
         name: format!("{}-like-x{:.3}", config.benchmark.name(), config.scale),
         netlist: b.finish(),
         truth,
-    }
-}
-
-/// Wires `cells` as a Rent-rule background by recursive bipartition: a
-/// region of `m` cells gets `~0.75·m^p` nets crossing its midline, giving
-/// `T(region) ∝ region^p` for aligned regions.
-pub(crate) fn rent_wire(
-    b: &mut NetlistBuilder,
-    cells: &[CellId],
-    rent_exponent: f64,
-    rng: &mut SmallRng,
-) {
-    if cells.len() < 2 {
-        return;
-    }
-    if cells.len() <= 8 {
-        // Leaf: a couple of local nets keep the region connected.
-        for w in cells.windows(2) {
-            b.add_anonymous_net([w[0], w[1]]);
-        }
-        return;
-    }
-    let mid = cells.len() / 2;
-    let (left, right) = cells.split_at(mid);
-    rent_wire(b, left, rent_exponent, rng);
-    rent_wire(b, right, rent_exponent, rng);
-    let cross = (0.75 * (cells.len() as f64).powf(rent_exponent)).ceil() as usize;
-    for _ in 0..cross {
-        let deg = crate::sample_net_degree(rng, 8);
-        let mut pins = Vec::with_capacity(deg);
-        // At least one pin per side so the net truly crosses the midline.
-        pins.push(left[rng.gen_range(0..left.len())]);
-        pins.push(right[rng.gen_range(0..right.len())]);
-        for _ in 2..deg {
-            pins.push(cells[rng.gen_range(0..cells.len())]);
-        }
-        b.add_anonymous_net(pins);
     }
 }
 
@@ -301,9 +263,8 @@ mod tests {
         // chain's constant cut.
         let mut rng = SmallRng::seed_from_u64(9);
         let mut b = NetlistBuilder::new();
-        let first = b.add_anonymous_cells(4096);
-        let cells: Vec<CellId> = (0..4096).map(CellId::new).collect();
-        rent_wire(&mut b, &cells, 0.65, &mut rng);
+        b.add_anonymous_cells(4096);
+        rent_wire_into(&mut b, 0, 4096, 0.65, &mut rng);
         let nl = b.finish();
         let mut xs = Vec::new();
         let mut ys = Vec::new();
@@ -323,6 +284,5 @@ mod tests {
         assert!((0.15..0.95).contains(&slope), "Rent slope {slope}");
         // Cut must actually grow several-fold across the range.
         assert!(ys.last().unwrap() - ys[0] > 1.0, "cut barely grows: {ys:?}");
-        let _ = first;
     }
 }

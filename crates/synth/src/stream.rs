@@ -8,7 +8,9 @@
 //! bipartition, boundary nets tying the two together) directly to a
 //! [`Write`] sink as `.hgr` text in bounded memory: the only live state is
 //! one structure's temporary builder, the recursion stack (`O(log cells)`)
-//! and a reusable pin buffer.
+//! and a reusable pin buffer. Its background wirer, which walks an id
+//! range and hands each net to a sink, is also the one the in-memory
+//! generators run, with a [`NetlistBuilder`] as the sink.
 //!
 //! The `.hgr` header needs the net count before the body, so generation
 //! runs twice with identical RNG streams: a counting pass, then the write
@@ -29,10 +31,11 @@
 //! # Ok::<(), gtl_netlist::NetlistError>(())
 //! ```
 
+use std::convert::Infallible;
 use std::io::{BufWriter, Write};
 use std::path::Path;
 
-use gtl_netlist::{NetlistBuilder, NetlistError};
+use gtl_netlist::{CellId, NetlistBuilder, NetlistError};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -81,9 +84,7 @@ pub struct StreamStats {
 ///
 /// # Errors
 ///
-/// Returns [`NetlistError::IndexOutOfBounds`], before writing any byte,
-/// when the embedded structures alone need more than `config.cells`
-/// cells, and [`NetlistError::Io`] on write failure.
+/// [`NetlistError::Io`] on write failure.
 pub fn write_hgr<W: Write>(
     config: &StreamDesignConfig,
     out: W,
@@ -91,8 +92,7 @@ pub fn write_hgr<W: Write>(
     write_counted(config, || Ok(out))
 }
 
-/// [`write_hgr`] to a file path. The file is created only once the
-/// design is known to fit, so a refused config leaves no file behind.
+/// [`write_hgr`] to a file path.
 ///
 /// # Errors
 ///
@@ -155,7 +155,10 @@ fn emit_nets(
 
     // --- Embedded structures on the low cell ids -----------------------
     // Each structure lives in its own small temporary builder; only its
-    // (base, len) range survives, for the boundary-net pass below.
+    // (base, len) range survives, for the boundary-net pass below. One is
+    // started while the structures fill less than half the design, and
+    // the first that would end past the design is dropped unemitted, with
+    // every structure after it, so the design has room for any seed.
     let budget = config.cells / 2;
     let mut ranges: Vec<(u32, u32)> = Vec::with_capacity(config.structures);
     let mut base = 0u32;
@@ -171,6 +174,9 @@ fn emit_nets(
             _ => structures::ripple_carry_adder(&mut b, rng.gen_range(32..=128)),
         };
         let built = b.finish();
+        if base as usize + built.num_cells() > config.cells {
+            break;
+        }
         for net in built.nets() {
             pins.clear();
             pins.extend(built.net_cells(net).iter().map(|c| base + c.index() as u32));
@@ -178,17 +184,6 @@ fn emit_nets(
         }
         ranges.push((base, built.num_cells() as u32));
         base += built.num_cells() as u32;
-    }
-    // Structures are admitted while they start below half the design, so
-    // the last one can still end past it.
-    if base as usize > config.cells {
-        return Err(NetlistError::IndexOutOfBounds {
-            what: format!(
-                "the embedded structures need {base} cells but the design has {}; \
-                 raise the cell count or lower the structure count",
-                config.cells
-            ),
-        });
     }
 
     // --- Rent-rule background ------------------------------------------
@@ -215,17 +210,18 @@ fn emit_nets(
     Ok(())
 }
 
-/// Rent-rule wiring over the index range `[lo, hi)`, mirroring
-/// [`crate::ispd_like::rent_wire`] but without materializing cell slices:
-/// a region of `m` cells gets `~0.75·m^p` nets crossing its midline.
-fn rent_wire_range(
+/// Rent-rule wiring over the cell ids `[lo, hi)` by recursive
+/// bipartition: a region of `m` cells gets `~0.75·m^p` nets crossing its
+/// midline, giving `T(region) ∝ region^p` for aligned regions. Each net's
+/// deduplicated pins go to `sink` in emission order.
+fn rent_wire_range<E>(
     lo: u32,
     hi: u32,
     rent_exponent: f64,
     rng: &mut SmallRng,
     pins: &mut Vec<u32>,
-    sink: &mut dyn FnMut(&[u32]) -> Result<(), NetlistError>,
-) -> Result<(), NetlistError> {
+    sink: &mut dyn FnMut(&[u32]) -> Result<(), E>,
+) -> Result<(), E> {
     let m = (hi - lo) as usize;
     if m < 2 {
         return Ok(());
@@ -255,6 +251,29 @@ fn rent_wire_range(
         sink(pins)?;
     }
     Ok(())
+}
+
+/// [`rent_wire_range`] into a builder: the background of the in-memory
+/// generators, wired over the cells `lo..hi` already added to `b`.
+pub(crate) fn rent_wire_into(
+    b: &mut NetlistBuilder,
+    lo: usize,
+    hi: usize,
+    rent_exponent: f64,
+    rng: &mut SmallRng,
+) {
+    let mut pins = Vec::with_capacity(16);
+    let Ok(()) = rent_wire_range::<Infallible>(
+        lo as u32,
+        hi as u32,
+        rent_exponent,
+        rng,
+        &mut pins,
+        &mut |net| {
+            b.add_anonymous_net(net.iter().map(|&pin| CellId::new(pin as usize)));
+            Ok(())
+        },
+    );
 }
 
 /// Keep-first-occurrence dedup, matching [`NetlistBuilder::add_net`]
@@ -341,17 +360,21 @@ mod tests {
     }
 
     #[test]
-    fn structures_that_outgrow_the_design_are_refused_before_any_byte() {
-        // Seed 0's first structure is a decoder of more than 64 cells.
-        let cfg = StreamDesignConfig { seed: 0, ..StreamDesignConfig::new(64) };
-        let mut out = Vec::new();
-        let err = write_hgr(&cfg, &mut out).unwrap_err().to_string();
-        assert!(err.contains("cells but the design has 64"), "{err}");
-        assert!(out.is_empty(), "{} bytes written", out.len());
-        let path = std::env::temp_dir()
-            .join(format!("gtl_synth_stream_refused_{}.hgr", std::process::id()));
-        assert!(write_hgr_file(&cfg, &path).is_err());
-        assert!(!path.exists(), "a refused design left {}", path.display());
+    fn structures_that_would_outgrow_the_design_are_left_out() {
+        // Seed 0's first structure at 64 cells is a decoder of more than
+        // 64 cells: the design is then all background. Every size from
+        // the minimum generates a valid design of exactly that size.
+        for cells in [64, 80, 100, 128, 150, 200, 256, 300, 400] {
+            for seed in 0..10 {
+                let cfg = StreamDesignConfig { seed, ..StreamDesignConfig::new(cells) };
+                let mut out = Vec::new();
+                let stats = write_hgr(&cfg, &mut out).unwrap();
+                let nl = hgr::parse(out.as_slice(), "<streamed>").unwrap();
+                assert_eq!(nl.num_cells(), cells, "seed {seed}");
+                assert_eq!(nl.num_pins() as u64, stats.pins, "{cells} cells, seed {seed}");
+                nl.validate().unwrap();
+            }
+        }
     }
 
     #[test]

@@ -170,11 +170,6 @@ impl<'a> TangledLogicFinder<'a> {
         Self { netlist, config }
     }
 
-    /// The configuration this finder runs with.
-    pub fn config(&self) -> &FinderConfig {
-        &self.config
-    }
-
     /// Runs all three phases with randomly drawn seed cells.
     pub fn run(&self) -> FinderResult {
         match self.run_random_seeds(None) {

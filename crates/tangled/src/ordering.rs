@@ -250,11 +250,6 @@ impl<'a> OrderingGrower<'a> {
         }
     }
 
-    /// The configuration this grower runs with.
-    pub fn config(&self) -> &GrowthConfig {
-        &self.config
-    }
-
     /// Grows a linear ordering from `seed`.
     ///
     /// The ordering ends when `max_len` cells are gathered or the connected

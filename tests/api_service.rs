@@ -1,8 +1,9 @@
 //! The PR-acceptance contract, end to end: `gtl find --json` and a
 //! `gtl serve` TCP round-trip produce **byte-identical** `FindResponse`
 //! JSON, for 1, 2 and 8 workers — plus the frozen-wire golden replays
-//! (v1 Find, v4 session administration) against the checked-in bytes
-//! in `tests/golden/`.
+//! (v1 Find, v4 and v5 session administration) against the checked-in
+//! bytes in `tests/golden/`, over TCP and through the in-process
+//! dispatcher.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -269,6 +270,27 @@ fn golden_v5_traced_script_replay() {
     assert_eq!(requests, render(&script), "v5 golden request bytes changed");
     let responses = std::fs::read_to_string(&responses_path).unwrap();
     assert_eq!(responses, render(&got), "v5 golden response bytes changed");
+}
+
+/// In-process answers are the server's: every line of the three golden
+/// request scripts, fed to `SessionDispatcher::handle_line` over the
+/// session and registry CI serves them from, answers the golden response
+/// line, less the trace stamp the server adds to a v5 reply on the wire.
+#[test]
+fn in_process_answers_are_the_golden_server_replies() {
+    let session = Session::builder().load(&fixture_path()).unwrap().build().unwrap();
+    let read = |name: &str| std::fs::read_to_string(golden_dir().join(name)).unwrap();
+    for (requests, responses) in [
+        ("serve_find_request.json", "serve_find_response.json"),
+        ("serve_session_requests.json", "serve_session_responses.json"),
+        ("serve_v5_requests.json", "serve_v5_responses.json"),
+    ] {
+        let dispatcher = SessionDispatcher::new(&session, 4, 0, Some(golden_dir()));
+        let got: Vec<String> =
+            read(requests).lines().map(|line| dispatcher.handle_line(line)).collect();
+        let expected: Vec<String> = read(responses).lines().map(strip_trace).collect();
+        assert_eq!(got, expected, "{requests}");
+    }
 }
 
 /// The scrape payload over the v5 wire: `MetricsText` returns the
